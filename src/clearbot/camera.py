@@ -177,11 +177,6 @@ class RenderResult:
     floor_depth: float
 
 
-def _rotz2(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
 def _pixel_window(obj: ObjectSpec, cam_pos: np.ndarray, heading: float, k: Intrinsics):
     """Conservative pixel bounding box of an object (None when off-screen)."""
     x0, x1, y0, y1 = object_footprint(obj).aabb()

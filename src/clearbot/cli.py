@@ -22,48 +22,27 @@ import json
 import sys
 import traceback
 from pathlib import Path
-from typing import Any, Optional
+from typing import Optional
 
-from .arm import DEFAULT_PHASE_DURATIONS, ArmConfig, MotionPhase
-from .camera import (
-    DEFAULT_INTRINSICS,
-    DepthNoiseModel,
-    Intrinsics,
-    encode_depth_pgm,
-    encode_label_ppm,
-)
+from .camera import encode_depth_pgm, encode_label_ppm
 from .geometry import (
     DegenerateConfiguration,
     Frame,
     Point3,
-    ReachEnvelope,
     TooFewPoints,
     estimate_rigid_transform,
     registration_rms,
 )
 from .orchestrator import (
-    DepthBiasInjection,
     InvalidConfig,
-    ScenarioConfig,
     Topic,
     build_benchmark_config,
     check_benchmark_report,
     messages_to_ndjson,
+    parse_scenario,
     report_to_json,
     run_scenario,
-    validate_config,
 )
-from .scene import (
-    DEFAULT_BRICK,
-    DEFAULT_PIPE,
-    ArmMount,
-    BrickDims,
-    CameraMount,
-    ObjectClass,
-    ObjectSpec,
-    PipeDims,
-)
-from .segmentation import CorruptionOp, CutBand, Erode, Holes, Relabel
 
 EXIT_OK = 0
 EXIT_PICK_FAILURES = 1
@@ -71,429 +50,6 @@ EXIT_BAD_INPUT = 2
 EXIT_INTERNAL = 3
 
 Errors = list[tuple[str, str]]
-
-
-# --- strict scenario parsing ---------------------------------------------------
-
-
-def _check_keys(d: dict, path: str, allowed: set[str], errors: Errors) -> None:
-    for key in d:
-        if key not in allowed:
-            errors.append((f"{path}.{key}" if path else key, "unknown key"))
-
-
-def _num(
-    d: dict,
-    key: str,
-    path: str,
-    errors: Errors,
-    default: Optional[float] = None,
-) -> Optional[float]:
-    if key not in d:
-        return default
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        errors.append((f"{path}.{key}" if path else key, "expected a number"))
-        return default
-    return float(v)
-
-
-def _int(
-    d: dict, key: str, path: str, errors: Errors, default: Optional[int] = None
-) -> Optional[int]:
-    if key not in d:
-        return default
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        errors.append((f"{path}.{key}" if path else key, "expected an integer"))
-        return default
-    return v
-
-
-def _num_list(value: Any, path: str, length: int, errors: Errors) -> Optional[list[float]]:
-    if not isinstance(value, list) or len(value) != length:
-        errors.append((path, f"expected a list of {length} numbers"))
-        return None
-    out = []
-    for i, v in enumerate(value):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            errors.append((f"{path}[{i}]", "expected a number"))
-            return None
-        out.append(float(v))
-    return out
-
-
-def _parse_camera(doc: dict, errors: Errors):
-    k = DEFAULT_INTRINSICS
-    mount = CameraMount(1.05, 0.0, 1.2)
-    noise = DepthNoiseModel()
-    section = doc.get("camera")
-    if section is None:
-        return k, mount, noise
-    if not isinstance(section, dict):
-        errors.append(("camera", "expected an object"))
-        return k, mount, noise
-    _check_keys(
-        section,
-        "camera",
-        {"width", "height", "fx", "fy", "cx", "cy", "height_m", "mount_xy", "noise"},
-        errors,
-    )
-    try:
-        k = Intrinsics(
-            fx=_num(section, "fx", "camera", errors, k.fx),
-            fy=_num(section, "fy", "camera", errors, k.fy),
-            cx=_num(section, "cx", "camera", errors, k.cx),
-            cy=_num(section, "cy", "camera", errors, k.cy),
-            width=_int(section, "width", "camera", errors, k.width),
-            height=_int(section, "height", "camera", errors, k.height),
-        )
-    except (ValueError, TypeError) as exc:
-        errors.append(("camera", str(exc)))
-    mx, my = mount.x, mount.y
-    if "mount_xy" in section:
-        vals = _num_list(section["mount_xy"], "camera.mount_xy", 2, errors)
-        if vals is not None:
-            mx, my = vals[0], vals[1]
-    height_m = _num(section, "height_m", "camera", errors, mount.height)
-    try:
-        mount = CameraMount(mx, my, height_m)
-    except (ValueError, TypeError) as exc:
-        errors.append(("camera.height_m", str(exc)))
-    if "noise" in section:
-        nd = section["noise"]
-        if not isinstance(nd, dict):
-            errors.append(("camera.noise", "expected an object"))
-        else:
-            _check_keys(nd, "camera.noise", {"sigma", "bias", "dropout_prob"}, errors)
-            try:
-                noise = DepthNoiseModel(
-                    sigma=_num(nd, "sigma", "camera.noise", errors, 0.0),
-                    bias=_num(nd, "bias", "camera.noise", errors, 0.0),
-                    dropout_prob=_num(nd, "dropout_prob", "camera.noise", errors, 0.0),
-                )
-            except (ValueError, TypeError) as exc:
-                errors.append(("camera.noise", str(exc)))
-    return k, mount, noise
-
-
-def _parse_arm(doc: dict, errors: Errors):
-    mount = ArmMount(0.40, 0.0, 0.15)
-    cfg = ArmConfig()
-    section = doc.get("arm")
-    if section is None:
-        return mount, cfg
-    if not isinstance(section, dict):
-        errors.append(("arm", "expected an object"))
-        return mount, cfg
-    _check_keys(
-        section,
-        "arm",
-        {
-            "r_min",
-            "r_max",
-            "z_min",
-            "z_max",
-            "gripper_max_opening",
-            "d_tol",
-            "theta_tol",
-            "boundary_margin",
-            "adaptive_order",
-            "phase_durations",
-            "drop_pose",
-            "mount",
-        },
-        errors,
-    )
-    if "mount" in section:
-        raw = section["mount"]
-        n = len(raw) if isinstance(raw, list) else 0
-        vals = _num_list(raw, "arm.mount", n if n in (3, 4) else 4, errors)
-        if vals is not None:
-            mount = ArmMount(*vals)
-    envelope = cfg.envelope
-    try:
-        envelope = ReachEnvelope(
-            r_min=_num(section, "r_min", "arm", errors, envelope.r_min),
-            r_max=_num(section, "r_max", "arm", errors, envelope.r_max),
-            z_min=_num(section, "z_min", "arm", errors, envelope.z_min),
-            z_max=_num(section, "z_max", "arm", errors, envelope.z_max),
-        )
-    except (ValueError, TypeError) as exc:
-        errors.append(("arm", str(exc)))
-        envelope = cfg.envelope
-    drop = cfg.drop_pose
-    if "drop_pose" in section:
-        vals = _num_list(section["drop_pose"], "arm.drop_pose", 3, errors)
-        if vals is not None:
-            drop = Point3(vals[0], vals[1], vals[2], Frame.ARM)
-    durations = dict(DEFAULT_PHASE_DURATIONS)
-    if "phase_durations" in section:
-        pd = section["phase_durations"]
-        if not isinstance(pd, dict):
-            errors.append(("arm.phase_durations", "expected an object"))
-        else:
-            by_name = {p.value: p for p in MotionPhase}
-            for name, dur in pd.items():
-                phase = by_name.get(name)
-                if phase is None or phase is MotionPhase.HOME:
-                    errors.append((f"arm.phase_durations.{name}", "unknown phase"))
-                    continue
-                if isinstance(dur, bool) or not isinstance(dur, (int, float)):
-                    errors.append((f"arm.phase_durations.{name}", "expected a number"))
-                    continue
-                durations[phase] = float(dur)
-    adaptive = section.get("adaptive_order", False)
-    if not isinstance(adaptive, bool):
-        errors.append(("arm.adaptive_order", "expected true or false"))
-        adaptive = False
-    try:
-        cfg = ArmConfig(
-            phase_durations=durations,
-            position_tolerance=_num(section, "d_tol", "arm", errors, cfg.position_tolerance),
-            yaw_tolerance=_num(section, "theta_tol", "arm", errors, cfg.yaw_tolerance),
-            gripper_max_opening=_num(
-                section, "gripper_max_opening", "arm", errors, cfg.gripper_max_opening
-            ),
-            boundary_margin=_num(
-                section, "boundary_margin", "arm", errors, cfg.boundary_margin
-            ),
-            envelope=envelope,
-            drop_pose=drop,
-            adaptive_order=adaptive,
-        )
-    except (ValueError, TypeError) as exc:
-        errors.append(("arm", str(exc)))
-    return mount, cfg
-
-
-def _parse_ugv(doc: dict, errors: Errors):
-    start, end = (0.0, 0.0), (10.0, 0.0)
-    speed, stop_latency = 0.2, 0.2
-    section = doc.get("ugv")
-    if section is None:
-        return start, end, speed, stop_latency
-    if not isinstance(section, dict):
-        errors.append(("ugv", "expected an object"))
-        return start, end, speed, stop_latency
-    _check_keys(section, "ugv", {"start", "end", "speed", "stop_latency"}, errors)
-    if "start" in section:
-        vals = _num_list(section["start"], "ugv.start", 2, errors)
-        if vals is not None:
-            start = (vals[0], vals[1])
-    if "end" in section:
-        vals = _num_list(section["end"], "ugv.end", 2, errors)
-        if vals is not None:
-            end = (vals[0], vals[1])
-    speed = _num(section, "speed", "ugv", errors, speed)
-    stop_latency = _num(section, "stop_latency", "ugv", errors, stop_latency)
-    return start, end, speed, stop_latency
-
-
-def _parse_ops(doc: dict, errors: Errors) -> tuple[CorruptionOp, ...]:
-    raw = doc.get("corruptions", [])
-    if not isinstance(raw, list):
-        errors.append(("corruptions", "expected a list"))
-        return ()
-    ops: list[CorruptionOp] = []
-    for i, entry in enumerate(raw):
-        path = f"corruptions[{i}]"
-        if not isinstance(entry, dict):
-            errors.append((path, "expected an object"))
-            continue
-        kind = entry.get("op")
-        try:
-            if kind == "erode":
-                _check_keys(entry, path, {"op", "radius"}, errors)
-                ops.append(Erode(radius=_int(entry, "radius", path, errors, 1)))
-            elif kind == "holes":
-                _check_keys(entry, path, {"op", "fraction", "seed"}, errors)
-                ops.append(
-                    Holes(
-                        fraction=_num(entry, "fraction", path, errors, 0.0),
-                        seed=_int(entry, "seed", path, errors, 0),
-                    )
-                )
-            elif kind == "cut_band":
-                _check_keys(entry, path, {"op", "target_id", "band_px"}, errors)
-                target = entry.get("target_id")
-                if not isinstance(target, str):
-                    errors.append((f"{path}.target_id", "expected an object id"))
-                    continue
-                ops.append(CutBand(target_id=target, band_px=_int(entry, "band_px", path, errors, 1)))
-            elif kind == "relabel":
-                _check_keys(entry, path, {"op", "region", "new_class"}, errors)
-                region = _num_list(entry.get("region"), f"{path}.region", 4, errors)
-                if region is None:
-                    continue
-                ops.append(
-                    Relabel(
-                        region=tuple(int(v) for v in region),
-                        new_class=_int(entry, "new_class", path, errors, 0),
-                    )
-                )
-            else:
-                errors.append((f"{path}.op", f"unknown operation {kind!r}"))
-        except (ValueError, TypeError) as exc:
-            errors.append((path, str(exc)))
-    return tuple(ops)
-
-
-def _parse_injections(doc: dict, errors: Errors) -> tuple[DepthBiasInjection, ...]:
-    raw = doc.get("injections", {})
-    if not isinstance(raw, dict):
-        errors.append(("injections", "expected an object"))
-        return ()
-    _check_keys(raw, "injections", {"depth_bias"}, errors)
-    entries = raw.get("depth_bias", [])
-    if not isinstance(entries, list):
-        errors.append(("injections.depth_bias", "expected a list"))
-        return ()
-    out = []
-    for i, entry in enumerate(entries):
-        path = f"injections.depth_bias[{i}]"
-        if not isinstance(entry, dict):
-            errors.append((path, "expected an object"))
-            continue
-        _check_keys(entry, path, {"id", "bias"}, errors)
-        oid = entry.get("id")
-        if not isinstance(oid, str):
-            errors.append((f"{path}.id", "expected an object id"))
-            continue
-        bias = _num(entry, "bias", path, errors, 0.0)
-        out.append(DepthBiasInjection(object_id=oid, bias=bias))
-    return tuple(out)
-
-
-def _parse_objects(doc: dict, errors: Errors) -> tuple[ObjectSpec, ...]:
-    raw = doc.get("objects")
-    if raw is None:
-        return ()
-    if not isinstance(raw, list):
-        errors.append(("objects", "expected a list"))
-        return ()
-    out = []
-    for i, entry in enumerate(raw):
-        path = f"objects[{i}]"
-        if not isinstance(entry, dict):
-            errors.append((path, "expected an object"))
-            continue
-        _check_keys(entry, path, {"id", "class", "dims", "pose"}, errors)
-        oid = entry.get("id")
-        if not isinstance(oid, str) or not oid:
-            errors.append((f"{path}.id", "expected a non-empty string"))
-            continue
-        cls_name = entry.get("class")
-        try:
-            cls = ObjectClass(cls_name)
-        except ValueError:
-            errors.append((f"{path}.class", f"unknown class {cls_name!r}"))
-            continue
-        dims_doc = entry.get("dims")
-        if dims_doc is not None and not isinstance(dims_doc, dict):
-            errors.append((f"{path}.dims", "expected an object"))
-            continue
-        try:
-            if cls is ObjectClass.BRICK:
-                if dims_doc is None:
-                    dims = BrickDims(*DEFAULT_BRICK)
-                else:
-                    _check_keys(dims_doc, f"{path}.dims", {"length", "width", "height"}, errors)
-                    dims = BrickDims(
-                        length=_num(dims_doc, "length", f"{path}.dims", errors, DEFAULT_BRICK[0]),
-                        width=_num(dims_doc, "width", f"{path}.dims", errors, DEFAULT_BRICK[1]),
-                        height=_num(dims_doc, "height", f"{path}.dims", errors, DEFAULT_BRICK[2]),
-                    )
-            else:
-                if dims_doc is None:
-                    dims = PipeDims(*DEFAULT_PIPE)
-                else:
-                    _check_keys(dims_doc, f"{path}.dims", {"radius", "length"}, errors)
-                    dims = PipeDims(
-                        radius=_num(dims_doc, "radius", f"{path}.dims", errors, DEFAULT_PIPE[0]),
-                        length=_num(dims_doc, "length", f"{path}.dims", errors, DEFAULT_PIPE[1]),
-                    )
-            pose_doc = entry.get("pose")
-            if not isinstance(pose_doc, dict):
-                errors.append((f"{path}.pose", "expected an object with x, y, yaw"))
-                continue
-            _check_keys(pose_doc, f"{path}.pose", {"x", "y", "yaw"}, errors)
-            x = _num(pose_doc, "x", f"{path}.pose", errors)
-            y = _num(pose_doc, "y", f"{path}.pose", errors)
-            if x is None or y is None:
-                errors.append((f"{path}.pose", "x and y are required"))
-                continue
-            out.append(
-                ObjectSpec(
-                    id=oid,
-                    cls=cls,
-                    dims=dims,
-                    x=x,
-                    y=y,
-                    yaw=_num(pose_doc, "yaw", f"{path}.pose", errors, 0.0),
-                )
-            )
-        except (ValueError, TypeError, AttributeError) as exc:
-            errors.append((path, str(exc)))
-    return tuple(out)
-
-
-def parse_scenario(doc: Any) -> ScenarioConfig:
-    """Strictly parse a scenario document; collects every problem found."""
-    errors: Errors = []
-    if not isinstance(doc, dict):
-        raise InvalidConfig([("", "scenario document must be a JSON object")])
-    _check_keys(
-        doc,
-        "",
-        {
-            "name",
-            "seed",
-            "frame_period",
-            "camera",
-            "arm",
-            "ugv",
-            "objects",
-            "corruptions",
-            "injections",
-        },
-        errors,
-    )
-    name = doc.get("name", "scenario")
-    if not isinstance(name, str):
-        errors.append(("name", "expected a string"))
-        name = "scenario"
-    seed = _int(doc, "seed", "", errors, 0)
-    frame_period = _num(doc, "frame_period", "", errors, 1.0 / 21.0)
-    intrinsics, camera_mount, noise = _parse_camera(doc, errors)
-    arm_mount, arm_cfg = _parse_arm(doc, errors)
-    start, end, speed, stop_latency = _parse_ugv(doc, errors)
-    ops = _parse_ops(doc, errors)
-    injections = _parse_injections(doc, errors)
-    objects = _parse_objects(doc, errors)
-    if errors:
-        raise InvalidConfig(errors)
-    cfg = ScenarioConfig(
-        name=name,
-        objects=objects,
-        intrinsics=intrinsics,
-        camera_mount=camera_mount,
-        arm_mount=arm_mount,
-        ugv_start=start,
-        ugv_end=end,
-        speed=speed,
-        stop_latency=stop_latency,
-        frame_period=frame_period,
-        noise=noise,
-        seg_ops=ops,
-        injections=injections,
-        arm=arm_cfg,
-        seed=seed,
-    )
-    config_errors = validate_config(cfg)
-    if config_errors:
-        raise InvalidConfig(config_errors)
-    return cfg
 
 
 # --- output writers ---------------------------------------------------------

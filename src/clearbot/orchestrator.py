@@ -19,8 +19,9 @@ import enum
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -46,7 +47,6 @@ from .camera import (
 )
 from .geometry import (
     A_MIN_COMPONENT_PX,
-    DEFAULT_ENVELOPE,
     Frame,
     GraspTarget,
     IllConditioned,
@@ -64,6 +64,10 @@ from .geometry import (
     transform_to_arm,
 )
 from .scene import (
+    DEFAULT_ARM_MOUNT,
+    DEFAULT_BRICK,
+    DEFAULT_CAMERA_MOUNT,
+    DEFAULT_PIPE,
     ArmMount,
     BrickDims,
     CameraMount,
@@ -94,6 +98,9 @@ GEOMETRY_LATENCY = 0.010
 DISPATCH_LATENCY = 0.001
 
 TAU_IOU = 0.8
+
+# step limit of one run; validate_config rejects a course that needs more frames
+MAX_STEPS = 200_000
 
 
 class SimClock:
@@ -360,8 +367,8 @@ class ScenarioConfig:
     name: str
     objects: tuple[ObjectSpec, ...]
     intrinsics: Intrinsics = DEFAULT_INTRINSICS
-    camera_mount: CameraMount = CameraMount(1.05, 0.0, 1.2)
-    arm_mount: ArmMount = ArmMount(0.40, 0.0, 0.15)
+    camera_mount: CameraMount = DEFAULT_CAMERA_MOUNT
+    arm_mount: ArmMount = DEFAULT_ARM_MOUNT
     ugv_start: tuple[float, float] = (0.0, 0.0)
     ugv_end: tuple[float, float] = (10.0, 0.0)
     speed: float = 0.2
@@ -418,6 +425,12 @@ def validate_config(cfg: ScenarioConfig) -> list[tuple[str, str]]:
         errors.append(("frame_period", "frame period must be positive"))
     if cfg.path_length() <= 0:
         errors.append(("ugv.end", "path start and end coincide"))
+    if cfg.speed > 0 and cfg.frame_period > 0:
+        frames = cfg.path_length() / (cfg.speed * cfg.frame_period)
+        if frames > MAX_STEPS:
+            errors.append(
+                ("frame_period", f"the course needs {frames:.3g} frames, over {MAX_STEPS}")
+            )
     ids = {o.id for o in cfg.objects}
     for i, inj in enumerate(cfg.injections):
         if inj.object_id not in ids:
@@ -897,7 +910,7 @@ class Simulation:
 
     # -- driver --
 
-    def run(self, max_steps: int = 200_000) -> RunReport:
+    def run(self, max_steps: int = MAX_STEPS) -> RunReport:
         steps = 0
         while self.state is not PipelineState.DONE:
             self.step()
@@ -974,14 +987,10 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     reproduces the config, which is what pins the config digest."""
 
     def obj_to_dict(o: ObjectSpec) -> dict:
-        if isinstance(o.dims, BrickDims):
-            dims = {"length": o.dims.length, "width": o.dims.width, "height": o.dims.height}
-        else:
-            dims = {"radius": o.dims.radius, "length": o.dims.length}
         return {
             "id": o.id,
             "class": o.cls.value,
-            "dims": dims,
+            "dims": dataclasses.asdict(o.dims),
             "pose": {"x": o.x, "y": o.y, "yaw": o.yaw},
         }
 
@@ -1029,9 +1038,7 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
             "theta_tol": arm.yaw_tolerance,
             "boundary_margin": arm.boundary_margin,
             "adaptive_order": arm.adaptive_order,
-            "phase_durations": {
-                p.value: arm.phase_durations[p] for p in DEFAULT_PHASE_DURATION_ORDER
-            },
+            "phase_durations": {p.value: d for p, d in arm.phase_durations.items()},
             "drop_pose": [arm.drop_pose.x, arm.drop_pose.y, arm.drop_pose.z],
             "mount": [
                 cfg.arm_mount.x,
@@ -1056,15 +1063,189 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     }
 
 
-DEFAULT_PHASE_DURATION_ORDER = (
-    MotionPhase.MOVE_ABOVE,
-    MotionPhase.DESCEND,
-    MotionPhase.GRASP,
-    MotionPhase.LIFT,
-    MotionPhase.MOVE_TO_DROP,
-    MotionPhase.RELEASE,
-    MotionPhase.RETURN_HOME,
-)
+# --- scenario parsing ----------------------------------------------------------------
+#
+# The schema is the default scenario in file form: its keys are the allowed
+# keys, each leaf's value is that leaf's default, and the Python type of the
+# value is the type a file must give. A leaf whose template is a type instead
+# of a value is required. Record lists carry one template per entry kind.
+
+
+@dataclass(frozen=True)
+class _Records:
+    """A list of records; the value under ``tag`` picks each entry's template
+    (an untagged list has one template, keyed by None)."""
+
+    templates: dict
+    tag: Optional[str] = None
+
+
+_DIMS = {ObjectClass.BRICK: BrickDims(*DEFAULT_BRICK), ObjectClass.PIPE: PipeDims(*DEFAULT_PIPE)}
+_OPS = {"erode": Erode, "holes": Holes, "cut_band": CutBand, "relabel": Relabel}
+
+
+def _scenario_schema() -> dict:
+    schema = scenario_to_dict(ScenarioConfig(name="scenario", objects=()))
+    schema["objects"] = _Records(
+        {
+            cls.value: {
+                "id": str,
+                "class": cls.value,
+                "dims": dataclasses.asdict(dims),
+                "pose": {"x": float, "y": float, "yaw": 0.0},
+            }
+            for cls, dims in _DIMS.items()
+        },
+        tag="class",
+    )
+    schema["corruptions"] = _Records(
+        {
+            "erode": {"op": "erode", "radius": 1},
+            "holes": {"op": "holes", "fraction": 0.0, "seed": 0},
+            "cut_band": {"op": "cut_band", "target_id": str, "band_px": 1},
+            "relabel": {"op": "relabel", "region": [int] * 4, "new_class": 0},
+        },
+        tag="op",
+    )
+    schema["injections"]["depth_bias"] = _Records({None: {"id": str, "bias": 0.0}})
+    return schema
+
+
+_SCENARIO_SCHEMA = _scenario_schema()
+
+
+_MISSING = object()
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+
+
+def _conform(value: Any, tmpl: Any, path: str, errors: list[tuple[str, str]]) -> Any:
+    """``value`` checked against ``tmpl``, with missing keys filled from it.
+
+    Problems go to ``errors`` with their field path. Numbers come back as
+    finite floats and fixed-length lists as tuples.
+    """
+    if value is _MISSING:
+        if isinstance(tmpl, type) or isinstance(tmpl, list) and isinstance(tmpl[0], type):
+            errors.append((path, "required"))
+            return None
+        value = {} if isinstance(tmpl, dict) else [] if isinstance(tmpl, _Records) else tmpl
+    if isinstance(tmpl, dict):
+        if not isinstance(value, dict):
+            errors.append((path, "expected an object"))
+            return None
+        join = lambda key: f"{path}.{key}" if path else key
+        errors.extend((join(key), "unknown key") for key in value if key not in tmpl)
+        return {
+            key: _conform(value.get(key, _MISSING), t, join(key), errors)
+            for key, t in tmpl.items()
+        }
+    if isinstance(tmpl, _Records):
+        if not isinstance(value, list):
+            errors.append((path, "expected a list"))
+            return None
+        out = []
+        for i, entry in enumerate(value):
+            entry_path = f"{path}[{i}]"
+            if not isinstance(entry, dict):
+                errors.append((entry_path, "expected an object"))
+                continue
+            kind = entry.get(tmpl.tag) if tmpl.tag else None
+            entry_tmpl = tmpl.templates.get(kind if isinstance(kind, str) else None)
+            if entry_tmpl is None:
+                errors.append((f"{entry_path}.{tmpl.tag}", f"unknown {tmpl.tag} {kind!r}"))
+                continue
+            out.append(_conform(entry, entry_tmpl, entry_path, errors))
+        return out
+    if isinstance(tmpl, list):
+        if not isinstance(value, list) or len(value) != len(tmpl):
+            errors.append((path, f"expected a list of {len(tmpl)} values"))
+            return None
+        return tuple(
+            _conform(v, t, f"{path}[{i}]", errors) for i, (v, t) in enumerate(zip(value, tmpl))
+        )
+    kind = tmpl if isinstance(tmpl, type) else type(tmpl)
+    if kind is float and type(value) is int:
+        value = float(value) if abs(value) <= sys.float_info.max else math.inf
+    if type(value) is not kind:
+        errors.append((path, f"expected {_TYPE_NAMES[kind]}"))
+        return None
+    if kind is float and not math.isfinite(value):
+        errors.append((path, "expected a finite number"))
+        return None
+    return value
+
+
+def _arm_from_dict(arm: dict) -> ArmConfig:
+    return ArmConfig(
+        phase_durations={MotionPhase(p): d for p, d in arm["phase_durations"].items()},
+        position_tolerance=arm["d_tol"],
+        yaw_tolerance=arm["theta_tol"],
+        gripper_max_opening=arm["gripper_max_opening"],
+        boundary_margin=arm["boundary_margin"],
+        envelope=ReachEnvelope(arm["r_min"], arm["r_max"], arm["z_min"], arm["z_max"]),
+        drop_pose=Point3(*arm["drop_pose"], Frame.ARM),
+        adaptive_order=arm["adaptive_order"],
+    )
+
+
+def _object_from_dict(o: dict) -> ObjectSpec:
+    cls = ObjectClass(o["class"])
+    return ObjectSpec(o["id"], cls, dataclasses.replace(_DIMS[cls], **o["dims"]), **o["pose"])
+
+
+def _op_from_dict(op: dict) -> CorruptionOp:
+    return _OPS[op["op"]](**{key: v for key, v in op.items() if key != "op"})
+
+
+def parse_scenario(doc: Any) -> ScenarioConfig:
+    """Strictly parse a scenario document; collects every problem found.
+
+    Only the document is checked here. The assembled config is checked
+    once, by :class:`Simulation`.
+    """
+    errors: list[tuple[str, str]] = []
+    d = _conform(doc, _SCENARIO_SCHEMA, "", errors)
+    if errors:
+        raise InvalidConfig(errors)
+
+    def build(path: str, make: Callable, *args, **kwargs):
+        try:
+            return make(*args, **kwargs)
+        except ValueError as exc:
+            errors.append((path, str(exc)))
+            return None
+
+    cam, arm, ugv = d["camera"], d["arm"], d["ugv"]
+    cfg = ScenarioConfig(
+        name=d["name"],
+        objects=tuple(
+            build(f"objects[{i}]", _object_from_dict, o) for i, o in enumerate(d["objects"])
+        ),
+        intrinsics=build(
+            "camera",
+            Intrinsics,
+            **{key: cam[key] for key in ("fx", "fy", "cx", "cy", "width", "height")},
+        ),
+        camera_mount=CameraMount(*cam["mount_xy"], cam["height_m"]),
+        arm_mount=ArmMount(*arm["mount"]),
+        ugv_start=ugv["start"],
+        ugv_end=ugv["end"],
+        speed=ugv["speed"],
+        stop_latency=ugv["stop_latency"],
+        frame_period=d["frame_period"],
+        noise=build("camera.noise", DepthNoiseModel, **cam["noise"]),
+        seg_ops=tuple(
+            build(f"corruptions[{i}]", _op_from_dict, op) for i, op in enumerate(d["corruptions"])
+        ),
+        injections=tuple(
+            DepthBiasInjection(inj["id"], inj["bias"]) for inj in d["injections"]["depth_bias"]
+        ),
+        arm=build("arm", _arm_from_dict, arm),
+        seed=d["seed"],
+    )
+    if errors:
+        raise InvalidConfig(errors)
+    return cfg
 
 
 def canonical_json(value: dict) -> str:
@@ -1260,7 +1441,6 @@ def build_benchmark_config(adaptive_order: bool = False, seed: int = 7) -> Scena
         objects=objects,
         intrinsics=Intrinsics(fx=180.0, fy=180.0, cx=256.0, cy=128.0, width=512, height=256),
         camera_mount=CameraMount(1.05, 0.0, 1.4),
-        arm_mount=ArmMount(0.40, 0.0, 0.15),
         ugv_start=(0.0, 0.0),
         ugv_end=(10.5, 0.0),
         speed=0.5,

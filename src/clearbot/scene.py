@@ -13,7 +13,7 @@ UGV body frame (x forward, y left); mounts are expressed in it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -35,8 +35,6 @@ class ObjectClass(Enum):
         """Integer code used in label images (0 is reserved for unlabeled)."""
         return {ObjectClass.BRICK: 1, ObjectClass.PIPE: 2}[self]
 
-
-CLASS_BY_LABEL = {cls.label: cls for cls in ObjectClass}
 
 # Default object sizes. A standard clay brick and a short PVC pipe segment,
 # rounded to the millimeter.
@@ -114,12 +112,6 @@ class ObjectSpec:
         if isinstance(self.dims, BrickDims):
             return self.dims.height
         return 2.0 * self.dims.radius
-
-    @property
-    def z_center(self) -> float:
-        if isinstance(self.dims, BrickDims):
-            return self.dims.height / 2.0
-        return self.dims.radius
 
 
 @dataclass(frozen=True)
@@ -324,19 +316,15 @@ class ArmMount:
 # the camera nadir by the time the UGV has stopped for it; near-nadir views
 # keep the mask-centroid parallax bias far below the grasp tolerance.
 DEFAULT_ARM_MOUNT = ArmMount(0.40, 0.0, 0.15)
-DEFAULT_CAMERA_FORWARD = 1.05  # robot-frame x of the camera mount
-DEFAULT_CAMERA_HEIGHT = 1.2
-
-DEFAULT_DROP_ZONE = (0.40, -0.45, 0.15, 0.15)  # cx, cy, half_x, half_y (robot frame)
+DEFAULT_CAMERA_MOUNT = CameraMount(1.05, 0.0, 1.2)
 
 
 @dataclass(frozen=True)
 class Scene:
     objects: tuple[ObjectSpec, ...]
     ugv: Pose2D = Pose2D(0.0, 0.0, 0.0)
-    camera_mount: CameraMount = CameraMount(DEFAULT_CAMERA_FORWARD, 0.0, DEFAULT_CAMERA_HEIGHT)
+    camera_mount: CameraMount = DEFAULT_CAMERA_MOUNT
     arm_mount: ArmMount = DEFAULT_ARM_MOUNT
-    drop_zone: tuple[float, float, float, float] = DEFAULT_DROP_ZONE
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "objects", tuple(self.objects))

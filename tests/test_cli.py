@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -131,6 +134,64 @@ def test_simulate_rejects_unknown_key(tmp_path, capsys):
     code = cli.main(["simulate", "--scenario", scenario, "--out", str(tmp_path / "out")])
     assert code == 2
     assert "gravity" in capsys.readouterr().err
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def mutate(doc):
+        for part in path:
+            doc = doc[part]
+        doc[key] = value
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate,path",
+    [
+        (_set("ugv", "speed", math.nan), "ugv.speed"),
+        (_set("ugv", "end", [math.inf, 0.0]), "ugv.end[0]"),
+        (_set("objects", 0, "pose", "yaw", math.nan), "objects[0].pose.yaw"),
+        (_set("camera", "noise", "sigma", math.nan), "camera.noise.sigma"),
+        (_set("arm", "d_tol", math.nan), "arm.d_tol"),
+        (_set("arm", "phase_durations", "grasp", math.nan), "arm.phase_durations.grasp"),
+        (
+            _set("corruptions", [{"op": "relabel", "region": [0, 8.5, 0, 8], "new_class": 0}]),
+            "corruptions[0].region[1]",
+        ),
+        (_set("frame_period", 1e-9), "frame_period"),
+        (_set("ugv", "stop_latency", 10**400), "ugv.stop_latency"),
+    ],
+)
+def test_simulate_rejects_bad_value_with_its_path(tmp_path, capsys, mutate, path):
+    scenario = write_scenario(tmp_path, one_brick_config(), mutate=mutate)
+    code = cli.main(["simulate", "--scenario", scenario, "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}:" in err
+    assert "Traceback" not in err
+
+
+def test_readme_scenario_block_shows_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Scenario files", 1)[1]
+    block = section.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    cfg = cli.parse_scenario(json.loads(re.sub(r"//[^\n]*", "", block)))
+
+    def rounded(value):
+        if isinstance(value, dict):
+            return {k: rounded(v) for k, v in value.items()}
+        if isinstance(value, list):
+            return [rounded(v) for v in value]
+        if isinstance(value, float):
+            return float(f"{value:.4g}")
+        return value
+
+    shown = scenario_to_dict(cfg)
+    defaults = scenario_to_dict(ScenarioConfig(name="scenario", objects=()))
+    for key in ("seed", "frame_period", "camera", "arm", "ugv"):
+        assert rounded(shown[key]) == rounded(defaults[key]), key
 
 
 def test_simulate_rejects_malformed_json(tmp_path, capsys):

@@ -3,12 +3,17 @@ and the built-in ten-object course."""
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from clearbot.arm import PickOutcome
+from clearbot.arm import DEFAULT_PHASE_DURATIONS, ArmConfig, PickOutcome
+from clearbot.camera import DepthNoiseModel, Intrinsics
+from clearbot.geometry import Frame, Point3, ReachEnvelope
 from clearbot.orchestrator import (
     DISPATCH_LATENCY,
     GEOMETRY_LATENCY,
@@ -29,14 +34,24 @@ from clearbot.orchestrator import (
     build_benchmark_config,
     config_digest,
     messages_to_ndjson,
+    parse_scenario,
     replay_grasp_targets,
     report_to_json,
     run_scenario,
     scenario_to_dict,
     validate_config,
 )
-from clearbot.scene import BrickDims, ObjectClass, ObjectSpec
-from clearbot.segmentation import CutBand
+from clearbot.scene import (
+    DEFAULT_BRICK,
+    DEFAULT_PIPE,
+    ArmMount,
+    BrickDims,
+    CameraMount,
+    ObjectClass,
+    ObjectSpec,
+    PipeDims,
+)
+from clearbot.segmentation import CutBand, Erode, Holes, Relabel
 
 BRICK = BrickDims(0.20, 0.095, 0.057)
 
@@ -115,6 +130,7 @@ def test_validate_config_accepts_empty_scene():
         (dict(ugv_end=(0.0, 0.0)), "ugv.end"),
         (dict(injections=(DepthBiasInjection("ghost", 0.02),)), "injections.depth_bias[0].id"),
         (dict(seg_ops=(CutBand("ghost", 4),)), "corruptions[0].target_id"),
+        (dict(frame_period=1e-9), "frame_period"),
     ],
 )
 def test_validate_config_reports_field_paths(overrides, path):
@@ -413,14 +429,165 @@ def test_ndjson_log_is_one_canonical_line_per_message(benchmark_run):
     assert "zbuf" not in text
 
 
-def test_scenario_dict_roundtrip_preserves_config_and_digest():
-    from clearbot.cli import parse_scenario
+def floats(lo: float, hi: float, **kwargs):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kwargs)
 
-    cfg = build_benchmark_config()
-    doc = scenario_to_dict(cfg)
-    assert parse_scenario(doc) == cfg
-    assert config_digest(cfg) == config_digest(parse_scenario(doc))
+
+@st.composite
+def scenario_configs(draw) -> ScenarioConfig:
+    """Valid configs: every op kind, objects 1 m apart so none overlap."""
+    objects = []
+    for i in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            width = draw(floats(0.01, 0.2))
+            cls = ObjectClass.BRICK
+            dims = BrickDims(draw(floats(width, 0.4)), width, draw(floats(0.01, 0.2)))
+        else:
+            cls = ObjectClass.PIPE
+            dims = PipeDims(draw(floats(0.005, 0.1)), draw(floats(0.01, 0.4)))
+        x, y = i + draw(floats(-0.1, 0.1)), draw(floats(-0.1, 0.1))
+        objects.append(ObjectSpec(f"o{i}", cls, dims, x, y, draw(floats(-3.2, 3.2))))
+    ids = st.sampled_from([o.id for o in objects])
+
+    op = st.one_of(
+        st.builds(Erode, st.integers(1, 10)),
+        st.builds(Holes, floats(0.0, 1.0, exclude_max=True), st.integers(0, 2**32)),
+        st.builds(CutBand, ids, st.integers(1, 20)),
+        st.builds(
+            lambda r0, h, c0, w, new_class: Relabel((r0, r0 + h, c0, c0 + w), new_class),
+            st.integers(0, 500),
+            st.integers(1, 500),
+            st.integers(0, 500),
+            st.integers(1, 500),
+            st.integers(0, 2),
+        ),
+    )
+
+    width, height = draw(st.integers(1, 2048)), draw(st.integers(1, 2048))
+    intrinsics = Intrinsics(
+        fx=draw(floats(1.0, 1e4)),
+        fy=draw(floats(1.0, 1e4)),
+        cx=draw(floats(0.0, width, exclude_max=True)),
+        cy=draw(floats(0.0, height, exclude_max=True)),
+        width=width,
+        height=height,
+    )
+
+    r_min = draw(floats(0.0, 0.5))
+    r_max = r_min + draw(floats(0.1, 1.0))
+    z_min = draw(floats(-1.0, 0.0))
+    z_max = z_min + draw(floats(0.1, 1.0))
+    heading = draw(floats(-3.2, 3.2))
+    r_drop = (r_min + r_max) / 2
+    arm = ArmConfig(
+        phase_durations={p: draw(floats(0.1, 10.0)) for p in DEFAULT_PHASE_DURATIONS},
+        position_tolerance=draw(floats(1e-3, 0.1)),
+        yaw_tolerance=draw(floats(1e-3, 1.0)),
+        gripper_max_opening=draw(floats(0.01, 0.3)),
+        boundary_margin=draw(floats(0.0, 0.09)),
+        envelope=ReachEnvelope(r_min, r_max, z_min, z_max),
+        drop_pose=Point3(
+            r_drop * math.cos(heading), r_drop * math.sin(heading), (z_min + z_max) / 2, Frame.ARM
+        ),
+        adaptive_order=draw(st.booleans()),
+    )
+
+    start = (draw(floats(-100.0, 100.0)), draw(floats(-100.0, 100.0)))
+    end = (start[0] + draw(floats(1.0, 50.0)), start[1] + draw(floats(-5.0, 5.0)))
+    mount = draw(floats(-1.0, 1.0)), draw(floats(-1.0, 1.0)), draw(floats(0.0, 1.0))
+    arm_mount = draw(
+        st.one_of(
+            st.just(ArmMount(*mount)),  # yaw left to its default
+            floats(-3.2, 3.2).map(lambda yaw: ArmMount(*mount, yaw)),
+        )
+    )
+    camera_mount = CameraMount(
+        draw(floats(-2.0, 2.0)), draw(floats(-1.0, 1.0)), draw(floats(0.5, 1.5))
+    )
+    return ScenarioConfig(
+        name=draw(st.text(max_size=12)),
+        objects=tuple(objects),
+        intrinsics=intrinsics,
+        camera_mount=camera_mount,
+        arm_mount=arm_mount,
+        ugv_start=start,
+        ugv_end=end,
+        speed=draw(floats(0.1, 5.0)),
+        stop_latency=draw(floats(0.0, 1.0)),
+        frame_period=draw(floats(0.01, 1.0)),
+        noise=DepthNoiseModel(
+            sigma=draw(floats(0.0, 0.1)),
+            bias=draw(floats(-0.1, 0.1)),
+            dropout_prob=draw(floats(0.0, 1.0, exclude_max=True)),
+        ),
+        seg_ops=tuple(draw(st.lists(op, max_size=6))),
+        injections=tuple(
+            draw(st.lists(st.builds(DepthBiasInjection, ids, floats(-0.1, 0.1)), max_size=3))
+        ),
+        arm=arm,
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+@settings(deadline=None)
+@given(cfg=scenario_configs())
+@example(cfg=build_benchmark_config())
+def test_scenario_dict_roundtrip_preserves_config_and_digest(cfg):
+    assert validate_config(cfg) == []
+    parsed = parse_scenario(scenario_to_dict(cfg))
+    assert parsed == cfg
+    assert config_digest(parsed) == config_digest(cfg)
     assert len(config_digest(cfg)) == 64 and int(config_digest(cfg), 16) >= 0
+
+
+def _key_paths(doc: dict, prefix: tuple = ()):
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+def test_scenario_keys_left_out_take_their_defaults():
+    default = ScenarioConfig(name="scenario", objects=())
+    doc = scenario_to_dict(default)
+    assert parse_scenario({}) == default
+    for path in _key_paths(doc):
+        pruned = copy.deepcopy(doc)
+        parent = pruned
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        assert parse_scenario(pruned) == default, path
+
+
+def test_record_entries_take_their_defaults():
+    cfg = parse_scenario(
+        {
+            "objects": [
+                {"id": "b", "class": "brick", "pose": {"x": 1.0, "y": 0.0}},
+                {"id": "p", "class": "pipe", "pose": {"x": 2.0, "y": 0.0}},
+            ],
+            "corruptions": [
+                {"op": "erode"},
+                {"op": "holes"},
+                {"op": "cut_band", "target_id": "b"},
+                {"op": "relabel", "region": [0, 1, 0, 1]},
+            ],
+            "injections": {"depth_bias": [{"id": "b"}]},
+        }
+    )
+    assert cfg.objects == (
+        ObjectSpec("b", ObjectClass.BRICK, BrickDims(*DEFAULT_BRICK), 1.0, 0.0, 0.0),
+        ObjectSpec("p", ObjectClass.PIPE, PipeDims(*DEFAULT_PIPE), 2.0, 0.0, 0.0),
+    )
+    assert cfg.seg_ops == (Erode(1), Holes(0.0, 0), CutBand("b", 1), Relabel((0, 1, 0, 1), 0))
+    assert cfg.injections == (DepthBiasInjection("b", 0.0),)
+
+
+def test_integral_numbers_parse_as_floats():
+    as_int = parse_scenario({"ugv": {"speed": 1}, "arm": {"phase_durations": {"grasp": 2}}})
+    as_float = parse_scenario({"ugv": {"speed": 1.0}, "arm": {"phase_durations": {"grasp": 2.0}}})
+    assert config_digest(as_int) == config_digest(as_float)
 
 
 def test_config_digest_tracks_content_not_name():
