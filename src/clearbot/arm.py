@@ -29,15 +29,11 @@ from .geometry import (
     ReachEnvelope,
     in_reach,
 )
-from .scene import BrickDims, ObjectSpec, PipeDims, WorldState
+from .scene import BrickDims, ObjectSpec, PipeDims
 
 
 class InvalidTarget(ValueError):
-    """Raised when a pick or grasp command is malformed."""
-
-
-class NothingHeld(RuntimeError):
-    """Raised when a release is commanded with an empty gripper."""
+    """Raised when a pick command is malformed."""
 
 
 class MotionPhase(enum.Enum):
@@ -183,24 +179,6 @@ class Arm:
         self.held: Optional[str] = None
         # (object id, drop pose, sim time) for every completed release
         self.drops: list[tuple[str, Point3, float]] = []
-
-    def grasp(self, object_id: str) -> None:
-        """Close the gripper on an object outside a scripted pick."""
-        if self.held is not None:
-            raise InvalidTarget(f"gripper already holds {self.held!r}")
-        self.held = object_id
-
-    def place(self, world: WorldState, t: float) -> WorldState:
-        """Release the held object over the drop pose at sim time ``t``.
-
-        Moves the object from the scene to the removal ledger and returns
-        the updated world.
-        """
-        if self.held is None:
-            raise NothingHeld("release commanded with an empty gripper")
-        released, self.held = self.held, None
-        self.drops.append((released, self.config.drop_pose, float(t)))
-        return world.remove_object(released, t)
 
     def execute_pick(
         self,

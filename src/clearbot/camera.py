@@ -245,8 +245,10 @@ def _cast_cylinder(obj: ObjectSpec, o_l: np.ndarray, dlx, dly, dlz) -> np.ndarra
         best = np.where(valid & (t < best), t, best)
 
     # Flat end caps (vertical disks); grazing-only for a top-down camera but
-    # kept for exactness with tilted rays near the image border.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # kept for exactness with tilted rays near the image border. A ray
+    # nearly parallel to the caps can overflow ``t_cap``; the dlx test
+    # discards it.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for sign in (-1.0, 1.0):
             t_cap = (sign * half_len - o_l[0]) / dlx
             y_at = oy + t_cap * dly
@@ -269,9 +271,6 @@ def render_full(scene: Scene, k: Intrinsics) -> RenderResult:
     b = (np.arange(k.height) - k.cy) / k.fy
 
     floor_depth = float(cam_pos[2])
-    depth = np.full((k.height, k.width), floor_depth)
-    labels = np.zeros((k.height, k.width), dtype=np.uint8)
-    inst = np.full((k.height, k.width), -1, dtype=np.int32)
     patches: list[ObjectPatch] = []
 
     for idx, obj in enumerate(scene.objects):
@@ -304,12 +303,8 @@ def render_full(scene: Scene, k: Intrinsics) -> RenderResult:
         if not np.isfinite(zeta).any():
             continue
         patches.append(ObjectPatch(r0, r1, c0, c1, zeta, idx, obj.cls.label))
-        win_depth = depth[r0:r1, c0:c1]
-        closer = zeta < win_depth
-        win_depth[closer] = zeta[closer]
-        labels[r0:r1, c0:c1][closer] = obj.cls.label
-        inst[r0:r1, c0:c1][closer] = idx
 
+    labels, depth, inst = compose_patches((k.height, k.width), floor_depth, patches)
     return RenderResult(
         labels=LabelImage(labels),
         depth=DepthImage(depth),

@@ -140,22 +140,13 @@ class MessageEnvelope:
 
 
 class MessageBus:
-    """Per-topic ordered pub/sub with a global publish-order log."""
+    """Per-topic ordered publishing with a global publish-order log."""
 
     def __init__(self) -> None:
         self._seq: dict[Topic, int] = {t: 0 for t in Topic}
         self._last_t: dict[Topic, float] = {}
         self._history: dict[Topic, list[MessageEnvelope]] = {t: [] for t in Topic}
         self._log: list[MessageEnvelope] = []
-        self._subscribers: dict[Topic, list[Callable[[MessageEnvelope], None]]] = {
-            t: [] for t in Topic
-        }
-
-    def subscribe(self, topic: Topic, callback: Callable[[MessageEnvelope], None]) -> None:
-        """Register a consumer; it first receives every past message in order."""
-        for env in self._history[topic]:
-            callback(env)
-        self._subscribers[topic].append(callback)
 
     def publish(self, topic: Topic, t: float, payload: object) -> MessageEnvelope:
         last = self._last_t.get(topic)
@@ -169,8 +160,6 @@ class MessageBus:
         self._last_t[topic] = t
         self._history[topic].append(env)
         self._log.append(env)
-        for cb in self._subscribers[topic]:
-            cb(env)
         return env
 
     def history(self, topic: Topic) -> tuple[MessageEnvelope, ...]:
@@ -184,10 +173,24 @@ class MessageBus:
 
 
 @dataclass(frozen=True)
+class FrameImages:
+    """The dense images of one frame.
+
+    ``depth`` is what perception sees (noisy or biased when the frame was
+    altered after the ray cast); ``clean_depth`` is the ray-cast depth.
+    """
+
+    labels: LabelImage
+    depth: DepthImage
+    clean_depth: DepthImage
+    instances: InstanceImage
+
+
+@dataclass(frozen=True)
 class FrameData:
     """One captured RGB-D frame, stored sparsely.
 
-    Labels/instances recompose exactly from the per-object patches;
+    The dense images recompose exactly from the per-object patches;
     ``dense_depth`` is set only when the depth was altered after the
     ray cast (noise or an injected bias).
     """
@@ -202,23 +205,16 @@ class FrameData:
     object_ids: tuple[str, ...]
     dense_depth: Optional[np.ndarray] = None
 
-    def labels(self) -> LabelImage:
-        lab, _, _ = compose_patches(self.shape, self.floor_depth, self.patches)
-        return LabelImage(lab)
-
-    def depth(self) -> DepthImage:
-        if self.dense_depth is not None:
-            return DepthImage(self.dense_depth)
-        _, dep, _ = compose_patches(self.shape, self.floor_depth, self.patches)
-        return DepthImage(dep)
-
-    def clean_depth(self) -> DepthImage:
-        _, dep, _ = compose_patches(self.shape, self.floor_depth, self.patches)
-        return DepthImage(dep)
-
-    def instances(self) -> InstanceImage:
-        _, _, inst = compose_patches(self.shape, self.floor_depth, self.patches)
-        return InstanceImage(inst, self.object_ids)
+    def images(self) -> FrameImages:
+        """Compose the dense images; they are not kept on the frame."""
+        lab, dep, inst = compose_patches(self.shape, self.floor_depth, self.patches)
+        clean = DepthImage(dep)
+        return FrameImages(
+            labels=LabelImage(lab),
+            depth=clean if self.dense_depth is None else DepthImage(self.dense_depth),
+            clean_depth=clean,
+            instances=InstanceImage(inst, self.object_ids),
+        )
 
 
 @dataclass(frozen=True)
@@ -416,16 +412,24 @@ _VIOLATION_PATHS = {
 
 def validate_config(cfg: ScenarioConfig) -> list[tuple[str, str]]:
     # an empty object list is legal: the vehicle just traverses the path
+    # the chained comparisons also reject NaN, which compares false
     errors: list[tuple[str, str]] = []
-    if cfg.speed <= 0:
-        errors.append(("ugv.speed", "speed must be positive"))
-    if cfg.stop_latency < 0:
-        errors.append(("ugv.stop_latency", "stop latency cannot be negative"))
-    if cfg.frame_period <= 0:
-        errors.append(("frame_period", "frame period must be positive"))
+    speed_ok = 0 < cfg.speed < math.inf
+    period_ok = 0 < cfg.frame_period < math.inf
+    if not speed_ok:
+        errors.append(("ugv.speed", "speed must be positive and finite"))
+    if not 0 <= cfg.stop_latency < math.inf:
+        errors.append(("ugv.stop_latency", "stop latency must be finite and not negative"))
+    if not period_ok:
+        errors.append(("frame_period", "frame period must be positive and finite"))
+    ends_ok = True
+    for path, point in (("ugv.start", cfg.ugv_start), ("ugv.end", cfg.ugv_end)):
+        if not all(math.isfinite(v) for v in point):
+            errors.append((path, "coordinates must be finite"))
+            ends_ok = False
     if cfg.path_length() <= 0:
         errors.append(("ugv.end", "path start and end coincide"))
-    if cfg.speed > 0 and cfg.frame_period > 0:
+    if speed_ok and period_ok and ends_ok:
         frames = cfg.path_length() / (cfg.speed * cfg.frame_period)
         if frames > MAX_STEPS:
             errors.append(
@@ -525,7 +529,7 @@ def replay_grasp_targets(
         fd = frame_by_index[mask.frame_index]
         targets, _ = compute_targets(
             LabelImage(mask.data),
-            fd.depth(),
+            fd.images().depth,
             cfg.intrinsics,
             cam_to_arm,
             cfg.arm.envelope,
@@ -562,10 +566,6 @@ class RunReport:
     attempted: int
     succeeded: int
     records: tuple[AttemptRecord, ...]
-
-    @property
-    def success_rate(self) -> float:
-        return self.succeeded / self.attempted if self.attempted else 0.0
 
 
 # --- the simulation ----------------------------------------------------------------
@@ -626,21 +626,20 @@ class Simulation:
 
     # -- perception --
 
-    def _capture(self, standstill: bool, inject_for: Optional[str]) -> FrameData:
+    def _capture(
+        self, standstill: bool, inject_for: Optional[str]
+    ) -> tuple[FrameData, FrameImages]:
         rr = render_full(self.world.scene, self.cfg.intrinsics)
-        dense = None
         depth = rr.depth
         if not self.cfg.noise.is_identity:
             seed = _derived_seed(self.cfg.seed, _NOISE_TAG, self.frame_index)
             depth = apply_noise(depth, self.cfg.noise, seed)
-            dense = depth.data
         if inject_for is not None:
             bias = next(
                 inj.bias for inj in self.cfg.injections if inj.object_id == inject_for
             )
             seed = _derived_seed(self.cfg.seed, _INJECT_TAG, self.frame_index)
             depth = apply_noise(depth, DepthNoiseModel(bias=bias), seed)
-            dense = depth.data
         fd = FrameData(
             frame_index=self.frame_index,
             t_capture=self.clock.now(),
@@ -650,16 +649,15 @@ class Simulation:
             floor_depth=rr.floor_depth,
             patches=rr.patches,
             object_ids=tuple(o.id for o in self.world.scene.objects),
-            dense_depth=dense,
+            dense_depth=None if depth is rr.depth else depth.data,
         )
         self.bus.publish(Topic.CAMERA_FRAMES, fd.t_capture, fd)
-        return fd
+        return fd, FrameImages(rr.labels, depth, rr.depth, rr.instances)
 
-    def _segment_frame(self, fd: FrameData) -> MaskData:
-        instances = fd.instances()
-        ops = _ops_in_view(self.cfg.seg_ops, instances)
+    def _segment_frame(self, fd: FrameData, images: FrameImages) -> MaskData:
+        ops = _ops_in_view(self.cfg.seg_ops, images.instances)
         res: SegmentationResult = segment(
-            fd.labels(), ops, seed=self.cfg.seed, instances=instances
+            images.labels, ops, seed=self.cfg.seed, instances=images.instances
         )
         md = MaskData(
             frame_index=fd.frame_index,
@@ -670,32 +668,31 @@ class Simulation:
         self.bus.publish(Topic.SEGMENTATION_MASKS, fd.t_capture + res.latency, md)
         return md
 
-    def _targets_for(self, fd: FrameData, md: MaskData):
+    def _targets_for(self, fd: FrameData, images: FrameImages, md: MaskData):
         targets, comps = compute_targets(
             LabelImage(md.data),
-            fd.depth(),
+            images.depth,
             self.cfg.intrinsics,
             self.cam_to_arm,
             self.cfg.arm.envelope,
         )
         payload = GraspTargetsPayload(frame_index=fd.frame_index, targets=targets)
-        self.bus.publish(
-            Topic.GRASP_TARGETS, fd.t_capture + md.latency + GEOMETRY_LATENCY, payload
-        )
-        return targets, comps
+        t_targets = fd.t_capture + md.latency + GEOMETRY_LATENCY
+        self.bus.publish(Topic.GRASP_TARGETS, t_targets, payload)
+        return targets, comps, t_targets
 
     def _select(
         self,
         targets: Sequence[TargetRecord],
         comps: Sequence[MaskComponent],
-        instances: InstanceImage,
+        images: FrameImages,
     ) -> Optional[tuple[TargetRecord, MaskComponent, str]]:
         """Nearest in-reach, non-border, unattempted candidate."""
         best = None
         for rec in targets:
             if not rec.in_reach or rec.border:
                 continue
-            matched = match_component(comps[rec.component_index], instances)
+            matched = match_component(comps[rec.component_index], images.instances)
             if matched is None or matched in self.attempted or matched in self.abandoned:
                 continue
             dist = math.hypot(rec.center[0], rec.center[1])
@@ -705,6 +702,17 @@ class Simulation:
         if best is None:
             return None
         return best[1], best[2], best[3]
+
+    def _perceive(self, standstill: bool, inject_for: Optional[str]):
+        """Capture, segment, compute targets and select on one frame.
+
+        Returns the frame, its dense images, the time its targets are
+        published, and the selection (None when nothing is actionable).
+        """
+        fd, images = self._capture(standstill, inject_for)
+        md = self._segment_frame(fd, images)
+        targets, comps, t_targets = self._targets_for(fd, images, md)
+        return fd, images, t_targets, self._select(targets, comps, images)
 
     # -- state steps --
 
@@ -725,10 +733,7 @@ class Simulation:
         if self.distance >= self.cfg.path_length():
             self.state = PipelineState.DONE
             return
-        fd = self._capture(standstill=False, inject_for=None)
-        md = self._segment_frame(fd)
-        targets, comps = self._targets_for(fd, md)
-        chosen = self._select(targets, comps, fd.instances())
+        fd, _, t_targets, chosen = self._perceive(standstill=False, inject_for=None)
         if chosen is None:
             self.frame_index += 1
             return
@@ -736,9 +741,7 @@ class Simulation:
         stop = ControlStopPayload(
             frame_index=fd.frame_index, target=rec, trigger_id=matched
         )
-        self.bus.publish(
-            Topic.CONTROL_STOP, fd.t_capture + md.latency + GEOMETRY_LATENCY, stop
-        )
+        self.bus.publish(Topic.CONTROL_STOP, t_targets, stop)
         self._pending_stop = stop
         self.state = PipelineState.STOPPING
 
@@ -759,11 +762,7 @@ class Simulation:
 
         injected = {inj.object_id for inj in self.cfg.injections}
         inject_for = stop.trigger_id if stop.trigger_id in injected else None
-        fd = self._capture(standstill=True, inject_for=inject_for)
-        md = self._segment_frame(fd)
-        targets, comps = self._targets_for(fd, md)
-        instances = fd.instances()
-        chosen = self._select(targets, comps, instances)
+        fd, images, t_targets, chosen = self._perceive(standstill=True, inject_for=inject_for)
         self.frame_index += 1
         if chosen is None:
             # nothing actionable from the standstill view; skip the trigger
@@ -772,14 +771,14 @@ class Simulation:
             self.state = PipelineState.RESUMING
             return
         rec, comp, matched = chosen
-        t_cmd = fd.t_capture + md.latency + GEOMETRY_LATENCY + DISPATCH_LATENCY
+        t_cmd = t_targets + DISPATCH_LATENCY
         self.bus.publish(
             Topic.ARM_COMMANDS,
             t_cmd,
             ArmCommandPayload(frame_index=fd.frame_index, target=rec, matched_id=matched),
         )
         self.clock.advance(t_cmd - self.clock.now())
-        self._execute_attempt(rec, comp, matched, fd, md)
+        self._execute_attempt(rec, comp, matched, fd.frame_index, images)
         self.state = PipelineState.RESUMING
 
     def _step_resuming(self) -> None:
@@ -810,17 +809,17 @@ class Simulation:
         rec: TargetRecord,
         comp: MaskComponent,
         matched: str,
-        fd: FrameData,
-        md: MaskData,
+        frame_index: int,
+        images: FrameImages,
     ) -> None:
         truth_world = self.world.scene.object_by_id(matched)
         truth_arm = self._truth_in_arm_frame(truth_world)
         floor_z = -self.cfg.arm_mount.z
-        grasp = rec.to_grasp_target(frame_seq=fd.frame_index)
+        grasp = rec.to_grasp_target(frame_seq=frame_index)
         result: PickResult = self.arm.execute_pick(grasp, truth_arm, self.clock, floor_z)
         self.attempted.add(matched)
 
-        diag = self._diagnose(rec, comp, matched, fd, md, truth_arm, result, floor_z)
+        diag = self._diagnose(rec, comp, matched, images, truth_arm, result, floor_z)
         attribution: tuple[str, ...] = ()
         if result.outcome is not PickOutcome.SUCCESS:
             try:
@@ -874,22 +873,20 @@ class Simulation:
         rec: TargetRecord,
         comp: MaskComponent,
         matched: str,
-        fd: FrameData,
-        md: MaskData,
+        images: FrameImages,
         truth_arm: ObjectSpec,
         result: PickResult,
         floor_z: float,
     ) -> AttemptDiagnostics:
         # mask quality: the attempted component alone against the true mask
-        canvas = np.zeros(fd.shape, dtype=np.uint8)
+        canvas = np.zeros(images.labels.data.shape, dtype=np.uint8)
         canvas[comp.pixels[:, 0], comp.pixels[:, 1]] = comp.cls.label
-        iou = mask_iou(LabelImage(canvas), fd.labels(), comp)
+        iou = mask_iou(LabelImage(canvas), images.labels, comp)
 
         # depth quality over the object's true pixels
-        inst = fd.instances()
-        rows, cols = inst.pixels_of(matched)
-        used = fd.depth().data[rows, cols]
-        clean = fd.clean_depth().data[rows, cols]
+        rows, cols = images.instances.pixels_of(matched)
+        used = images.depth.data[rows, cols]
+        clean = images.clean_depth.data[rows, cols]
         valid = used > 0.0
         if valid.any():
             depth_err = float(np.median(np.abs(used[valid] - clean[valid])))
@@ -1291,7 +1288,7 @@ def _target_to_dict(rec: TargetRecord) -> dict:
 def payload_to_dict(payload: object) -> dict:
     """JSON form of a bus payload; image bodies reduce to digests + stats."""
     if isinstance(payload, FrameData):
-        labels = payload.labels().data
+        labels = payload.images().labels.data
         return {
             "kind": "frame",
             "frame_index": payload.frame_index,

@@ -13,7 +13,6 @@ from clearbot.arm import (
     ArmConfig,
     InvalidTarget,
     MotionPhase,
-    NothingHeld,
     PickOutcome,
     effective_grasp_width,
     fold_yaw_error,
@@ -292,29 +291,23 @@ def test_adaptive_order_success_set_is_a_superset():
 def test_pick_while_holding_is_invalid():
     truth = arm_truth(0.5, 0.0)
     arm = Arm(ArmConfig())
-    arm.grasp("prior")
+    arm.held = "prior"
     with pytest.raises(InvalidTarget):
         arm.execute_pick(target_for(truth), truth, FakeClock(), FLOOR_Z)
 
 
-def test_grasp_twice_is_invalid():
-    arm = Arm(ArmConfig())
-    arm.grasp("a")
-    with pytest.raises(InvalidTarget):
-        arm.grasp("b")
-
-
 def test_place_moves_object_to_ledger():
-    world = WorldState(scene=Scene(objects=(arm_truth(0.5, 0.0),)), sim_time=40.0)
-    arm = Arm(ArmConfig())
-    arm.grasp("b")
-    after = arm.place(world, 42.0)
+    # the simulation removes a picked object at its release time
+    truth = arm_truth(0.5, 0.0)
+    world = WorldState(scene=Scene(objects=(truth,)), sim_time=40.0)
+    arm, _, result = run_pick(truth, target_for(truth), t0=40.0)
+    assert result.outcome is PickOutcome.SUCCESS
+    release = result.release_time
+    after = world.remove_object("b", release)
     assert after.scene.objects == ()
-    assert after.removed == (("b", 42.0),)
+    assert after.removed == (("b", release),)
     assert arm.held is None
-    assert arm.drops == [("b", ArmConfig().drop_pose, 42.0)]
-    with pytest.raises(NothingHeld):
-        arm.place(after, 43.0)
+    assert arm.drops == [("b", ArmConfig().drop_pose, release)]
 
 
 def test_failed_pick_leaves_world_inputs_alone():

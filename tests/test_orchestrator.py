@@ -7,12 +7,14 @@ import copy
 import json
 import math
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from clearbot import orchestrator
 from clearbot.arm import DEFAULT_PHASE_DURATIONS, ArmConfig, PickOutcome
-from clearbot.camera import DepthNoiseModel, Intrinsics
+from clearbot.camera import DepthNoiseModel, Intrinsics, render_full
 from clearbot.geometry import Frame, Point3, ReachEnvelope
 from clearbot.orchestrator import (
     DISPATCH_LATENCY,
@@ -89,11 +91,7 @@ def test_bus_orders_messages_and_replays_history():
     e1 = bus.publish(Topic.CONTROL_STOP, 1.0, "b")  # equal times are fine
     e2 = bus.publish(Topic.CONTROL_STOP, 2.0, "c")
     assert [e.seq for e in (e0, e1, e2)] == [0, 1, 2]
-    seen = []
-    bus.subscribe(Topic.CONTROL_STOP, lambda env: seen.append(env.payload))
-    assert seen == ["a", "b", "c"]  # history replayed on subscribe
     bus.publish(Topic.CONTROL_STOP, 3.0, "d")
-    assert seen == ["a", "b", "c", "d"]
     assert [e.payload for e in bus.history(Topic.CONTROL_STOP)] == ["a", "b", "c", "d"]
 
 
@@ -131,6 +129,12 @@ def test_validate_config_accepts_empty_scene():
         (dict(injections=(DepthBiasInjection("ghost", 0.02),)), "injections.depth_bias[0].id"),
         (dict(seg_ops=(CutBand("ghost", 4),)), "corruptions[0].target_id"),
         (dict(frame_period=1e-9), "frame_period"),
+        (dict(speed=math.nan), "ugv.speed"),
+        (dict(speed=math.inf), "ugv.speed"),
+        (dict(frame_period=math.nan), "frame_period"),
+        (dict(stop_latency=math.nan), "ugv.stop_latency"),
+        (dict(ugv_start=(math.nan, 0.0)), "ugv.start"),
+        (dict(ugv_end=(math.inf, 0.0)), "ugv.end"),
     ],
 )
 def test_validate_config_reports_field_paths(overrides, path):
@@ -394,6 +398,81 @@ def test_grasp_targets_replay_exactly_from_the_log(benchmark_run):
     published = [e.payload for e in sim.bus.history(Topic.GRASP_TARGETS)]
     assert replayed == published
     assert len(published) > 0
+
+
+# --- one dense view per frame ------------------------------------------------------
+
+
+@st.composite
+def captures(draw):
+    """A valid scenario with objects under the camera, and the object (or
+    None) whose depth-bias injection the capture applies."""
+    objects = []
+    for i in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            width = draw(floats(0.02, 0.15))
+            cls = ObjectClass.BRICK
+            dims = BrickDims(draw(floats(width, 0.3)), width, draw(floats(0.01, 0.2)))
+        else:
+            cls = ObjectClass.PIPE
+            dims = PipeDims(draw(floats(0.005, 0.05)), draw(floats(0.05, 0.3)))
+        x, y = 0.4 + 0.4 * i + draw(floats(-0.1, 0.1)), draw(floats(-0.5, 0.5))
+        objects.append(ObjectSpec(f"o{i}", cls, dims, x, y, draw(floats(-3.2, 3.2))))
+    width, height = draw(st.integers(8, 96)), draw(st.integers(8, 64))
+    focal = draw(floats(10.0, 120.0))
+    intrinsics = Intrinsics(focal, focal, width / 2, height / 2, width, height)
+    noisy = draw(st.booleans())
+    cfg = ScenarioConfig(
+        name="capture",
+        objects=tuple(objects),
+        intrinsics=intrinsics,
+        ugv_start=(0.0, draw(floats(-0.2, 0.2))),
+        noise=DepthNoiseModel(sigma=0.005, dropout_prob=0.1) if noisy else DepthNoiseModel(),
+        injections=tuple(DepthBiasInjection(o.id, 0.02) for o in objects[:1]),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    assume(validate_config(cfg) == [])
+    inject_for = draw(st.sampled_from([None] + [inj.object_id for inj in cfg.injections]))
+    return cfg, inject_for
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(deadline=None, max_examples=60)
+@given(capture=captures())
+def test_frame_images_recompose_bit_for_bit(capture):
+    # the view the log and replay rebuild from patches is the view the
+    # simulation perceived at capture time
+    cfg, inject_for = capture
+    sim = Simulation(cfg)
+    fd, captured = sim._capture(standstill=False, inject_for=inject_for)
+    rr = render_full(sim.world.scene, cfg.intrinsics)
+    view = fd.images()
+    assert _same_bits(view.labels.data, rr.labels.data)
+    assert _same_bits(view.clean_depth.data, rr.depth.data)
+    assert _same_bits(view.instances.index, rr.instances.index)
+    assert view.instances.ids == rr.instances.ids
+    assert _same_bits(view.depth.data, captured.depth.data)
+
+
+def test_step_loop_composes_no_frame(monkeypatch):
+    calls = []
+    compose = orchestrator.compose_patches
+
+    def counting(*args):
+        calls.append(args)
+        return compose(*args)
+
+    monkeypatch.setattr(orchestrator, "compose_patches", counting)
+    sim = Simulation(tiny_scenario([brick("b", 1.2, 0.05, 0.3)]))
+    while sim.state is not PipelineState.DONE:
+        sim.step()
+    assert calls == []
+    report = sim.run()  # already done: serializes the log for its digest
+    assert report.succeeded == 1
+    assert len(calls) == len(sim.bus.history(Topic.CAMERA_FRAMES))
 
 
 def test_report_json_schema(benchmark_run):
