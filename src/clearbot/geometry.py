@@ -106,10 +106,6 @@ def transform_to_arm(p: Point3, t: RigidTransform) -> Point3:
     return t.apply(p)
 
 
-def invert(t: RigidTransform) -> RigidTransform:
-    return t.inverse()
-
-
 def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
     """Transform applying ``b`` first, then ``a``."""
     if b.dst is not a.src:
@@ -219,13 +215,22 @@ def connected_components(
 ) -> list[MaskComponent]:
     """8-connected components of one class, ordered by first raster pixel."""
     mask = labels.data == cls.label
-    lab, n = ndimage.label(mask, structure=_STRUCTURE_8)
+    occupied_rows = np.flatnonzero(mask.any(axis=1))
+    if not len(occupied_rows):
+        return []
+    occupied_cols = np.flatnonzero(mask.any(axis=0))
+    r0, c0 = occupied_rows[0], occupied_cols[0]
+    # labelling only the occupied crop gives the same components: the rows
+    # and columns cut away hold no pixel of the class
+    crop = mask[r0 : occupied_rows[-1] + 1, c0 : occupied_cols[-1] + 1]
+    lab, _ = ndimage.label(crop, structure=_STRUCTURE_8)
     comps = []
-    for i in range(1, n + 1):
-        rows, cols = np.nonzero(lab == i)
+    for i, (rs, cs) in enumerate(ndimage.find_objects(lab), start=1):
+        rows, cols = np.nonzero(lab[rs, cs] == i)
         if len(rows) < min_area:
             continue
-        comps.append(MaskComponent.from_pixels(cls, np.stack([rows, cols], axis=1)))
+        pixels = np.stack([rows + (r0 + rs.start), cols + (c0 + cs.start)], axis=1)
+        comps.append(MaskComponent.from_pixels(cls, pixels))
     comps.sort(key=lambda cmp: (cmp.seed_pixel[0], cmp.seed_pixel[1]))
     return comps
 
@@ -254,21 +259,21 @@ def component_center_3d(
 
 def _convex_hull(points: np.ndarray) -> np.ndarray:
     """Monotone-chain hull, counterclockwise in (x, y) = (col, row) coords."""
-    pts = np.unique(points, axis=0)
+    # plain tuples: the chain's scalar arithmetic is far slower on numpy scalars
+    pts = sorted(set(map(tuple, points.tolist())))
     if len(pts) <= 2:
-        return pts
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+        return np.array(pts)
 
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    lower: list[np.ndarray] = []
+    lower: list[tuple[float, float]] = []
     for p in pts:
         while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
             lower.pop()
         lower.append(p)
-    upper: list[np.ndarray] = []
-    for p in pts[::-1]:
+    upper: list[tuple[float, float]] = []
+    for p in reversed(pts):
         while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
@@ -282,7 +287,15 @@ def principal_orientation(component: MaskComponent) -> float:
     [0, pi). Rotating-calipers over hull edge directions is exact for
     integer pixel input, so the result is translation invariant.
     """
-    pts = component.pixels[:, ::-1].astype(float)  # (col, row)
+    # Only each row's first and last pixel matter: every other pixel lies
+    # between them, so the hull is the same, and for a fixed row the float
+    # projection c*ux + r*uy is monotone in c, so the caliper extremes over
+    # these points equal those over all pixels, bit for bit. Projecting the
+    # hull vertices alone would not do: a point inside a hull edge can round
+    # differently in the last ulp. Needs the raster order of ``pixels``.
+    rows = component.pixels[:, 0]
+    breaks = np.concatenate(([True], rows[1:] != rows[:-1], [True]))
+    pts = component.pixels[breaks[:-1] | breaks[1:], ::-1].astype(float)  # (col, row)
     hull = _convex_hull(pts)
     if len(hull) == 1:
         return 0.0

@@ -147,6 +147,9 @@ class MessageBus:
         self._last_t: dict[Topic, float] = {}
         self._history: dict[Topic, list[MessageEnvelope]] = {t: [] for t in Topic}
         self._log: list[MessageEnvelope] = []
+        # NDJSON lines of _log[:len(_lines)], filled by messages_to_ndjson;
+        # envelopes and payloads are frozen, so a line never goes stale
+        self._lines: list[str] = []
 
     def publish(self, topic: Topic, t: float, payload: object) -> MessageEnvelope:
         last = self._last_t.get(topic)
@@ -1356,8 +1359,9 @@ def payload_to_dict(payload: object) -> dict:
 
 
 def messages_to_ndjson(bus: MessageBus) -> str:
-    lines = []
-    for env in bus.log():
+    """The bus log as NDJSON; each envelope is serialized once per bus."""
+    lines = bus._lines
+    for env in bus._log[len(lines) :]:
         lines.append(
             canonical_json(
                 {

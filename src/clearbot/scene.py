@@ -49,8 +49,10 @@ class BrickDims:
     height: float
 
     def __post_init__(self) -> None:
-        if min(self.length, self.width, self.height) <= 0.0:
-            raise ValueError("brick dimensions must be positive")
+        # the chained comparison also rejects NaN, which compares false
+        for name in ("length", "width", "height"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"brick {name} must be positive and finite")
         if self.length < self.width:
             raise ValueError("brick length must be >= width (canonical orientation)")
 
@@ -61,8 +63,9 @@ class PipeDims:
     length: float
 
     def __post_init__(self) -> None:
-        if min(self.radius, self.length) <= 0.0:
-            raise ValueError("pipe dimensions must be positive")
+        for name in ("radius", "length"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"pipe {name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -102,9 +105,11 @@ class ObjectSpec:
         expected = BrickDims if self.cls is ObjectClass.BRICK else PipeDims
         if not isinstance(self.dims, expected):
             raise ValueError(f"{self.cls.value} object {self.id!r} has {type(self.dims).__name__} dims")
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "yaw", float(self.yaw))
+        for name in ("x", "y", "yaw"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"object {self.id!r} {name} must be finite")
+            object.__setattr__(self, name, value)
 
     @property
     def top_height(self) -> float:

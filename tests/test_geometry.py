@@ -6,9 +6,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
+
+from clearbot import geometry
 
 from clearbot.camera import DEFAULT_INTRINSICS, DepthImage, LabelImage, backproject
 from clearbot.geometry import (
+    A_MIN_COMPONENT_PX,
     DEFAULT_ENVELOPE,
     DegenerateConfiguration,
     Frame,
@@ -27,7 +33,6 @@ from clearbot.geometry import (
     connected_components,
     estimate_rigid_transform,
     in_reach,
-    invert,
     orientation_to_arm,
     principal_orientation,
     registration_rms,
@@ -95,12 +100,12 @@ def test_roundtrip_against_hand_built_inverse():
         )
         p = rng.uniform(-2, 2, 3)
         assert np.max(np.abs(manual.apply_array(t.apply_array(p)) - p)) < 1e-12
-        assert np.max(np.abs(invert(t).rotation - manual.rotation)) < 1e-15
-        assert np.max(np.abs(invert(t).translation - manual.translation)) < 1e-15
+        assert np.max(np.abs(t.inverse().rotation - manual.rotation)) < 1e-15
+        assert np.max(np.abs(t.inverse().translation - manual.translation)) < 1e-15
 
 
 def test_invert_identity_is_identity():
-    inv = invert(IDENTITY)
+    inv = IDENTITY.inverse()
     assert np.array_equal(inv.rotation, np.eye(3))
     assert np.array_equal(inv.translation, np.zeros(3))
     assert (inv.src, inv.dst) == (Frame.ARM, Frame.CAMERA)
@@ -110,7 +115,7 @@ def test_compose_with_inverse_is_identity():
     rng = np.random.default_rng(21)
     for _ in range(50):
         t = random_transform(rng)
-        eye = compose(invert(t), t)
+        eye = compose(t.inverse(), t)
         assert np.max(np.abs(eye.rotation - np.eye(3))) < 1e-12
         assert np.max(np.abs(eye.translation)) < 1e-12
 
@@ -260,8 +265,8 @@ def test_rotations_stay_orthonormal_on_every_construction_path():
     built = [IDENTITY]
     truth = random_transform(rng)
     built.append(estimate_rigid_transform(pairs_from(truth, rng.normal(size=(6, 3)))))
-    built.append(invert(truth))
-    built.append(compose(invert(truth), truth))
+    built.append(truth.inverse())
+    built.append(compose(truth.inverse(), truth))
     built.append(
         camera_to_arm_transform(CameraMount(0.3, -0.2, 1.1), ArmMount(0.1, 0.0, 0.2, 0.7))
     )
@@ -528,6 +533,154 @@ def test_orientation_range_is_half_open():
     for theta in rng.uniform(0.0, math.pi, 12):
         got = principal_orientation(raster_rect(theta))
         assert 0.0 <= got < math.pi
+
+
+# --- the row-extreme kernels against the all-pixel reference --------------------------
+
+
+def reference_components(labels: LabelImage, cls: ObjectClass, min_area: int) -> list:
+    """The full-image labelling with one ``lab == i`` scan per component."""
+    lab, n = ndimage.label(labels.data == cls.label, structure=np.ones((3, 3), bool))
+    comps = []
+    for i in range(1, n + 1):
+        rows, cols = np.nonzero(lab == i)
+        if len(rows) < min_area:
+            continue
+        comps.append(MaskComponent.from_pixels(cls, np.stack([rows, cols], axis=1)))
+    comps.sort(key=lambda cmp: (cmp.seed_pixel[0], cmp.seed_pixel[1]))
+    return comps
+
+
+def reference_hull(points: np.ndarray) -> np.ndarray:
+    """Monotone-chain hull over every point, counterclockwise in (col, row)."""
+    pts = np.unique(points, axis=0)
+    if len(pts) <= 2:
+        return pts
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower: list[np.ndarray] = []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper: list[np.ndarray] = []
+    for p in pts[::-1]:
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return np.array(lower[:-1] + upper[:-1])
+
+
+def reference_orientation(component: MaskComponent) -> float:
+    """Hull and calipers over every pixel of the component."""
+    pts = component.pixels[:, ::-1].astype(float)
+    hull = reference_hull(pts)
+    if len(hull) == 1:
+        return 0.0
+    if len(hull) == 2:
+        d = hull[1] - hull[0]
+        return math.atan2(d[1], d[0]) % math.pi
+    best = None
+    n = len(hull)
+    for i in range(n):
+        edge = hull[(i + 1) % n] - hull[i]
+        norm = math.hypot(edge[0], edge[1])
+        if norm < 1e-12:
+            continue
+        ux, uy = edge[0] / norm, edge[1] / norm
+        proj_u = pts @ np.array([ux, uy])
+        proj_v = pts @ np.array([-uy, ux])
+        du = proj_u.max() - proj_u.min()
+        dv = proj_v.max() - proj_v.min()
+        area = du * dv
+        if du >= dv:
+            angle = math.atan2(uy, ux) % math.pi
+        else:
+            angle = math.atan2(ux, -uy) % math.pi
+        if (
+            best is None
+            or area < best[0] - 1e-12
+            or (area <= best[0] + 1e-12 and angle < best[1])
+        ):
+            best = (area, angle)
+    return best[1]
+
+
+def assert_same_component(a: MaskComponent, b: MaskComponent) -> None:
+    assert a.cls is b.cls
+    assert a.pixels.dtype == b.pixels.dtype
+    assert np.array_equal(a.pixels, b.pixels)
+    assert (a.area, a.bbox, a.seed_pixel) == (b.area, b.bbox, b.seed_pixel)
+
+
+@st.composite
+def blob_label_images(draw) -> np.ndarray:
+    """Two-class label images of overlapping rectangles, rotated bars, discs
+    and speckle; blobs may run off any border."""
+    h = draw(st.integers(4, 96))
+    w = draw(st.integers(4, 128))
+    data = np.zeros((h, w), np.uint8)
+    rows, cols = np.mgrid[0:h, 0:w]
+    for _ in range(draw(st.integers(0, 6))):
+        code = draw(st.sampled_from([ObjectClass.BRICK.label, ObjectClass.PIPE.label]))
+        r = draw(st.floats(-4.0, h + 4.0))
+        c = draw(st.floats(-4.0, w + 4.0))
+        a = draw(st.floats(0.5, 40.0))
+        b = draw(st.floats(0.5, 12.0))
+        theta = draw(st.floats(0.0, math.pi))
+        u = (cols - c) * math.cos(theta) + (rows - r) * math.sin(theta)
+        v = -(cols - c) * math.sin(theta) + (rows - r) * math.cos(theta)
+        kind = draw(st.sampled_from(["rect", "bar", "disc", "speckle"]))
+        if kind == "rect":
+            blob = (np.abs(rows - r) <= b) & (np.abs(cols - c) <= a)
+        elif kind == "bar":
+            blob = (np.abs(u) <= a) & (np.abs(v) <= b)
+        elif kind == "disc":
+            blob = (u / a) ** 2 + (v / b) ** 2 <= 1.0
+        else:
+            seed = draw(st.integers(0, 2**32 - 1))
+            blob = (np.abs(u) <= a) & (np.abs(v) <= a)
+            blob &= np.random.default_rng(seed).random((h, w)) < 0.4
+        data[blob] = code
+    return data
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    data=blob_label_images(),
+    min_area=st.sampled_from([1, 5, A_MIN_COMPONENT_PX]),
+    order=st.randoms(use_true_random=False),
+)
+def test_kernels_match_the_all_pixel_reference(data, min_area, order):
+    labels = LabelImage(data)
+    for cls in (ObjectClass.BRICK, ObjectClass.PIPE):
+        got = connected_components(labels, cls, min_area)
+        want = reference_components(labels, cls, min_area)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert_same_component(a, b)
+            assert principal_orientation(a) == reference_orientation(b)
+            shuffled = a.pixels[order.sample(range(a.area), a.area)]
+            assert_same_component(MaskComponent.from_pixels(cls, shuffled), a)
+
+
+def test_orientation_hulls_only_row_extremes(monkeypatch):
+    mask = np.zeros((64, 64), bool)
+    mask[10:50, 12:52] = True  # a filled 40 x 40 blob
+    comp = connected_components(labels_of(mask), ObjectClass.BRICK)[0]
+    sizes = []
+    hull = geometry._convex_hull
+
+    def recording_hull(points):
+        sizes.append(len(points))
+        return hull(points)
+
+    monkeypatch.setattr(geometry, "_convex_hull", recording_hull)
+    assert principal_orientation(comp) == reference_orientation(comp)
+    assert sizes and max(sizes) <= 2 * 40
 
 
 # --- orientation into the arm frame ----------------------------------------------------

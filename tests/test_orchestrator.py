@@ -112,6 +112,25 @@ def test_bus_global_log_preserves_publish_order():
     assert [e.payload for e in bus.log()] == [0, 1, 2]
 
 
+def test_ndjson_of_a_growing_bus_equals_a_fresh_serialization():
+    sim = Simulation(tiny_scenario([brick("b", 1.2, 0.05, 0.3)]))
+    sim.run()
+    envelopes = sim.bus.log()
+    fresh = MessageBus()
+    for env in envelopes:
+        fresh.publish(env.topic, env.t, env.payload)
+    growing = MessageBus()
+    half = len(envelopes) // 2
+    for env in envelopes[:half]:
+        growing.publish(env.topic, env.t, env.payload)
+    first = messages_to_ndjson(growing)
+    for env in envelopes[half:]:
+        growing.publish(env.topic, env.t, env.payload)
+    text = messages_to_ndjson(growing)
+    assert text.startswith(first) and text != first
+    assert text == messages_to_ndjson(fresh) == messages_to_ndjson(sim.bus)
+
+
 # --- config validation ------------------------------------------------------------
 
 
@@ -135,9 +154,19 @@ def test_validate_config_accepts_empty_scene():
         (dict(stop_latency=math.nan), "ugv.stop_latency"),
         (dict(ugv_start=(math.nan, 0.0)), "ugv.start"),
         (dict(ugv_end=(math.inf, 0.0)), "ugv.end"),
+        # a config cannot hold these: the object constructors name the field
+        (lambda: brick("b", 1.0, 0.0, yaw=math.nan), "yaw"),
+        (lambda: brick("b", math.nan, 0.0), "x"),
+        (lambda: brick("b", 1.0, math.inf), "y"),
+        (lambda: BrickDims(math.nan, 0.095, 0.057), "length"),
+        (lambda: PipeDims(math.nan, 0.40), "radius"),
     ],
 )
 def test_validate_config_reports_field_paths(overrides, path):
+    if callable(overrides):
+        with pytest.raises(ValueError, match=rf"\b{path} must be"):
+            overrides()
+        return
     errors = validate_config(tiny_scenario([brick("b", 1.0, 0.0)], **overrides))
     assert path in [p for p, _ in errors]
 
@@ -472,6 +501,8 @@ def test_step_loop_composes_no_frame(monkeypatch):
     assert calls == []
     report = sim.run()  # already done: serializes the log for its digest
     assert report.succeeded == 1
+    assert len(calls) == len(sim.bus.history(Topic.CAMERA_FRAMES))
+    messages_to_ndjson(sim.bus)  # the log was serialized once already
     assert len(calls) == len(sim.bus.history(Topic.CAMERA_FRAMES))
 
 
