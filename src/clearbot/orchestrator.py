@@ -143,8 +143,6 @@ class MessageBus:
     """Per-topic ordered publishing with a global publish-order log."""
 
     def __init__(self) -> None:
-        self._seq: dict[Topic, int] = {t: 0 for t in Topic}
-        self._last_t: dict[Topic, float] = {}
         self._history: dict[Topic, list[MessageEnvelope]] = {t: [] for t in Topic}
         self._log: list[MessageEnvelope] = []
         # NDJSON lines of _log[:len(_lines)], filled by messages_to_ndjson;
@@ -152,16 +150,11 @@ class MessageBus:
         self._lines: list[str] = []
 
     def publish(self, topic: Topic, t: float, payload: object) -> MessageEnvelope:
-        last = self._last_t.get(topic)
-        if last is not None and t < last:
-            raise SequenceRegression(
-                f"{topic.value}: t={t} after t={last}"
-            )
-        seq = self._seq[topic]
-        env = MessageEnvelope(topic=topic, seq=seq, t=t, payload=payload)
-        self._seq[topic] = seq + 1
-        self._last_t[topic] = t
-        self._history[topic].append(env)
+        history = self._history[topic]
+        if history and t < history[-1].t:
+            raise SequenceRegression(f"{topic.value}: t={t} after t={history[-1].t}")
+        env = MessageEnvelope(topic=topic, seq=len(history), t=t, payload=payload)
+        history.append(env)
         self._log.append(env)
         return env
 
@@ -555,8 +548,6 @@ class AttemptRecord:
     center_error_m: float
     yaw_error_rad: float
     mask_iou: float
-    t_start: float
-    t_end: float
 
 
 @dataclass(frozen=True)
@@ -564,7 +555,6 @@ class RunReport:
     name: str
     seed: int
     config_digest: str
-    config: dict  # canonical scenario echo (the digest preimage)
     log_digest: str  # sha256 of the serialized message log
     attempted: int
     succeeded: int
@@ -759,7 +749,7 @@ class Simulation:
         self._pending_stop = None
         assert stop is not None
         # align the standstill capture to the camera's frame grid
-        n = math.ceil(self.clock.now() / self.cfg.frame_period - 1e-9)
+        n = self._next_frame_slot()
         self.frame_index = n
         self.clock.advance(n * self.cfg.frame_period - self.clock.now())
 
@@ -786,11 +776,12 @@ class Simulation:
 
     def _step_resuming(self) -> None:
         # re-start the vehicle on the next camera grid slot
-        self.frame_index = max(
-            self.frame_index,
-            math.ceil(self.clock.now() / self.cfg.frame_period - 1e-9),
-        )
+        self.frame_index = max(self.frame_index, self._next_frame_slot())
         self.state = PipelineState.DRIVING
+
+    def _next_frame_slot(self) -> int:
+        """Index of the first camera frame at or after the clock."""
+        return math.ceil(self.clock.now() / self.cfg.frame_period - 1e-9)
 
     # -- the pick itself --
 
@@ -860,8 +851,6 @@ class Simulation:
                 center_error_m=diag.center_error,
                 yaw_error_rad=diag.yaw_error,
                 mask_iou=diag.iou,
-                t_start=result.start_time,
-                t_end=self.clock.now(),
             )
         )
         if result.outcome is PickOutcome.SUCCESS:
@@ -920,12 +909,10 @@ class Simulation:
         succeeded = sum(
             1 for r in self.records if r.outcome == PickOutcome.SUCCESS.value
         )
-        echo = scenario_to_dict(self.cfg)
         return RunReport(
             name=self.cfg.name,
             seed=self.cfg.seed,
             config_digest=config_digest(self.cfg),
-            config=echo,
             log_digest=hashlib.sha256(messages_to_ndjson(self.bus).encode()).hexdigest(),
             attempted=len(self.records),
             succeeded=succeeded,
@@ -982,6 +969,24 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[RunReport, Simulation]:
 # --- serialization -----------------------------------------------------------------
 
 
+def _record(value: Any) -> Any:
+    """JSON form of a record: a dataclass becomes an object of its fields,
+    with ``cls`` written as ``class``, and a tuple becomes a list."""
+    fields = getattr(value, "__dataclass_fields__", None)
+    if fields is not None:
+        return {
+            "class" if name == "cls" else name: _record(getattr(value, name))
+            for name in fields
+        }
+    if isinstance(value, tuple):
+        return [_record(v) for v in value]
+    return value
+
+
+_OPS = {"erode": Erode, "holes": Holes, "cut_band": CutBand, "relabel": Relabel}
+_OP_NAMES = {op: name for name, op in _OPS.items()}
+
+
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     """Scenario in its file-schema form; feeding it back to the parser
     reproduces the config, which is what pins the config digest."""
@@ -990,21 +995,8 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
         return {
             "id": o.id,
             "class": o.cls.value,
-            "dims": dataclasses.asdict(o.dims),
+            "dims": _record(o.dims),
             "pose": {"x": o.x, "y": o.y, "yaw": o.yaw},
-        }
-
-    def op_to_dict(op: CorruptionOp) -> dict:
-        if isinstance(op, Erode):
-            return {"op": "erode", "radius": op.radius}
-        if isinstance(op, Holes):
-            return {"op": "holes", "fraction": op.fraction, "seed": op.seed}
-        if isinstance(op, CutBand):
-            return {"op": "cut_band", "target_id": op.target_id, "band_px": op.band_px}
-        return {
-            "op": "relabel",
-            "region": list(op.region),
-            "new_class": op.new_class,
         }
 
     k = cfg.intrinsics
@@ -1022,11 +1014,7 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
             "cy": k.cy,
             "height_m": cfg.camera_mount.height,
             "mount_xy": [cfg.camera_mount.x, cfg.camera_mount.y],
-            "noise": {
-                "sigma": cfg.noise.sigma,
-                "bias": cfg.noise.bias,
-                "dropout_prob": cfg.noise.dropout_prob,
-            },
+            "noise": _record(cfg.noise),
         },
         "arm": {
             "r_min": arm.envelope.r_min,
@@ -1054,7 +1042,7 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
             "stop_latency": cfg.stop_latency,
         },
         "objects": [obj_to_dict(o) for o in cfg.objects],
-        "corruptions": [op_to_dict(op) for op in cfg.seg_ops],
+        "corruptions": [{"op": _OP_NAMES[type(op)], **_record(op)} for op in cfg.seg_ops],
         "injections": {
             "depth_bias": [
                 {"id": inj.object_id, "bias": inj.bias} for inj in cfg.injections
@@ -1081,7 +1069,6 @@ class _Records:
 
 
 _DIMS = {ObjectClass.BRICK: BrickDims(*DEFAULT_BRICK), ObjectClass.PIPE: PipeDims(*DEFAULT_PIPE)}
-_OPS = {"erode": Erode, "holes": Holes, "cut_band": CutBand, "relabel": Relabel}
 
 
 def _scenario_schema() -> dict:
@@ -1091,7 +1078,7 @@ def _scenario_schema() -> dict:
             cls.value: {
                 "id": str,
                 "class": cls.value,
-                "dims": dataclasses.asdict(dims),
+                "dims": _record(dims),
                 "pose": {"x": float, "y": float, "yaw": 0.0},
             }
             for cls, dims in _DIMS.items()
@@ -1275,23 +1262,22 @@ def frame_digest(fd: FrameData) -> str:
     return h.hexdigest()
 
 
-def _target_to_dict(rec: TargetRecord) -> dict:
-    return {
-        "class": rec.cls,
-        "center": list(rec.center),
-        "yaw": rec.yaw,
-        "component_index": rec.component_index,
-        "seed_pixel": list(rec.seed_pixel),
-        "area": rec.area,
-        "in_reach": rec.in_reach,
-        "border": rec.border,
-    }
+def _class_pixels(labels: np.ndarray) -> dict:
+    return {"brick": int((labels == 1).sum()), "pipe": int((labels == 2).sum())}
+
+
+# payloads logged field for field, by the kind each is logged as
+_RECORD_KINDS = {
+    GraspTargetsPayload: "targets",
+    ControlStopPayload: "stop",
+    ArmCommandPayload: "command",
+    ArmStatusPayload: "status",
+}
 
 
 def payload_to_dict(payload: object) -> dict:
     """JSON form of a bus payload; image bodies reduce to digests + stats."""
     if isinstance(payload, FrameData):
-        labels = payload.images().labels.data
         return {
             "kind": "frame",
             "frame_index": payload.frame_index,
@@ -1303,10 +1289,7 @@ def payload_to_dict(payload: object) -> dict:
             "objects_in_view": sorted(
                 {payload.object_ids[p.obj_index] for p in payload.patches}
             ),
-            "class_pixels": {
-                "brick": int((labels == 1).sum()),
-                "pipe": int((labels == 2).sum()),
-            },
+            "class_pixels": _class_pixels(payload.images().labels.data),
             "digest": frame_digest(payload),
         }
     if isinstance(payload, MaskData):
@@ -1315,47 +1298,13 @@ def payload_to_dict(payload: object) -> dict:
             "frame_index": payload.frame_index,
             "t_capture": payload.t_capture,
             "latency": payload.latency,
-            "class_pixels": {
-                "brick": int((payload.data == 1).sum()),
-                "pipe": int((payload.data == 2).sum()),
-            },
+            "class_pixels": _class_pixels(payload.data),
             "digest": _array_digest(payload.data),
         }
-    if isinstance(payload, GraspTargetsPayload):
-        return {
-            "kind": "targets",
-            "frame_index": payload.frame_index,
-            "targets": [_target_to_dict(t) for t in payload.targets],
-        }
-    if isinstance(payload, ControlStopPayload):
-        return {
-            "kind": "stop",
-            "frame_index": payload.frame_index,
-            "target": _target_to_dict(payload.target),
-            "trigger_id": payload.trigger_id,
-        }
-    if isinstance(payload, ArmCommandPayload):
-        return {
-            "kind": "command",
-            "frame_index": payload.frame_index,
-            "target": _target_to_dict(payload.target),
-            "matched_id": payload.matched_id,
-        }
-    if isinstance(payload, ArmStatusPayload):
-        return {
-            "kind": "status",
-            "object_id": payload.object_id,
-            "outcome": payload.outcome,
-            "elapsed_s": payload.elapsed_s,
-            "phases": [[name, t0, t1] for name, t0, t1 in payload.phases],
-            "xy_error": payload.xy_error,
-            "z_error": payload.z_error,
-            "yaw_error": payload.yaw_error,
-            "grasp_width": payload.grasp_width,
-            "t_start": payload.t_start,
-            "t_end": payload.t_end,
-        }
-    raise TypeError(f"no JSON form for payload type {type(payload).__name__}")
+    kind = _RECORD_KINDS.get(type(payload))
+    if kind is None:
+        raise TypeError(f"no JSON form for payload type {type(payload).__name__}")
+    return {"kind": kind, **_record(payload)}
 
 
 def messages_to_ndjson(bus: MessageBus) -> str:
@@ -1381,25 +1330,15 @@ _WALL_NOTES = "timings are simulated; wall clock intentionally excluded"
 
 
 def report_to_json(report: RunReport) -> str:
+    records = [_record(r) for r in report.records]
+    for rec in records:
+        rec["id"] = rec.pop("object_id")
     doc = {
         "seed": report.seed,
         "config_digest": report.config_digest,
         "attempted": report.attempted,
         "succeeded": report.succeeded,
-        "records": [
-            {
-                "id": r.object_id,
-                "class": r.cls,
-                "outcome": r.outcome,
-                "cause": r.cause,
-                "attribution": list(r.attribution),
-                "elapsed_s": r.elapsed_s,
-                "center_error_m": r.center_error_m,
-                "yaw_error_rad": r.yaw_error_rad,
-                "mask_iou": r.mask_iou,
-            }
-            for r in report.records
-        ],
+        "records": records,
         "wall_notes": _WALL_NOTES,
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

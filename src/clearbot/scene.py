@@ -18,7 +18,6 @@ from enum import Enum
 
 import numpy as np
 
-FLOOR_Z = 0.0
 # Reliable top-down stereo depth degrades quickly past this range, so scene
 # validation rejects cameras mounted higher.
 MAX_CAMERA_HEIGHT = 1.5

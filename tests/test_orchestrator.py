@@ -4,8 +4,11 @@ and the built-in ten-object course."""
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import math
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +40,7 @@ from clearbot.orchestrator import (
     config_digest,
     messages_to_ndjson,
     parse_scenario,
+    payload_to_dict,
     replay_grasp_targets,
     report_to_json,
     run_scenario,
@@ -537,6 +541,35 @@ def test_ndjson_log_is_one_canonical_line_per_message(benchmark_run):
         assert json.dumps(doc, sort_keys=True, separators=(",", ":")) == line
     # image payloads are digested, never inlined
     assert "zbuf" not in text
+
+
+RECORDED = Path(__file__).resolve().parents[1] / "perfbench" / "recorded.json"
+
+
+@pytest.mark.parametrize(
+    "run, entry", [("benchmark_run", "course"), ("adaptive_run", "adaptive_course")]
+)
+def test_course_outputs_match_the_recorded_digests(request, run, entry):
+    # the benchmark records these hashes; a renamed or dropped log or report
+    # key changes them even when two runs still agree with each other
+    report, sim = request.getfixturevalue(run)[:2]
+    recorded = json.loads(RECORDED.read_text())["digests"][entry]
+    log = messages_to_ndjson(sim.bus)
+    assert report.log_digest == recorded["log_digest"]
+    assert hashlib.sha256(log.encode()).hexdigest() == recorded["log_digest"]
+    assert (
+        hashlib.sha256(report_to_json(report).encode()).hexdigest()
+        == recorded["report_sha256"]
+    )
+
+
+def test_payload_to_dict_names_an_unknown_payload_type():
+    @dataclass(frozen=True)
+    class Odometry:
+        frame_index: int
+
+    with pytest.raises(TypeError, match="Odometry"):
+        payload_to_dict(Odometry(0))
 
 
 def floats(lo: float, hi: float, **kwargs):
