@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -111,16 +111,31 @@ class LabelImage:
         return self.data.shape[1]
 
 
+Window = tuple[int, int, int, int]  # (r0, r1, c0, c1), half open
+
+
 @dataclass(frozen=True)
 class InstanceImage:
-    """Per-pixel object index into ``ids`` (-1 where no object)."""
+    """Per-pixel object index into ``ids`` (-1 where no object).
+
+    ``windows`` maps an object index to the pixel window that holds all of
+    its pixels (its render patch); an object with no window has no pixels.
+    Without ``windows`` the whole image is every object's window.
+    """
 
     index: np.ndarray
     ids: tuple[str, ...]
+    windows: Optional[Mapping[int, Window]] = None
 
     def pixels_of(self, object_id: str) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column indices of the object's pixels, in row-major order."""
         idx = self.ids.index(object_id)
-        return np.nonzero(self.index == idx)
+        if self.windows is None:
+            r0, r1, c0, c1 = 0, self.index.shape[0], 0, self.index.shape[1]
+        else:
+            r0, r1, c0, c1 = self.windows.get(idx, (0, 0, 0, 0))
+        rows, cols = np.nonzero(self.index[r0:r1, c0:c1] == idx)
+        return rows + r0, cols + c0
 
 
 def project(p, k: Intrinsics):
@@ -175,6 +190,21 @@ class RenderResult:
     instances: InstanceImage
     patches: tuple[ObjectPatch, ...]
     floor_depth: float
+
+
+def patch_windows(patches: Sequence[ObjectPatch]) -> dict[int, Window]:
+    """The pixel window of each patched object, by object index."""
+    return {p.obj_index: (p.r0, p.r1, p.c0, p.c1) for p in patches}
+
+
+def _reach(obj: ObjectSpec) -> float:
+    """Radius about (x, y) of a disk holding the corners of the footprint's
+    axis-aligned bounding box, the points ``_pixel_window`` projects."""
+    if isinstance(obj.dims, BrickDims):
+        r = math.hypot(obj.dims.length, obj.dims.width) / 2.0
+    else:
+        r = obj.dims.length / 2.0 + obj.dims.radius
+    return math.sqrt(2.0) * r
 
 
 def _pixel_window(obj: ObjectSpec, cam_pos: np.ndarray, heading: float, k: Intrinsics):
@@ -273,7 +303,18 @@ def render_full(scene: Scene, k: Intrinsics) -> RenderResult:
     floor_depth = float(cam_pos[2])
     patches: list[ObjectPatch] = []
 
+    # Every point of an object has 0 < zc <= floor_depth, so a point whose
+    # camera x (or y) lies past these half-extents projects beyond the image
+    # and ``_pixel_window``'s one- and two-pixel pads at any height; three
+    # pixels of margin absorb rounding.
+    half_x = (max(k.cx, k.width - k.cx) + 3.0) * floor_depth / k.fx
+    half_y = (max(k.cy, k.height - k.cy) + 3.0) * floor_depth / k.fy
+
     for idx, obj in enumerate(scene.objects):
+        ox, oy = obj.x - cam_pos[0], obj.y - cam_pos[1]
+        reach = _reach(obj)
+        if abs(ox * ch + oy * sh) - reach > half_x or abs(ox * sh - oy * ch) - reach > half_y:
+            continue
         window = _pixel_window(obj, cam_pos, heading, k)
         if window is None:
             continue
@@ -308,7 +349,9 @@ def render_full(scene: Scene, k: Intrinsics) -> RenderResult:
     return RenderResult(
         labels=LabelImage(labels),
         depth=DepthImage(depth),
-        instances=InstanceImage(inst, tuple(o.id for o in scene.objects)),
+        instances=InstanceImage(
+            inst, tuple(o.id for o in scene.objects), patch_windows(patches)
+        ),
         patches=tuple(patches),
         floor_depth=floor_depth,
     )

@@ -43,6 +43,7 @@ from .camera import (
     ObjectPatch,
     apply_noise,
     compose_patches,
+    patch_windows,
     render_full,
 )
 from .geometry import (
@@ -82,6 +83,7 @@ from .scene import (
 )
 from .segmentation import (
     DEFAULT_LATENCY,
+    SEED_LIMIT,
     CorruptionOp,
     CutBand,
     Erode,
@@ -209,7 +211,7 @@ class FrameData:
             labels=LabelImage(lab),
             depth=clean if self.dense_depth is None else DepthImage(self.dense_depth),
             clean_depth=clean,
-            instances=InstanceImage(inst, self.object_ids),
+            instances=InstanceImage(inst, self.object_ids, patch_windows(self.patches)),
         )
 
 
@@ -410,6 +412,8 @@ def validate_config(cfg: ScenarioConfig) -> list[tuple[str, str]]:
     # an empty object list is legal: the vehicle just traverses the path
     # the chained comparisons also reject NaN, which compares false
     errors: list[tuple[str, str]] = []
+    if not 0 <= cfg.seed < SEED_LIMIT:
+        errors.append(("seed", "seed must be in [0, 2**63)"))
     speed_ok = 0 < cfg.speed < math.inf
     period_ok = 0 < cfg.frame_period < math.inf
     if not speed_ok:
@@ -648,27 +652,35 @@ class Simulation:
         return fd, FrameImages(rr.labels, depth, rr.depth, rr.instances)
 
     def _segment_frame(self, fd: FrameData, images: FrameImages) -> MaskData:
-        ops = _ops_in_view(self.cfg.seg_ops, images.instances)
-        res: SegmentationResult = segment(
-            images.labels, ops, seed=self.cfg.seed, instances=images.instances
-        )
+        if fd.patches:
+            ops = _ops_in_view(self.cfg.seg_ops, images.instances)
+            res: SegmentationResult = segment(
+                images.labels, ops, seed=self.cfg.seed, instances=images.instances
+            )
+            data, latency = res.labels.data, res.latency
+        else:
+            # an empty frame's mask is all floor: every op maps zeros to
+            # zeros, and no cut has a target in view
+            data, latency = np.zeros(fd.shape, dtype=np.uint8), SEG_LATENCY
         md = MaskData(
             frame_index=fd.frame_index,
             t_capture=fd.t_capture,
-            data=res.labels.data,
-            latency=res.latency,
+            data=data,
+            latency=latency,
         )
-        self.bus.publish(Topic.SEGMENTATION_MASKS, fd.t_capture + res.latency, md)
+        self.bus.publish(Topic.SEGMENTATION_MASKS, fd.t_capture + latency, md)
         return md
 
     def _targets_for(self, fd: FrameData, images: FrameImages, md: MaskData):
-        targets, comps = compute_targets(
-            LabelImage(md.data),
-            images.depth,
-            self.cfg.intrinsics,
-            self.cam_to_arm,
-            self.cfg.arm.envelope,
-        )
+        targets, comps = (), ()
+        if fd.patches:  # an all-floor mask has no component
+            targets, comps = compute_targets(
+                LabelImage(md.data),
+                images.depth,
+                self.cfg.intrinsics,
+                self.cam_to_arm,
+                self.cfg.arm.envelope,
+            )
         payload = GraspTargetsPayload(frame_index=fd.frame_index, targets=targets)
         t_targets = fd.t_capture + md.latency + GEOMETRY_LATENCY
         self.bus.publish(Topic.GRASP_TARGETS, t_targets, payload)

@@ -383,17 +383,36 @@ def validate_scene(scene: Scene) -> list[Violation]:
         )
 
     feet = [(o.id, object_footprint(o)) for o in scene.objects]
-    for i in range(len(feet)):
-        for j in range(i + 1, len(feet)):
-            if footprints_overlap(feet[i][1], feet[j][1]):
-                issues.append(
-                    Violation(
-                        "overlapping_footprints",
-                        f"footprints of {feet[i][0]!r} and {feet[j][0]!r} overlap",
-                        (feet[i][0], feet[j][0]),
-                    )
+    for i, j in _aabb_overlapping_pairs([f.aabb() for _, f in feet]):
+        if footprints_overlap(feet[i][1], feet[j][1]):
+            issues.append(
+                Violation(
+                    "overlapping_footprints",
+                    f"footprints of {feet[i][0]!r} and {feet[j][0]!r} overlap",
+                    (feet[i][0], feet[j][0]),
                 )
+            )
     return issues
+
+
+def _aabb_overlapping_pairs(
+    boxes: list[tuple[float, float, float, float]],
+) -> list[tuple[int, int]]:
+    """Sorted index pairs (i < j) whose closed (x0, x1, y0, y1) boxes meet.
+
+    Sort and sweep along x (Baraff 1992): each box is tested only against
+    the boxes still open when its x interval starts.
+    """
+    pairs = []
+    active: list[int] = []
+    for i in sorted(range(len(boxes)), key=lambda i: boxes[i][0]):
+        x0, _, y0, y1 = boxes[i]
+        active = [j for j in active if boxes[j][1] >= x0]
+        pairs.extend(
+            (min(i, j), max(i, j)) for j in active if boxes[j][2] <= y1 and y0 <= boxes[j][3]
+        )
+        active.append(i)
+    return sorted(pairs)
 
 
 # --- frame changes ----------------------------------------------------------

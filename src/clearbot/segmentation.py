@@ -22,6 +22,9 @@ from .geometry import MaskComponent
 
 DEFAULT_LATENCY = 1.0 / 21.0
 
+#: seeds lie in [0, SEED_LIMIT), so any seed is a valid SeedSequence entropy
+SEED_LIMIT = 2**63
+
 
 class UnknownObjectId(KeyError):
     """Raised when a cut targets an object with no pixels in the frame."""
@@ -54,6 +57,8 @@ class Holes:
     def __post_init__(self) -> None:
         if not (0.0 <= self.fraction < 1.0):
             raise ValueError("fraction must be in [0, 1)")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ValueError("seed must be in [0, 2**63)")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from clearbot import camera
 from clearbot.camera import (
     DEFAULT_INTRINSICS,
     DepthImage,
@@ -33,6 +36,7 @@ from clearbot.scene import (
     Pose2D,
     Scene,
     object_footprint,
+    robot_to_world,
 )
 
 NADIR_CAM = CameraMount(0.0, 0.0, 1.2)
@@ -310,3 +314,113 @@ def test_intrinsics_validation():
         Intrinsics(fx=0.0, fy=256.0, cx=1.0, cy=1.0, width=4, height=4)
     with pytest.raises(ValueError):
         Intrinsics(fx=256.0, fy=256.0, cx=1.0, cy=1.0, width=0, height=4)
+
+
+# --- render culling and windowed instance scans ----------------------------------
+
+
+@st.composite
+def camera_views(draw):
+    """A scene, intrinsics and the camera's world position.
+
+    Each object's center is placed at floor depth near the image center or
+    near an image border, offset by up to 1.6 times its footprint radius, so
+    that many objects sit across or just past the border, where culling
+    decides.
+    """
+    width = draw(st.integers(8, 96))
+    height = draw(st.integers(8, 64))
+    k = Intrinsics(
+        fx=draw(st.floats(60.0, 600.0)),
+        fy=draw(st.floats(60.0, 600.0)),
+        cx=draw(st.floats(0.0, width - 0.5)),
+        cy=draw(st.floats(0.0, height - 0.5)),
+        width=width,
+        height=height,
+    )
+    mount = CameraMount(
+        draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5)), draw(st.floats(0.3, 1.5))
+    )
+    ugv = Pose2D(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)), draw(st.floats(-4.0, 4.0)))
+    cam = robot_to_world(np.array([mount.x, mount.y, mount.height]), ugv)
+    c, s = math.cos(ugv.heading), math.sin(ugv.heading)
+    objects = []
+    for i in range(draw(st.integers(0, 8))):
+        if draw(st.booleans()):
+            length = draw(st.floats(0.05, 0.5))
+            dims = BrickDims(length, draw(st.floats(0.02, length)), draw(st.floats(0.02, 0.2)))
+            radius = math.hypot(dims.length, dims.width) / 2.0
+        else:
+            dims = PipeDims(draw(st.floats(0.01, 0.1)), draw(st.floats(0.05, 0.6)))
+            radius = dims.length / 2.0 + dims.radius
+        xc, yc = (
+            (draw(st.sampled_from([0.0, 0.5, 1.0])) * extent - center) * cam[2] / f
+            + draw(st.floats(-1.6, 1.6)) * radius
+            for extent, center, f in ((width, k.cx, k.fx), (height, k.cy, k.fy))
+        )
+        x, y = cam[0] + xc * c + yc * s, cam[1] + xc * s - yc * c
+        yaw = draw(st.floats(-math.pi, math.pi))
+        make = brick if isinstance(dims, BrickDims) else pipe
+        objects.append(make(f"o{i}", x, y, yaw, dims))
+    return Scene(objects=tuple(objects), ugv=ugv, camera_mount=mount), k, cam
+
+
+def _edge_view():
+    """A brick turned 45 degrees in a view turned 45 degrees, its center 61
+    pixels right of the principal point of a 64 x 32 image: its bounding
+    box corners reach the image while its footprint radius does not."""
+    k = Intrinsics(fx=256.0, fy=256.0, cx=32.0, cy=16.0, width=64, height=32)
+    ugv = Pose2D(0.0, 0.0, math.pi / 4)
+    xc = 61.0 * 1.2 / 256.0
+    b = brick("b", xc * math.cos(ugv.heading), xc * math.sin(ugv.heading), math.pi / 4)
+    cam = np.array([0.0, 0.0, 1.2])
+    return Scene(objects=(b,), ugv=ugv, camera_mount=NADIR_CAM), k, cam
+
+
+@settings(deadline=None, max_examples=300)
+@example(_edge_view())
+@given(camera_views())
+def test_culled_render_equals_render_of_every_window(view):
+    scene, k, cam = view
+    windowed = []
+    real = camera._pixel_window
+
+    def spy(obj, *args):
+        windowed.append(obj.id)
+        return real(obj, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(camera, "_pixel_window", spy)
+        got = render_full(scene, k)
+    with pytest.MonkeyPatch.context() as mp:
+        # the reference culls nothing: every object gets its pixel window
+        mp.setattr(camera, "_reach", lambda obj: math.inf)
+        ref = render_full(scene, k)
+
+    for obj in scene.objects:
+        if obj.id not in windowed:
+            assert real(obj, cam, scene.ugv.heading, k) is None, obj
+    assert np.array_equal(got.labels.data, ref.labels.data)
+    assert got.depth.data.tobytes() == ref.depth.data.tobytes()
+    assert np.array_equal(got.instances.index, ref.instances.index)
+    assert got.instances.ids == ref.instances.ids
+    assert got.floor_depth == ref.floor_depth
+    assert len(got.patches) == len(ref.patches)
+    for a, b in zip(got.patches, ref.patches):
+        assert (a.r0, a.r1, a.c0, a.c1, a.obj_index, a.label) == (
+            b.r0, b.r1, b.c0, b.c1, b.obj_index, b.label
+        )
+        assert a.zbuf.tobytes() == b.zbuf.tobytes()
+
+
+@settings(deadline=None, max_examples=150)
+@given(camera_views())
+def test_windowed_pixels_of_equals_full_image_scan(view):
+    scene, k, _ = view
+    inst = render_full(scene, k).instances
+    assert inst.windows is not None
+    for idx, obj in enumerate(scene.objects):
+        rows, cols = inst.pixels_of(obj.id)
+        want_rows, want_cols = np.nonzero(inst.index == idx)
+        assert rows.dtype == want_rows.dtype and cols.dtype == want_cols.dtype
+        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)

@@ -147,6 +147,17 @@ def _set(*path_and_value):
     return mutate
 
 
+def _both(*mutations):
+    def mutate(doc):
+        for m in mutations:
+            m(doc)
+
+    return mutate
+
+
+_HOLES = {"op": "holes", "fraction": 0.1, "seed": 0}
+
+
 @pytest.mark.parametrize(
     "mutate,path",
     [
@@ -162,6 +173,11 @@ def _set(*path_and_value):
         ),
         (_set("frame_period", 1e-9), "frame_period"),
         (_set("ugv", "stop_latency", 10**400), "ugv.stop_latency"),
+        (_both(_set("seed", -1), _set("camera", "noise", "sigma", 0.002)), "seed"),
+        (_both(_set("seed", -1), _set("corruptions", [_HOLES])), "seed"),
+        (_set("seed", 2**63), "seed"),
+        (_set("corruptions", [{**_HOLES, "seed": -5}]), "corruptions[0]"),
+        (_set("corruptions", [{**_HOLES, "seed": 2**63}]), "corruptions[0]"),
     ],
 )
 def test_simulate_rejects_bad_value_with_its_path(tmp_path, capsys, mutate, path):
@@ -170,6 +186,16 @@ def test_simulate_rejects_bad_value_with_its_path(tmp_path, capsys, mutate, path
     assert code == 2
     err = capsys.readouterr().err
     assert f"error: {path}:" in err
+    assert "Traceback" not in err
+
+
+def test_simulate_rejects_negative_seed_flag(tmp_path, capsys):
+    scenario = write_scenario(tmp_path, one_brick_config(), mutate=_set("corruptions", [_HOLES]))
+    out = str(tmp_path / "out")
+    code = cli.main(["simulate", "--scenario", scenario, "--out", out, "--seed", "-1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: seed:" in err
     assert "Traceback" not in err
 
 

@@ -164,6 +164,9 @@ def test_validate_config_accepts_empty_scene():
         (lambda: brick("b", 1.0, math.inf), "y"),
         (lambda: BrickDims(math.nan, 0.095, 0.057), "length"),
         (lambda: PipeDims(math.nan, 0.40), "radius"),
+        (dict(seed=-1), "seed"),
+        (dict(seed=2**63), "seed"),
+        (lambda: Holes(0.1, seed=-5), "seed"),
     ],
 )
 def test_validate_config_reports_field_paths(overrides, path):
@@ -570,6 +573,38 @@ def test_payload_to_dict_names_an_unknown_payload_type():
 
     with pytest.raises(TypeError, match="Odometry"):
         payload_to_dict(Odometry(0))
+
+
+def test_empty_frames_skip_segmentation_and_targets(monkeypatch):
+    calls = {"segment": 0, "compute_targets": 0}
+    for name in calls:
+        real = getattr(orchestrator, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(orchestrator, name, counting)
+    ops = (Erode(1), Holes(0.1), CutBand("b", 4), Relabel((0, 8, 0, 8), 2))
+    # the brick is in view from the first frame and out of it by the end
+    _, sim = run_scenario(tiny_scenario([brick("b", 1.2, 0.05, 0.3)], seg_ops=ops))
+    frames = [env.payload for env in sim.bus.history(Topic.CAMERA_FRAMES)]
+    seen = sum(1 for fd in frames if fd.patches)
+    assert 0 < seen < len(frames)
+    assert calls == {"segment": seen, "compute_targets": seen}
+
+    masks = sim.bus.history(Topic.SEGMENTATION_MASKS)
+    targets = sim.bus.history(Topic.GRASP_TARGETS)
+    for fd, mask, tgt in zip(frames, masks, targets):
+        if fd.patches:
+            continue
+        # what the full path would have published for this frame
+        images = fd.images()
+        kept = orchestrator._ops_in_view(ops, images.instances)
+        full = orchestrator.segment(images.labels, kept, seed=0, instances=images.instances)
+        assert _same_bits(mask.payload.data, full.labels.data)
+        assert mask.t == fd.t_capture + full.latency
+        assert tgt.payload.targets == ()
 
 
 def floats(lo: float, hi: float, **kwargs):

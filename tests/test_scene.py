@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clearbot.scene import (
     ArmMount,
@@ -16,6 +18,7 @@ from clearbot.scene import (
     PipeDims,
     Pose2D,
     Scene,
+    Violation,
     WorldState,
     footprints_overlap,
     object_footprint,
@@ -159,6 +162,40 @@ def test_validate_is_idempotent_and_order_independent():
     permuted = Scene(objects=objs[::-1], camera_mount=CameraMount(0.0, 0.0, 1.7))
     key = lambda v: (v.code, tuple(sorted(v.ids)))
     assert sorted(map(key, validate_scene(permuted))) == sorted(map(key, first))
+
+
+@st.composite
+def crowded_scenes(draw) -> Scene:
+    """Bricks and pipes packed into a few square meters, on a 5 cm grid and
+    at quarter-turn yaws half of the time, so that overlaps, touching edges
+    and tied bounding-box bounds all occur."""
+    objects = []
+    for i in range(draw(st.integers(0, 14))):
+        if draw(st.booleans()):
+            x, y = (0.05 * draw(st.integers(-20, 20)) for _ in range(2))
+            yaw = draw(st.sampled_from([0.0, math.pi / 2, math.pi]))
+        else:
+            x, y = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+            yaw = draw(st.floats(-math.pi, math.pi))
+        if draw(st.booleans()):
+            objects.append(brick_at(f"o{i}", x, y, yaw))
+        else:
+            objects.append(pipe_at(f"o{i}", x, y, yaw))
+    return Scene(objects=tuple(objects))
+
+
+@settings(deadline=None, max_examples=200)
+@given(crowded_scenes())
+def test_overlap_sweep_matches_all_pairs(scene):
+    feet = [(o.id, object_footprint(o)) for o in scene.objects]
+    want = [
+        Violation("overlapping_footprints", f"footprints of {a!r} and {b!r} overlap", (a, b))
+        for i, (a, fa) in enumerate(feet)
+        for b, fb in feet[i + 1 :]
+        if footprints_overlap(fa, fb)
+    ]
+    got = [v for v in validate_scene(scene) if v.code == "overlapping_footprints"]
+    assert got == want
 
 
 # --- construction guards --------------------------------------------------------
