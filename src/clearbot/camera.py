@@ -242,7 +242,8 @@ def _cast_box(obj: ObjectSpec, o_l: np.ndarray, dlx, dly, dlz) -> np.ndarray:
     for axis, (lo, hi) in enumerate(bounds):
         d = (dlx, dly, dlz)[axis]
         o = o_l[axis]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a near-zero d can overflow t1 and t2; the parallel test discards them
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             t1 = (lo - o) / d
             t2 = (hi - o) / d
         parallel = np.abs(d) < 1e-15

@@ -47,7 +47,6 @@ from .camera import (
     render_full,
 )
 from .geometry import (
-    A_MIN_COMPONENT_PX,
     Frame,
     GraspTarget,
     IllConditioned,
@@ -82,20 +81,18 @@ from .scene import (
     world_to_robot,
 )
 from .segmentation import (
-    DEFAULT_LATENCY,
     SEED_LIMIT,
     CorruptionOp,
     CutBand,
     Erode,
     Holes,
     Relabel,
-    SegmentationResult,
     mask_iou,
     segment,
 )
 
 # pipeline latencies, seconds
-SEG_LATENCY = DEFAULT_LATENCY
+SEG_LATENCY = 1.0 / 21.0
 GEOMETRY_LATENCY = 0.010
 DISPATCH_LATENCY = 0.001
 
@@ -103,6 +100,10 @@ TAU_IOU = 0.8
 
 # step limit of one run; validate_config rejects a course that needs more frames
 MAX_STEPS = 200_000
+
+# frame periods a run may last (55 h at 21 Hz); keeps the clock's frame
+# slots finite, so validate_config rejects a run that could go past them
+MAX_FRAME_SLOTS = 2**22
 
 
 class SimClock:
@@ -418,7 +419,8 @@ def validate_config(cfg: ScenarioConfig) -> list[tuple[str, str]]:
     period_ok = 0 < cfg.frame_period < math.inf
     if not speed_ok:
         errors.append(("ugv.speed", "speed must be positive and finite"))
-    if not 0 <= cfg.stop_latency < math.inf:
+    stop_ok = 0 <= cfg.stop_latency < math.inf
+    if not stop_ok:
         errors.append(("ugv.stop_latency", "stop latency must be finite and not negative"))
     if not period_ok:
         errors.append(("frame_period", "frame period must be positive and finite"))
@@ -435,14 +437,26 @@ def validate_config(cfg: ScenarioConfig) -> list[tuple[str, str]]:
             errors.append(
                 ("frame_period", f"the course needs {frames:.3g} frames, over {MAX_STEPS}")
             )
+        # each object can cost one stop: the braking lag and one pick
+        pick_s = sum(cfg.arm.phase_durations.values())
+        t_end = cfg.path_length() / cfg.speed + len(cfg.objects) * (cfg.stop_latency + pick_s)
+        if stop_ok and not t_end / cfg.frame_period <= MAX_FRAME_SLOTS:
+            path = "arm.phase_durations" if pick_s >= cfg.stop_latency else "ugv.stop_latency"
+            periods = f"over {MAX_FRAME_SLOTS} frame periods"
+            errors.append((path, f"the run can last {t_end:.3g} s, {periods}"))
+    height = cfg.camera_mount.height
+    offsets = [("camera.noise.sigma", cfg.noise.sigma), ("camera.noise.bias", cfg.noise.bias)]
+    offsets += [(f"injections.depth_bias[{i}].bias", j.bias) for i, j in enumerate(cfg.injections)]
+    for path, value in offsets:
+        # the depth offset must leave the floor in front of the camera
+        if height > 0 and not abs(value) < height:
+            errors.append((path, f"must be under the camera height ({height:g} m)"))
     ids = {o.id for o in cfg.objects}
     for i, inj in enumerate(cfg.injections):
         if inj.object_id not in ids:
             errors.append(
                 (f"injections.depth_bias[{i}].id", f"unknown object {inj.object_id!r}")
             )
-        if not math.isfinite(inj.bias):
-            errors.append((f"injections.depth_bias[{i}].bias", "bias must be finite"))
     for op_i, op in enumerate(cfg.seg_ops):
         if isinstance(op, CutBand) and op.target_id not in ids:
             errors.append(
@@ -468,7 +482,6 @@ def compute_targets(
     k: Intrinsics,
     cam_to_arm: RigidTransform,
     envelope: ReachEnvelope,
-    min_area: int = A_MIN_COMPONENT_PX,
 ) -> tuple[tuple[TargetRecord, ...], tuple[MaskComponent, ...]]:
     """All grasp candidates in a frame, in deterministic order.
 
@@ -480,7 +493,7 @@ def compute_targets(
     comps: list[MaskComponent] = []
     index = 0
     for cls in (ObjectClass.BRICK, ObjectClass.PIPE):
-        for comp in connected_components(labels, cls, min_area=min_area):
+        for comp in connected_components(labels, cls):
             try:
                 center_cam = component_center_3d(comp, depth, k)
                 theta = principal_orientation(comp)
@@ -651,41 +664,6 @@ class Simulation:
         self.bus.publish(Topic.CAMERA_FRAMES, fd.t_capture, fd)
         return fd, FrameImages(rr.labels, depth, rr.depth, rr.instances)
 
-    def _segment_frame(self, fd: FrameData, images: FrameImages) -> MaskData:
-        if fd.patches:
-            ops = _ops_in_view(self.cfg.seg_ops, images.instances)
-            res: SegmentationResult = segment(
-                images.labels, ops, seed=self.cfg.seed, instances=images.instances
-            )
-            data, latency = res.labels.data, res.latency
-        else:
-            # an empty frame's mask is all floor: every op maps zeros to
-            # zeros, and no cut has a target in view
-            data, latency = np.zeros(fd.shape, dtype=np.uint8), SEG_LATENCY
-        md = MaskData(
-            frame_index=fd.frame_index,
-            t_capture=fd.t_capture,
-            data=data,
-            latency=latency,
-        )
-        self.bus.publish(Topic.SEGMENTATION_MASKS, fd.t_capture + latency, md)
-        return md
-
-    def _targets_for(self, fd: FrameData, images: FrameImages, md: MaskData):
-        targets, comps = (), ()
-        if fd.patches:  # an all-floor mask has no component
-            targets, comps = compute_targets(
-                LabelImage(md.data),
-                images.depth,
-                self.cfg.intrinsics,
-                self.cam_to_arm,
-                self.cfg.arm.envelope,
-            )
-        payload = GraspTargetsPayload(frame_index=fd.frame_index, targets=targets)
-        t_targets = fd.t_capture + md.latency + GEOMETRY_LATENCY
-        self.bus.publish(Topic.GRASP_TARGETS, t_targets, payload)
-        return targets, comps, t_targets
-
     def _select(
         self,
         targets: Sequence[TargetRecord],
@@ -715,8 +693,29 @@ class Simulation:
         published, and the selection (None when nothing is actionable).
         """
         fd, images = self._capture(standstill, inject_for)
-        md = self._segment_frame(fd, images)
-        targets, comps, t_targets = self._targets_for(fd, images, md)
+        if fd.patches:
+            mask = segment(
+                images.labels, self.cfg.seg_ops, seed=self.cfg.seed, instances=images.instances
+            )
+            targets, comps = compute_targets(
+                mask,
+                images.depth,
+                self.cfg.intrinsics,
+                self.cam_to_arm,
+                self.cfg.arm.envelope,
+            )
+        else:
+            # an empty frame's mask is all floor: every op maps zeros to
+            # zeros and no cut has a target in view, so it has no component
+            mask, targets, comps = LabelImage(np.zeros(fd.shape, dtype=np.uint8)), (), ()
+        t_mask = fd.t_capture + SEG_LATENCY
+        md = MaskData(
+            frame_index=fd.frame_index, t_capture=fd.t_capture, data=mask.data, latency=SEG_LATENCY
+        )
+        self.bus.publish(Topic.SEGMENTATION_MASKS, t_mask, md)
+        t_targets = t_mask + GEOMETRY_LATENCY
+        payload = GraspTargetsPayload(frame_index=fd.frame_index, targets=targets)
+        self.bus.publish(Topic.GRASP_TARGETS, t_targets, payload)
         return fd, images, t_targets, self._select(targets, comps, images)
 
     # -- state steps --
@@ -911,12 +910,12 @@ class Simulation:
 
     # -- driver --
 
-    def run(self, max_steps: int = MAX_STEPS) -> RunReport:
+    def run(self) -> RunReport:
         steps = 0
         while self.state is not PipelineState.DONE:
             self.step()
             steps += 1
-            if steps > max_steps:
+            if steps > MAX_STEPS:
                 raise RuntimeError("simulation did not terminate")
         succeeded = sum(
             1 for r in self.records if r.outcome == PickOutcome.SUCCESS.value
@@ -934,22 +933,6 @@ class Simulation:
 
 def _derived_seed(seed: int, tag: int, frame: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([seed, tag, frame])
-
-
-def _ops_in_view(
-    ops: Sequence[CorruptionOp], instances: InstanceImage
-) -> tuple[CorruptionOp, ...]:
-    """Drop cut operations whose target has no pixels in this frame."""
-    kept = []
-    for op in ops:
-        if isinstance(op, CutBand):
-            if op.target_id not in instances.ids:
-                continue
-            rows, _ = instances.pixels_of(op.target_id)
-            if len(rows) == 0:
-                continue
-        kept.append(op)
-    return tuple(kept)
 
 
 def _describe_cause(result: PickResult, cfg: ArmConfig) -> str:

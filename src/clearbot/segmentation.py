@@ -20,14 +20,8 @@ from scipy import ndimage
 from .camera import InstanceImage, LabelImage
 from .geometry import MaskComponent
 
-DEFAULT_LATENCY = 1.0 / 21.0
-
 #: seeds lie in [0, SEED_LIMIT), so any seed is a valid SeedSequence entropy
 SEED_LIMIT = 2**63
-
-
-class UnknownObjectId(KeyError):
-    """Raised when a cut targets an object with no pixels in the frame."""
 
 
 class EmptyUnion(ValueError):
@@ -94,11 +88,8 @@ class Relabel:
 
 CorruptionOp = Union[Erode, Holes, CutBand, Relabel]
 
-
-@dataclass(frozen=True)
-class SegmentationResult:
-    labels: LabelImage
-    latency: float
+#: pixels the mask-IoU window extends past the component's bounding box
+IOU_DILATION = 8
 
 
 def _apply_erode(data: np.ndarray, op: Erode) -> np.ndarray:
@@ -123,16 +114,8 @@ def _apply_holes(data: np.ndarray, op: Holes, seed: int, op_index: int) -> np.nd
 
 
 def _apply_cut_band(
-    data: np.ndarray, op: CutBand, instances: InstanceImage | None
+    data: np.ndarray, op: CutBand, rows: np.ndarray, cols: np.ndarray
 ) -> np.ndarray:
-    if instances is None:
-        raise UnknownObjectId(op.target_id)
-    try:
-        rows, cols = instances.pixels_of(op.target_id)
-    except ValueError:
-        raise UnknownObjectId(op.target_id) from None
-    if len(rows) == 0:
-        raise UnknownObjectId(op.target_id)
     # principal axis from second moments; independent of any enclosing-
     # rectangle machinery used downstream
     x = cols.astype(float)
@@ -163,43 +146,49 @@ def segment(
     ops: Sequence[CorruptionOp],
     seed: int = 0,
     instances: InstanceImage | None = None,
-    latency: float = DEFAULT_LATENCY,
-) -> SegmentationResult:
-    """Apply corruption operators in order on top of the ground truth."""
+) -> LabelImage:
+    """Apply corruption operators in order on top of the ground truth.
+
+    A cut whose target is out of view (not in ``instances``, without pixels
+    there, or no ``instances`` given) is skipped and takes no op index, so
+    the ``Holes`` ops after it draw the same pixels as if it were not listed.
+    """
     data = gt.data.copy()
-    for op_index, op in enumerate(ops):
+    op_index = 0
+    for op in ops:
         if isinstance(op, Erode):
             data = _apply_erode(data, op)
         elif isinstance(op, Holes):
             data = _apply_holes(data, op, seed, op_index)
         elif isinstance(op, CutBand):
-            data = _apply_cut_band(data, op, instances)
+            if instances is None or op.target_id not in instances.ids:
+                continue
+            rows, cols = instances.pixels_of(op.target_id)
+            if len(rows) == 0:
+                continue
+            data = _apply_cut_band(data, op, rows, cols)
         elif isinstance(op, Relabel):
             data = _apply_relabel(data, op)
         else:
             raise TypeError(f"unknown corruption op {type(op).__name__}")
-    return SegmentationResult(labels=LabelImage(data), latency=latency)
+        op_index += 1
+    return LabelImage(data)
 
 
-def mask_iou(
-    pred: LabelImage,
-    gt: LabelImage,
-    component: MaskComponent,
-    dilation: int = 8,
-) -> float:
+def mask_iou(pred: LabelImage, gt: LabelImage, component: MaskComponent) -> float:
     """IoU of one class between two masks near one component.
 
-    The window is the component bounding box grown by ``dilation`` pixels,
+    The window is the component bounding box grown by ``IOU_DILATION`` pixels,
     clipped to the image; both masks are restricted to the component class
     inside that window, so the score is symmetric in its two mask inputs.
     """
     if pred.data.shape != gt.data.shape:
         raise ValueError("mask shapes differ")
     r0, r1, c0, c1 = component.bbox
-    r0 = max(0, r0 - dilation)
-    c0 = max(0, c0 - dilation)
-    r1 = min(pred.height, r1 + dilation)
-    c1 = min(pred.width, c1 + dilation)
+    r0 = max(0, r0 - IOU_DILATION)
+    c0 = max(0, c0 - IOU_DILATION)
+    r1 = min(pred.height, r1 + IOU_DILATION)
+    c1 = min(pred.width, c1 + IOU_DILATION)
     code = component.cls.label
     a = pred.data[r0:r1, c0:c1] == code
     b = gt.data[r0:r1, c0:c1] == code

@@ -237,7 +237,7 @@ def test_criterion_06_end_to_end_localization():
         }
         matched = set()
         for cls in (ObjectClass.BRICK, ObjectClass.PIPE):
-            for comp in connected_components(masks.labels, cls):
+            for comp in connected_components(masks, cls):
                 center_cam = component_center_3d(comp, rr.depth, DEFAULT_INTRINSICS)
                 center = transform_to_arm(center_cam, cam_to_arm).as_array()
                 oid = min(

@@ -210,6 +210,17 @@ def test_occlusion_keeps_the_nearer_surface():
     assert depth.data.min() == pytest.approx(1.2 - 0.30, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_box_cast_ignores_overflow_on_near_parallel_rays():
+    # a yaw of 2.2e-313 leaves ray directions so close to zero in the brick's
+    # frame that dividing by them overflows; the parallel-ray test drops them
+    k = Intrinsics(fx=60.0, fy=60.0, cx=32.0, cy=24.0, width=64, height=48)
+    scene = Scene(objects=(brick("b", 0.0, 0.0, 2.2e-313),), camera_mount=NADIR_CAM)
+    labels, depth = render(scene, k)
+    assert (labels.data == 1).any()
+    assert depth.data.min() == pytest.approx(1.2 - 0.057, abs=1e-12)
+
+
 # --- noise ----------------------------------------------------------------------
 
 

@@ -178,6 +178,13 @@ _HOLES = {"op": "holes", "fraction": 0.1, "seed": 0}
         (_set("seed", 2**63), "seed"),
         (_set("corruptions", [{**_HOLES, "seed": -5}]), "corruptions[0]"),
         (_set("corruptions", [{**_HOLES, "seed": 2**63}]), "corruptions[0]"),
+        (_set("camera", "noise", "sigma", 1e308), "camera.noise.sigma"),
+        (_set("camera", "noise", "bias", 1e308), "camera.noise.bias"),
+        (
+            _set("injections", "depth_bias", [{"id": "b", "bias": 1e308}]),
+            "injections.depth_bias[0].bias",
+        ),
+        (_set("arm", "phase_durations", "descend", 1e308), "arm.phase_durations"),
     ],
 )
 def test_simulate_rejects_bad_value_with_its_path(tmp_path, capsys, mutate, path):

@@ -600,10 +600,9 @@ def test_empty_frames_skip_segmentation_and_targets(monkeypatch):
             continue
         # what the full path would have published for this frame
         images = fd.images()
-        kept = orchestrator._ops_in_view(ops, images.instances)
-        full = orchestrator.segment(images.labels, kept, seed=0, instances=images.instances)
-        assert _same_bits(mask.payload.data, full.labels.data)
-        assert mask.t == fd.t_capture + full.latency
+        full = orchestrator.segment(images.labels, ops, seed=0, instances=images.instances)
+        assert _same_bits(mask.payload.data, full.data)
+        assert mask.t == fd.t_capture + SEG_LATENCY
         assert tgt.payload.targets == ()
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from clearbot.camera import InstanceImage, LabelImage
 from clearbot.geometry import MaskComponent, connected_components
@@ -14,7 +16,6 @@ from clearbot.segmentation import (
     Erode,
     Holes,
     Relabel,
-    UnknownObjectId,
     mask_iou,
     segment,
 )
@@ -73,12 +74,7 @@ def component_count(labels: LabelImage, code: int) -> int:
 def test_no_ops_is_identity():
     gt = rect_labels()
     res = segment(gt, [])
-    assert np.array_equal(res.labels.data, gt.data)
-    assert res.latency == pytest.approx(1.0 / 21.0)
-
-
-def test_latency_passthrough():
-    assert segment(rect_labels(), [], latency=0.125).latency == 0.125
+    assert np.array_equal(res.data, gt.data)
 
 
 def test_segment_leaves_input_untouched():
@@ -99,7 +95,7 @@ def test_unknown_op_type_rejected():
 def test_erode_solid_rectangle_against_oracle():
     gt = rect_labels()  # 20 x 40 solid block
     res = segment(gt, [Erode(2)])
-    got = res.labels.data == 1
+    got = res.data == 1
     want = erode_oracle(gt.data == 1, 2)
     assert np.array_equal(got, want)
     area = int(got.sum())
@@ -112,13 +108,13 @@ def test_erode_random_masks_against_oracle():
     for radius in (1, 2, 3):
         data = (rng.random((48, 48)) < 0.6).astype(np.uint8)
         res = segment(LabelImage(data), [Erode(radius)])
-        assert np.array_equal(res.labels.data == 1, erode_oracle(data == 1, radius))
+        assert np.array_equal(res.data == 1, erode_oracle(data == 1, radius))
 
 
 def test_erode_never_adds_pixels():
     rng = np.random.default_rng(41)
     data = (rng.random((40, 40)) < 0.5).astype(np.uint8) * 2
-    out = segment(LabelImage(data), [Erode(1)]).labels.data
+    out = segment(LabelImage(data), [Erode(1)]).data
     assert not np.any(out[data == 0])
 
 
@@ -126,7 +122,7 @@ def test_erode_treats_classes_independently():
     data = np.zeros((32, 32), dtype=np.uint8)
     data[4:14, 4:14] = 1
     data[4:14, 14:24] = 2  # touching regions of different classes
-    out = segment(LabelImage(data), [Erode(1)]).labels.data
+    out = segment(LabelImage(data), [Erode(1)]).data
     want1 = erode_oracle(data == 1, 1)
     want2 = erode_oracle(data == 2, 1)
     assert np.array_equal(out == 1, want1)
@@ -144,15 +140,15 @@ def test_erode_radius_validation():
 def test_holes_zero_fraction_is_identity():
     gt = rect_labels()
     res = segment(gt, [Holes(0.0)])
-    assert np.array_equal(res.labels.data, gt.data)
+    assert np.array_equal(res.data, gt.data)
 
 
 def test_holes_is_seed_deterministic():
     gt = rect_labels()
-    a = segment(gt, [Holes(0.3, seed=5)], seed=9).labels.data
-    b = segment(gt, [Holes(0.3, seed=5)], seed=9).labels.data
-    c = segment(gt, [Holes(0.3, seed=6)], seed=9).labels.data
-    d = segment(gt, [Holes(0.3, seed=5)], seed=10).labels.data
+    a = segment(gt, [Holes(0.3, seed=5)], seed=9).data
+    b = segment(gt, [Holes(0.3, seed=5)], seed=9).data
+    c = segment(gt, [Holes(0.3, seed=6)], seed=9).data
+    d = segment(gt, [Holes(0.3, seed=5)], seed=10).data
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
@@ -160,14 +156,14 @@ def test_holes_is_seed_deterministic():
 
 def test_holes_fraction_statistics():
     gt = rect_labels(0, 50, 0, 50)  # 2500 labeled pixels
-    out = segment(gt, [Holes(0.3, seed=2)], seed=1).labels.data
+    out = segment(gt, [Holes(0.3, seed=2)], seed=1).data
     removed = int((gt.data == 1).sum() - (out == 1).sum())
     assert 0.25 * 2500 < removed < 0.35 * 2500
 
 
 def test_holes_never_adds_pixels():
     gt = rect_labels()
-    out = segment(gt, [Holes(0.5, seed=3)]).labels.data
+    out = segment(gt, [Holes(0.5, seed=3)]).data
     assert not np.any(out[gt.data == 0])
     assert np.all(gt.data[out == 1] == 1)
 
@@ -187,7 +183,7 @@ def test_cut_band_splits_elongated_mask():
     inst = rect_instances(20, 32, 5, 55)
     assert component_count(gt, 1) == 1
     res = segment(gt, [CutBand("t1", 3)], instances=inst)
-    assert component_count(res.labels, 1) >= 2
+    assert component_count(res, 1) >= 2
 
 
 def test_cut_band_only_removes_target_pixels():
@@ -198,7 +194,7 @@ def test_cut_band_only_removes_target_pixels():
     idx[20:32, 5:55] = 0
     idx[40:50, 10:20] = 1
     inst = InstanceImage(idx, ("t1", "other"))
-    out = segment(LabelImage(data), [CutBand("t1", 3)], instances=inst).labels.data
+    out = segment(LabelImage(data), [CutBand("t1", 3)], instances=inst).data
     removed = (data != 0) & (out == 0)
     assert removed.any()
     assert np.all(idx[removed] == 0)  # every removed pixel belonged to t1
@@ -208,24 +204,24 @@ def test_cut_band_only_removes_target_pixels():
 def test_cut_band_width_scales_removed_area():
     gt = rect_labels(20, 32, 5, 55)
     inst = rect_instances(20, 32, 5, 55)
-    narrow = segment(gt, [CutBand("t1", 2)], instances=inst).labels.data
-    wide = segment(gt, [CutBand("t1", 6)], instances=inst).labels.data
+    narrow = segment(gt, [CutBand("t1", 2)], instances=inst).data
+    wide = segment(gt, [CutBand("t1", 6)], instances=inst).data
     assert (narrow == 1).sum() > (wide == 1).sum()
 
 
 def test_cut_band_unknown_target():
     gt = rect_labels()
-    with pytest.raises(UnknownObjectId):
-        segment(gt, [CutBand("ghost", 3)], instances=rect_instances())
-    with pytest.raises(UnknownObjectId):
-        segment(gt, [CutBand("t1", 3)], instances=None)
+    out = segment(gt, [CutBand("ghost", 3)], instances=rect_instances())
+    assert np.array_equal(out.data, gt.data)
+    out = segment(gt, [CutBand("t1", 3)], instances=None)
+    assert np.array_equal(out.data, gt.data)
 
 
 def test_cut_band_target_without_pixels():
     idx = np.full((64, 64), -1, dtype=np.int32)
     inst = InstanceImage(idx, ("t1",))
-    with pytest.raises(UnknownObjectId):
-        segment(rect_labels(), [CutBand("t1", 3)], instances=inst)
+    out = segment(rect_labels(), [CutBand("t1", 3)], instances=inst)
+    assert np.array_equal(out.data, rect_labels().data)
 
 
 def test_cut_band_validation():
@@ -238,14 +234,14 @@ def test_cut_band_validation():
 
 def test_relabel_flips_classes_in_window():
     gt = rect_labels(10, 30, 5, 45, code=1)
-    out = segment(gt, [Relabel((10, 20, 5, 25), 2)]).labels.data
+    out = segment(gt, [Relabel((10, 20, 5, 25), 2)]).data
     assert np.all(out[10:20, 5:25] == 2)
     assert np.all(out[20:30, 5:45] == 1)
 
 
 def test_relabel_leaves_floor_pixels_alone():
     gt = rect_labels(10, 30, 5, 45)
-    out = segment(gt, [Relabel((0, 64, 0, 64), 2)]).labels.data
+    out = segment(gt, [Relabel((0, 64, 0, 64), 2)]).data
     assert np.all(out[gt.data == 0] == 0)
     assert np.all(out[gt.data == 1] == 2)
 
@@ -263,8 +259,8 @@ def test_relabel_validation():
 def test_ops_apply_in_order():
     # erode-then-holes differs from holes-then-erode almost surely
     gt = rect_labels()
-    a = segment(gt, [Erode(2), Holes(0.3, seed=1)]).labels.data
-    b = segment(gt, [Holes(0.3, seed=1), Erode(2)]).labels.data
+    a = segment(gt, [Erode(2), Holes(0.3, seed=1)]).data
+    b = segment(gt, [Holes(0.3, seed=1), Erode(2)]).data
     assert not np.array_equal(a, b)
 
 
@@ -272,8 +268,86 @@ def test_corruption_is_monotone_nonincreasing():
     gt = rect_labels()
     chained = segment(
         gt, [Erode(1), Holes(0.2, seed=4), Relabel((0, 64, 0, 64), 1)]
-    ).labels.data
+    ).data
     assert not np.any(chained[gt.data == 0])
+
+
+# --- cuts out of view -------------------------------------------------------------------
+
+
+def ops_in_view(ops, instances):
+    """The filter the simulation ran before ``segment`` skipped out-of-view
+    cuts itself: drop each cut whose target has no pixels in the frame."""
+    kept = []
+    for op in ops:
+        if isinstance(op, CutBand):
+            if instances is None or op.target_id not in instances.ids:
+                continue
+            rows, _ = instances.pixels_of(op.target_id)
+            if len(rows) == 0:
+                continue
+        kept.append(op)
+    return kept
+
+
+@st.composite
+def frames_with_ops(draw):
+    """Labels, instances and ops; the ops cut listed targets with and
+    without pixels, an unlisted target, or a frame without instances."""
+    h, w = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.integers(0, 3, (h, w)).astype(np.uint8)
+    # objects o0..o{n-1} are listed; only o0..o{drawn-1} can have pixels
+    n = draw(st.integers(0, 4))
+    drawn = draw(st.integers(0, n))
+    index = np.where(labels > 0, rng.integers(-1, drawn, (h, w)), -1).astype(np.int32)
+    windows = None
+    if draw(st.booleans()):
+        windows = {}
+        for i in range(n):
+            rows, cols = np.nonzero(index == i)
+            if len(rows):
+                windows[i] = (rows.min(), rows.max() + 1, cols.min(), cols.max() + 1)
+    instances = InstanceImage(index, tuple(f"o{i}" for i in range(n)), windows)
+    if draw(st.booleans()):
+        instances = None
+
+    targets = st.sampled_from([f"o{i}" for i in range(n)] + ["ghost"])
+    region = st.tuples(
+        st.integers(0, h - 1), st.integers(1, h), st.integers(0, w - 1), st.integers(1, w)
+    )
+    op = st.one_of(
+        st.builds(Erode, st.integers(1, 2)),
+        st.builds(Holes, st.floats(0.0, 0.9), st.integers(0, 2**32)),
+        st.builds(CutBand, targets, st.integers(1, 4)),
+        st.builds(
+            lambda r, cls: Relabel((r[0], r[0] + r[1], r[2], r[2] + r[3]), cls),
+            region,
+            st.integers(0, 2),
+        ),
+    )
+    ops = draw(st.lists(op, max_size=6))
+    return LabelImage(labels), instances, ops, draw(st.integers(0, 2**32))
+
+
+@settings(deadline=None, max_examples=300)
+@given(frames_with_ops())
+@example((rect_labels(), rect_instances(), [CutBand("ghost", 3), Holes(0.5, seed=1)], 4))
+@example((rect_labels(), None, [CutBand("t1", 3), Holes(0.5, seed=1)], 4))
+@example(
+    (
+        rect_labels(),
+        InstanceImage(np.full((64, 64), -1, dtype=np.int32), ("t1",)),
+        [Erode(1), CutBand("t1", 3), Holes(0.5, seed=1)],
+        4,
+    )
+)
+def test_segment_skips_cuts_out_of_view_like_the_filter_it_replaced(case):
+    labels, instances, ops, seed = case
+    got = segment(labels, ops, seed=seed, instances=instances)
+    kept = ops_in_view(ops, instances)
+    want = segment(labels, kept, seed=seed, instances=instances)
+    assert got.data.tobytes() == want.data.tobytes()
 
 
 # --- iou ------------------------------------------------------------------------------
