@@ -178,7 +178,11 @@ _HOLES = {"op": "holes", "fraction": 0.1, "seed": 0}
         (_set("seed", 2**63), "seed"),
         (_set("corruptions", [{**_HOLES, "seed": -5}]), "corruptions[0]"),
         (_set("corruptions", [{**_HOLES, "seed": 2**63}]), "corruptions[0]"),
-        (_set("camera", "noise", "sigma", 1e308), "camera.noise.sigma"),
+        pytest.param(
+            _set("camera", "noise", "sigma", 1e308),
+            "camera.noise.sigma",
+            id="mutate-camera.noise.sigma-too-large",
+        ),
         (_set("camera", "noise", "bias", 1e308), "camera.noise.bias"),
         (
             _set("injections", "depth_bias", [{"id": "b", "bias": 1e308}]),
