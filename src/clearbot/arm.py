@@ -32,10 +32,6 @@ from .geometry import (
 from .scene import BrickDims, ObjectSpec, PipeDims
 
 
-class InvalidTarget(ValueError):
-    """Raised when a pick command is malformed."""
-
-
 class MotionPhase(enum.Enum):
     HOME = "home"
     MOVE_ABOVE = "move_above"
@@ -82,6 +78,7 @@ class ArmConfig:
     gripper_max_opening: float = 0.12
     boundary_margin: float = 0.05
     envelope: ReachEnvelope = DEFAULT_ENVELOPE
+    # checked and covered by the config digest; the pick sequence never reads it
     drop_pose: Point3 = Point3(0.0, -0.45, 0.10, Frame.ARM)
     adaptive_order: bool = False
 
@@ -172,13 +169,10 @@ def effective_grasp_width(obj: ObjectSpec, yaw_error: float) -> float:
 
 
 class Arm:
-    """Stateful arm: runs pick sequences and tracks what the gripper holds."""
+    """Runs pick sequences under one configuration; it keeps no other state."""
 
     def __init__(self, config: ArmConfig = DEFAULT_ARM_CONFIG) -> None:
         self.config = config
-        self.held: Optional[str] = None
-        # (object id, drop pose, sim time) for every completed release
-        self.drops: list[tuple[str, Point3, float]] = []
 
     def execute_pick(
         self,
@@ -190,13 +184,9 @@ class Arm:
         """Run the pick sequence against the true object pose.
 
         ``truth`` carries the object pose expressed in the arm frame;
-        ``floor_z`` is the workspace floor height in the arm frame.
+        ``floor_z`` is the workspace floor height in the arm frame; a
+        :class:`GraspTarget` is always in the arm frame.
         """
-        if target.center.frame is not Frame.ARM:
-            raise InvalidTarget("grasp target must be expressed in the arm frame")
-        if self.held is not None:
-            raise InvalidTarget(f"gripper already holds {self.held!r}")
-
         cfg = self.config
         xy_error = math.hypot(target.center.x - truth.x, target.center.y - truth.y)
         z_error = abs(target.center.z - (floor_z + truth.top_height))
@@ -247,12 +237,7 @@ class Arm:
                 run(MotionPhase.MOVE_ABOVE)
                 return result(PickOutcome.BOUNDARY_COLLISION)
             run(phase)
-            if phase is MotionPhase.GRASP:
-                if not grasp_ok:
-                    run(MotionPhase.RETURN_HOME)
-                    return result(PickOutcome.MISSED_GRASP)
-                self.held = truth.id
-            elif phase is MotionPhase.RELEASE:
-                self.drops.append((truth.id, cfg.drop_pose, trace[-1][2]))
-                self.held = None
+            if phase is MotionPhase.GRASP and not grasp_ok:
+                run(MotionPhase.RETURN_HOME)
+                return result(PickOutcome.MISSED_GRASP)
         return result(PickOutcome.SUCCESS)

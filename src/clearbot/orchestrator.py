@@ -76,7 +76,6 @@ from .scene import (
     PipeDims,
     Pose2D,
     Scene,
-    WorldState,
     validate_scene,
     world_to_robot,
 )
@@ -310,7 +309,6 @@ def attribute_failure(
     diag: AttemptDiagnostics,
     position_tolerance: float = DEFAULT_ARM_CONFIG.position_tolerance,
     yaw_tolerance: float = DEFAULT_ARM_CONFIG.yaw_tolerance,
-    tau_iou: float = TAU_IOU,
 ) -> frozenset[FailureModule]:
     """Blame the pipeline stages whose output broke tolerance.
 
@@ -323,7 +321,7 @@ def attribute_failure(
     if diag.outcome is PickOutcome.SUCCESS:
         return frozenset()
     blamed: set[FailureModule] = set()
-    mask_ok = diag.iou >= tau_iou
+    mask_ok = diag.iou >= TAU_IOU
     if mask_ok and diag.median_depth_error > position_tolerance:
         blamed.add(FailureModule.CAMERA)
     if not mask_ok:
@@ -528,26 +526,38 @@ def match_component(comp: MaskComponent, instances: InstanceImage) -> Optional[s
     return instances.ids[int(np.bincount(votes).argmax())]
 
 
-def replay_grasp_targets(
-    frames: Sequence[MessageEnvelope],
-    masks: Sequence[MessageEnvelope],
+def perceive_frame(
+    fd: FrameData,
+    images: FrameImages,
     cfg: ScenarioConfig,
-) -> list[GraspTargetsPayload]:
-    """Recompute every GraspTargets payload from logged frames and masks."""
+    cam_to_arm: RigidTransform,
+) -> tuple[LabelImage, tuple[TargetRecord, ...], tuple[MaskComponent, ...]]:
+    """Segment one frame and compute its grasp targets.
+
+    The step loop and :func:`replay_grasp_targets` both perceive through
+    this function, so a replay runs the very code the run did.
+    """
+    if not fd.patches:
+        # an empty frame's mask is all floor: every op maps zeros to
+        # zeros and no cut has a target in view, so it has no component
+        return LabelImage(np.zeros(fd.shape, dtype=np.uint8)), (), ()
+    mask = segment(images.labels, cfg.seg_ops, seed=cfg.seed, instances=images.instances)
+    targets, comps = compute_targets(
+        mask, images.depth, cfg.intrinsics, cam_to_arm, cfg.arm.envelope
+    )
+    return mask, targets, comps
+
+
+def replay_grasp_targets(
+    frames: Sequence[MessageEnvelope], cfg: ScenarioConfig
+) -> list[tuple[np.ndarray, GraspTargetsPayload]]:
+    """Recompute every frame's mask and GraspTargets payload from the logged frames."""
     cam_to_arm = camera_to_arm_transform(cfg.camera_mount, cfg.arm_mount)
-    frame_by_index = {env.payload.frame_index: env.payload for env in frames}
     out = []
-    for env in masks:
-        mask: MaskData = env.payload
-        fd = frame_by_index[mask.frame_index]
-        targets, _ = compute_targets(
-            LabelImage(mask.data),
-            fd.images().depth,
-            cfg.intrinsics,
-            cam_to_arm,
-            cfg.arm.envelope,
-        )
-        out.append(GraspTargetsPayload(frame_index=mask.frame_index, targets=targets))
+    for env in frames:
+        fd: FrameData = env.payload
+        mask, targets, _ = perceive_frame(fd, fd.images(), cfg, cam_to_arm)
+        out.append((mask.data, GraspTargetsPayload(frame_index=fd.frame_index, targets=targets)))
     return out
 
 
@@ -589,8 +599,8 @@ class PipelineState(enum.Enum):
     DONE = "Done"
 
 
+# mixed into each frame's depth-noise seed
 _NOISE_TAG = 1
-_INJECT_TAG = 2
 
 
 class Simulation:
@@ -604,15 +614,17 @@ class Simulation:
         self.clock = SimClock()
         self.bus = MessageBus()
         self.arm = Arm(cfg.arm)
-        self.world = WorldState(scene=cfg.initial_scene())
+        self.scene = cfg.initial_scene()
+        # (object id, release time) of every picked object, in pick order
+        self.removed: list[tuple[str, float]] = []
         self.cam_to_arm = camera_to_arm_transform(cfg.camera_mount, cfg.arm_mount)
         self.state = PipelineState.DRIVING
         self.frame_index = 0
         self.distance = 0.0
-        self.attempted: set[str] = set()
         self.abandoned: set[str] = set()
-        self.records: list[AttemptRecord] = []
-        self._heading = self.world.scene.ugv.heading
+        # one record per attempted object, in attempt order
+        self.records: dict[str, AttemptRecord] = {}
+        self._heading = self.scene.ugv.heading
         self._pending_stop: Optional[ControlStopPayload] = None
 
     # -- kinematics --
@@ -629,36 +641,32 @@ class Simulation:
     def _drive(self, dt: float) -> None:
         self.clock.advance(dt)
         self.distance += self.cfg.speed * dt
-        scene = dataclasses.replace(
-            self.world.scene, ugv=self._pose_at_distance(self.distance)
-        )
-        self.world = WorldState(scene, self.clock.now(), self.world.removed)
+        self.scene = dataclasses.replace(self.scene, ugv=self._pose_at_distance(self.distance))
 
     # -- perception --
 
     def _capture(
         self, standstill: bool, inject_for: Optional[str]
     ) -> tuple[FrameData, FrameImages]:
-        rr = render_full(self.world.scene, self.cfg.intrinsics)
+        rr = render_full(self.scene, self.cfg.intrinsics)
         depth = rr.depth
         if not self.cfg.noise.is_identity:
-            seed = _derived_seed(self.cfg.seed, _NOISE_TAG, self.frame_index)
+            seed = np.random.SeedSequence([self.cfg.seed, _NOISE_TAG, self.frame_index])
             depth = apply_noise(depth, self.cfg.noise, seed)
         if inject_for is not None:
             bias = next(
                 inj.bias for inj in self.cfg.injections if inj.object_id == inject_for
             )
-            seed = _derived_seed(self.cfg.seed, _INJECT_TAG, self.frame_index)
-            depth = apply_noise(depth, DepthNoiseModel(bias=bias), seed)
+            depth = DepthImage(np.where(depth.valid_mask(), depth.data + bias, depth.data))
         fd = FrameData(
             frame_index=self.frame_index,
             t_capture=self.clock.now(),
-            ugv=self.world.scene.ugv,
+            ugv=self.scene.ugv,
             standstill=standstill,
             shape=(self.cfg.intrinsics.height, self.cfg.intrinsics.width),
             floor_depth=rr.floor_depth,
             patches=rr.patches,
-            object_ids=tuple(o.id for o in self.world.scene.objects),
+            object_ids=tuple(o.id for o in self.scene.objects),
             dense_depth=None if depth is rr.depth else depth.data,
         )
         self.bus.publish(Topic.CAMERA_FRAMES, fd.t_capture, fd)
@@ -676,7 +684,7 @@ class Simulation:
             if not rec.in_reach or rec.border:
                 continue
             matched = match_component(comps[rec.component_index], images.instances)
-            if matched is None or matched in self.attempted or matched in self.abandoned:
+            if matched is None or matched in self.records or matched in self.abandoned:
                 continue
             dist = math.hypot(rec.center[0], rec.center[1])
             key = (dist, rec.seed_pixel)
@@ -693,21 +701,7 @@ class Simulation:
         published, and the selection (None when nothing is actionable).
         """
         fd, images = self._capture(standstill, inject_for)
-        if fd.patches:
-            mask = segment(
-                images.labels, self.cfg.seg_ops, seed=self.cfg.seed, instances=images.instances
-            )
-            targets, comps = compute_targets(
-                mask,
-                images.depth,
-                self.cfg.intrinsics,
-                self.cam_to_arm,
-                self.cfg.arm.envelope,
-            )
-        else:
-            # an empty frame's mask is all floor: every op maps zeros to
-            # zeros and no cut has a target in view, so it has no component
-            mask, targets, comps = LabelImage(np.zeros(fd.shape, dtype=np.uint8)), (), ()
+        mask, targets, comps = perceive_frame(fd, images, self.cfg, self.cam_to_arm)
         t_mask = fd.t_capture + SEG_LATENCY
         md = MaskData(
             frame_index=fd.frame_index, t_capture=fd.t_capture, data=mask.data, latency=SEG_LATENCY
@@ -792,12 +786,17 @@ class Simulation:
 
     def _next_frame_slot(self) -> int:
         """Index of the first camera frame at or after the clock."""
-        return math.ceil(self.clock.now() / self.cfg.frame_period - 1e-9)
+        now, period = self.clock.now(), self.cfg.frame_period
+        # the slack keeps a clock that sits on a slot, up to the rounding of
+        # the division, on that slot; a slot it leaves behind the clock is
+        # stepped past
+        n = math.ceil(now / period - 1e-9)
+        return n + 1 if n * period < now else n
 
     # -- the pick itself --
 
     def _truth_in_arm_frame(self, obj: ObjectSpec) -> ObjectSpec:
-        ugv = self.world.scene.ugv
+        ugv = self.scene.ugv
         mount = self.cfg.arm_mount
         p_robot = world_to_robot(np.array([obj.x, obj.y, 0.0]), ugv)
         c, s = math.cos(-mount.yaw), math.sin(-mount.yaw)
@@ -817,12 +816,11 @@ class Simulation:
         frame_index: int,
         images: FrameImages,
     ) -> None:
-        truth_world = self.world.scene.object_by_id(matched)
+        truth_world = self.scene.object_by_id(matched)
         truth_arm = self._truth_in_arm_frame(truth_world)
         floor_z = -self.cfg.arm_mount.z
         grasp = rec.to_grasp_target(frame_seq=frame_index)
         result: PickResult = self.arm.execute_pick(grasp, truth_arm, self.clock, floor_z)
-        self.attempted.add(matched)
 
         diag = self._diagnose(rec, comp, matched, images, truth_arm, result, floor_z)
         attribution: tuple[str, ...] = ()
@@ -851,25 +849,24 @@ class Simulation:
         )
         self.bus.publish(Topic.ARM_STATUS, self.clock.now(), status)
 
-        self.records.append(
-            AttemptRecord(
-                object_id=matched,
-                cls=truth_world.cls.value,
-                outcome=result.outcome.value,
-                cause=_describe_cause(result, self.cfg.arm),
-                attribution=attribution,
-                elapsed_s=result.elapsed_s,
-                center_error_m=diag.center_error,
-                yaw_error_rad=diag.yaw_error,
-                mask_iou=diag.iou,
-            )
+        self.records[matched] = AttemptRecord(
+            object_id=matched,
+            cls=truth_world.cls.value,
+            outcome=result.outcome.value,
+            cause=_describe_cause(result, self.cfg.arm),
+            attribution=attribution,
+            elapsed_s=result.elapsed_s,
+            center_error_m=diag.center_error,
+            yaw_error_rad=diag.yaw_error,
+            mask_iou=diag.iou,
         )
         if result.outcome is PickOutcome.SUCCESS:
             # the object leaves the scene when the gripper opens, not at
             # the end of the return-home leg
             release = result.release_time
             assert release is not None
-            self.world = self.world.remove_object(matched, release)
+            self.scene = self.scene.without(matched)
+            self.removed.append((matched, release))
 
     def _diagnose(
         self,
@@ -918,7 +915,7 @@ class Simulation:
             if steps > MAX_STEPS:
                 raise RuntimeError("simulation did not terminate")
         succeeded = sum(
-            1 for r in self.records if r.outcome == PickOutcome.SUCCESS.value
+            1 for r in self.records.values() if r.outcome == PickOutcome.SUCCESS.value
         )
         return RunReport(
             name=self.cfg.name,
@@ -927,12 +924,8 @@ class Simulation:
             log_digest=hashlib.sha256(messages_to_ndjson(self.bus).encode()).hexdigest(),
             attempted=len(self.records),
             succeeded=succeeded,
-            records=tuple(self.records),
+            records=tuple(self.records.values()),
         )
-
-
-def _derived_seed(seed: int, tag: int, frame: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence([seed, tag, frame])
 
 
 def _describe_cause(result: PickResult, cfg: ArmConfig) -> str:

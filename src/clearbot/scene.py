@@ -441,26 +441,3 @@ def robot_to_world(p, ugv: Pose2D) -> np.ndarray:
     out[..., 2] = p[..., 2]
     return out
 
-
-@dataclass(frozen=True)
-class WorldState:
-    """Scene plus simulated time and the ledger of removed objects."""
-
-    scene: Scene
-    sim_time: float = 0.0
-    removed: tuple[tuple[str, float], ...] = ()
-
-    def __post_init__(self) -> None:
-        live = {o.id for o in self.scene.objects}
-        gone = [rid for rid, _ in self.removed]
-        if len(set(gone)) != len(gone):
-            raise ValueError("removal ledger contains duplicate ids")
-        if live & set(gone):
-            raise ValueError("removed objects still present in scene")
-
-    def remove_object(self, object_id: str, t: float) -> "WorldState":
-        return WorldState(
-            scene=self.scene.without(object_id),
-            sim_time=max(self.sim_time, t),
-            removed=self.removed + ((object_id, float(t)),),
-        )

@@ -295,22 +295,23 @@ def test_criterion_09_determinism_and_replay(benchmark_run, benchmark_rerun):
         report_b, sim_b = benchmark_rerun
         assert report_to_json(report_a) == report_to_json(report_b)
         assert messages_to_ndjson(sim_a.bus) == messages_to_ndjson(sim_b.bus)
-        replayed = replay_grasp_targets(
-            sim_a.bus.history(Topic.CAMERA_FRAMES),
-            sim_a.bus.history(Topic.SEGMENTATION_MASKS),
-            sim_a.cfg,
-        )
-        assert replayed == [e.payload for e in sim_a.bus.history(Topic.GRASP_TARGETS)]
+        replayed = replay_grasp_targets(sim_a.bus.history(Topic.CAMERA_FRAMES), sim_a.cfg)
+        targets = [e.payload for e in sim_a.bus.history(Topic.GRASP_TARGETS)]
+        assert [payload for _, payload in replayed] == targets
+        masks = [e.payload.data for e in sim_a.bus.history(Topic.SEGMENTATION_MASKS)]
+        assert len(masks) == len(replayed)
+        for (mask, _), logged in zip(replayed, masks):
+            assert mask.dtype == logged.dtype and mask.tobytes() == logged.tobytes()
 
 
 def test_criterion_10_causality_and_conservation():
     with criterion(10, "messages stay ordered and causal; objects are conserved; the vehicle holds still to pick"):
         sim = Simulation(build_benchmark_config())
-        total = len(sim.world.scene.objects)
+        total = len(sim.scene.objects)
         for _ in range(200_000):
             before = (sim.state, sim.distance)
             state = sim.step()
-            assert len(sim.world.scene.objects) + len(sim.world.removed) == total
+            assert len(sim.scene.objects) + len(sim.removed) == total
             if before[0] is PipelineState.PICKING:
                 assert sim.distance == before[1]  # zero velocity during the pick
             if state is PipelineState.DONE:

@@ -1,8 +1,7 @@
-"""Scripted pick sequence: timing, failure modes, and gripper bookkeeping."""
+"""Scripted pick sequence: timing, failure modes, and release times."""
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +10,6 @@ import pytest
 from clearbot.arm import (
     Arm,
     ArmConfig,
-    InvalidTarget,
     MotionPhase,
     PickOutcome,
     effective_grasp_width,
@@ -24,7 +22,6 @@ from clearbot.scene import (
     ObjectSpec,
     PipeDims,
     Scene,
-    WorldState,
 )
 
 BRICK_DIMS = BrickDims(0.20, 0.095, 0.057)
@@ -113,8 +110,7 @@ def test_perfect_pick_succeeds_in_exactly_twenty_seconds():
     assert result.outcome is PickOutcome.SUCCESS
     assert result.elapsed_s == 20.0
     assert clock.now() == 20.0
-    assert arm.held is None  # released at the drop pose
-    assert arm.drops == [("b", ArmConfig().drop_pose, 17.0)]
+    assert result.release_time == 17.0  # released at the drop pose
 
 
 def test_success_phase_trace_order_and_contiguity():
@@ -164,7 +160,6 @@ def test_unreachable_runs_no_phases():
     assert result.elapsed_s == 0.0
     assert clock.now() == 2.0  # clock untouched
     assert result.release_time is None
-    assert arm.held is None and arm.drops == []
 
 
 def test_depth_bias_misses_the_grasp():
@@ -180,7 +175,7 @@ def test_depth_bias_misses_the_grasp():
         MotionPhase.GRASP,
         MotionPhase.RETURN_HOME,
     ]
-    assert arm.held is None and arm.drops == []
+    assert result.release_time is None
 
 
 def test_xy_error_beyond_tolerance_misses():
@@ -224,7 +219,7 @@ def test_boundary_pick_collides_without_adaptive_order():
     assert result.outcome is PickOutcome.BOUNDARY_COLLISION
     assert result.elapsed_s == 4.0  # aborted during the lateral swing
     assert [p for p, _, _ in result.phases] == [MotionPhase.HOME, MotionPhase.MOVE_ABOVE]
-    assert arm.held is None
+    assert result.release_time is None
 
 
 def test_boundary_pick_succeeds_with_adaptive_order():
@@ -285,38 +280,25 @@ def test_adaptive_order_success_set_is_a_superset():
             assert adaptive_res.outcome is PickOutcome.SUCCESS
 
 
-# --- gripper state and the world ledger ----------------------------------------------
-
-
-def test_pick_while_holding_is_invalid():
-    truth = arm_truth(0.5, 0.0)
-    arm = Arm(ArmConfig())
-    arm.held = "prior"
-    with pytest.raises(InvalidTarget):
-        arm.execute_pick(target_for(truth), truth, FakeClock(), FLOOR_Z)
+# --- release and removal ---------------------------------------------------------
 
 
 def test_place_moves_object_to_ledger():
     # the simulation removes a picked object at its release time
     truth = arm_truth(0.5, 0.0)
-    world = WorldState(scene=Scene(objects=(truth,)), sim_time=40.0)
-    arm, _, result = run_pick(truth, target_for(truth), t0=40.0)
+    _, _, result = run_pick(truth, target_for(truth), t0=40.0)
     assert result.outcome is PickOutcome.SUCCESS
-    release = result.release_time
-    after = world.remove_object("b", release)
-    assert after.scene.objects == ()
-    assert after.removed == (("b", release),)
-    assert arm.held is None
-    assert arm.drops == [("b", ArmConfig().drop_pose, release)]
+    assert result.release_time == 57.0
+    assert Scene(objects=(truth,)).without("b").objects == ()
 
 
 def test_failed_pick_leaves_world_inputs_alone():
     truth = arm_truth(0.5, 0.0)
-    world = WorldState(scene=Scene(objects=(truth,)))
-    before = world.scene.objects
     _, _, result = run_pick(truth, target_for(truth, dz=0.03))
     assert result.outcome is PickOutcome.MISSED_GRASP
-    assert world.scene.objects == before and world.removed == ()
+    # no release, so the simulation removes nothing
+    assert result.release_time is None
+    assert MotionPhase.RELEASE not in [p for p, _, _ in result.phases]
 
 
 # --- configuration guards -------------------------------------------------------------

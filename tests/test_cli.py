@@ -80,6 +80,15 @@ def test_simulate_exit_1_when_a_pick_fails(tmp_path, capsys):
     assert rec["attribution"] == ["Camera"]
 
 
+def test_simulate_survives_a_clock_just_past_a_frame_slot(tmp_path, capsys):
+    # this braking lag leaves the clock a hair past a frame slot when the
+    # vehicle stops; the standstill capture must not step the clock back
+    scenario = write_scenario(tmp_path, one_brick_config(stop_latency=1.609047619047619))
+    code = cli.main(["simulate", "--scenario", scenario, "--out", str(tmp_path / "out")])
+    assert code in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_simulate_seed_flag_overrides_file(tmp_path, capsys):
     scenario = write_scenario(tmp_path, one_brick_config())
     out = tmp_path / "out"

@@ -4,6 +4,7 @@ and the built-in ten-object course."""
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from clearbot import orchestrator
 from clearbot.arm import DEFAULT_PHASE_DURATIONS, ArmConfig, PickOutcome
-from clearbot.camera import DepthNoiseModel, Intrinsics, render_full
+from clearbot.camera import DepthNoiseModel, Intrinsics, apply_noise, render_full
 from clearbot.geometry import Frame, Point3, ReachEnvelope
 from clearbot.orchestrator import (
     DISPATCH_LATENCY,
@@ -264,8 +265,8 @@ def test_single_brick_flow_stops_once_and_picks():
     log = sim.bus.log()
     assert log.index(stops[0]) < log.index(commands[0])
     assert stops[0].t < commands[0].t
-    assert sim.world.scene.objects == ()
-    assert sim.world.removed == (("b", pytest.approx(commands[0].t + 17.0)),)
+    assert sim.scene.objects == ()
+    assert sim.removed == [("b", pytest.approx(commands[0].t + 17.0))]
 
 
 def test_vehicle_holds_still_through_the_pick():
@@ -371,13 +372,17 @@ def test_adaptive_order_rescues_the_boundary_pipe(benchmark_run, adaptive_run):
 
 def test_objects_are_conserved_at_every_step():
     sim = Simulation(build_benchmark_config())
-    total = len(sim.world.scene.objects)
+    total = len(sim.scene.objects)
     for _ in range(100000):
         state = sim.step()
-        assert len(sim.world.scene.objects) + len(sim.world.removed) == total
+        assert len(sim.scene.objects) + len(sim.removed) == total
+        # each object is removed once, and a removed object is gone
+        gone = {oid for oid, _ in sim.removed}
+        assert len(gone) == len(sim.removed)
+        assert gone.isdisjoint(o.id for o in sim.scene.objects)
         if state is PipelineState.DONE:
             break
-    assert len(sim.world.removed) == 7
+    assert len(sim.removed) == 7
 
 
 def test_command_latency_is_fixed_and_subsecond(benchmark_run):
@@ -426,14 +431,14 @@ def test_same_seed_gives_byte_identical_reports(benchmark_run, benchmark_rerun):
 
 def test_grasp_targets_replay_exactly_from_the_log(benchmark_run):
     _, sim, _ = benchmark_run
-    replayed = replay_grasp_targets(
-        sim.bus.history(Topic.CAMERA_FRAMES),
-        sim.bus.history(Topic.SEGMENTATION_MASKS),
-        sim.cfg,
-    )
+    replayed = replay_grasp_targets(sim.bus.history(Topic.CAMERA_FRAMES), sim.cfg)
     published = [e.payload for e in sim.bus.history(Topic.GRASP_TARGETS)]
-    assert replayed == published
+    assert [payload for _, payload in replayed] == published
     assert len(published) > 0
+    logged = sim.bus.history(Topic.SEGMENTATION_MASKS)
+    assert len(logged) == len(replayed)
+    for (mask, _), env in zip(replayed, logged):
+        assert _same_bits(mask, env.payload.data)
 
 
 # --- one dense view per frame ------------------------------------------------------
@@ -484,13 +489,36 @@ def test_frame_images_recompose_bit_for_bit(capture):
     cfg, inject_for = capture
     sim = Simulation(cfg)
     fd, captured = sim._capture(standstill=False, inject_for=inject_for)
-    rr = render_full(sim.world.scene, cfg.intrinsics)
+    rr = render_full(sim.scene, cfg.intrinsics)
     view = fd.images()
     assert _same_bits(view.labels.data, rr.labels.data)
     assert _same_bits(view.clean_depth.data, rr.depth.data)
     assert _same_bits(view.instances.index, rr.instances.index)
     assert view.instances.ids == rr.instances.ids
     assert _same_bits(view.depth.data, captured.depth.data)
+
+
+@settings(deadline=None, max_examples=60)
+@given(capture=captures(), data=st.data())
+def test_depth_bias_injection_is_apply_noise_with_that_bias(capture, data):
+    # the injection offsets valid pixels only, bit for bit as apply_noise
+    # does for a bias-only model; biases that cancel a pixel's depth exactly
+    # are drawn too
+    cfg, _ = capture
+    assume(cfg.injections)
+    oid = cfg.injections[0].object_id
+    _, plain = Simulation(cfg)._capture(standstill=True, inject_for=None)
+    depth = plain.depth.data
+    cancelling = -depth[(depth > 0.0) & (depth < cfg.camera_mount.height)]
+    biases = floats(-1.0, 1.0)
+    if cancelling.size:
+        biases |= st.sampled_from(sorted(set(cancelling.tolist())))
+    bias = data.draw(biases)
+    sim = Simulation(dataclasses.replace(cfg, injections=(DepthBiasInjection(oid, bias),)))
+    _, injected = sim._capture(standstill=True, inject_for=oid)
+    seed = data.draw(st.integers(0, 2**32))
+    want = apply_noise(plain.depth, DepthNoiseModel(bias=bias), seed)
+    assert _same_bits(injected.depth.data, want.data)
 
 
 def test_step_loop_composes_no_frame(monkeypatch):
@@ -608,6 +636,25 @@ def test_empty_frames_skip_segmentation_and_targets(monkeypatch):
 
 def floats(lo: float, hi: float, **kwargs):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kwargs)
+
+
+@settings(deadline=None, max_examples=200)
+@given(period=floats(1e-3, 1.0), now=floats(0.0, 1e5))
+@example(period=1.0 / 21.0, now=35.0 / 21.0)
+@example(period=1.0 / 21.0, now=math.nextafter(35.0 / 21.0, math.inf))
+def test_next_frame_slot_never_lies_behind_the_clock(period, now):
+    sim = Simulation(tiny_scenario([], frame_period=period))
+    sim.clock = SimClock(now)
+    assert sim._next_frame_slot() * period >= now
+
+
+@settings(deadline=None, max_examples=200)
+@given(period=floats(1e-3, 1.0), k=st.integers(0, orchestrator.MAX_FRAME_SLOTS))
+def test_next_frame_slot_keeps_a_clock_on_its_slot(period, k):
+    # a clock that sits on slot k, as far as floats tell, stays there
+    sim = Simulation(tiny_scenario([], frame_period=period))
+    sim.clock = SimClock(k * period)
+    assert sim._next_frame_slot() == k
 
 
 @st.composite

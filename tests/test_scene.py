@@ -19,7 +19,6 @@ from clearbot.scene import (
     Pose2D,
     Scene,
     Violation,
-    WorldState,
     footprints_overlap,
     object_footprint,
     robot_to_world,
@@ -262,32 +261,7 @@ def test_world_to_robot_batched():
     assert np.array_equal(batched, rows)
 
 
-# --- world state ------------------------------------------------------------------
-
-
-def test_remove_object_moves_id_to_ledger():
-    w = WorldState(scene=Scene(objects=(brick_at("a", 0.0, 0.0),)), sim_time=1.0)
-    w2 = w.remove_object("a", 5.0)
-    assert w2.scene.objects == ()
-    assert w2.removed == (("a", 5.0),)
-    assert w2.sim_time == 5.0
-    # original state untouched
-    assert w.scene.objects[0].id == "a" and w.removed == ()
-
-
-def test_remove_object_never_rewinds_time():
-    w = WorldState(scene=Scene(objects=(brick_at("a", 0.0, 0.0),)), sim_time=9.0)
-    assert w.remove_object("a", 5.0).sim_time == 9.0
-
-
-def test_ledger_rejects_duplicates():
-    with pytest.raises(ValueError):
-        WorldState(scene=Scene(objects=()), removed=(("a", 1.0), ("a", 2.0)))
-
-
-def test_ledger_rejects_ids_still_in_scene():
-    with pytest.raises(ValueError):
-        WorldState(scene=Scene(objects=(brick_at("a", 0.0, 0.0),)), removed=(("a", 1.0),))
+# --- removal ---------------------------------------------------------------------
 
 
 def test_scene_without_unknown_id_raises():
