@@ -10,7 +10,7 @@ from clearbot.camera import (
     DEFAULT_INTRINSICS,
     encode_depth_pgm,
     encode_label_ppm,
-    render_full,
+    render,
 )
 from clearbot.scene import (
     ArmMount,
@@ -38,17 +38,17 @@ def main() -> None:
         camera_mount=CameraMount(1.05, 0.0, 1.2),
         arm_mount=ArmMount(0.40, 0.0, 0.15),
     )
-    rr = render_full(scene, DEFAULT_INTRINSICS)
+    label_image, depth_image = render(scene, DEFAULT_INTRINSICS)
 
-    labels = rr.labels.data
-    depth = rr.depth.data
+    labels = label_image.data
+    depth = depth_image.data
     print(f"image {labels.shape[1]}x{labels.shape[0]}")
-    print(f"floor depth {rr.floor_depth:.3f} m")
+    print(f"floor depth {scene.camera_mount.height:.3f} m")
     print(f"brick pixels {int((labels == 1).sum())}, pipe pixels {int((labels == 2).sum())}")
     print(f"depth range {depth[depth > 0].min():.3f}..{depth.max():.3f} m")
 
-    (out / "scene_labels.ppm").write_bytes(encode_label_ppm(rr.labels))
-    (out / "scene_depth.pgm").write_bytes(encode_depth_pgm(rr.depth))
+    (out / "scene_labels.ppm").write_bytes(encode_label_ppm(label_image))
+    (out / "scene_depth.pgm").write_bytes(encode_depth_pgm(depth_image))
     print(f"wrote {out / 'scene_labels.ppm'} and {out / 'scene_depth.pgm'}")
 
 

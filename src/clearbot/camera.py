@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -43,6 +43,11 @@ class InvalidScene(ValueError):
         super().__init__("; ".join(v.message for v in self.violations))
 
 
+#: most pixels an image may have (2048 x 2048); a frame holds several
+#: dense images of this size
+MAX_IMAGE_PIXELS = 2**22
+
+
 @dataclass(frozen=True)
 class Intrinsics:
     fx: float
@@ -57,6 +62,8 @@ class Intrinsics:
             raise ValueError("focal lengths must be positive")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("image dimensions must be positive")
+        if self.width * self.height > MAX_IMAGE_PIXELS:
+            raise ValueError("image area must be at most 2**22 pixels")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
 
@@ -118,22 +125,18 @@ Window = tuple[int, int, int, int]  # (r0, r1, c0, c1), half open
 class InstanceImage:
     """Per-pixel object index into ``ids`` (-1 where no object).
 
-    ``windows`` maps an object index to the pixel window that holds all of
-    its pixels (its render patch); an object with no window has no pixels.
-    Without ``windows`` the whole image is every object's window.
+    ``windows`` maps the id of each object in view to its index and the
+    pixel window that holds all of its pixels (its render patch); an object
+    not in ``windows`` has no pixels.
     """
 
     index: np.ndarray
     ids: tuple[str, ...]
-    windows: Optional[Mapping[int, Window]] = None
+    windows: Mapping[str, tuple[int, Window]]
 
     def pixels_of(self, object_id: str) -> tuple[np.ndarray, np.ndarray]:
         """Row and column indices of the object's pixels, in row-major order."""
-        idx = self.ids.index(object_id)
-        if self.windows is None:
-            r0, r1, c0, c1 = 0, self.index.shape[0], 0, self.index.shape[1]
-        else:
-            r0, r1, c0, c1 = self.windows.get(idx, (0, 0, 0, 0))
+        idx, (r0, r1, c0, c1) = self.windows.get(object_id, (-1, (0, 0, 0, 0)))
         rows, cols = np.nonzero(self.index[r0:r1, c0:c1] == idx)
         return rows + r0, cols + c0
 
@@ -185,16 +188,10 @@ class ObjectPatch:
 
 @dataclass(frozen=True)
 class RenderResult:
-    labels: LabelImage
-    depth: DepthImage
-    instances: InstanceImage
+    """What a render ray-casts; :func:`compose_patches` builds the images."""
+
     patches: tuple[ObjectPatch, ...]
     floor_depth: float
-
-
-def patch_windows(patches: Sequence[ObjectPatch]) -> dict[int, Window]:
-    """The pixel window of each patched object, by object index."""
-    return {p.obj_index: (p.r0, p.r1, p.c0, p.c1) for p in patches}
 
 
 def _reach(obj: ObjectSpec) -> float:
@@ -290,7 +287,8 @@ def _cast_cylinder(obj: ObjectSpec, o_l: np.ndarray, dlx, dly, dlz) -> np.ndarra
 
 
 def render_full(scene: Scene, k: Intrinsics) -> RenderResult:
-    """Ray-cast the scene at every pixel center (no validation; see render)."""
+    """Ray-cast each object that reaches the image into a patch of pixel
+    centers (no validation; see render)."""
     mount = scene.camera_mount
     cam_pos = robot_to_world(np.array([mount.x, mount.y, mount.height]), scene.ugv)
     heading = scene.ugv.heading
@@ -346,16 +344,7 @@ def render_full(scene: Scene, k: Intrinsics) -> RenderResult:
             continue
         patches.append(ObjectPatch(r0, r1, c0, c1, zeta, idx, obj.cls.label))
 
-    labels, depth, inst = compose_patches((k.height, k.width), floor_depth, patches)
-    return RenderResult(
-        labels=LabelImage(labels),
-        depth=DepthImage(depth),
-        instances=InstanceImage(
-            inst, tuple(o.id for o in scene.objects), patch_windows(patches)
-        ),
-        patches=tuple(patches),
-        floor_depth=floor_depth,
-    )
+    return RenderResult(patches=tuple(patches), floor_depth=floor_depth)
 
 
 def render(scene: Scene, k: Intrinsics) -> tuple[LabelImage, DepthImage]:
@@ -364,7 +353,8 @@ def render(scene: Scene, k: Intrinsics) -> tuple[LabelImage, DepthImage]:
     if violations:
         raise InvalidScene(violations)
     rr = render_full(scene, k)
-    return rr.labels, rr.depth
+    labels, depth, _ = compose_patches((k.height, k.width), rr.floor_depth, rr.patches)
+    return LabelImage(labels), DepthImage(depth)
 
 
 def compose_patches(

@@ -43,7 +43,6 @@ from .camera import (
     ObjectPatch,
     apply_noise,
     compose_patches,
-    patch_windows,
     render_full,
 )
 from .geometry import (
@@ -97,7 +96,7 @@ DISPATCH_LATENCY = 0.001
 
 TAU_IOU = 0.8
 
-# step limit of one run; validate_config rejects a course that needs more frames
+# frames a course may need; validate_config rejects a longer course
 MAX_STEPS = 200_000
 
 # frame periods a run may last (55 h at 21 Hz); keeps the clock's frame
@@ -204,14 +203,17 @@ class FrameData:
     dense_depth: Optional[np.ndarray] = None
 
     def images(self) -> FrameImages:
-        """Compose the dense images; they are not kept on the frame."""
-        lab, dep, inst = compose_patches(self.shape, self.floor_depth, self.patches)
+        """Compose the dense images; they are not kept on the frame. The
+        step loop perceives the view this builds at capture."""
+        lab, dep, index = compose_patches(self.shape, self.floor_depth, self.patches)
         clean = DepthImage(dep)
+        ids = self.object_ids
+        windows = {ids[p.obj_index]: (p.obj_index, (p.r0, p.r1, p.c0, p.c1)) for p in self.patches}
         return FrameImages(
             labels=LabelImage(lab),
             depth=clean if self.dense_depth is None else DepthImage(self.dense_depth),
             clean_depth=clean,
-            instances=InstanceImage(inst, self.object_ids, patch_windows(self.patches)),
+            instances=InstanceImage(index, ids, windows),
         )
 
 
@@ -449,6 +451,14 @@ def validate_config(cfg: ScenarioConfig) -> list[tuple[str, str]]:
         # the depth offset must leave the floor in front of the camera
         if height > 0 and not abs(value) < height:
             errors.append((path, f"must be under the camera height ({height:g} m)"))
+    if ends_ok:
+        # heights and a pipe's radius are already bounded by the camera height
+        lane = cfg.path_length()
+        for i, o in enumerate(cfg.objects):
+            for name in ("length", "width") if isinstance(o.dims, BrickDims) else ("length",):
+                if not getattr(o.dims, name) <= lane:
+                    msg = f"must be at most the path length ({lane:g} m)"
+                    errors.append((f"objects[{i}].dims.{name}", msg))
     ids = {o.id for o in cfg.objects}
     for i, inj in enumerate(cfg.injections):
         if inj.object_id not in ids:
@@ -649,15 +659,6 @@ class Simulation:
         self, standstill: bool, inject_for: Optional[str]
     ) -> tuple[FrameData, FrameImages]:
         rr = render_full(self.scene, self.cfg.intrinsics)
-        depth = rr.depth
-        if not self.cfg.noise.is_identity:
-            seed = np.random.SeedSequence([self.cfg.seed, _NOISE_TAG, self.frame_index])
-            depth = apply_noise(depth, self.cfg.noise, seed)
-        if inject_for is not None:
-            bias = next(
-                inj.bias for inj in self.cfg.injections if inj.object_id == inject_for
-            )
-            depth = DepthImage(np.where(depth.valid_mask(), depth.data + bias, depth.data))
         fd = FrameData(
             frame_index=self.frame_index,
             t_capture=self.clock.now(),
@@ -667,10 +668,20 @@ class Simulation:
             floor_depth=rr.floor_depth,
             patches=rr.patches,
             object_ids=tuple(o.id for o in self.scene.objects),
-            dense_depth=None if depth is rr.depth else depth.data,
         )
+        images = fd.images()
+        depth = images.depth
+        if not self.cfg.noise.is_identity:
+            seed = np.random.SeedSequence([self.cfg.seed, _NOISE_TAG, self.frame_index])
+            depth = apply_noise(depth, self.cfg.noise, seed)
+        bias = next((j.bias for j in self.cfg.injections if j.object_id == inject_for), None)
+        if bias is not None:
+            depth = DepthImage(np.where(depth.valid_mask(), depth.data + bias, depth.data))
+        if depth is not images.depth:
+            fd = dataclasses.replace(fd, dense_depth=depth.data)
+            images = dataclasses.replace(images, depth=depth)
         self.bus.publish(Topic.CAMERA_FRAMES, fd.t_capture, fd)
-        return fd, FrameImages(rr.labels, depth, rr.depth, rr.instances)
+        return fd, images
 
     def _select(
         self,
@@ -758,9 +769,7 @@ class Simulation:
         self.frame_index = n
         self.clock.advance(n * self.cfg.frame_period - self.clock.now())
 
-        injected = {inj.object_id for inj in self.cfg.injections}
-        inject_for = stop.trigger_id if stop.trigger_id in injected else None
-        fd, images, t_targets, chosen = self._perceive(standstill=True, inject_for=inject_for)
+        fd, images, t_targets, chosen = self._perceive(standstill=True, inject_for=stop.trigger_id)
         self.frame_index += 1
         if chosen is None:
             # nothing actionable from the standstill view; skip the trigger
@@ -908,12 +917,18 @@ class Simulation:
     # -- driver --
 
     def run(self) -> RunReport:
+        # a valid run takes one step per frame of the course, one to end the
+        # drive and one for rounding, plus at most four per object: each stop
+        # attempts or abandons a new object, and costs three steps and a frame
+        cfg = self.cfg
+        limit = math.ceil(cfg.path_length() / (cfg.speed * cfg.frame_period))
+        limit += 2 + 4 * len(cfg.objects)
         steps = 0
         while self.state is not PipelineState.DONE:
+            if steps == limit:
+                raise RuntimeError("simulation did not terminate")
             self.step()
             steps += 1
-            if steps > MAX_STEPS:
-                raise RuntimeError("simulation did not terminate")
         succeeded = sum(
             1 for r in self.records.values() if r.outcome == PickOutcome.SUCCESS.value
         )

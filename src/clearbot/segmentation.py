@@ -23,6 +23,10 @@ from .geometry import MaskComponent
 #: seeds lie in [0, SEED_LIMIT), so any seed is a valid SeedSequence entropy
 SEED_LIMIT = 2**63
 
+#: largest erosion radius; the erosion's cost grows with the square of the
+#: radius (on a full 512 x 256 mask, 0.1 s at radius 10 and 3 s at 50)
+MAX_ERODE_RADIUS = 10
+
 
 class EmptyUnion(ValueError):
     """Raised when an IoU is requested over a window with no class pixels."""
@@ -37,8 +41,8 @@ class Erode:
     radius: int
 
     def __post_init__(self) -> None:
-        if self.radius < 1:
-            raise ValueError("erosion radius must be >= 1")
+        if not 1 <= self.radius <= MAX_ERODE_RADIUS:
+            raise ValueError(f"erosion radius must be in [1, {MAX_ERODE_RADIUS}]")
 
 
 @dataclass(frozen=True)
@@ -149,9 +153,9 @@ def segment(
 ) -> LabelImage:
     """Apply corruption operators in order on top of the ground truth.
 
-    A cut whose target is out of view (not in ``instances``, without pixels
-    there, or no ``instances`` given) is skipped and takes no op index, so
-    the ``Holes`` ops after it draw the same pixels as if it were not listed.
+    A cut whose target is out of view (without pixels in ``instances``, or
+    no ``instances`` given) is skipped and takes no op index, so the
+    ``Holes`` ops after it draw the same pixels as if it were not listed.
     """
     data = gt.data.copy()
     op_index = 0
@@ -161,7 +165,7 @@ def segment(
         elif isinstance(op, Holes):
             data = _apply_holes(data, op, seed, op_index)
         elif isinstance(op, CutBand):
-            if instances is None or op.target_id not in instances.ids:
+            if instances is None:
                 continue
             rows, cols = instances.pixels_of(op.target_id)
             if len(rows) == 0:

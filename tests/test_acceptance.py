@@ -13,7 +13,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from clearbot.camera import DEFAULT_INTRINSICS, LabelImage, render_full
+from clearbot.camera import DEFAULT_INTRINSICS, LabelImage, render
 from clearbot.geometry import (
     Frame,
     MaskComponent,
@@ -225,8 +225,8 @@ def test_criterion_06_end_to_end_localization():
             objects=objects, ugv=Pose2D(0.0, 0.0, 0.0),
             camera_mount=camera, arm_mount=arm,
         )
-        rr = render_full(scene, DEFAULT_INTRINSICS)
-        masks = segment(rr.labels, ())  # oracle segmentation: untouched masks
+        labels, depth = render(scene, DEFAULT_INTRINSICS)
+        masks = segment(labels, ())  # oracle segmentation: untouched masks
         cam_to_arm = camera_to_arm_transform(camera, arm)
 
         # analytic truth: ugv at the origin with zero heading, so the arm
@@ -238,7 +238,7 @@ def test_criterion_06_end_to_end_localization():
         matched = set()
         for cls in (ObjectClass.BRICK, ObjectClass.PIPE):
             for comp in connected_components(masks, cls):
-                center_cam = component_center_3d(comp, rr.depth, DEFAULT_INTRINSICS)
+                center_cam = component_center_3d(comp, depth, DEFAULT_INTRINSICS)
                 center = transform_to_arm(center_cam, cam_to_arm).as_array()
                 oid = min(
                     (o.id for o in objects if o.cls is cls),

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from clearbot import cli
+from clearbot import cli, orchestrator
 from clearbot.orchestrator import (
     DepthBiasInjection,
     ScenarioConfig,
@@ -198,6 +198,18 @@ _HOLES = {"op": "holes", "fraction": 0.1, "seed": 0}
             "injections.depth_bias[0].bias",
         ),
         (_set("arm", "phase_durations", "descend", 1e308), "arm.phase_durations"),
+        pytest.param(
+            _set("corruptions", [{"op": "erode", "radius": 11}]),
+            "corruptions[0]",
+            id="mutate-corruptions[0]-erode-radius-11",
+        ),
+        pytest.param(
+            _set("corruptions", [{"op": "erode", "radius": 10**6}]),
+            "corruptions[0]",
+            id="mutate-corruptions[0]-erode-radius-1e6",
+        ),
+        (_set("camera", "width", 200000), "camera"),
+        (_set("objects", 0, "dims", "length", 1e300), "objects[0].dims.length"),
     ],
 )
 def test_simulate_rejects_bad_value_with_its_path(tmp_path, capsys, mutate, path):
@@ -207,6 +219,31 @@ def test_simulate_rejects_bad_value_with_its_path(tmp_path, capsys, mutate, path
     err = capsys.readouterr().err
     assert f"error: {path}:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "objects,period,length,frames",
+    [
+        ((), 0.0625, 2.5, 80),
+        (one_brick_config().objects, 0.0625, 2.5, 80),
+        # the drive resumes between frame slots, so this stop costs four
+        # steps: 7 frames, the final step and 4 make 12
+        (one_brick_config().objects, 0.75, 2.625, 7),
+    ],
+    ids=["empty", "one-brick", "one-brick-slow-camera"],
+)
+def test_simulate_finishes_a_course_of_exactly_max_steps_frames(
+    tmp_path, capsys, monkeypatch, objects, period, length, frames
+):
+    # at 0.5 m/s the course needs exactly ``frames`` frames, the most allowed
+    monkeypatch.setattr(orchestrator, "MAX_STEPS", frames)
+    cfg = one_brick_config(objects=objects, frame_period=period, ugv_end=(length, 0.0))
+    scenario = write_scenario(tmp_path, cfg)
+    out = tmp_path / "out"
+    code = cli.main(["simulate", "--scenario", scenario, "--out", str(out)])
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert json.loads((out / "report.json").read_text())["attempted"] == len(objects)
 
 
 def test_simulate_rejects_negative_seed_flag(tmp_path, capsys):

@@ -18,7 +18,13 @@ from hypothesis import strategies as st
 
 from clearbot import orchestrator
 from clearbot.arm import DEFAULT_PHASE_DURATIONS, ArmConfig, PickOutcome
-from clearbot.camera import DepthNoiseModel, Intrinsics, apply_noise, render_full
+from clearbot.camera import (
+    DepthNoiseModel,
+    Intrinsics,
+    apply_noise,
+    compose_patches,
+    render_full,
+)
 from clearbot.geometry import Frame, Point3, ReachEnvelope
 from clearbot.orchestrator import (
     DISPATCH_LATENCY,
@@ -490,11 +496,13 @@ def test_frame_images_recompose_bit_for_bit(capture):
     sim = Simulation(cfg)
     fd, captured = sim._capture(standstill=False, inject_for=inject_for)
     rr = render_full(sim.scene, cfg.intrinsics)
+    labels, depth, index = compose_patches(fd.shape, rr.floor_depth, rr.patches)
     view = fd.images()
-    assert _same_bits(view.labels.data, rr.labels.data)
-    assert _same_bits(view.clean_depth.data, rr.depth.data)
-    assert _same_bits(view.instances.index, rr.instances.index)
-    assert view.instances.ids == rr.instances.ids
+    for images in (view, captured):
+        assert _same_bits(images.labels.data, labels)
+        assert _same_bits(images.clean_depth.data, depth)
+        assert _same_bits(images.instances.index, index)
+        assert images.instances.ids == tuple(o.id for o in cfg.objects)
     assert _same_bits(view.depth.data, captured.depth.data)
 
 
@@ -521,7 +529,7 @@ def test_depth_bias_injection_is_apply_noise_with_that_bias(capture, data):
     assert _same_bits(injected.depth.data, want.data)
 
 
-def test_step_loop_composes_no_frame(monkeypatch):
+def test_step_loop_composes_each_frame_once(monkeypatch):
     calls = []
     compose = orchestrator.compose_patches
 
@@ -533,12 +541,13 @@ def test_step_loop_composes_no_frame(monkeypatch):
     sim = Simulation(tiny_scenario([brick("b", 1.2, 0.05, 0.3)]))
     while sim.state is not PipelineState.DONE:
         sim.step()
-    assert calls == []
+    frames = len(sim.bus.history(Topic.CAMERA_FRAMES))
+    assert len(calls) == frames  # one view per capture
     report = sim.run()  # already done: serializes the log for its digest
     assert report.succeeded == 1
-    assert len(calls) == len(sim.bus.history(Topic.CAMERA_FRAMES))
+    assert len(calls) == 2 * frames  # one more per frame for its class pixels
     messages_to_ndjson(sim.bus)  # the log was serialized once already
-    assert len(calls) == len(sim.bus.history(Topic.CAMERA_FRAMES))
+    assert len(calls) == 2 * frames
 
 
 def test_report_json_schema(benchmark_run):

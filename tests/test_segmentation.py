@@ -30,7 +30,7 @@ def rect_labels(r0=10, r1=30, c0=5, c1=45, code=1, shape=(64, 64)) -> LabelImage
 def rect_instances(r0=10, r1=30, c0=5, c1=45, oid="t1", shape=(64, 64)) -> InstanceImage:
     idx = np.full(shape, -1, dtype=np.int32)
     idx[r0:r1, c0:c1] = 0
-    return InstanceImage(idx, (oid,))
+    return InstanceImage(idx, (oid,), {oid: (0, (r0, r1, c0, c1))})
 
 
 def erode_oracle(mask: np.ndarray, radius: int) -> np.ndarray:
@@ -193,7 +193,8 @@ def test_cut_band_only_removes_target_pixels():
     idx = np.full((64, 64), -1, dtype=np.int32)
     idx[20:32, 5:55] = 0
     idx[40:50, 10:20] = 1
-    inst = InstanceImage(idx, ("t1", "other"))
+    windows = {"t1": (0, (20, 32, 5, 55)), "other": (1, (40, 50, 10, 20))}
+    inst = InstanceImage(idx, ("t1", "other"), windows)
     out = segment(LabelImage(data), [CutBand("t1", 3)], instances=inst).data
     removed = (data != 0) & (out == 0)
     assert removed.any()
@@ -219,7 +220,8 @@ def test_cut_band_unknown_target():
 
 def test_cut_band_target_without_pixels():
     idx = np.full((64, 64), -1, dtype=np.int32)
-    inst = InstanceImage(idx, ("t1",))
+    # t1 has a patch, but every pixel of it is hidden
+    inst = InstanceImage(idx, ("t1",), {"t1": (0, (0, 64, 0, 64))})
     out = segment(rect_labels(), [CutBand("t1", 3)], instances=inst)
     assert np.array_equal(out.data, rect_labels().data)
 
@@ -277,14 +279,14 @@ def test_corruption_is_monotone_nonincreasing():
 
 def ops_in_view(ops, instances):
     """The filter the simulation ran before ``segment`` skipped out-of-view
-    cuts itself: drop each cut whose target has no pixels in the frame."""
+    cuts itself: drop each cut whose target has no pixels in the frame,
+    found by a scan of the whole instance image."""
     kept = []
     for op in ops:
         if isinstance(op, CutBand):
             if instances is None or op.target_id not in instances.ids:
                 continue
-            rows, _ = instances.pixels_of(op.target_id)
-            if len(rows) == 0:
+            if not (instances.index == instances.ids.index(op.target_id)).any():
                 continue
         kept.append(op)
     return kept
@@ -301,13 +303,14 @@ def frames_with_ops(draw):
     n = draw(st.integers(0, 4))
     drawn = draw(st.integers(0, n))
     index = np.where(labels > 0, rng.integers(-1, drawn, (h, w)), -1).astype(np.int32)
-    windows = None
-    if draw(st.booleans()):
-        windows = {}
-        for i in range(n):
-            rows, cols = np.nonzero(index == i)
-            if len(rows):
-                windows[i] = (rows.min(), rows.max() + 1, cols.min(), cols.max() + 1)
+    # an object without pixels may still have a patch, hidden behind others
+    windows = {}
+    for i in range(n):
+        rows, cols = np.nonzero(index == i)
+        if len(rows):
+            windows[f"o{i}"] = (i, (rows.min(), rows.max() + 1, cols.min(), cols.max() + 1))
+        elif draw(st.booleans()):
+            windows[f"o{i}"] = (i, (0, h, 0, w))
     instances = InstanceImage(index, tuple(f"o{i}" for i in range(n)), windows)
     if draw(st.booleans()):
         instances = None
@@ -337,7 +340,7 @@ def frames_with_ops(draw):
 @example(
     (
         rect_labels(),
-        InstanceImage(np.full((64, 64), -1, dtype=np.int32), ("t1",)),
+        InstanceImage(np.full((64, 64), -1, dtype=np.int32), ("t1",), {"t1": (0, (0, 64, 0, 64))}),
         [Erode(1), CutBand("t1", 3), Holes(0.5, seed=1)],
         4,
     )
