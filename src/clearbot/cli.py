@@ -64,7 +64,7 @@ def _write_outputs(out_dir: Path, report, sim, dump_frames: bool) -> None:
         frames_dir.mkdir(exist_ok=True)
         for env in sim.bus.history(Topic.CAMERA_FRAMES):
             fd = env.payload
-            images = fd.images()
+            images = fd.images(sim.cfg)
             stem = f"frame_{fd.frame_index:05d}"
             (frames_dir / f"{stem}_labels.ppm").write_bytes(encode_label_ppm(images.labels))
             (frames_dir / f"{stem}_depth.pgm").write_bytes(encode_depth_pgm(images.depth))

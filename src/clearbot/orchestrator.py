@@ -183,13 +183,20 @@ class FrameImages:
     instances: InstanceImage
 
 
+# mixed into each frame's depth-noise seed
+_NOISE_TAG = 1
+
+
 @dataclass(frozen=True)
 class FrameData:
-    """One captured RGB-D frame, stored sparsely.
+    """One captured RGB-D frame, stored as its inputs.
 
-    The dense images recompose exactly from the per-object patches;
-    ``dense_depth`` is set only when the depth was altered after the
-    ray cast (noise or an injected bias).
+    The dense images recompose exactly from the per-object patches, the
+    scenario's seeded noise and ``bias``, the injected depth offset (None
+    when no injection applied). ``class_pixels`` and ``depth_digest`` are
+    what the log keeps of the perceived view, taken once at capture;
+    ``depth_digest`` is set only when the depth was altered after the ray
+    cast.
     """
 
     frame_index: int
@@ -200,18 +207,26 @@ class FrameData:
     floor_depth: float
     patches: tuple[ObjectPatch, ...]
     object_ids: tuple[str, ...]
-    dense_depth: Optional[np.ndarray] = None
+    bias: Optional[float] = None
+    class_pixels: tuple[int, int] = (0, 0)  # (brick, pipe)
+    depth_digest: Optional[str] = None
 
-    def images(self) -> FrameImages:
-        """Compose the dense images; they are not kept on the frame. The
-        step loop perceives the view this builds at capture."""
+    def images(self, cfg: ScenarioConfig) -> FrameImages:
+        """Compose the dense images and perceive the depth through the
+        scenario's noise and the frame's bias; nothing is kept on the frame.
+        The step loop perceives the view this builds at capture."""
         lab, dep, index = compose_patches(self.shape, self.floor_depth, self.patches)
-        clean = DepthImage(dep)
+        clean = depth = DepthImage(dep)
+        if not cfg.noise.is_identity:
+            seed = np.random.SeedSequence([cfg.seed, _NOISE_TAG, self.frame_index])
+            depth = apply_noise(depth, cfg.noise, seed)
+        if self.bias is not None:
+            depth = DepthImage(np.where(depth.valid_mask(), depth.data + self.bias, depth.data))
         ids = self.object_ids
         windows = {ids[p.obj_index]: (p.obj_index, (p.r0, p.r1, p.c0, p.c1)) for p in self.patches}
         return FrameImages(
             labels=LabelImage(lab),
-            depth=clean if self.dense_depth is None else DepthImage(self.dense_depth),
+            depth=depth,
             clean_depth=clean,
             instances=InstanceImage(index, ids, windows),
         )
@@ -222,7 +237,6 @@ class MaskData:
     frame_index: int
     t_capture: float
     data: np.ndarray  # corrupted uint8 label image
-    latency: float
 
 
 @dataclass(frozen=True)
@@ -460,11 +474,18 @@ def validate_config(cfg: ScenarioConfig) -> list[tuple[str, str]]:
                     msg = f"must be at most the path length ({lane:g} m)"
                     errors.append((f"objects[{i}].dims.{name}", msg))
     ids = {o.id for o in cfg.objects}
+    injected: set[str] = set()
     for i, inj in enumerate(cfg.injections):
         if inj.object_id not in ids:
             errors.append(
                 (f"injections.depth_bias[{i}].id", f"unknown object {inj.object_id!r}")
             )
+        elif inj.object_id in injected:
+            # a capture applies one bias per object, so a repeat would be ignored
+            errors.append(
+                (f"injections.depth_bias[{i}].id", f"repeats object {inj.object_id!r}")
+            )
+        injected.add(inj.object_id)
     for op_i, op in enumerate(cfg.seg_ops):
         if isinstance(op, CutBand) and op.target_id not in ids:
             errors.append(
@@ -566,7 +587,7 @@ def replay_grasp_targets(
     out = []
     for env in frames:
         fd: FrameData = env.payload
-        mask, targets, _ = perceive_frame(fd, fd.images(), cfg, cam_to_arm)
+        mask, targets, _ = perceive_frame(fd, fd.images(cfg), cfg, cam_to_arm)
         out.append((mask.data, GraspTargetsPayload(frame_index=fd.frame_index, targets=targets)))
     return out
 
@@ -607,10 +628,6 @@ class PipelineState(enum.Enum):
     PICKING = "Picking"
     RESUMING = "Resuming"
     DONE = "Done"
-
-
-# mixed into each frame's depth-noise seed
-_NOISE_TAG = 1
 
 
 class Simulation:
@@ -668,18 +685,17 @@ class Simulation:
             floor_depth=rr.floor_depth,
             patches=rr.patches,
             object_ids=tuple(o.id for o in self.scene.objects),
+            bias=next((j.bias for j in self.cfg.injections if j.object_id == inject_for), None),
         )
-        images = fd.images()
+        images = fd.images(self.cfg)
         depth = images.depth
-        if not self.cfg.noise.is_identity:
-            seed = np.random.SeedSequence([self.cfg.seed, _NOISE_TAG, self.frame_index])
-            depth = apply_noise(depth, self.cfg.noise, seed)
-        bias = next((j.bias for j in self.cfg.injections if j.object_id == inject_for), None)
-        if bias is not None:
-            depth = DepthImage(np.where(depth.valid_mask(), depth.data + bias, depth.data))
-        if depth is not images.depth:
-            fd = dataclasses.replace(fd, dense_depth=depth.data)
-            images = dataclasses.replace(images, depth=depth)
+        # the log keeps these facts of the perceived view, so serializing
+        # the frame builds no image and draws no noise
+        fd = dataclasses.replace(
+            fd,
+            class_pixels=_class_pixels(images.labels.data),
+            depth_digest=None if depth is images.clean_depth else _array_digest(depth.data),
+        )
         self.bus.publish(Topic.CAMERA_FRAMES, fd.t_capture, fd)
         return fd, images
 
@@ -714,9 +730,7 @@ class Simulation:
         fd, images = self._capture(standstill, inject_for)
         mask, targets, comps = perceive_frame(fd, images, self.cfg, self.cam_to_arm)
         t_mask = fd.t_capture + SEG_LATENCY
-        md = MaskData(
-            frame_index=fd.frame_index, t_capture=fd.t_capture, data=mask.data, latency=SEG_LATENCY
-        )
+        md = MaskData(frame_index=fd.frame_index, t_capture=fd.t_capture, data=mask.data)
         self.bus.publish(Topic.SEGMENTATION_MASKS, t_mask, md)
         t_targets = t_mask + GEOMETRY_LATENCY
         payload = GraspTargetsPayload(frame_index=fd.frame_index, targets=targets)
@@ -1260,13 +1274,18 @@ def frame_digest(fd: FrameData) -> str:
     for p in fd.patches:
         h.update(repr((p.r0, p.r1, p.c0, p.c1, p.obj_index, p.label)).encode())
         h.update(np.ascontiguousarray(p.zbuf).tobytes())
-    if fd.dense_depth is not None:
-        h.update(_array_digest(fd.dense_depth).encode())
+    if fd.depth_digest is not None:
+        h.update(fd.depth_digest.encode())
     return h.hexdigest()
 
 
-def _class_pixels(labels: np.ndarray) -> dict:
-    return {"brick": int((labels == 1).sum()), "pipe": int((labels == 2).sum())}
+def _class_pixels(labels: np.ndarray) -> tuple[int, int]:
+    """(brick, pipe) pixel counts of a label image; labels are 0, 1 or 2,
+    so the nonzero count and the sum give both without an image-sized
+    temporary."""
+    labelled = int(np.count_nonzero(labels))
+    pipe = int(labels.sum(dtype=np.uint32)) - labelled
+    return labelled - pipe, pipe
 
 
 # payloads logged field for field, by the kind each is logged as
@@ -1281,6 +1300,7 @@ _RECORD_KINDS = {
 def payload_to_dict(payload: object) -> dict:
     """JSON form of a bus payload; image bodies reduce to digests + stats."""
     if isinstance(payload, FrameData):
+        brick, pipe = payload.class_pixels
         return {
             "kind": "frame",
             "frame_index": payload.frame_index,
@@ -1292,16 +1312,17 @@ def payload_to_dict(payload: object) -> dict:
             "objects_in_view": sorted(
                 {payload.object_ids[p.obj_index] for p in payload.patches}
             ),
-            "class_pixels": _class_pixels(payload.images().labels.data),
+            "class_pixels": {"brick": brick, "pipe": pipe},
             "digest": frame_digest(payload),
         }
     if isinstance(payload, MaskData):
+        brick, pipe = _class_pixels(payload.data)
         return {
             "kind": "mask",
             "frame_index": payload.frame_index,
             "t_capture": payload.t_capture,
-            "latency": payload.latency,
-            "class_pixels": _class_pixels(payload.data),
+            "latency": SEG_LATENCY,
+            "class_pixels": {"brick": brick, "pipe": pipe},
             "digest": _array_digest(payload.data),
         }
     kind = _RECORD_KINDS.get(type(payload))

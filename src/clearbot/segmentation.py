@@ -86,6 +86,9 @@ class Relabel:
         r0, r1, c0, c1 = self.region
         if r0 >= r1 or c0 >= c1:
             raise ValueError("region must be a non-empty half-open rectangle")
+        if r0 < 0 or c0 < 0:
+            # a negative index would wrap around to the image's far edge
+            raise ValueError("region coordinates must not be negative")
         if self.new_class not in (0, 1, 2):
             raise ValueError("new_class must be a known class code")
 

@@ -27,7 +27,7 @@ from clearbot.camera import (
     render,
     render_full,
 )
-from clearbot.orchestrator import FrameData
+from clearbot.orchestrator import FrameData, ScenarioConfig
 from clearbot.scene import (
     BrickDims,
     CameraMount,
@@ -429,7 +429,7 @@ def test_windowed_pixels_of_equals_full_image_scan(view):
     rr = render_full(scene, k)
     ids = tuple(o.id for o in scene.objects)
     fd = FrameData(0, 0.0, scene.ugv, False, (k.height, k.width), rr.floor_depth, rr.patches, ids)
-    inst = fd.images().instances
+    inst = fd.images(ScenarioConfig(name="view", objects=scene.objects, intrinsics=k)).instances
     for idx, obj in enumerate(scene.objects):
         rows, cols = inst.pixels_of(obj.id)
         want_rows, want_cols = np.nonzero(inst.index == idx)

@@ -10,9 +10,11 @@ from pathlib import Path
 import pytest
 
 from clearbot import cli, orchestrator
+from clearbot.camera import DepthNoiseModel, encode_depth_pgm
 from clearbot.orchestrator import (
     DepthBiasInjection,
     ScenarioConfig,
+    Simulation,
     scenario_to_dict,
 )
 from clearbot.scene import BrickDims, ObjectClass, ObjectSpec
@@ -106,22 +108,29 @@ def test_simulate_accepts_adaptive_order_flag(tmp_path, capsys):
 
 
 def test_simulate_dump_frames_writes_images(tmp_path, capsys):
-    scenario = write_scenario(tmp_path, one_brick_config())
-    out = tmp_path / "out"
-    code = cli.main(
-        ["simulate", "--scenario", scenario, "--out", str(out), "--dump-frames"]
-    )
-    assert code == 0
-    labels = sorted((out / "frames").glob("*_labels.ppm"))
-    depths = sorted((out / "frames").glob("*_depth.pgm"))
-    assert labels and len(labels) == len(depths)
-    n_frames = sum(
-        json.loads(l)["topic"] == "CameraFrames"
-        for l in (out / "messages.ndjson").read_text().splitlines()
-    )
-    assert len(labels) == n_frames
-    assert labels[0].read_bytes().startswith(b"P6\n512 256\n255\n")
-    assert depths[0].read_bytes().startswith(b"P5\n512 256\n65535\n")
+    for noise in (DepthNoiseModel(), DepthNoiseModel(sigma=0.002)):
+        cfg = one_brick_config(noise=noise)
+        scenario = write_scenario(tmp_path, cfg)
+        out = tmp_path / ("clean" if noise.is_identity else "noisy")
+        code = cli.main(
+            ["simulate", "--scenario", scenario, "--out", str(out), "--dump-frames"]
+        )
+        assert code == 0
+        labels = sorted((out / "frames").glob("*_labels.ppm"))
+        depths = sorted((out / "frames").glob("*_depth.pgm"))
+        assert labels and len(labels) == len(depths)
+        n_frames = sum(
+            json.loads(l)["topic"] == "CameraFrames"
+            for l in (out / "messages.ndjson").read_text().splitlines()
+        )
+        assert len(labels) == n_frames
+        assert labels[0].read_bytes().startswith(b"P6\n512 256\n255\n")
+        assert depths[0].read_bytes().startswith(b"P5\n512 256\n65535\n")
+        # frame 0's dumped depth is the depth the run perceived, noise and all
+        _, perceived = Simulation(cfg)._capture(standstill=False, inject_for=None)
+        dumped = depths[0].read_bytes()
+        assert dumped == encode_depth_pgm(perceived.depth)
+        assert (dumped == encode_depth_pgm(perceived.clean_depth)) == noise.is_identity
 
 
 def test_simulate_rejects_tall_camera(tmp_path, capsys):
@@ -210,6 +219,16 @@ _HOLES = {"op": "holes", "fraction": 0.1, "seed": 0}
         ),
         (_set("camera", "width", 200000), "camera"),
         (_set("objects", 0, "dims", "length", 1e300), "objects[0].dims.length"),
+        pytest.param(
+            _set("corruptions", [{"op": "relabel", "region": [-40, -1, 0, 512], "new_class": 0}]),
+            "corruptions[0]",
+            id="mutate-corruptions[0]-relabel-negative-region",
+        ),
+        pytest.param(
+            _set("injections", "depth_bias", [{"id": "b", "bias": 0.0}, {"id": "b", "bias": 0.05}]),
+            "injections.depth_bias[1].id",
+            id="mutate-injections.depth_bias-repeated-id",
+        ),
     ],
 )
 def test_simulate_rejects_bad_value_with_its_path(tmp_path, capsys, mutate, path):

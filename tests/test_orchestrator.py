@@ -407,9 +407,11 @@ def test_command_latency_is_fixed_and_subsecond(benchmark_run):
 def test_depth_bias_touches_only_its_own_standstill_frame(benchmark_run):
     _, sim, _ = benchmark_run
     frames = [e.payload for e in sim.bus.history(Topic.CAMERA_FRAMES)]
-    biased = [fd for fd in frames if fd.dense_depth is not None]
+    biased = [fd for fd in frames if fd.bias is not None]
     assert len(biased) == 1
-    assert biased[0].standstill
+    assert biased[0].standstill and biased[0].bias == 0.02
+    # the course has no depth noise, so only the biased frame's depth is altered
+    assert [fd for fd in frames if fd.depth_digest is not None] == biased
     # the biased capture is the one that feeds the b2 attempt
     commands = {e.payload.frame_index: e.payload for e in sim.bus.history(Topic.ARM_COMMANDS)}
     assert commands[biased[0].frame_index].matched_id == "b2"
@@ -497,13 +499,19 @@ def test_frame_images_recompose_bit_for_bit(capture):
     fd, captured = sim._capture(standstill=False, inject_for=inject_for)
     rr = render_full(sim.scene, cfg.intrinsics)
     labels, depth, index = compose_patches(fd.shape, rr.floor_depth, rr.patches)
-    view = fd.images()
+    view = fd.images(cfg)
     for images in (view, captured):
         assert _same_bits(images.labels.data, labels)
         assert _same_bits(images.clean_depth.data, depth)
         assert _same_bits(images.instances.index, index)
         assert images.instances.ids == tuple(o.id for o in cfg.objects)
     assert _same_bits(view.depth.data, captured.depth.data)
+    # what the log keeps of the frame is what the rebuilt view gives
+    assert fd.class_pixels == (int((labels == 1).sum()), int((labels == 2).sum()))
+    altered = not cfg.noise.is_identity or inject_for is not None
+    assert (view.depth is not view.clean_depth) == altered
+    want = orchestrator._array_digest(view.depth.data) if altered else None
+    assert fd.depth_digest == want
 
 
 @settings(deadline=None, max_examples=60)
@@ -529,25 +537,56 @@ def test_depth_bias_injection_is_apply_noise_with_that_bias(capture, data):
     assert _same_bits(injected.depth.data, want.data)
 
 
+NOISY = DepthNoiseModel(sigma=0.002, dropout_prob=0.01)
+
+
 def test_step_loop_composes_each_frame_once(monkeypatch):
-    calls = []
-    compose = orchestrator.compose_patches
+    calls = {"compose_patches": 0, "apply_noise": 0}
+    for name in calls:
+        real = getattr(orchestrator, name)
 
-    def counting(*args):
-        calls.append(args)
-        return compose(*args)
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
 
-    monkeypatch.setattr(orchestrator, "compose_patches", counting)
-    sim = Simulation(tiny_scenario([brick("b", 1.2, 0.05, 0.3)]))
+        monkeypatch.setattr(orchestrator, name, counting)
+    sim = Simulation(tiny_scenario([brick("b", 1.2, 0.05, 0.3)], noise=NOISY))
     while sim.state is not PipelineState.DONE:
         sim.step()
     frames = len(sim.bus.history(Topic.CAMERA_FRAMES))
-    assert len(calls) == frames  # one view per capture
+    # one view per capture, and its noise drawn once
+    assert calls == {"compose_patches": frames, "apply_noise": frames}
     report = sim.run()  # already done: serializes the log for its digest
     assert report.succeeded == 1
-    assert len(calls) == 2 * frames  # one more per frame for its class pixels
-    messages_to_ndjson(sim.bus)  # the log was serialized once already
-    assert len(calls) == 2 * frames
+    # the log takes each frame's facts from capture: it builds no image
+    assert calls == {"compose_patches": frames, "apply_noise": frames}
+    messages_to_ndjson(sim.bus)
+    assert calls == {"compose_patches": frames, "apply_noise": frames}
+
+
+def _arrays(value):
+    """Every array reachable through a record's fields."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _arrays(getattr(value, f.name))
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            yield from _arrays(v)
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from _arrays(v)
+
+
+def test_frames_on_the_bus_hold_no_image_but_their_patches():
+    # a noisy lane alters every frame's depth; the bus keeps its inputs only
+    _, sim = run_scenario(tiny_scenario([brick("b", 1.2, 0.05, 0.3)], noise=NOISY))
+    frames = [env.payload for env in sim.bus.history(Topic.CAMERA_FRAMES)]
+    assert any(fd.patches for fd in frames)
+    for fd in frames:
+        assert [id(a) for a in _arrays(fd)] == [id(p.zbuf) for p in fd.patches]
+    assert all(fd.depth_digest is not None for fd in frames)
 
 
 def test_report_json_schema(benchmark_run):
@@ -636,7 +675,7 @@ def test_empty_frames_skip_segmentation_and_targets(monkeypatch):
         if fd.patches:
             continue
         # what the full path would have published for this frame
-        images = fd.images()
+        images = fd.images(sim.cfg)
         full = orchestrator.segment(images.labels, ops, seed=0, instances=images.instances)
         assert _same_bits(mask.payload.data, full.data)
         assert mask.t == fd.t_capture + SEG_LATENCY
@@ -755,7 +794,13 @@ def scenario_configs(draw) -> ScenarioConfig:
         ),
         seg_ops=tuple(draw(st.lists(op, max_size=6))),
         injections=tuple(
-            draw(st.lists(st.builds(DepthBiasInjection, ids, floats(-0.1, 0.1)), max_size=3))
+            draw(
+                st.lists(
+                    st.builds(DepthBiasInjection, ids, floats(-0.1, 0.1)),
+                    max_size=3,
+                    unique_by=lambda inj: inj.object_id,
+                )
+            )
         ),
         arm=arm,
         seed=draw(st.integers(0, 2**32)),
