@@ -47,6 +47,21 @@ class InvalidScene(ValueError):
 #: dense images of this size
 MAX_IMAGE_PIXELS = 2**22
 
+#: widest field of view, in degrees, of a camera centred on its principal
+#: point: no pixel ray may lie more than half of this from the optical axis.
+#: A pinhole model stops describing real lenses well before 180 degrees,
+#: where wide-angle lenses turn into fisheyes.
+MAX_FIELD_OF_VIEW_DEG = 160.0
+
+
+class InvalidIntrinsics(ValueError):
+    """Raised for an out-of-range intrinsic; ``field`` names the parameter
+    at fault, or is None when no single one is."""
+
+    def __init__(self, message: str, field: str | None = None):
+        self.field = field
+        super().__init__(message)
+
 
 @dataclass(frozen=True)
 class Intrinsics:
@@ -58,14 +73,26 @@ class Intrinsics:
     height: int
 
     def __post_init__(self) -> None:
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
+        for name in ("fx", "fy"):
+            if not getattr(self, name) > 0:
+                raise InvalidIntrinsics("focal lengths must be positive", name)
         if self.width <= 0 or self.height <= 0:
-            raise ValueError("image dimensions must be positive")
+            raise InvalidIntrinsics("image dimensions must be positive")
         if self.width * self.height > MAX_IMAGE_PIXELS:
-            raise ValueError("image area must be at most 2**22 pixels")
+            raise InvalidIntrinsics("image area must be at most 2**22 pixels")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
-            raise ValueError("principal point must lie inside the image")
+            raise InvalidIntrinsics("principal point must lie inside the image")
+        # the farthest pixel center from the principal point, along each axis,
+        # must see at most half the field of view off the optical axis
+        tan_half = math.tan(math.radians(MAX_FIELD_OF_VIEW_DEG / 2.0))
+        for name, centre, size in (("fx", self.cx, self.width), ("fy", self.cy, self.height)):
+            focal = getattr(self, name)
+            if not max(centre, size - 1 - centre) <= focal * tan_half:
+                raise InvalidIntrinsics(
+                    f"{name} is too short: the image would span more than a "
+                    f"{MAX_FIELD_OF_VIEW_DEG:g}-degree field of view",
+                    name,
+                )
 
 
 DEFAULT_INTRINSICS = Intrinsics(fx=256.0, fy=256.0, cx=256.0, cy=128.0, width=512, height=256)
@@ -256,13 +283,15 @@ def _cast_cylinder(obj: ObjectSpec, o_l: np.ndarray, dlx, dly, dlz) -> np.ndarra
     dims: PipeDims = obj.dims
     r, half_len = dims.radius, dims.length / 2.0
     oy, oz = o_l[1], o_l[2] - r  # shift so the axis sits at local z = 0
-    a = dly * dly + dlz * dlz
-    b = 2.0 * (oy * dly + oz * dlz)
-    c = oy * oy + oz * oz - r * r
-    disc = b * b - 4.0 * a * c
-    ok = disc >= 0.0
-    sq = np.sqrt(np.where(ok, disc, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a ray far from the optical axis can overflow these; an infinite or
+    # NaN discriminant or root fails the tests below, as in ``_cast_box``
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a = dly * dly + dlz * dlz
+        b = 2.0 * (oy * dly + oz * dlz)
+        c = oy * oy + oz * oz - r * r
+        disc = b * b - 4.0 * a * c
+        ok = disc >= 0.0
+        sq = np.sqrt(np.where(ok, disc, 0.0))
         t_lo = (-b - sq) / (2.0 * a)
         t_hi = (-b + sq) / (2.0 * a)
 
@@ -396,14 +425,25 @@ class DepthNoiseModel:
 
 
 def apply_noise(depth: DepthImage, model: DepthNoiseModel, seed: int) -> DepthImage:
-    """Corrupt valid pixels only; draws are consumed in row-major order."""
+    """Corrupt valid pixels only; draws are consumed in row-major order.
+
+    One full-image normal draw comes first, then one full-image uniform
+    draw. A valid pixel becomes ``(d + bias) + sigma * normal``, or 0 when
+    its uniform is below the dropout probability.
+    """
+    data = depth.data
     rng = np.random.default_rng(seed)
-    normals = rng.standard_normal(depth.data.shape)
-    uniforms = rng.random(depth.data.shape)
+    # built in place: IEEE addition commutes exactly, so the sum is the
+    # same bits as in the form above
+    out = rng.standard_normal(data.shape)
+    out *= model.sigma
+    out += data + model.bias if model.bias != 0.0 else data
+    drop = rng.random(data.shape) < model.dropout_prob
     valid = depth.valid_mask()
-    out = depth.data.copy()
-    out[valid] = out[valid] + model.bias + model.sigma * normals[valid]
-    out[valid & (uniforms < model.dropout_prob)] = 0.0
+    if not valid.all():
+        np.copyto(out, data, where=~valid)
+        drop &= valid
+    out[drop] = 0.0
     return DepthImage(out)
 
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import ndimage
 
-from .camera import DepthImage, Intrinsics, LabelImage, backproject
+from .camera import DepthImage, Intrinsics, LabelImage, Window, backproject
 from .scene import ArmMount, CameraMount, ObjectClass
 
 
@@ -210,19 +210,27 @@ class MaskComponent:
         return r0 == 0 or c0 == 0 or r1 == height or c1 == width
 
 
+def occupied_box(image: np.ndarray) -> Optional[Window]:
+    """Bounding box of a 2-D array's nonzero pixels, None when it has none."""
+    rows = np.flatnonzero(image.any(axis=1))
+    if not len(rows):
+        return None
+    cols = np.flatnonzero(image.any(axis=0))
+    return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+
+
 def connected_components(
     labels: LabelImage, cls: ObjectClass, min_area: int = A_MIN_COMPONENT_PX
 ) -> list[MaskComponent]:
     """8-connected components of one class, ordered by first raster pixel."""
     mask = labels.data == cls.label
-    occupied_rows = np.flatnonzero(mask.any(axis=1))
-    if not len(occupied_rows):
+    box = occupied_box(mask)
+    if box is None:
         return []
-    occupied_cols = np.flatnonzero(mask.any(axis=0))
-    r0, c0 = occupied_rows[0], occupied_cols[0]
+    r0, r1, c0, c1 = box
     # labelling only the occupied crop gives the same components: the rows
     # and columns cut away hold no pixel of the class
-    crop = mask[r0 : occupied_rows[-1] + 1, c0 : occupied_cols[-1] + 1]
+    crop = mask[r0:r1, c0:c1]
     lab, _ = ndimage.label(crop, structure=_STRUCTURE_8)
     comps = []
     for i, (rs, cs) in enumerate(ndimage.find_objects(lab), start=1):

@@ -41,6 +41,7 @@ from .camera import (
     Intrinsics,
     LabelImage,
     ObjectPatch,
+    Window,
     apply_noise,
     compose_patches,
     render_full,
@@ -689,11 +690,14 @@ class Simulation:
         )
         images = fd.images(self.cfg)
         depth = images.depth
+        # labels are floor outside the patch windows, so their union box
+        # holds every class pixel
+        r0, r1, c0, c1 = _union_window(fd.patches)
         # the log keeps these facts of the perceived view, so serializing
         # the frame builds no image and draws no noise
         fd = dataclasses.replace(
             fd,
-            class_pixels=_class_pixels(images.labels.data),
+            class_pixels=_class_pixels(images.labels.data[r0:r1, c0:c1]),
             depth_digest=None if depth is images.clean_depth else _array_digest(depth.data),
         )
         self.bus.publish(Topic.CAMERA_FRAMES, fd.t_capture, fd)
@@ -1216,7 +1220,8 @@ def parse_scenario(doc: Any) -> ScenarioConfig:
         try:
             return make(*args, **kwargs)
         except ValueError as exc:
-            errors.append((path, str(exc)))
+            field = getattr(exc, "field", None)
+            errors.append((f"{path}.{field}" if field else path, str(exc)))
             return None
 
     cam, arm, ugv = d["camera"], d["arm"], d["ugv"]
@@ -1264,7 +1269,8 @@ def _array_digest(arr: np.ndarray) -> str:
     h = hashlib.sha256()
     h.update(str(arr.dtype).encode())
     h.update(repr(arr.shape).encode())
-    h.update(np.ascontiguousarray(arr).tobytes())
+    # the buffer itself, not a ``tobytes`` copy of it
+    h.update(memoryview(np.ascontiguousarray(arr)))
     return h.hexdigest()
 
 
@@ -1273,10 +1279,22 @@ def frame_digest(fd: FrameData) -> str:
     h.update(repr((fd.shape, fd.floor_depth)).encode())
     for p in fd.patches:
         h.update(repr((p.r0, p.r1, p.c0, p.c1, p.obj_index, p.label)).encode())
-        h.update(np.ascontiguousarray(p.zbuf).tobytes())
+        h.update(memoryview(np.ascontiguousarray(p.zbuf)))
     if fd.depth_digest is not None:
         h.update(fd.depth_digest.encode())
     return h.hexdigest()
+
+
+def _union_window(patches: Sequence[ObjectPatch]) -> Window:
+    """Smallest window holding every patch's window; empty when no patch."""
+    if not patches:
+        return 0, 0, 0, 0
+    return (
+        min(p.r0 for p in patches),
+        max(p.r1 for p in patches),
+        min(p.c0 for p in patches),
+        max(p.c1 for p in patches),
+    )
 
 
 def _class_pixels(labels: np.ndarray) -> tuple[int, int]:

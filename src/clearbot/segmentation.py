@@ -18,7 +18,7 @@ import numpy as np
 from scipy import ndimage
 
 from .camera import InstanceImage, LabelImage
-from .geometry import MaskComponent
+from .geometry import MaskComponent, occupied_box
 
 #: seeds lie in [0, SEED_LIMIT), so any seed is a valid SeedSequence entropy
 SEED_LIMIT = 2**63
@@ -99,30 +99,28 @@ CorruptionOp = Union[Erode, Holes, CutBand, Relabel]
 IOU_DILATION = 8
 
 
-def _apply_erode(data: np.ndarray, op: Erode) -> np.ndarray:
-    out = np.zeros_like(data)
+# Each op edits the mask it is given in place, and only ever clears a
+# labelled pixel or gives it another class.
+
+
+def _apply_erode(data: np.ndarray, op: Erode) -> None:
     se = np.ones((2 * op.radius + 1, 2 * op.radius + 1), dtype=bool)
     for code in (1, 2):
         mask = data == code
         if mask.any():
-            out[ndimage.binary_erosion(mask, structure=se)] = code
-    return out
+            data[mask & ~ndimage.binary_erosion(mask, structure=se)] = 0
 
 
-def _apply_holes(data: np.ndarray, op: Holes, seed: int, op_index: int) -> np.ndarray:
+def _apply_holes(data: np.ndarray, op: Holes, seed: int, op_index: int) -> None:
     if op.fraction == 0.0:
-        return data
+        return
     rng = np.random.default_rng(np.random.SeedSequence([seed, op_index, op.seed]))
     rows, cols = np.nonzero(data)
     drop = rng.random(len(rows)) < op.fraction
-    out = data.copy()
-    out[rows[drop], cols[drop]] = 0
-    return out
+    data[rows[drop], cols[drop]] = 0
 
 
-def _apply_cut_band(
-    data: np.ndarray, op: CutBand, rows: np.ndarray, cols: np.ndarray
-) -> np.ndarray:
+def _apply_cut_band(data: np.ndarray, op: CutBand, rows: np.ndarray, cols: np.ndarray) -> None:
     # principal axis from second moments; independent of any enclosing-
     # rectangle machinery used downstream
     x = cols.astype(float)
@@ -135,17 +133,13 @@ def _apply_cut_band(
     theta = 0.5 * math.atan2(2.0 * sxy, sxx - syy)
     proj = x * math.cos(theta) + y * math.sin(theta)
     band = np.abs(proj) <= op.band_px / 2.0
-    out = data.copy()
-    out[rows[band], cols[band]] = 0
-    return out
+    data[rows[band], cols[band]] = 0
 
 
-def _apply_relabel(data: np.ndarray, op: Relabel) -> np.ndarray:
+def _apply_relabel(data: np.ndarray, op: Relabel) -> None:
     r0, r1, c0, c1 = op.region
-    out = data.copy()
-    window = out[r0:r1, c0:c1]
+    window = data[r0:r1, c0:c1]
     window[window != 0] = op.new_class
-    return out
 
 
 def segment(
@@ -161,21 +155,28 @@ def segment(
     ``Holes`` ops after it draw the same pixels as if it were not listed.
     """
     data = gt.data.copy()
+    r0, r1, c0, c1 = occupied_box(data) or (0, 0, 0, 0)
+    # No op labels a floor pixel, so every labelled pixel stays in this box,
+    # and erosion and holes need only its crop: erosion reads past the
+    # crop's edge as floor, which the image holds there, and holes draw over
+    # the crop's labelled pixels in the image's row-major order. Cuts and
+    # relabels only index, on the whole mask, in image coordinates.
+    crop = data[r0:r1, c0:c1]
     op_index = 0
     for op in ops:
         if isinstance(op, Erode):
-            data = _apply_erode(data, op)
+            _apply_erode(crop, op)
         elif isinstance(op, Holes):
-            data = _apply_holes(data, op, seed, op_index)
+            _apply_holes(crop, op, seed, op_index)
         elif isinstance(op, CutBand):
             if instances is None:
                 continue
             rows, cols = instances.pixels_of(op.target_id)
             if len(rows) == 0:
                 continue
-            data = _apply_cut_band(data, op, rows, cols)
+            _apply_cut_band(data, op, rows, cols)
         elif isinstance(op, Relabel):
-            data = _apply_relabel(data, op)
+            _apply_relabel(data, op)
         else:
             raise TypeError(f"unknown corruption op {type(op).__name__}")
         op_index += 1

@@ -275,6 +275,48 @@ def test_noise_is_seed_deterministic():
     assert not np.array_equal(a.data, c.data)
 
 
+def _gather_noise_reference(depth: DepthImage, model: DepthNoiseModel, seed) -> np.ndarray:
+    """The noise model written with boolean-mask gathers, as it first was."""
+    rng = np.random.default_rng(seed)
+    normals = rng.standard_normal(depth.data.shape)
+    uniforms = rng.random(depth.data.shape)
+    valid = depth.valid_mask()
+    out = depth.data.copy()
+    out[valid] = out[valid] + model.bias + model.sigma * normals[valid]
+    out[valid & (uniforms < model.dropout_prob)] = 0.0
+    return out
+
+
+@st.composite
+def noise_cases(draw):
+    shape = (draw(st.integers(1, 24)), draw(st.integers(1, 24)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    data = rng.uniform(0.05, 2.0, shape)
+    # invalid pixels: zeros of both signs and negative depths
+    invalid = rng.random(shape) < draw(st.sampled_from([0.0, 0.2, 1.0]))
+    data[invalid] = rng.choice([0.0, -0.0, -0.5], size=int(invalid.sum()))
+
+    def zero_or(strategy):
+        return draw(st.one_of(st.just(0.0), strategy))
+
+    model = DepthNoiseModel(
+        sigma=zero_or(st.floats(1e-6, 0.1)),
+        bias=zero_or(st.floats(-0.1, 0.1).filter(bool)),
+        dropout_prob=zero_or(st.floats(1e-3, 0.9)),
+    )
+    return DepthImage(data), model, draw(st.integers(0, 2**63 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=noise_cases())
+def test_apply_noise_equals_the_gather_form_bit_for_bit(case):
+    depth, model, seed = case
+    expected = _gather_noise_reference(depth, model, seed)
+    out = apply_noise(depth, model, seed)
+    assert np.array_equal(out.data.view(np.uint64), expected.view(np.uint64))
+    assert out.data is not depth.data
+
+
 def test_noise_model_validation():
     with pytest.raises(ValueError):
         DepthNoiseModel(sigma=-0.001)
@@ -326,6 +368,31 @@ def test_intrinsics_validation():
         Intrinsics(fx=0.0, fy=256.0, cx=1.0, cy=1.0, width=4, height=4)
     with pytest.raises(ValueError):
         Intrinsics(fx=256.0, fy=256.0, cx=1.0, cy=1.0, width=0, height=4)
+
+
+@pytest.mark.parametrize("name", ["fx", "fy"])
+def test_intrinsics_bound_the_field_of_view(name):
+    # the farthest pixel centers lie 256 px from the principal point along x
+    # and 128 px along y; at the limit their rays are half the field of view out
+    extent = {"fx": 256.0, "fy": 128.0}[name]
+    shortest = extent / math.tan(math.radians(camera.MAX_FIELD_OF_VIEW_DEG / 2.0))
+    base = dict(fx=256.0, fy=256.0, cx=256.0, cy=128.0, width=512, height=256)
+    Intrinsics(**{**base, name: shortest * (1 + 1e-12)})
+    for focal in (shortest * (1 - 1e-12), 1e-300, 5e-324):
+        with pytest.raises(camera.InvalidIntrinsics) as err:
+            Intrinsics(**{**base, name: focal})
+        assert err.value.field == name
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cylinder_cast_ignores_overflow_on_far_off_axis_rays():
+    # ray directions of 1e300 overflow the quadratic's coefficients; the
+    # overflowed roots are discarded, so only the rays near the axis hit
+    obj = pipe("p", 0.0, 0.0)
+    d = np.array([[0.0, 1e-3, 1e300]])
+    zeta = camera._cast_cylinder(obj, np.array([0.0, 0.0, 1.2]), np.zeros_like(d), d, -1.0)
+    assert zeta[0, 0] == pytest.approx(1.2 - 0.06) and zeta[0, 1] < np.inf
+    assert zeta[0, 2] == np.inf
 
 
 # --- render culling and windowed instance scans ----------------------------------

@@ -229,6 +229,11 @@ _HOLES = {"op": "holes", "fraction": 0.1, "seed": 0}
             "injections.depth_bias[1].id",
             id="mutate-injections.depth_bias-repeated-id",
         ),
+        pytest.param(
+            _set("camera", "fx", 1e-300),
+            "camera.fx",
+            id="mutate-camera.fx-1e-300",
+        ),
     ],
 )
 def test_simulate_rejects_bad_value_with_its_path(tmp_path, capsys, mutate, path):

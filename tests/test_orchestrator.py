@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from clearbot import orchestrator
 from clearbot.arm import DEFAULT_PHASE_DURATIONS, ArmConfig, PickOutcome
 from clearbot.camera import (
+    MAX_FIELD_OF_VIEW_DEG,
     DepthNoiseModel,
     Intrinsics,
     apply_noise,
@@ -736,11 +737,15 @@ def scenario_configs(draw) -> ScenarioConfig:
     )
 
     width, height = draw(st.integers(1, 2048)), draw(st.integers(1, 2048))
+    cx = draw(floats(0.0, width, exclude_max=True))
+    cy = draw(floats(0.0, height, exclude_max=True))
+    # focal lengths start at the shortest one the field-of-view bound allows
+    tan_half = math.tan(math.radians(MAX_FIELD_OF_VIEW_DEG / 2.0))
     intrinsics = Intrinsics(
-        fx=draw(floats(1.0, 1e4)),
-        fy=draw(floats(1.0, 1e4)),
-        cx=draw(floats(0.0, width, exclude_max=True)),
-        cy=draw(floats(0.0, height, exclude_max=True)),
+        fx=max(cx, width - 1 - cx) / tan_half + draw(floats(1.0, 1e4)),
+        fy=max(cy, height - 1 - cy) / tan_half + draw(floats(1.0, 1e4)),
+        cx=cx,
+        cy=cy,
         width=width,
         height=height,
     )

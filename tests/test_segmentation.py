@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from clearbot.camera import InstanceImage, LabelImage
 from clearbot.geometry import MaskComponent, connected_components
 from clearbot.scene import ObjectClass
 from clearbot.segmentation import (
+    MAX_ERODE_RADIUS,
     CutBand,
     EmptyUnion,
     Erode,
@@ -351,6 +355,113 @@ def test_segment_skips_cuts_out_of_view_like_the_filter_it_replaced(case):
     kept = ops_in_view(ops, instances)
     want = segment(labels, kept, seed=seed, instances=instances)
     assert got.data.tobytes() == want.data.tobytes()
+
+
+# --- the occupied box -------------------------------------------------------------------
+
+
+def full_frame_segment(gt, ops, seed, instances):
+    """``segment`` as first written: every op on a fresh copy of the whole
+    image, with erosion by ``ndimage.binary_erosion`` over the full frame."""
+    data = gt.data.copy()
+    op_index = 0
+    for op in ops:
+        if isinstance(op, Erode):
+            out = np.zeros_like(data)
+            se = np.ones((2 * op.radius + 1, 2 * op.radius + 1), dtype=bool)
+            for code in (1, 2):
+                mask = data == code
+                if mask.any():
+                    out[ndimage.binary_erosion(mask, structure=se)] = code
+            data = out
+        elif isinstance(op, Holes):
+            if op.fraction > 0.0:
+                rng = np.random.default_rng(np.random.SeedSequence([seed, op_index, op.seed]))
+                rows, cols = np.nonzero(data)
+                drop = rng.random(len(rows)) < op.fraction
+                data = data.copy()
+                data[rows[drop], cols[drop]] = 0
+        elif isinstance(op, CutBand):
+            rows, cols = instances.pixels_of(op.target_id) if instances else ((), ())
+            if len(rows) == 0:
+                continue
+            x = cols.astype(float)
+            y = rows.astype(float)
+            x -= x.mean()
+            y -= y.mean()
+            theta = 0.5 * math.atan2(
+                2.0 * float(np.dot(x, y)), float(np.dot(x, x)) - float(np.dot(y, y))
+            )
+            band = np.abs(x * math.cos(theta) + y * math.sin(theta)) <= op.band_px / 2.0
+            data = data.copy()
+            data[rows[band], cols[band]] = 0
+        else:
+            r0, r1, c0, c1 = op.region
+            data = data.copy()
+            window = data[r0:r1, c0:c1]
+            window[window != 0] = op.new_class
+        op_index += 1
+    return data
+
+
+@st.composite
+def boxed_frames(draw):
+    """Rectangular objects, possibly cut by the image edge and speckled,
+    in a larger floor image; ops of all four kinds, relabel regions
+    anywhere in (or past) the image, erosion up to the largest radius."""
+    h, w = draw(st.integers(1, 48)), draw(st.integers(1, 48))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = np.zeros((h, w), dtype=np.uint8)
+    index = np.full((h, w), -1, dtype=np.int32)
+    n = draw(st.integers(0, 4))
+    windows = {}
+    for i in range(n):
+        r0, c0 = draw(st.integers(-8, h - 1)), draw(st.integers(-8, w - 1))
+        r1, c1 = r0 + draw(st.integers(1, 30)), c0 + draw(st.integers(1, 30))
+        r0, r1, c0, c1 = max(r0, 0), min(r1, h), max(c0, 0), min(c1, w)
+        if r0 >= r1 or c0 >= c1:
+            continue
+        keep = rng.random((r1 - r0, c1 - c0)) >= draw(st.sampled_from([0.0, 0.1, 0.5]))
+        labels[r0:r1, c0:c1][keep] = draw(st.integers(1, 2))
+        index[r0:r1, c0:c1][keep] = i
+        windows[f"o{i}"] = (i, (r0, r1, c0, c1))
+    instances = InstanceImage(index, tuple(f"o{i}" for i in range(n)), windows)
+    if draw(st.booleans()):
+        instances = None
+
+    targets = st.sampled_from([f"o{i}" for i in range(n)] + ["ghost"])
+    region = st.tuples(
+        st.integers(0, h + 4), st.integers(1, h + 8), st.integers(0, w + 4), st.integers(1, w + 8)
+    )
+    op = st.one_of(
+        st.builds(Erode, st.integers(1, MAX_ERODE_RADIUS)),
+        st.builds(Holes, st.floats(0.0, 0.9), st.integers(0, 2**32)),
+        st.builds(CutBand, targets, st.integers(1, 6)),
+        st.builds(
+            lambda r, cls: Relabel((r[0], r[0] + r[1], r[2], r[2] + r[3]), cls),
+            region,
+            st.integers(0, 2),
+        ),
+    )
+    ops = draw(st.lists(op, max_size=5))
+    return LabelImage(labels), instances, ops, draw(st.integers(0, 2**32))
+
+
+@settings(deadline=None, max_examples=300)
+@given(boxed_frames())
+@example((rect_labels(0, 64, 0, 64), rect_instances(0, 64, 0, 64), [Erode(3), Holes(0.3)], 1))
+@example(
+    (
+        rect_labels(20, 30, 20, 30, code=2),
+        rect_instances(20, 30, 20, 30),
+        [Relabel((0, 64, 25, 64), 1), CutBand("t1", 2), Erode(MAX_ERODE_RADIUS)],
+        0,
+    )
+)
+def test_segment_on_the_occupied_box_equals_the_full_frame(case):
+    labels, instances, ops, seed = case
+    got = segment(labels, ops, seed=seed, instances=instances)
+    assert got.data.tobytes() == full_frame_segment(labels, ops, seed, instances).tobytes()
 
 
 # --- iou ------------------------------------------------------------------------------
