@@ -231,14 +231,35 @@ def connected_components(
     # labelling only the occupied crop gives the same components: the rows
     # and columns cut away hold no pixel of the class
     crop = mask[r0:r1, c0:c1]
-    lab, _ = ndimage.label(crop, structure=_STRUCTURE_8)
+    lab, n = ndimage.label(crop, structure=_STRUCTURE_8)
+    rows, cols = np.nonzero(lab)  # raster order
+    if n == 1:
+        groups = [(rows, cols)]
+    else:
+        # a stable sort by label keeps each component's pixels in raster order
+        labs = lab[rows, cols]
+        order = np.argsort(labs, kind="stable")
+        cuts = np.flatnonzero(np.diff(labs[order])) + 1
+        groups = zip(np.split(rows[order], cuts), np.split(cols[order], cuts))
     comps = []
-    for i, (rs, cs) in enumerate(ndimage.find_objects(lab), start=1):
-        rows, cols = np.nonzero(lab[rs, cs] == i)
+    for rows, cols in groups:
         if len(rows) < min_area:
             continue
-        pixels = np.stack([rows + (r0 + rs.start), cols + (c0 + cs.start)], axis=1)
-        comps.append(MaskComponent.from_pixels(cls, pixels))
+        pixels = np.stack([rows + r0, cols + c0], axis=1)
+        comps.append(
+            MaskComponent(
+                cls=cls,
+                pixels=pixels,
+                area=len(pixels),
+                bbox=(
+                    int(pixels[0, 0]),
+                    int(pixels[-1, 0]) + 1,
+                    int(cols.min()) + c0,
+                    int(cols.max()) + c0 + 1,
+                ),
+                seed_pixel=(int(pixels[0, 0]), int(pixels[0, 1])),
+            )
+        )
     comps.sort(key=lambda cmp: (cmp.seed_pixel[0], cmp.seed_pixel[1]))
     return comps
 
@@ -250,12 +271,19 @@ def component_center_3d(
     rows = component.pixels[:, 0]
     cols = component.pixels[:, 1]
     z = depth.data[rows, cols]
-    valid = z > 0.0
-    if valid.sum() < 0.5 * component.area:
-        raise InsufficientDepth(
-            f"only {int(valid.sum())}/{component.area} pixels carry valid depth"
-        )
-    z_med = float(np.median(z[valid]))
+    z = z[z > 0.0]
+    n = len(z)
+    if n < 0.5 * component.area:
+        raise InsufficientDepth(f"only {n}/{component.area} pixels carry valid depth")
+    # np.median's own arithmetic: the middle value, or the mean (a + b) / 2 of
+    # the two middle values, found by a partial sort
+    mid = n // 2
+    if n % 2:
+        z.partition(mid)
+        z_med = float(z[mid])
+    else:
+        z.partition((mid - 1, mid))
+        z_med = float((z[mid - 1] + z[mid]) / 2)
     u = float(cols.mean())
     v = float(rows.mean())
     p = backproject(u, v, z_med, k)
@@ -265,27 +293,40 @@ def component_center_3d(
 # --- principal orientation ---------------------------------------------------
 
 
-def _convex_hull(points: np.ndarray) -> np.ndarray:
-    """Monotone-chain hull, counterclockwise in (x, y) = (col, row) coords."""
-    # plain tuples: the chain's scalar arithmetic is far slower on numpy scalars
-    pts = sorted(set(map(tuple, points.tolist())))
-    if len(pts) <= 2:
-        return np.array(pts)
+def _chain(pts: list[list[float]]) -> list[list[float]]:
+    """One half of the monotone chain over (row, col)-sorted (col, row) points.
 
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list[tuple[float, float]] = []
+    Sorted by (row, col), the chain keeps a point where the (col, row) cross
+    product is negative. All coordinates are integers, so each cross product
+    is exact and the vertices are those of a chain in (col, row) order.
+    """
+    chain: list[list[float]] = []
     for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[tuple[float, float]] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return np.array(lower[:-1] + upper[:-1])
+        px, py = p
+        while len(chain) >= 2:
+            (ox, oy), (ax, ay) = chain[-2], chain[-1]
+            if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) < 0:
+                break
+            chain.pop()
+        chain.append(p)
+    return chain
+
+
+def _convex_hull(points: np.ndarray) -> np.ndarray:
+    """Monotone-chain hull of distinct points sorted by (row, col), as the
+    row extremes of a raster-ordered component arrive.
+
+    Returns the vertices counterclockwise in (x, y) = (col, row) coords from
+    the least (col, row) vertex: the order the caliper tie-break sees.
+    """
+    # plain lists: the chain's scalar arithmetic is far slower on numpy scalars
+    pts = points.tolist()
+    if len(pts) <= 2:
+        return np.array(sorted(pts))
+    # clockwise in (col, row) coords, so reversed
+    hull = (_chain(pts)[:-1] + _chain(pts[::-1])[:-1])[::-1]
+    first = hull.index(min(hull))
+    return np.array(hull[first:] + hull[:first])
 
 
 def principal_orientation(component: MaskComponent) -> float:
@@ -311,18 +352,22 @@ def principal_orientation(component: MaskComponent) -> float:
         d = hull[1] - hull[0]
         return math.atan2(d[1], d[0]) % math.pi
 
+    # Hull vertices are distinct pixels, so every edge is at least 1 long.
+    vertices = hull.tolist()
+    units = []
+    for (ax, ay), (bx, by) in zip(vertices, vertices[1:] + vertices[:1]):
+        norm = math.hypot(bx - ax, by - ay)
+        units.append(((bx - ax) / norm, (by - ay) / norm))
+    # Every direction is projected by its own BLAS gemv, as ``pts @ u`` does:
+    # matmul of the (N, 2) points with a C-contiguous (2E, 2, 1) stack runs
+    # one gemv per direction. A single (N, 2) @ (2, E) gemm, einsum or the
+    # elementwise c*ux + r*uy each round differently in the last ulp, and
+    # the extremes must be those of the all-pixel projection bit for bit.
+    dirs = np.array([d for ux, uy in units for d in ((ux, uy), (-uy, ux))])
+    proj = np.matmul(pts, dirs.reshape(-1, 2, 1))
+    extent = (proj.max(axis=1) - proj.min(axis=1)).reshape(-1, 2)
     best = None
-    n = len(hull)
-    for i in range(n):
-        edge = hull[(i + 1) % n] - hull[i]
-        norm = math.hypot(edge[0], edge[1])
-        if norm < 1e-12:
-            continue
-        ux, uy = edge[0] / norm, edge[1] / norm
-        proj_u = pts @ np.array([ux, uy])
-        proj_v = pts @ np.array([-uy, ux])
-        du = proj_u.max() - proj_u.min()
-        dv = proj_v.max() - proj_v.min()
+    for (ux, uy), (du, dv) in zip(units, extent.tolist()):
         area = du * dv
         if du >= dv:
             angle = math.atan2(uy, ux) % math.pi

@@ -442,6 +442,36 @@ def test_center_stays_on_symmetry_axis():
     assert abs(v - 60.0) <= 0.5
 
 
+def float_bits(x: float) -> int:
+    return int(np.float64(x).view(np.uint64))
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    depths=st.lists(
+        st.one_of(
+            st.sampled_from([0.5, 1.0, 1.143, 2.0]),  # repeated values
+            st.floats(1e-6, 10.0),
+            st.sampled_from([0.0, -0.0, -1.0]),  # invalid depth
+        ),
+        min_size=1,
+        max_size=64,
+    )
+)
+def test_center_median_equals_np_median_bit_for_bit(depths):
+    comp = MaskComponent.from_pixels(
+        ObjectClass.BRICK, np.array([[0, c] for c in range(len(depths))])
+    )
+    z = np.array(depths)
+    valid = z[z > 0.0]
+    if len(valid) < 0.5 * len(z):
+        with pytest.raises(InsufficientDepth):
+            component_center_3d(comp, DepthImage(z[None, :]), DEFAULT_INTRINSICS)
+        return
+    center = component_center_3d(comp, DepthImage(z[None, :]), DEFAULT_INTRINSICS)
+    assert float_bits(center.z) == float_bits(np.median(valid))
+
+
 # --- principal orientation ---------------------------------------------------------------
 
 
@@ -681,6 +711,71 @@ def test_orientation_hulls_only_row_extremes(monkeypatch):
     monkeypatch.setattr(geometry, "_convex_hull", recording_hull)
     assert principal_orientation(comp) == reference_orientation(comp)
     assert sizes and max(sizes) <= 2 * 40
+
+
+# A pipe's silhouette in the first frame of the benchmark course: (first,
+# last) column of each row, from row 135 and column 392 of the frame.
+COURSE_PIPE_RUNS = [
+    (52, 54), (47, 56), (42, 57), (37, 57), (32, 58), (27, 58), (22, 57), (17, 56),
+    (12, 52), (7, 47), (2, 42), (0, 37), (0, 32), (0, 28), (0, 23), (1, 18), (1, 13),
+    (2, 8),
+]
+
+
+def test_orientation_projects_each_direction_like_a_gemv():
+    # Two opposite hull edges of this silhouette are parallel: they span the
+    # same rectangle, but its computed areas differ by ~1.7e-12 and the two
+    # angles by one ulp, so the winner rests on the last bits of each
+    # projection. A single (points x directions) product or the elementwise
+    # c*ux + r*uy picks the other edge.
+    pixels = [
+        (135 + r, 392 + c) for r, (a, b) in enumerate(COURSE_PIPE_RUNS) for c in range(a, b + 1)
+    ]
+    comp = MaskComponent.from_pixels(ObjectClass.PIPE, np.array(pixels))
+    assert principal_orientation(comp) == reference_orientation(comp)
+
+
+@st.composite
+def row_extremes(draw) -> np.ndarray:
+    """(col, row) points of each row's first and last pixel, in raster order:
+    a general blob, one row, one column, a collinear run or a diagonal line."""
+    kind = draw(st.sampled_from(["blob", "row", "column", "line"]))
+    r0 = draw(st.integers(0, 300))
+    c0 = draw(st.integers(0, 300))
+    n = draw(st.integers(1, 40))
+    if kind == "blob":
+        gaps = draw(st.lists(st.integers(1, 3), min_size=n - 1, max_size=n - 1))
+        rows = r0 + np.concatenate(([0], np.cumsum(gaps, dtype=int)))
+        spans = [
+            sorted(draw(st.tuples(st.integers(0, 60), st.integers(0, 60))))
+            for _ in range(n)
+        ]
+    elif kind == "row":
+        rows = [r0]
+        spans = [(0, n - 1)]
+    elif kind == "column":
+        rows = range(r0, r0 + n)
+        spans = [(0, 0)] * n
+    else:
+        dc = draw(st.integers(-3, 3))
+        rows = range(r0, r0 + n)
+        spans = [(60 + i * dc, 60 + i * dc) for i in range(n)]
+    pts = []
+    for r, (a, b) in zip(rows, spans):
+        pts.append((c0 + a, r))
+        if b != a:
+            pts.append((c0 + b, r))
+    return np.array(pts, dtype=float)
+
+
+@settings(deadline=None, max_examples=400)
+@given(pts=row_extremes())
+def test_hull_of_row_extremes_equals_the_reference_hull(pts):
+    got = geometry._convex_hull(pts)
+    want = reference_hull(pts)
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)  # same vertices in the same order
 
 
 # --- orientation into the arm frame ----------------------------------------------------

@@ -6,6 +6,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
 from dataclasses import dataclass
@@ -37,6 +38,7 @@ from clearbot.orchestrator import (
     InvalidConfig,
     MessageBus,
     PipelineState,
+    RunReport,
     ScenarioConfig,
     SequenceRegression,
     SimClock,
@@ -623,11 +625,30 @@ def test_ndjson_log_is_one_canonical_line_per_message(benchmark_run):
     assert "zbuf" not in text
 
 
-RECORDED = Path(__file__).resolve().parents[1] / "perfbench" / "recorded.json"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+RECORDED = PERFBENCH / "recorded.json"
+
+
+@pytest.fixture(scope="module")
+def noisy_run() -> tuple[RunReport, Simulation]:
+    """The benchmark's noisy_course at its recorded seed: depth noise with
+    dropout, and eroded, holed masks."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    seed = json.loads(RECORDED.read_text())["default_seed"]
+    return run_scenario(parse_scenario(workloads.noisy_course(seed)))
 
 
 @pytest.mark.parametrize(
-    "run, entry", [("benchmark_run", "course"), ("adaptive_run", "adaptive_course")]
+    "run, entry",
+    [
+        ("benchmark_run", "course"),
+        ("adaptive_run", "adaptive_course"),
+        ("noisy_run", "noisy_course"),
+    ],
 )
 def test_course_outputs_match_the_recorded_digests(request, run, entry):
     # the benchmark records these hashes; a renamed or dropped log or report
