@@ -103,26 +103,10 @@ class ArmConfig:
 
     def phase_order(self) -> tuple[MotionPhase, ...]:
         if self.adaptive_order:
-            return (
-                MotionPhase.HOME,
-                MotionPhase.DESCEND,
-                MotionPhase.MOVE_ABOVE,
-                MotionPhase.GRASP,
-                MotionPhase.LIFT,
-                MotionPhase.MOVE_TO_DROP,
-                MotionPhase.RELEASE,
-                MotionPhase.RETURN_HOME,
-            )
-        return (
-            MotionPhase.HOME,
-            MotionPhase.MOVE_ABOVE,
-            MotionPhase.DESCEND,
-            MotionPhase.GRASP,
-            MotionPhase.LIFT,
-            MotionPhase.MOVE_TO_DROP,
-            MotionPhase.RELEASE,
-            MotionPhase.RETURN_HOME,
-        )
+            # descend first, then swing over: MOVE_ABOVE and DESCEND swap
+            home, move_above, descend, *rest = MotionPhase
+            return (home, descend, move_above, *rest)
+        return tuple(MotionPhase)
 
 
 DEFAULT_ARM_CONFIG = ArmConfig()

@@ -14,8 +14,8 @@ invalid pixels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -122,19 +122,41 @@ class DepthImage:
         return self.data > 0.0
 
 
+Window = tuple[int, int, int, int]  # (r0, r1, c0, c1), half open
+
+
+def occupied_box(image: np.ndarray) -> Optional[Window]:
+    """Bounding box of a 2-D array's nonzero pixels, None when it has none."""
+    rows = np.flatnonzero(image.any(axis=1))
+    if not len(rows):
+        return None
+    r0, r1 = int(rows[0]), int(rows[-1]) + 1
+    cols = np.flatnonzero(image[r0:r1].any(axis=0))
+    return r0, r1, int(cols[0]), int(cols[-1]) + 1
+
+
 @dataclass(frozen=True)
 class LabelImage:
-    """Per-pixel class labels: 0 unlabeled, 1 brick, 2 pipe."""
+    """Per-pixel class labels: 0 unlabeled, 1 brick, 2 pipe.
+
+    ``box`` is the bounding box of the labelled pixels (None when there are
+    none); every pixel outside it is 0.
+    """
 
     data: np.ndarray
+    box: Optional[Window] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.data, dtype=np.uint8)
         if arr.ndim != 2:
             raise ValueError("label image must be 2-D")
-        if arr.size and arr.max() > 2:
-            raise ValueError("label image holds an unknown class code")
+        box = occupied_box(arr)
+        if box is not None:
+            r0, r1, c0, c1 = box
+            if arr[r0:r1, c0:c1].max() > 2:
+                raise ValueError("label image holds an unknown class code")
         object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "box", box)
 
     @property
     def height(self) -> int:
@@ -144,8 +166,16 @@ class LabelImage:
     def width(self) -> int:
         return self.data.shape[1]
 
-
-Window = tuple[int, int, int, int]  # (r0, r1, c0, c1), half open
+    def class_pixels(self) -> tuple[int, int]:
+        """(brick, pipe) pixel counts; codes are 0, 1 or 2, so the nonzero
+        count and the sum give both without an image-sized temporary."""
+        if self.box is None:
+            return 0, 0
+        r0, r1, c0, c1 = self.box
+        crop = self.data[r0:r1, c0:c1]
+        labelled = int(np.count_nonzero(crop))
+        pipe = int(crop.sum(dtype=np.uint32)) - labelled
+        return labelled - pipe, pipe
 
 
 @dataclass(frozen=True)

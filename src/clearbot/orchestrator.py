@@ -41,7 +41,6 @@ from .camera import (
     Intrinsics,
     LabelImage,
     ObjectPatch,
-    Window,
     apply_noise,
     compose_patches,
     render_full,
@@ -237,7 +236,7 @@ class FrameData:
 class MaskData:
     frame_index: int
     t_capture: float
-    data: np.ndarray  # corrupted uint8 label image
+    mask: LabelImage  # the segmenter's corrupted labels
 
 
 @dataclass(frozen=True)
@@ -559,7 +558,6 @@ def match_component(comp: MaskComponent, instances: InstanceImage) -> Optional[s
 
 
 def perceive_frame(
-    fd: FrameData,
     images: FrameImages,
     cfg: ScenarioConfig,
     cam_to_arm: RigidTransform,
@@ -569,10 +567,13 @@ def perceive_frame(
     The step loop and :func:`replay_grasp_targets` both perceive through
     this function, so a replay runs the very code the run did.
     """
-    if not fd.patches:
-        # an empty frame's mask is all floor: every op maps zeros to
-        # zeros and no cut has a target in view, so it has no component
-        return LabelImage(np.zeros(fd.shape, dtype=np.uint8)), (), ()
+    if images.labels.box is None:
+        # an empty frame's mask is all floor: every op maps zeros to zeros
+        # and no cut has a target in view, so it has no component. The mask
+        # is a fresh array, not the frame's own labels: the bus keeps every
+        # mask, and keeping the frames' label buffers alive there raised the
+        # course's peak RSS by ~5 MB (4%).
+        return LabelImage(np.zeros(images.labels.data.shape, dtype=np.uint8)), (), ()
     mask = segment(images.labels, cfg.seg_ops, seed=cfg.seed, instances=images.instances)
     targets, comps = compute_targets(
         mask, images.depth, cfg.intrinsics, cam_to_arm, cfg.arm.envelope
@@ -588,7 +589,7 @@ def replay_grasp_targets(
     out = []
     for env in frames:
         fd: FrameData = env.payload
-        mask, targets, _ = perceive_frame(fd, fd.images(cfg), cfg, cam_to_arm)
+        mask, targets, _ = perceive_frame(fd.images(cfg), cfg, cam_to_arm)
         out.append((mask.data, GraspTargetsPayload(frame_index=fd.frame_index, targets=targets)))
     return out
 
@@ -690,14 +691,11 @@ class Simulation:
         )
         images = fd.images(self.cfg)
         depth = images.depth
-        # labels are floor outside the patch windows, so their union box
-        # holds every class pixel
-        r0, r1, c0, c1 = _union_window(fd.patches)
         # the log keeps these facts of the perceived view, so serializing
         # the frame builds no image and draws no noise
         fd = dataclasses.replace(
             fd,
-            class_pixels=_class_pixels(images.labels.data[r0:r1, c0:c1]),
+            class_pixels=images.labels.class_pixels(),
             depth_digest=None if depth is images.clean_depth else _array_digest(depth.data),
         )
         self.bus.publish(Topic.CAMERA_FRAMES, fd.t_capture, fd)
@@ -732,9 +730,9 @@ class Simulation:
         published, and the selection (None when nothing is actionable).
         """
         fd, images = self._capture(standstill, inject_for)
-        mask, targets, comps = perceive_frame(fd, images, self.cfg, self.cam_to_arm)
+        mask, targets, comps = perceive_frame(images, self.cfg, self.cam_to_arm)
         t_mask = fd.t_capture + SEG_LATENCY
-        md = MaskData(frame_index=fd.frame_index, t_capture=fd.t_capture, data=mask.data)
+        md = MaskData(frame_index=fd.frame_index, t_capture=fd.t_capture, mask=mask)
         self.bus.publish(Topic.SEGMENTATION_MASKS, t_mask, md)
         t_targets = t_mask + GEOMETRY_LATENCY
         payload = GraspTargetsPayload(frame_index=fd.frame_index, targets=targets)
@@ -1285,27 +1283,6 @@ def frame_digest(fd: FrameData) -> str:
     return h.hexdigest()
 
 
-def _union_window(patches: Sequence[ObjectPatch]) -> Window:
-    """Smallest window holding every patch's window; empty when no patch."""
-    if not patches:
-        return 0, 0, 0, 0
-    return (
-        min(p.r0 for p in patches),
-        max(p.r1 for p in patches),
-        min(p.c0 for p in patches),
-        max(p.c1 for p in patches),
-    )
-
-
-def _class_pixels(labels: np.ndarray) -> tuple[int, int]:
-    """(brick, pipe) pixel counts of a label image; labels are 0, 1 or 2,
-    so the nonzero count and the sum give both without an image-sized
-    temporary."""
-    labelled = int(np.count_nonzero(labels))
-    pipe = int(labels.sum(dtype=np.uint32)) - labelled
-    return labelled - pipe, pipe
-
-
 # payloads logged field for field, by the kind each is logged as
 _RECORD_KINDS = {
     GraspTargetsPayload: "targets",
@@ -1334,14 +1311,14 @@ def payload_to_dict(payload: object) -> dict:
             "digest": frame_digest(payload),
         }
     if isinstance(payload, MaskData):
-        brick, pipe = _class_pixels(payload.data)
+        brick, pipe = payload.mask.class_pixels()
         return {
             "kind": "mask",
             "frame_index": payload.frame_index,
             "t_capture": payload.t_capture,
             "latency": SEG_LATENCY,
             "class_pixels": {"brick": brick, "pipe": pipe},
-            "digest": _array_digest(payload.data),
+            "digest": _array_digest(payload.mask.data),
         }
     kind = _RECORD_KINDS.get(type(payload))
     if kind is None:

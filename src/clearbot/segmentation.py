@@ -18,7 +18,7 @@ import numpy as np
 from scipy import ndimage
 
 from .camera import InstanceImage, LabelImage
-from .geometry import MaskComponent, occupied_box
+from .geometry import MaskComponent
 
 #: seeds lie in [0, SEED_LIMIT), so any seed is a valid SeedSequence entropy
 SEED_LIMIT = 2**63
@@ -155,7 +155,7 @@ def segment(
     ``Holes`` ops after it draw the same pixels as if it were not listed.
     """
     data = gt.data.copy()
-    r0, r1, c0, c1 = occupied_box(data) or (0, 0, 0, 0)
+    r0, r1, c0, c1 = gt.box or (0, 0, 0, 0)
     # No op labels a floor pixel, so every labelled pixel stays in this box,
     # and erosion and holes need only its crop: erosion reads past the
     # crop's edge as floor, which the image holds there, and holes draw over

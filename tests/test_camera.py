@@ -336,6 +336,49 @@ def test_image_container_validation():
         LabelImage(np.full((4, 4), 3, dtype=np.uint8))
 
 
+@st.composite
+def label_arrays(draw):
+    """A uint8 image from 1x1 to 64x128: empty, or labelled rectangles and
+    pixels on any of its four edges, and maybe one unknown code anywhere."""
+    h, w = draw(st.integers(1, 64)), draw(st.integers(1, 128))
+    data = np.zeros((h, w), dtype=np.uint8)
+    code = st.sampled_from((1, 2))
+    for _ in range(draw(st.integers(0, 4))):
+        r0, c0 = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+        r1, c1 = draw(st.integers(r0 + 1, h)), draw(st.integers(c0 + 1, w))
+        data[r0:r1, c0:c1] = draw(code)
+    for edge in draw(st.sets(st.sampled_from(("top", "bottom", "left", "right")))):
+        r, c = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+        r = {"top": 0, "bottom": h - 1}.get(edge, r)
+        c = {"left": 0, "right": w - 1}.get(edge, c)
+        data[r, c] = draw(code)
+    unknown = draw(
+        st.none() | st.tuples(st.integers(0, h - 1), st.integers(0, w - 1), st.integers(3, 255))
+    )
+    return data, unknown
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=label_arrays())
+@example(case=(np.zeros((1, 1), dtype=np.uint8), None))
+@example(case=(np.ones((64, 128), dtype=np.uint8), None))
+def test_label_image_box_and_class_pixels_match_a_full_scan(case):
+    data, unknown = case
+    if unknown is not None:
+        r, c, bad = unknown
+        data[r, c] = bad
+        with pytest.raises(ValueError, match="unknown class code"):
+            LabelImage(data)
+        return
+    labels = LabelImage(data)
+    rows, cols = np.nonzero(data)
+    if len(rows):
+        assert labels.box == (rows.min(), rows.max() + 1, cols.min(), cols.max() + 1)
+    else:
+        assert labels.box is None
+    assert labels.class_pixels() == ((data == 1).sum(), (data == 2).sum())
+
+
 def test_depth_pgm_golden_bytes():
     img = DepthImage(np.array([[0.0, 0.001], [1.5, 2.0]]))
     expected = b"P5\n2 2\n65535\n" + struct.pack(">4H", 0, 1, 1500, 2000)

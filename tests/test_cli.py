@@ -2,22 +2,30 @@
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
 import math
 import re
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clearbot import cli, orchestrator
-from clearbot.camera import DepthNoiseModel, encode_depth_pgm
+from clearbot.camera import DepthNoiseModel, Intrinsics, encode_depth_pgm
 from clearbot.orchestrator import (
     DepthBiasInjection,
     ScenarioConfig,
     Simulation,
     scenario_to_dict,
 )
-from clearbot.scene import BrickDims, ObjectClass, ObjectSpec
+from clearbot.scene import BrickDims, ObjectClass, ObjectSpec, PipeDims
+from clearbot.segmentation import CutBand, Erode, Holes, Relabel
 
 REPORT_KEYS = {"seed", "config_digest", "attempted", "succeeded", "records", "wall_notes"}
 RECORD_KEYS = {
@@ -315,6 +323,72 @@ def test_simulate_reports_missing_file(tmp_path, capsys):
     )
     assert code == 2
     assert "cannot read scenario" in capsys.readouterr().err
+
+
+# --- scenario fuzzing ------------------------------------------------------------
+
+#: a small course with both classes, all four corruption kinds, depth noise
+#: and a depth-bias injection, so that every scenario section is live
+_FUZZ_DOC = scenario_to_dict(
+    ScenarioConfig(
+        name="fuzz",
+        objects=(
+            ObjectSpec("b", ObjectClass.BRICK, BrickDims(0.20, 0.095, 0.057), 1.2, 0.05, 0.3),
+            ObjectSpec("p", ObjectClass.PIPE, PipeDims(0.03, 0.40), 1.7, -0.1, 1.2),
+        ),
+        intrinsics=Intrinsics(fx=64.0, fy=64.0, cx=64.0, cy=32.0, width=128, height=64),
+        ugv_end=(2.0, 0.0),
+        speed=0.5,
+        noise=DepthNoiseModel(sigma=0.002, dropout_prob=0.01),
+        seg_ops=(Erode(1), Holes(0.1, seed=3), CutBand("p", 3), Relabel((0, 8, 0, 8), 2)),
+        injections=(DepthBiasInjection("b", 0.02),),
+        seed=7,
+    )
+)
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        yield path
+        return
+    for key, child in items:
+        yield from _leaf_paths(child, path + (key,))
+
+
+_FUZZ_LEAVES = tuple(_leaf_paths(_FUZZ_DOC))
+_FUZZ_VALUES = (math.nan, 1e308, -1e308, -1, 0, 2**70, "x", [], None, True, 0.5, 1e-300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    edits=st.lists(
+        st.tuples(st.sampled_from(_FUZZ_LEAVES), st.sampled_from(_FUZZ_VALUES)),
+        min_size=1,
+        max_size=2,
+        unique_by=lambda edit: edit[0],
+    )
+)
+def test_simulate_survives_adversarial_scenario_leaves(edits):
+    doc = copy.deepcopy(_FUZZ_DOC)
+    for path, value in edits:
+        _set(*path, value)(doc)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = Path(tmp) / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        with (
+            warnings.catch_warnings(),
+            contextlib.redirect_stderr(err),
+            contextlib.redirect_stdout(io.StringIO()),
+        ):
+            warnings.simplefilter("error")
+            code = cli.main(["simulate", "--scenario", str(scenario), "--out", tmp + "/out"])
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 # --- calibrate -----------------------------------------------------------------

@@ -449,7 +449,7 @@ def test_grasp_targets_replay_exactly_from_the_log(benchmark_run):
     logged = sim.bus.history(Topic.SEGMENTATION_MASKS)
     assert len(logged) == len(replayed)
     for (mask, _), env in zip(replayed, logged):
-        assert _same_bits(mask, env.payload.data)
+        assert _same_bits(mask, env.payload.mask.data)
 
 
 # --- one dense view per frame ------------------------------------------------------
@@ -687,19 +687,19 @@ def test_empty_frames_skip_segmentation_and_targets(monkeypatch):
     # the brick is in view from the first frame and out of it by the end
     _, sim = run_scenario(tiny_scenario([brick("b", 1.2, 0.05, 0.3)], seg_ops=ops))
     frames = [env.payload for env in sim.bus.history(Topic.CAMERA_FRAMES)]
-    seen = sum(1 for fd in frames if fd.patches)
+    seen = sum(1 for fd in frames if fd.class_pixels != (0, 0))
     assert 0 < seen < len(frames)
     assert calls == {"segment": seen, "compute_targets": seen}
 
     masks = sim.bus.history(Topic.SEGMENTATION_MASKS)
     targets = sim.bus.history(Topic.GRASP_TARGETS)
     for fd, mask, tgt in zip(frames, masks, targets):
-        if fd.patches:
+        if fd.class_pixels != (0, 0):
             continue
         # what the full path would have published for this frame
         images = fd.images(sim.cfg)
         full = orchestrator.segment(images.labels, ops, seed=0, instances=images.instances)
-        assert _same_bits(mask.payload.data, full.data)
+        assert _same_bits(mask.payload.mask.data, full.data)
         assert mask.t == fd.t_capture + SEG_LATENCY
         assert tgt.payload.targets == ()
 
