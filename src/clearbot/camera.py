@@ -417,12 +417,23 @@ def render(scene: Scene, k: Intrinsics) -> tuple[LabelImage, DepthImage]:
 
 
 def compose_patches(
-    shape: tuple[int, int], floor_depth: float, patches: Sequence[ObjectPatch]
+    shape: tuple[int, int],
+    floor_depth: float,
+    patches: Sequence[ObjectPatch],
+    out: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rebuild (labels, depth, instances) from sparse patches; exact."""
-    depth = np.full(shape, floor_depth)
-    labels = np.zeros(shape, dtype=np.uint8)
-    inst = np.full(shape, -1, dtype=np.int32)
+    """Rebuild (labels, depth, instances) from sparse patches; exact.
+
+    ``out`` is a (uint8, float64, int32) triple of arrays of ``shape`` to
+    write the images into; each is reset here before the patches go in.
+    Without it, the images are fresh arrays.
+    """
+    if out is None:
+        out = (np.empty(shape, dtype=np.uint8), np.empty(shape), np.empty(shape, dtype=np.int32))
+    labels, depth, inst = out
+    labels.fill(0)
+    depth.fill(floor_depth)
+    inst.fill(-1)
     for p in patches:
         win = depth[p.r0 : p.r1, p.c0 : p.c1]
         closer = p.zbuf < win
@@ -454,27 +465,46 @@ class DepthNoiseModel:
         return self.sigma == 0.0 and self.bias == 0.0 and self.dropout_prob == 0.0
 
 
-def apply_noise(depth: DepthImage, model: DepthNoiseModel, seed: int) -> DepthImage:
+def apply_noise(
+    depth: DepthImage,
+    model: DepthNoiseModel,
+    seed: int,
+    out: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+) -> DepthImage:
     """Corrupt valid pixels only; draws are consumed in row-major order.
 
     One full-image normal draw comes first, then one full-image uniform
     draw. A valid pixel becomes ``(d + bias) + sigma * normal``, or 0 when
     its uniform is below the dropout probability.
+
+    ``out`` is a (float64, float64, bool) triple of arrays of the depth's
+    shape: the noisy depth, the draws and the dropout flags are written
+    into them, and the result wraps the first. The generator fills an
+    ``out=`` array in the same row-major order as a fresh one, so the
+    stream is the same. Without it, the arrays are fresh.
     """
     data = depth.data
+    if out is None:
+        out = (np.empty(data.shape), np.empty(data.shape), np.empty(data.shape, dtype=bool))
+    noisy, draws, drop = out
     rng = np.random.default_rng(seed)
     # built in place: IEEE addition commutes exactly, so the sum is the
     # same bits as in the form above
-    out = rng.standard_normal(data.shape)
-    out *= model.sigma
-    out += data + model.bias if model.bias != 0.0 else data
-    drop = rng.random(data.shape) < model.dropout_prob
-    valid = depth.valid_mask()
-    if not valid.all():
-        np.copyto(out, data, where=~valid)
+    rng.standard_normal(out=noisy)
+    noisy *= model.sigma
+    if model.bias != 0.0:
+        noisy += np.add(data, model.bias, out=draws)
+    else:
+        noisy += data
+    rng.random(out=draws)
+    np.less(draws, model.dropout_prob, out=drop)
+    # the min is not above 0 when a pixel is invalid (or NaN)
+    if data.size and not data.min() > 0.0:
+        valid = depth.valid_mask()
+        np.copyto(noisy, data, where=~valid)
         drop &= valid
-    out[drop] = 0.0
-    return DepthImage(out)
+    np.copyto(noisy, 0.0, where=drop)
+    return DepthImage(noisy)
 
 
 # --- image dumps -------------------------------------------------------------

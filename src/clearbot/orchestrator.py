@@ -41,6 +41,7 @@ from .camera import (
     Intrinsics,
     LabelImage,
     ObjectPatch,
+    Window,
     apply_noise,
     compose_patches,
     render_full,
@@ -149,6 +150,9 @@ class MessageBus:
         # NDJSON lines of _log[:len(_lines)], filled by messages_to_ndjson;
         # envelopes and payloads are frozen, so a line never goes stale
         self._lines: list[str] = []
+        # (messages, text) of messages_to_ndjson's last result; the log
+        # only grows, so the text is current while its count is
+        self._text: tuple[int, str] = (0, "\n")
 
     def publish(self, topic: Topic, t: float, payload: object) -> MessageEnvelope:
         history = self._history[topic]
@@ -175,12 +179,35 @@ class FrameImages:
 
     ``depth`` is what perception sees (noisy or biased when the frame was
     altered after the ray cast); ``clean_depth`` is the ray-cast depth.
+    Images built into :class:`FrameBuffers` (the step loop's) are valid
+    only until the next frame is built into the same buffers.
     """
 
     labels: LabelImage
     depth: DepthImage
     clean_depth: DepthImage
     instances: InstanceImage
+
+
+class FrameBuffers:
+    """Dense arrays that one frame's images and mask are built into.
+
+    A :class:`Simulation` builds every capture into one set, so a run holds
+    one frame's dense images however long it is, and each capture writes
+    into pages it has already touched.
+    """
+
+    def __init__(self, shape: tuple[int, int]) -> None:
+        # compose_patches' labels, depth and instances
+        self.composed = (
+            np.empty(shape, dtype=np.uint8),
+            np.empty(shape),
+            np.empty(shape, dtype=np.int32),
+        )
+        # apply_noise's noisy depth, draws and dropout flags
+        self.noise = (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool))
+        # segment's mask
+        self.mask = np.empty(shape, dtype=np.uint8)
 
 
 # mixed into each frame's depth-noise seed
@@ -211,17 +238,26 @@ class FrameData:
     class_pixels: tuple[int, int] = (0, 0)  # (brick, pipe)
     depth_digest: Optional[str] = None
 
-    def images(self, cfg: ScenarioConfig) -> FrameImages:
+    def images(self, cfg: ScenarioConfig, buffers: Optional[FrameBuffers] = None) -> FrameImages:
         """Compose the dense images and perceive the depth through the
         scenario's noise and the frame's bias; nothing is kept on the frame.
-        The step loop perceives the view this builds at capture."""
-        lab, dep, index = compose_patches(self.shape, self.floor_depth, self.patches)
+        The step loop perceives the view this builds at capture, into its
+        ``buffers``; without them, the images are fresh arrays."""
+        composed = None if buffers is None else buffers.composed
+        noise = None if buffers is None else buffers.noise
+        lab, dep, index = compose_patches(self.shape, self.floor_depth, self.patches, out=composed)
         clean = depth = DepthImage(dep)
         if not cfg.noise.is_identity:
             seed = np.random.SeedSequence([cfg.seed, _NOISE_TAG, self.frame_index])
-            depth = apply_noise(depth, cfg.noise, seed)
+            depth = apply_noise(depth, cfg.noise, seed, out=noise)
         if self.bias is not None:
-            depth = DepthImage(np.where(depth.valid_mask(), depth.data + self.bias, depth.data))
+            # offsets the valid pixels; the clean depth stays as it is
+            data = depth.data
+            if depth is clean:
+                data = np.empty_like(data) if noise is None else noise[0]
+                np.copyto(data, clean.data)
+            np.add(data, self.bias, out=data, where=data > 0.0)
+            depth = DepthImage(data)
         ids = self.object_ids
         windows = {ids[p.obj_index]: (p.obj_index, (p.r0, p.r1, p.c0, p.c1)) for p in self.patches}
         return FrameImages(
@@ -234,9 +270,53 @@ class FrameData:
 
 @dataclass(frozen=True)
 class MaskData:
+    """The segmenter's corrupted labels of one frame, kept as their crop.
+
+    ``crop`` is a copy of the mask inside ``box``, the bounding box of its
+    labelled pixels (None, with an empty crop, when the mask is all floor);
+    every pixel outside the box is 0. ``class_pixels`` holds the mask's
+    (brick, pipe) pixel counts.
+    """
+
     frame_index: int
     t_capture: float
-    mask: LabelImage  # the segmenter's corrupted labels
+    shape: tuple[int, int]
+    box: Optional[Window]
+    crop: np.ndarray
+    class_pixels: tuple[int, int]
+
+    @classmethod
+    def of(cls, frame_index: int, t_capture: float, mask: LabelImage) -> MaskData:
+        r0, r1, c0, c1 = mask.box or (0, 0, 0, 0)
+        return cls(
+            frame_index=frame_index,
+            t_capture=t_capture,
+            shape=mask.data.shape,
+            box=mask.box,
+            crop=mask.data[r0:r1, c0:c1].copy(),
+            class_pixels=mask.class_pixels(),
+        )
+
+    def dense(self) -> LabelImage:
+        """The mask as the segmenter gave it, rebuilt from the crop."""
+        data = np.zeros(self.shape, dtype=np.uint8)
+        r0, r1, c0, c1 = self.box or (0, 0, 0, 0)
+        data[r0:r1, c0:c1] = self.crop
+        return LabelImage(data)
+
+    def digest(self) -> str:
+        """``_array_digest`` of the dense mask, streamed from the crop: its
+        rows above and below the box are zeros, and only the box's band of
+        rows is built."""
+        h = _digest_header(np.dtype(np.uint8), self.shape)
+        height, width = self.shape
+        r0, r1, c0, c1 = self.box or (height, height, 0, 0)
+        _update_zeros(h, r0 * width)
+        band = np.zeros((r1 - r0, width), dtype=np.uint8)
+        band[:, c0:c1] = self.crop
+        h.update(memoryview(band))
+        _update_zeros(h, (height - r1) * width)
+        return h.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -561,20 +641,20 @@ def perceive_frame(
     images: FrameImages,
     cfg: ScenarioConfig,
     cam_to_arm: RigidTransform,
+    buffers: Optional[FrameBuffers] = None,
 ) -> tuple[LabelImage, tuple[TargetRecord, ...], tuple[MaskComponent, ...]]:
     """Segment one frame and compute its grasp targets.
 
     The step loop and :func:`replay_grasp_targets` both perceive through
-    this function, so a replay runs the very code the run did.
+    this function, so a replay runs the very code the run did. The mask is
+    built into ``buffers.mask`` when ``buffers`` are given.
     """
     if images.labels.box is None:
         # an empty frame's mask is all floor: every op maps zeros to zeros
-        # and no cut has a target in view, so it has no component. The mask
-        # is a fresh array, not the frame's own labels: the bus keeps every
-        # mask, and keeping the frames' label buffers alive there raised the
-        # course's peak RSS by ~5 MB (4%).
-        return LabelImage(np.zeros(images.labels.data.shape, dtype=np.uint8)), (), ()
-    mask = segment(images.labels, cfg.seg_ops, seed=cfg.seed, instances=images.instances)
+        # and no cut has a target in view, so it has no component
+        return images.labels, (), ()
+    out = None if buffers is None else buffers.mask
+    mask = segment(images.labels, cfg.seg_ops, seed=cfg.seed, instances=images.instances, out=out)
     targets, comps = compute_targets(
         mask, images.depth, cfg.intrinsics, cam_to_arm, cfg.arm.envelope
     )
@@ -655,6 +735,8 @@ class Simulation:
         self.records: dict[str, AttemptRecord] = {}
         self._heading = self.scene.ugv.heading
         self._pending_stop: Optional[ControlStopPayload] = None
+        # every capture's images and mask, valid until the next capture
+        self._buffers = FrameBuffers((cfg.intrinsics.height, cfg.intrinsics.width))
 
     # -- kinematics --
 
@@ -689,7 +771,7 @@ class Simulation:
             object_ids=tuple(o.id for o in self.scene.objects),
             bias=next((j.bias for j in self.cfg.injections if j.object_id == inject_for), None),
         )
-        images = fd.images(self.cfg)
+        images = fd.images(self.cfg, self._buffers)
         depth = images.depth
         # the log keeps these facts of the perceived view, so serializing
         # the frame builds no image and draws no noise
@@ -726,13 +808,14 @@ class Simulation:
     def _perceive(self, standstill: bool, inject_for: Optional[str]):
         """Capture, segment, compute targets and select on one frame.
 
-        Returns the frame, its dense images, the time its targets are
-        published, and the selection (None when nothing is actionable).
+        Returns the frame, its dense images (valid until the next capture),
+        the time its targets are published, and the selection (None when
+        nothing is actionable).
         """
         fd, images = self._capture(standstill, inject_for)
-        mask, targets, comps = perceive_frame(images, self.cfg, self.cam_to_arm)
+        mask, targets, comps = perceive_frame(images, self.cfg, self.cam_to_arm, self._buffers)
         t_mask = fd.t_capture + SEG_LATENCY
-        md = MaskData(frame_index=fd.frame_index, t_capture=fd.t_capture, mask=mask)
+        md = MaskData.of(fd.frame_index, fd.t_capture, mask)
         self.bus.publish(Topic.SEGMENTATION_MASKS, t_mask, md)
         t_targets = t_mask + GEOMETRY_LATENCY
         payload = GraspTargetsPayload(frame_index=fd.frame_index, targets=targets)
@@ -1263,13 +1346,27 @@ def config_digest(cfg: ScenarioConfig) -> str:
     return hashlib.sha256(canonical_json(scenario_to_dict(cfg)).encode()).hexdigest()
 
 
-def _array_digest(arr: np.ndarray) -> str:
+def _digest_header(dtype: np.dtype, shape: tuple[int, ...]):
     h = hashlib.sha256()
-    h.update(str(arr.dtype).encode())
-    h.update(repr(arr.shape).encode())
+    h.update(str(dtype).encode())
+    h.update(repr(shape).encode())
+    return h
+
+
+def _array_digest(arr: np.ndarray) -> str:
+    h = _digest_header(arr.dtype, arr.shape)
     # the buffer itself, not a ``tobytes`` copy of it
     h.update(memoryview(np.ascontiguousarray(arr)))
     return h.hexdigest()
+
+
+_ZEROS = memoryview(bytes(1 << 16))
+
+
+def _update_zeros(h, n: int) -> None:
+    """Feed ``n`` zero bytes to the hash ``h``."""
+    for start in range(0, n, len(_ZEROS)):
+        h.update(_ZEROS[: min(len(_ZEROS), n - start)])
 
 
 def frame_digest(fd: FrameData) -> str:
@@ -1311,14 +1408,14 @@ def payload_to_dict(payload: object) -> dict:
             "digest": frame_digest(payload),
         }
     if isinstance(payload, MaskData):
-        brick, pipe = payload.mask.class_pixels()
+        brick, pipe = payload.class_pixels
         return {
             "kind": "mask",
             "frame_index": payload.frame_index,
             "t_capture": payload.t_capture,
             "latency": SEG_LATENCY,
             "class_pixels": {"brick": brick, "pipe": pipe},
-            "digest": _array_digest(payload.mask.data),
+            "digest": payload.digest(),
         }
     kind = _RECORD_KINDS.get(type(payload))
     if kind is None:
@@ -1327,7 +1424,11 @@ def payload_to_dict(payload: object) -> dict:
 
 
 def messages_to_ndjson(bus: MessageBus) -> str:
-    """The bus log as NDJSON; each envelope is serialized once per bus."""
+    """The bus log as NDJSON; each envelope is serialized once per bus, and
+    the text is joined again only after a publish."""
+    count, text = bus._text
+    if count == len(bus._log):
+        return text
     lines = bus._lines
     for env in bus._log[len(lines) :]:
         lines.append(
@@ -1340,7 +1441,9 @@ def messages_to_ndjson(bus: MessageBus) -> str:
                 }
             )
         )
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    bus._text = (len(lines), text)
+    return text
 
 
 # Wall-clock text must not leak into the report or byte-level determinism

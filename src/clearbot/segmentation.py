@@ -147,14 +147,18 @@ def segment(
     ops: Sequence[CorruptionOp],
     seed: int = 0,
     instances: InstanceImage | None = None,
+    out: np.ndarray | None = None,
 ) -> LabelImage:
     """Apply corruption operators in order on top of the ground truth.
 
     A cut whose target is out of view (without pixels in ``instances``, or
     no ``instances`` given) is skipped and takes no op index, so the
     ``Holes`` ops after it draw the same pixels as if it were not listed.
+    ``out``, a uint8 array of the image's shape, receives the mask, which
+    the result wraps; without it, the mask is a fresh array.
     """
-    data = gt.data.copy()
+    data = np.empty_like(gt.data) if out is None else out
+    np.copyto(data, gt.data)
     r0, r1, c0, c1 = gt.box or (0, 0, 0, 0)
     # No op labels a floor pixel, so every labelled pixel stays in this box,
     # and erosion and holes need only its crop: erosion reads past the

@@ -315,6 +315,12 @@ def test_apply_noise_equals_the_gather_form_bit_for_bit(case):
     out = apply_noise(depth, model, seed)
     assert np.array_equal(out.data.view(np.uint64), expected.view(np.uint64))
     assert out.data is not depth.data
+    # into given buffers that hold another frame's values: the same draws
+    shape = depth.data.shape
+    buffers = (np.full(shape, -7.0), np.full(shape, 0.5), np.ones(shape, dtype=bool))
+    into = apply_noise(depth, model, seed, out=buffers)
+    assert into.data is buffers[0]
+    assert np.array_equal(into.data.view(np.uint64), expected.view(np.uint64))
 
 
 def test_noise_model_validation():

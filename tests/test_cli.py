@@ -328,7 +328,9 @@ def test_simulate_reports_missing_file(tmp_path, capsys):
 # --- scenario fuzzing ------------------------------------------------------------
 
 #: a small course with both classes, all four corruption kinds, depth noise
-#: and a depth-bias injection, so that every scenario section is live
+#: and a depth-bias injection, so that every scenario section is live; a
+#: frame every 0.4 s keeps a run to ~11 frames (~20 ms), one attempt on "b"
+#: included, so that many edits fit in the test's time
 _FUZZ_DOC = scenario_to_dict(
     ScenarioConfig(
         name="fuzz",
@@ -339,6 +341,7 @@ _FUZZ_DOC = scenario_to_dict(
         intrinsics=Intrinsics(fx=64.0, fy=64.0, cx=64.0, cy=32.0, width=128, height=64),
         ugv_end=(2.0, 0.0),
         speed=0.5,
+        frame_period=0.4,
         noise=DepthNoiseModel(sigma=0.002, dropout_prob=0.01),
         seg_ops=(Erode(1), Holes(0.1, seed=3), CutBand("p", 3), Relabel((0, 8, 0, 8), 2)),
         injections=(DepthBiasInjection("b", 0.02),),
@@ -363,7 +366,7 @@ _FUZZ_LEAVES = tuple(_leaf_paths(_FUZZ_DOC))
 _FUZZ_VALUES = (math.nan, 1e308, -1e308, -1, 0, 2**70, "x", [], None, True, 0.5, 1e-300)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=550, deadline=None)
 @given(
     edits=st.lists(
         st.tuples(st.sampled_from(_FUZZ_LEAVES), st.sampled_from(_FUZZ_VALUES)),

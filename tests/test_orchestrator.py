@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import gc
 import hashlib
 import importlib.util
 import json
 import math
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,11 +20,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from clearbot import orchestrator
-from clearbot.arm import DEFAULT_PHASE_DURATIONS, ArmConfig, PickOutcome
+from clearbot.arm import DEFAULT_ARM_CONFIG, DEFAULT_PHASE_DURATIONS, ArmConfig, PickOutcome
 from clearbot.camera import (
     MAX_FIELD_OF_VIEW_DEG,
     DepthNoiseModel,
     Intrinsics,
+    LabelImage,
     apply_noise,
     compose_patches,
     render_full,
@@ -36,6 +39,7 @@ from clearbot.orchestrator import (
     DepthBiasInjection,
     FailureModule,
     InvalidConfig,
+    MaskData,
     MessageBus,
     PipelineState,
     RunReport,
@@ -449,7 +453,7 @@ def test_grasp_targets_replay_exactly_from_the_log(benchmark_run):
     logged = sim.bus.history(Topic.SEGMENTATION_MASKS)
     assert len(logged) == len(replayed)
     for (mask, _), env in zip(replayed, logged):
-        assert _same_bits(mask, env.payload.mask.data)
+        assert _same_bits(mask, env.payload.dense().data)
 
 
 # --- one dense view per frame ------------------------------------------------------
@@ -548,9 +552,9 @@ def test_step_loop_composes_each_frame_once(monkeypatch):
     for name in calls:
         real = getattr(orchestrator, name)
 
-        def counting(*args, _real=real, _name=name):
+        def counting(*args, _real=real, _name=name, **kwargs):
             calls[_name] += 1
-            return _real(*args)
+            return _real(*args, **kwargs)
 
         monkeypatch.setattr(orchestrator, name, counting)
     sim = Simulation(tiny_scenario([brick("b", 1.2, 0.05, 0.3)], noise=NOISY))
@@ -590,6 +594,126 @@ def test_frames_on_the_bus_hold_no_image_but_their_patches():
     for fd in frames:
         assert [id(a) for a in _arrays(fd)] == [id(p.zbuf) for p in fd.patches]
     assert all(fd.depth_digest is not None for fd in frames)
+
+
+# --- memory follows the patches ----------------------------------------------------
+
+
+@st.composite
+def label_masks(draw):
+    """Masks of random codes inside a box that may lie on any image edge;
+    a zero density gives an empty mask."""
+    height, width = draw(st.integers(1, 48)), draw(st.integers(1, 48))
+    r0 = draw(st.one_of(st.just(0), st.integers(0, height - 1)))
+    r1 = draw(st.one_of(st.just(height), st.integers(r0 + 1, height)))
+    c0 = draw(st.one_of(st.just(0), st.integers(0, width - 1)))
+    c1 = draw(st.one_of(st.just(width), st.integers(c0 + 1, width)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    density = draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    shape = (r1 - r0, c1 - c0)
+    data = np.zeros((height, width), dtype=np.uint8)
+    data[r0:r1, c0:c1] = np.where(rng.random(shape) < density, rng.integers(1, 3, shape), 0)
+    return LabelImage(data)
+
+
+def _corner_mask() -> LabelImage:
+    data = np.zeros((256, 512), dtype=np.uint8)
+    data[-1, -1] = 2
+    return LabelImage(data)
+
+
+@settings(deadline=None, max_examples=300)
+@given(mask=label_masks())
+@example(mask=LabelImage(np.zeros((256, 512), dtype=np.uint8)))
+@example(mask=_corner_mask())
+def test_mask_crop_rebuilds_the_dense_mask_and_its_digest(mask):
+    md = MaskData.of(3, 0.25, mask)
+    want = mask.data.copy()
+    assert md.box == mask.box and md.class_pixels == mask.class_pixels()
+    assert md.digest() == orchestrator._array_digest(want)
+    # the crop is a copy: the step loop reuses the mask's buffer
+    mask.data.fill(1)
+    assert _same_bits(md.dense().data, want)
+    assert md.dense().box == md.box
+
+
+@pytest.mark.parametrize("noise", [DepthNoiseModel(), NOISY], ids=["clean", "noisy"])
+def test_step_loop_views_equal_fresh_views_frame_by_frame(noise):
+    # every capture is built into the buffers of the one before it, whose
+    # patches moved or left the view; nothing of that frame may show
+    pipe = ObjectSpec("p", ObjectClass.PIPE, PipeDims(0.03, 0.40), 1.7, -0.1, 1.2)
+    cfg = tiny_scenario(
+        [brick("b", 1.2, 0.05, 0.3), pipe],
+        noise=noise,
+        seg_ops=(Erode(1), Holes(0.1, seed=3), CutBand("p", 3), Relabel((0, 40, 0, 40), 2)),
+        injections=(DepthBiasInjection("b", 0.02),),
+    )
+    sim = Simulation(cfg)
+    capture = sim._capture
+    frames = []
+
+    def checked_capture(standstill, inject_for):
+        fd, view = capture(standstill, inject_for)
+        fresh = fd.images(cfg)
+        for a, b in (
+            (view.labels.data, fresh.labels.data),
+            (view.depth.data, fresh.depth.data),
+            (view.clean_depth.data, fresh.clean_depth.data),
+            (view.instances.index, fresh.instances.index),
+        ):
+            assert a is not b and _same_bits(a, b)
+        assert view.labels.box == fresh.labels.box
+        frames.append(fd)
+        return fd, view
+
+    sim._capture = checked_capture
+    report = sim.run()
+    assert report.attempted == 2
+    assert any(fd.bias is not None for fd in frames)
+    moved = [a.patches and b.patches for a, b in zip(frames, frames[1:])]
+    vanished = [a.patches and not b.patches for a, b in zip(frames, frames[1:])]
+    assert any(moved) and any(vanished)
+    # and every mask built into the step loop's buffer is the fresh one
+    replayed = replay_grasp_targets(sim.bus.history(Topic.CAMERA_FRAMES), cfg)
+    logged = sim.bus.history(Topic.SEGMENTATION_MASKS)
+    for (mask, _), env in zip(replayed, logged):
+        assert _same_bits(mask, env.payload.dense().data)
+
+
+def test_retained_memory_grows_by_patches_not_by_dense_images():
+    # a lane and the same lane twice over: an extra frame keeps its patches,
+    # its mask's crop and its log lines, and none of its dense images (at
+    # 512 x 256 a mask alone is 128 KiB, its depth 1 MiB). The bricks lie
+    # below the arm's reach, so none is picked, and most frames see one.
+    unreachable = dataclasses.replace(
+        DEFAULT_ARM_CONFIG, envelope=ReachEnvelope(z_min=0.0)
+    )
+
+    def lane(tiles: int) -> ScenarioConfig:
+        objects = [brick(f"b{t}", 1.5 + 3.0 * t, 0.05, 0.3) for t in range(tiles)]
+        return tiny_scenario(
+            objects, ugv_end=(3.0 * tiles, 0.0), speed=1.0, noise=NOISY, arm=unreachable
+        )
+
+    def retained(cfg: ScenarioConfig) -> tuple[int, int, int]:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            _, sim = run_scenario(cfg)
+            gc.collect()
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        frames = sim.bus.history(Topic.CAMERA_FRAMES)
+        assert sum(1 for env in frames if env.payload.class_pixels != (0, 0)) > len(frames) / 2
+        return size, peak, len(frames)
+
+    size1, peak1, frames1 = retained(lane(1))
+    size2, peak2, frames2 = retained(lane(2))
+    assert frames2 > 1.8 * frames1
+    extra = frames2 - frames1
+    assert (size2 - size1) / extra < 32 * 1024
+    assert (peak2 - peak1) / extra < 32 * 1024
 
 
 def test_report_json_schema(benchmark_run):
@@ -699,7 +823,7 @@ def test_empty_frames_skip_segmentation_and_targets(monkeypatch):
         # what the full path would have published for this frame
         images = fd.images(sim.cfg)
         full = orchestrator.segment(images.labels, ops, seed=0, instances=images.instances)
-        assert _same_bits(mask.payload.mask.data, full.data)
+        assert _same_bits(mask.payload.dense().data, full.data)
         assert mask.t == fd.t_capture + SEG_LATENCY
         assert tgt.payload.targets == ()
 
