@@ -14,8 +14,8 @@ invalid pixels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from dataclasses import InitVar, dataclass, field
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .scene import (
     ObjectSpec,
     PipeDims,
     Scene,
-    object_footprint,
     robot_to_world,
     validate_scene,
 )
@@ -125,14 +124,22 @@ class DepthImage:
 Window = tuple[int, int, int, int]  # (r0, r1, c0, c1), half open
 
 
-def occupied_box(image: np.ndarray) -> Optional[Window]:
-    """Bounding box of a 2-D array's nonzero pixels, None when it has none."""
-    rows = np.flatnonzero(image.any(axis=1))
+def occupied_box(image: np.ndarray, within: Optional[Window] = None) -> Optional[Window]:
+    """Bounding box of a 2-D array's nonzero pixels, None when it has none.
+
+    ``within``, a window that holds every nonzero pixel, is the only part
+    searched; without it, the whole array is.
+    """
+    if within is None:
+        within = (0, image.shape[0], 0, image.shape[1])
+    wr0, wr1, wc0, wc1 = within
+    crop = image[wr0:wr1, wc0:wc1]
+    rows = np.flatnonzero(crop.any(axis=1))
     if not len(rows):
         return None
     r0, r1 = int(rows[0]), int(rows[-1]) + 1
-    cols = np.flatnonzero(image[r0:r1].any(axis=0))
-    return r0, r1, int(cols[0]), int(cols[-1]) + 1
+    cols = np.flatnonzero(crop[r0:r1].any(axis=0))
+    return wr0 + r0, wr0 + r1, wc0 + int(cols[0]), wc0 + int(cols[-1]) + 1
 
 
 @dataclass(frozen=True)
@@ -140,17 +147,19 @@ class LabelImage:
     """Per-pixel class labels: 0 unlabeled, 1 brick, 2 pipe.
 
     ``box`` is the bounding box of the labelled pixels (None when there are
-    none); every pixel outside it is 0.
+    none); every pixel outside it is 0. ``within``, when given, is a window
+    known to hold every labelled pixel, and the box is searched in it alone.
     """
 
     data: np.ndarray
+    within: InitVar[Optional[Window]] = None
     box: Optional[Window] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, within: Optional[Window]) -> None:
         arr = np.asarray(self.data, dtype=np.uint8)
         if arr.ndim != 2:
             raise ValueError("label image must be 2-D")
-        box = occupied_box(arr)
+        box = occupied_box(arr, within)
         if box is not None:
             r0, r1, c0, c1 = box
             if arr[r0:r1, c0:c1].max() > 2:
@@ -251,33 +260,27 @@ class RenderResult:
     floor_depth: float
 
 
-def _reach(obj: ObjectSpec) -> float:
-    """Radius about (x, y) of a disk holding the corners of the footprint's
-    axis-aligned bounding box, the points ``_pixel_window`` projects."""
-    if isinstance(obj.dims, BrickDims):
-        r = math.hypot(obj.dims.length, obj.dims.width) / 2.0
-    else:
-        r = obj.dims.length / 2.0 + obj.dims.radius
-    return math.sqrt(2.0) * r
-
-
-def _pixel_window(obj: ObjectSpec, cam_pos: np.ndarray, heading: float, k: Intrinsics):
-    """Conservative pixel bounding box of an object (None when off-screen)."""
-    x0, x1, y0, y1 = object_footprint(obj).aabb()
-    corners = np.array([[x0, y0], [x0, y1], [x1, y0], [x1, y1]])
-    us, vs = [], []
+def _pixel_window(obj: ObjectSpec, cam_pos, heading: float, k: Intrinsics):
+    """Conservative pixel bounding box of an object (None when off-screen):
+    the pixels the corners of its footprint's bounding box project to, at
+    floor and at top height, padded by one pixel below and two above."""
+    x0, x1, y0, y1 = obj.aabb
+    cam_x, cam_y, cam_z = cam_pos
+    z_top = cam_z - obj.top_height
+    if z_top <= 0:
+        return None
     c, s = math.cos(heading), math.sin(heading)
-    for z_w in (0.0, obj.top_height):
-        zc = cam_pos[2] - z_w
-        if zc <= 0:
-            return None
-        for wx, wy in corners:
-            dx, dy = wx - cam_pos[0], wy - cam_pos[1]
+    xs, ys = [], []
+    for wx in (x0, x1):
+        for wy in (y0, y1):
+            dx, dy = wx - cam_x, wy - cam_y
             # world -> camera: undo heading, then flip y (camera y = -robot y)
-            xc = dx * c + dy * s
-            yc = -(-dx * s + dy * c)
-            us.append(k.fx * xc / zc + k.cx)
-            vs.append(k.fy * yc / zc + k.cy)
+            xs.append(k.fx * (dx * c + dy * s))
+            ys.append(k.fy * -(-dx * s + dy * c))
+    # dividing by a positive depth and adding are monotone, so the extreme
+    # projections are those of the extreme corners
+    us = [x / zc + k.cx for zc in (cam_z, z_top) for x in (min(xs), max(xs))]
+    vs = [y / zc + k.cy for zc in (cam_z, z_top) for y in (min(ys), max(ys))]
     c0 = max(0, int(math.floor(min(us))) - 1)
     c1 = min(k.width, int(math.ceil(max(us))) + 2)
     r0 = max(0, int(math.floor(min(vs))) - 1)
@@ -287,7 +290,7 @@ def _pixel_window(obj: ObjectSpec, cam_pos: np.ndarray, heading: float, k: Intri
     return r0, r1, c0, c1
 
 
-def _cast_box(obj: ObjectSpec, o_l: np.ndarray, dlx, dly, dlz) -> np.ndarray:
+def _cast_box(obj: ObjectSpec, o_l: tuple[float, float, float], dlx, dly, dlz) -> np.ndarray:
     dims: BrickDims = obj.dims
     half = (dims.length / 2.0, dims.width / 2.0)
     t_near = np.full(dlx.shape, -np.inf)
@@ -300,16 +303,18 @@ def _cast_box(obj: ObjectSpec, o_l: np.ndarray, dlx, dly, dlz) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             t1 = (lo - o) / d
             t2 = (hi - o) / d
+        lo_t, hi_t = np.minimum(t1, t2), np.maximum(t1, t2)
         parallel = np.abs(d) < 1e-15
-        lo_t = np.where(parallel, np.where(lo <= o, -np.inf, np.inf), np.minimum(t1, t2))
-        hi_t = np.where(parallel, np.where(o <= hi, np.inf, -np.inf), np.maximum(t1, t2))
+        if parallel.any():
+            lo_t = np.where(parallel, np.where(lo <= o, -np.inf, np.inf), lo_t)
+            hi_t = np.where(parallel, np.where(o <= hi, np.inf, -np.inf), hi_t)
         t_near = np.maximum(t_near, lo_t)
         t_far = np.minimum(t_far, hi_t)
     hit = (t_near <= t_far) & (t_near > 0.0)
     return np.where(hit, t_near, np.inf)
 
 
-def _cast_cylinder(obj: ObjectSpec, o_l: np.ndarray, dlx, dly, dlz) -> np.ndarray:
+def _cast_cylinder(obj: ObjectSpec, o_l: tuple[float, float, float], dlx, dly, dlz) -> np.ndarray:
     dims: PipeDims = obj.dims
     r, half_len = dims.radius, dims.length / 2.0
     oy, oz = o_l[1], o_l[2] - r  # shift so the axis sits at local z = 0
@@ -349,7 +354,10 @@ def render_full(scene: Scene, k: Intrinsics) -> RenderResult:
     """Ray-cast each object that reaches the image into a patch of pixel
     centers (no validation; see render)."""
     mount = scene.camera_mount
-    cam_pos = robot_to_world(np.array([mount.x, mount.y, mount.height]), scene.ugv)
+    # Python floats: the same IEEE operations as on numpy scalars, at a
+    # fraction of the cost per object
+    cam_pos = robot_to_world(np.array([mount.x, mount.y, mount.height]), scene.ugv).tolist()
+    cam_x, cam_y, floor_depth = cam_pos
     heading = scene.ugv.heading
     ch, sh = math.cos(heading), math.sin(heading)
 
@@ -358,7 +366,6 @@ def render_full(scene: Scene, k: Intrinsics) -> RenderResult:
     a = (np.arange(k.width) - k.cx) / k.fx
     b = (np.arange(k.height) - k.cy) / k.fy
 
-    floor_depth = float(cam_pos[2])
     patches: list[ObjectPatch] = []
 
     # Every point of an object has 0 < zc <= floor_depth, so a point whose
@@ -369,8 +376,8 @@ def render_full(scene: Scene, k: Intrinsics) -> RenderResult:
     half_y = (max(k.cy, k.height - k.cy) + 3.0) * floor_depth / k.fy
 
     for idx, obj in enumerate(scene.objects):
-        ox, oy = obj.x - cam_pos[0], obj.y - cam_pos[1]
-        reach = _reach(obj)
+        ox, oy = obj.x - cam_x, obj.y - cam_y
+        reach = obj.aabb_radius
         if abs(ox * ch + oy * sh) - reach > half_x or abs(ox * sh - oy * ch) - reach > half_y:
             continue
         window = _pixel_window(obj, cam_pos, heading, k)
@@ -387,14 +394,8 @@ def render_full(scene: Scene, k: Intrinsics) -> RenderResult:
         dlx = dx * cy_ + dy * sy_
         dly = -dx * sy_ + dy * cy_
         dlz = -1.0
-        o_world = cam_pos - np.array([obj.x, obj.y, 0.0])
-        o_l = np.array(
-            [
-                o_world[0] * cy_ + o_world[1] * sy_,
-                -o_world[0] * sy_ + o_world[1] * cy_,
-                o_world[2],
-            ]
-        )
+        owx, owy = cam_x - obj.x, cam_y - obj.y
+        o_l = (owx * cy_ + owy * sy_, -owx * sy_ + owy * cy_, floor_depth)
         if isinstance(obj.dims, BrickDims):
             zeta = _cast_box(obj, o_l, dlx, dly, dlz)
         else:
@@ -416,24 +417,49 @@ def render(scene: Scene, k: Intrinsics) -> tuple[LabelImage, DepthImage]:
     return LabelImage(labels), DepthImage(depth)
 
 
+class Canvas:
+    """The (labels, depth, instances) arrays a frame is composed into.
+
+    It remembers what :func:`compose_patches` wrote last: the floor depth
+    and the windows of the patches. Outside those windows the arrays hold
+    the background (0, the floor depth, -1), so the next compose resets
+    only them. A new canvas counts as written everywhere.
+    """
+
+    def __init__(self, shape: tuple[int, int]) -> None:
+        self.arrays = (
+            np.empty(shape, dtype=np.uint8),
+            np.empty(shape),
+            np.empty(shape, dtype=np.int32),
+        )
+        self.floor_depth = math.nan
+        self.written: tuple[Window, ...] = ((0, shape[0], 0, shape[1]),)
+
+
 def compose_patches(
     shape: tuple[int, int],
     floor_depth: float,
     patches: Sequence[ObjectPatch],
-    out: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+    out: Optional[Canvas] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rebuild (labels, depth, instances) from sparse patches; exact.
 
-    ``out`` is a (uint8, float64, int32) triple of arrays of ``shape`` to
-    write the images into; each is reset here before the patches go in.
-    Without it, the images are fresh arrays.
+    ``out`` is a canvas of ``shape`` to compose into: the windows the last
+    compose wrote are reset, or the whole image when the floor depth
+    changed. Without it, the images are fresh arrays.
     """
-    if out is None:
-        out = (np.empty(shape, dtype=np.uint8), np.empty(shape), np.empty(shape, dtype=np.int32))
-    labels, depth, inst = out
-    labels.fill(0)
-    depth.fill(floor_depth)
-    inst.fill(-1)
+    canvas = Canvas(shape) if out is None else out
+    labels, depth, inst = canvas.arrays
+    stale = canvas.written
+    if canvas.floor_depth != floor_depth:
+        stale = ((0, shape[0], 0, shape[1]),)
+    for r0, r1, c0, c1 in stale:
+        labels[r0:r1, c0:c1] = 0
+        depth[r0:r1, c0:c1] = floor_depth
+        inst[r0:r1, c0:c1] = -1
+    # recorded before the patches go in, so that it covers them all
+    canvas.floor_depth = floor_depth
+    canvas.written = tuple((p.r0, p.r1, p.c0, p.c1) for p in patches)
     for p in patches:
         win = depth[p.r0 : p.r1, p.c0 : p.c1]
         closer = p.zbuf < win
@@ -441,6 +467,15 @@ def compose_patches(
         labels[p.r0 : p.r1, p.c0 : p.c1][closer] = p.label
         inst[p.r0 : p.r1, p.c0 : p.c1][closer] = p.obj_index
     return labels, depth, inst
+
+
+def window_union(windows: Iterable[Window]) -> Window:
+    """Bounding box of the windows; (0, 0, 0, 0) when there are none."""
+    windows = list(windows)
+    if not windows:
+        return 0, 0, 0, 0
+    r0s, r1s, c0s, c1s = zip(*windows)
+    return min(r0s), max(r1s), min(c0s), max(c1s)
 
 
 # --- depth noise -------------------------------------------------------------

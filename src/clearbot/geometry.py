@@ -280,8 +280,10 @@ def component_center_3d(
     else:
         z.partition((mid - 1, mid))
         z_med = float((z[mid - 1] + z[mid]) / 2)
-    u = float(cols.mean())
-    v = float(rows.mean())
+    # ndarray.mean's own arithmetic, without its Python wrapper
+    area = len(rows)
+    u = float(np.add.reduce(cols, axis=None, dtype=np.float64)) / area
+    v = float(np.add.reduce(rows, axis=None, dtype=np.float64)) / area
     p = backproject(u, v, z_med, k)
     return Point3(float(p[0]), float(p[1]), float(p[2]), Frame.CAMERA)
 

@@ -35,6 +35,7 @@ from .arm import (
 )
 from .camera import (
     DEFAULT_INTRINSICS,
+    Canvas,
     DepthImage,
     DepthNoiseModel,
     InstanceImage,
@@ -45,6 +46,7 @@ from .camera import (
     apply_noise,
     compose_patches,
     render_full,
+    window_union,
 )
 from .geometry import (
     Frame,
@@ -199,15 +201,11 @@ class FrameBuffers:
 
     def __init__(self, shape: tuple[int, int]) -> None:
         # compose_patches' labels, depth and instances
-        self.composed = (
-            np.empty(shape, dtype=np.uint8),
-            np.empty(shape),
-            np.empty(shape, dtype=np.int32),
-        )
+        self.canvas = Canvas(shape)
         # apply_noise's noisy depth, draws and dropout flags
         self.noise = (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool))
-        # segment's mask
-        self.mask = np.empty(shape, dtype=np.uint8)
+        # the last mask segment built, whose array the next one reuses
+        self.mask: Optional[LabelImage] = None
 
 
 # mixed into each frame's depth-noise seed
@@ -243,9 +241,9 @@ class FrameData:
         scenario's noise and the frame's bias; nothing is kept on the frame.
         The step loop perceives the view this builds at capture, into its
         ``buffers``; without them, the images are fresh arrays."""
-        composed = None if buffers is None else buffers.composed
+        canvas = None if buffers is None else buffers.canvas
         noise = None if buffers is None else buffers.noise
-        lab, dep, index = compose_patches(self.shape, self.floor_depth, self.patches, out=composed)
+        lab, dep, index = compose_patches(self.shape, self.floor_depth, self.patches, out=canvas)
         clean = depth = DepthImage(dep)
         if not cfg.noise.is_identity:
             seed = np.random.SeedSequence([cfg.seed, _NOISE_TAG, self.frame_index])
@@ -261,7 +259,8 @@ class FrameData:
         ids = self.object_ids
         windows = {ids[p.obj_index]: (p.obj_index, (p.r0, p.r1, p.c0, p.c1)) for p in self.patches}
         return FrameImages(
-            labels=LabelImage(lab),
+            # every labelled pixel lies in a patch window
+            labels=LabelImage(lab, within=window_union(w for _, w in windows.values())),
             depth=depth,
             clean_depth=clean,
             instances=InstanceImage(index, ids, windows),
@@ -647,7 +646,8 @@ def perceive_frame(
 
     The step loop and :func:`replay_grasp_targets` both perceive through
     this function, so a replay runs the very code the run did. The mask is
-    built into ``buffers.mask`` when ``buffers`` are given.
+    built into the array of ``buffers.mask`` when ``buffers`` are given, and
+    becomes their mask.
     """
     if images.labels.box is None:
         # an empty frame's mask is all floor: every op maps zeros to zeros
@@ -655,6 +655,8 @@ def perceive_frame(
         return images.labels, (), ()
     out = None if buffers is None else buffers.mask
     mask = segment(images.labels, cfg.seg_ops, seed=cfg.seed, instances=images.instances, out=out)
+    if buffers is not None:
+        buffers.mask = mask
     targets, comps = compute_targets(
         mask, images.depth, cfg.intrinsics, cam_to_arm, cfg.arm.envelope
     )

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -116,6 +117,25 @@ class ObjectSpec:
         if isinstance(self.dims, BrickDims):
             return self.dims.height
         return 2.0 * self.dims.radius
+
+    # The object is immutable, so these are computed once, on first use, and
+    # kept on it.
+
+    @cached_property
+    def aabb(self) -> tuple[float, float, float, float]:
+        """(x0, x1, y0, y1) of the footprint's axis-aligned bounding box, in
+        Python floats."""
+        x0, x1, y0, y1 = object_footprint(self).aabb()
+        return float(x0), float(x1), float(y0), float(y1)
+
+    @cached_property
+    def aabb_radius(self) -> float:
+        """Radius about (x, y) of a disk holding the corners of ``aabb``."""
+        if isinstance(self.dims, BrickDims):
+            r = math.hypot(self.dims.length, self.dims.width) / 2.0
+        else:
+            r = self.dims.length / 2.0 + self.dims.radius
+        return math.sqrt(2.0) * r
 
 
 @dataclass(frozen=True)

@@ -147,25 +147,33 @@ def segment(
     ops: Sequence[CorruptionOp],
     seed: int = 0,
     instances: InstanceImage | None = None,
-    out: np.ndarray | None = None,
+    out: LabelImage | None = None,
 ) -> LabelImage:
     """Apply corruption operators in order on top of the ground truth.
 
     A cut whose target is out of view (without pixels in ``instances``, or
     no ``instances`` given) is skipped and takes no op index, so the
     ``Holes`` ops after it draw the same pixels as if it were not listed.
-    ``out``, a uint8 array of the image's shape, receives the mask, which
-    the result wraps; without it, the mask is a fresh array.
+    ``out``, a mask of the image's shape that an earlier call returned, has
+    its array reused for the new mask: its box is cleared and the ground
+    truth's box copied in, and it is no longer valid after. Without it, the
+    mask is a fresh array.
     """
-    data = np.empty_like(gt.data) if out is None else out
-    np.copyto(data, gt.data)
-    r0, r1, c0, c1 = gt.box or (0, 0, 0, 0)
+    if out is None:
+        data = np.zeros_like(gt.data)
+    else:
+        data = out.data
+        r0, r1, c0, c1 = out.box or (0, 0, 0, 0)
+        data[r0:r1, c0:c1] = 0
+    box = gt.box or (0, 0, 0, 0)
+    r0, r1, c0, c1 = box
     # No op labels a floor pixel, so every labelled pixel stays in this box,
     # and erosion and holes need only its crop: erosion reads past the
     # crop's edge as floor, which the image holds there, and holes draw over
     # the crop's labelled pixels in the image's row-major order. Cuts and
     # relabels only index, on the whole mask, in image coordinates.
     crop = data[r0:r1, c0:c1]
+    np.copyto(crop, gt.data[r0:r1, c0:c1])
     op_index = 0
     for op in ops:
         if isinstance(op, Erode):
@@ -184,7 +192,7 @@ def segment(
         else:
             raise TypeError(f"unknown corruption op {type(op).__name__}")
         op_index += 1
-    return LabelImage(data)
+    return LabelImage(data, within=box)
 
 
 def mask_iou(pred: LabelImage, gt: LabelImage, component: MaskComponent) -> float:

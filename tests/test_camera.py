@@ -385,6 +385,53 @@ def test_label_image_box_and_class_pixels_match_a_full_scan(case):
     assert labels.class_pixels() == ((data == 1).sum(), (data == 2).sum())
 
 
+@st.composite
+def labels_in_windows(draw):
+    """A label image and a window that holds all of its labels: the labels'
+    own box grown by zero or more pixels on each side, up to the image's
+    edges. Empty images get any window, empty ones included."""
+    data, _ = draw(label_arrays())
+    h, w = data.shape
+    if draw(st.booleans()):
+        # one pixel, maybe on an edge or corner
+        data[:] = 0
+        r = draw(st.sampled_from((0, h - 1)) | st.integers(0, h - 1))
+        c = draw(st.sampled_from((0, w - 1)) | st.integers(0, w - 1))
+        data[r, c] = draw(st.sampled_from((1, 2)))
+    rows, cols = np.nonzero(data)
+    if len(rows):
+        r0, r1 = int(rows.min()), int(rows.max()) + 1
+        c0, c1 = int(cols.min()), int(cols.max()) + 1
+        grow = st.integers(0, 3) | st.just(max(h, w))
+        window = (
+            max(0, r0 - draw(grow)),
+            min(h, r1 + draw(grow)),
+            max(0, c0 - draw(grow)),
+            min(w, c1 + draw(grow)),
+        )
+    else:
+        r0, c0 = draw(st.integers(0, h)), draw(st.integers(0, w))
+        window = (r0, draw(st.integers(r0, h)), c0, draw(st.integers(c0, w)))
+    return data, window
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=labels_in_windows())
+@example(case=(np.zeros((1, 1), dtype=np.uint8), (0, 0, 0, 0)))
+@example(case=(np.zeros((1, 1), dtype=np.uint8), (0, 1, 0, 1)))
+@example(case=(np.ones((1, 1), dtype=np.uint8), (0, 1, 0, 1)))
+@example(case=(np.eye(4, 9, 8, dtype=np.uint8), (0, 1, 8, 9)))
+@example(case=(np.eye(6, 3, -5, dtype=np.uint8), (5, 6, 0, 1)))
+def test_windowed_box_equals_a_full_scan(case):
+    data, window = case
+    rows, cols = np.nonzero(data)
+    want = (rows.min(), rows.max() + 1, cols.min(), cols.max() + 1) if len(rows) else None
+    assert camera.occupied_box(data, window) == want
+    labels = LabelImage(data, within=window)
+    assert labels.box == want
+    assert labels.class_pixels() == ((data == 1).sum(), (data == 2).sum())
+
+
 def test_depth_pgm_golden_bytes():
     img = DepthImage(np.array([[0.0, 0.001], [1.5, 2.0]]))
     expected = b"P5\n2 2\n65535\n" + struct.pack(">4H", 0, 1, 1500, 2000)
@@ -521,8 +568,9 @@ def test_culled_render_equals_render_of_every_window(view):
         mp.setattr(camera, "_pixel_window", spy)
         got = render_full(scene, k)
     with pytest.MonkeyPatch.context() as mp:
-        # the reference culls nothing: every object gets its pixel window
-        mp.setattr(camera, "_reach", lambda obj: math.inf)
+        # the reference culls nothing: every object gets its pixel window (a
+        # property on the class hides the radius cached on each object)
+        mp.setattr(ObjectSpec, "aabb_radius", property(lambda obj: math.inf))
         ref = render_full(scene, k)
 
     for obj in scene.objects:
@@ -536,6 +584,162 @@ def test_culled_render_equals_render_of_every_window(view):
             b.r0, b.r1, b.c0, b.c1, b.obj_index, b.label
         )
         assert a.zbuf.tobytes() == b.zbuf.tobytes()
+
+
+def _reference_pixel_window(obj, cam_pos, heading, k):
+    """Reference ``_pixel_window``: the footprint's bounding box rebuilt on
+    every call, and all eight corners projected in numpy scalars."""
+    x0, x1, y0, y1 = object_footprint(obj).aabb()
+    corners = np.array([[x0, y0], [x0, y1], [x1, y0], [x1, y1]])
+    us, vs = [], []
+    c, s = math.cos(heading), math.sin(heading)
+    for z_w in (0.0, obj.top_height):
+        zc = cam_pos[2] - z_w
+        if zc <= 0:
+            return None
+        for wx, wy in corners:
+            dx, dy = wx - cam_pos[0], wy - cam_pos[1]
+            xc = dx * c + dy * s
+            yc = -(-dx * s + dy * c)
+            us.append(k.fx * xc / zc + k.cx)
+            vs.append(k.fy * yc / zc + k.cy)
+    c0 = max(0, int(math.floor(min(us))) - 1)
+    c1 = min(k.width, int(math.ceil(max(us))) + 2)
+    r0 = max(0, int(math.floor(min(vs))) - 1)
+    r1 = min(k.height, int(math.ceil(max(vs))) + 2)
+    if c0 >= c1 or r0 >= r1:
+        return None
+    return r0, r1, c0, c1
+
+
+def _reference_cast_box(obj, o_l, dlx, dly, dlz):
+    """Reference ``_cast_box``: the parallel-ray branch taken on every axis."""
+    dims = obj.dims
+    half = (dims.length / 2.0, dims.width / 2.0)
+    t_near = np.full(dlx.shape, -np.inf)
+    t_far = np.full(dlx.shape, np.inf)
+    bounds = ((-half[0], half[0]), (-half[1], half[1]), (0.0, dims.height))
+    for axis, (lo, hi) in enumerate(bounds):
+        d = (dlx, dly, dlz)[axis]
+        o = o_l[axis]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            t1 = (lo - o) / d
+            t2 = (hi - o) / d
+        parallel = np.abs(d) < 1e-15
+        lo_t = np.where(parallel, np.where(lo <= o, -np.inf, np.inf), np.minimum(t1, t2))
+        hi_t = np.where(parallel, np.where(o <= hi, np.inf, -np.inf), np.maximum(t1, t2))
+        t_near = np.maximum(t_near, lo_t)
+        t_far = np.minimum(t_far, hi_t)
+    hit = (t_near <= t_far) & (t_near > 0.0)
+    return np.where(hit, t_near, np.inf)
+
+
+def _reference_render(scene, k):
+    """Reference ``render_full``: the culling loop on numpy scalars, with the
+    footprint radius and bounding box recomputed for every object and
+    frame; it returns the patches and the ids of the culled objects."""
+    mount = scene.camera_mount
+    cam_pos = robot_to_world(np.array([mount.x, mount.y, mount.height]), scene.ugv)
+    heading = scene.ugv.heading
+    ch, sh = math.cos(heading), math.sin(heading)
+    a = (np.arange(k.width) - k.cx) / k.fx
+    b = (np.arange(k.height) - k.cy) / k.fy
+    floor_depth = float(cam_pos[2])
+    half_x = (max(k.cx, k.width - k.cx) + 3.0) * floor_depth / k.fx
+    half_y = (max(k.cy, k.height - k.cy) + 3.0) * floor_depth / k.fy
+    patches, culled = [], []
+    for idx, obj in enumerate(scene.objects):
+        ox, oy = obj.x - cam_pos[0], obj.y - cam_pos[1]
+        if isinstance(obj.dims, BrickDims):
+            r = math.hypot(obj.dims.length, obj.dims.width) / 2.0
+        else:
+            r = obj.dims.length / 2.0 + obj.dims.radius
+        reach = math.sqrt(2.0) * r
+        if abs(ox * ch + oy * sh) - reach > half_x or abs(ox * sh - oy * ch) - reach > half_y:
+            culled.append(obj.id)
+            continue
+        window = _reference_pixel_window(obj, cam_pos, heading, k)
+        if window is None:
+            continue
+        r0, r1, c0, c1 = window
+        aw = a[c0:c1][None, :]
+        bw = b[r0:r1][:, None]
+        dx = aw * ch + bw * sh
+        dy = aw * sh - bw * ch
+        cy_, sy_ = math.cos(obj.yaw), math.sin(obj.yaw)
+        dlx = dx * cy_ + dy * sy_
+        dly = -dx * sy_ + dy * cy_
+        o_world = cam_pos - np.array([obj.x, obj.y, 0.0])
+        o_l = np.array(
+            [
+                o_world[0] * cy_ + o_world[1] * sy_,
+                -o_world[0] * sy_ + o_world[1] * cy_,
+                o_world[2],
+            ]
+        )
+        cast = _reference_cast_box if isinstance(obj.dims, BrickDims) else camera._cast_cylinder
+        zeta = cast(obj, o_l, dlx, dly, -1.0)
+        if np.isfinite(zeta).any():
+            patches.append((r0, r1, c0, c1, idx, obj.cls.label, zeta.tobytes()))
+    return floor_depth, patches, culled
+
+
+def _culled_and_straddling_view():
+    """One object far off the image (culled), and one across each edge."""
+    k = Intrinsics(fx=200.0, fy=180.0, cx=40.0, cy=20.0, width=80, height=40)
+    ugv = Pose2D(0.3, -0.2, 2.0)
+    cam = robot_to_world(np.array([NADIR_CAM.x, NADIR_CAM.y, NADIR_CAM.height]), ugv)
+    c, s = math.cos(ugv.heading), math.sin(ugv.heading)
+    objects = [brick("far", cam[0] + 5.0, cam[1] - 4.0, 0.4)]
+    for i, (u, v) in enumerate(((0.0, 20.0), (80.0, 20.0), (40.0, 0.0), (40.0, 40.0))):
+        xc, yc = (u - k.cx) * cam[2] / k.fx, (v - k.cy) * cam[2] / k.fy
+        make = brick if i % 2 else pipe
+        objects.append(make(f"e{i}", cam[0] + xc * c + yc * s, cam[1] + xc * s - yc * c, i))
+    return Scene(objects=tuple(objects), ugv=ugv, camera_mount=NADIR_CAM), k, cam
+
+
+def _parallel_rays_view():
+    """A brick square to a view with no heading, its back face under the
+    principal point: the rays of the middle row and column are parallel to
+    its sides, and those of the middle column lie in its back face."""
+    k = Intrinsics(fx=100.0, fy=100.0, cx=32.0, cy=16.0, width=64, height=32)
+    scene = Scene(objects=(brick("b", 0.1, 0.0),), ugv=Pose2D(0.0, 0.0, 0.0), camera_mount=NADIR_CAM)
+    return scene, k, np.array([0.0, 0.0, 1.2])
+
+
+@settings(deadline=None, max_examples=300)
+@example(_edge_view())
+@example(_culled_and_straddling_view())
+@example(_parallel_rays_view())
+@given(camera_views())
+def test_render_equals_the_numpy_scalar_reference(view):
+    # Python-float corner arithmetic, the footprint data kept on each object
+    # and the box cast's parallel-ray shortcut give the reference's patches
+    # in order, windows, labels and bits
+    scene, k, cam = view
+    floor_depth, want, _ = _reference_render(scene, k)
+    # twice: the second render reads what the first kept on the objects
+    for _ in range(2):
+        got = render_full(scene, k)
+        assert got.floor_depth == floor_depth
+        assert [
+            (p.r0, p.r1, p.c0, p.c1, p.obj_index, p.label, p.zbuf.tobytes()) for p in got.patches
+        ] == want
+    # the window of every object, culled or not, is the reference's
+    for obj in scene.objects:
+        heading = scene.ugv.heading
+        assert camera._pixel_window(obj, cam.tolist(), heading, k) == _reference_pixel_window(
+            obj, cam, heading, k
+        )
+
+
+def test_the_reference_view_culls_one_object_and_cuts_every_edge():
+    scene, k, _ = _culled_and_straddling_view()
+    _, patches, culled = _reference_render(scene, k)
+    assert culled == ["far"]
+    windows = [p[:4] for p in patches]
+    assert {0} <= {w[0] for w in windows} and {k.height} <= {w[1] for w in windows}
+    assert {0} <= {w[2] for w in windows} and {k.width} <= {w[3] for w in windows}
 
 
 @settings(deadline=None, max_examples=150)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from clearbot import orchestrator
@@ -678,6 +678,165 @@ def test_step_loop_views_equal_fresh_views_frame_by_frame(noise):
     logged = sim.bus.history(Topic.SEGMENTATION_MASKS)
     for (mask, _), env in zip(replayed, logged):
         assert _same_bits(mask, env.payload.dense().data)
+
+
+@st.composite
+def short_runs(draw):
+    """A small runnable scenario: the objects, camera, noise and injection
+    of :func:`captures` on the scenario fuzzer's cheap base (a 2 m lane at
+    0.5 m/s, a frame every 0.2-0.4 s, any of the four corruption kinds in
+    any order). The objects cross the view one after another, up to 0.4 m
+    apart or squeezed closer, so patches move, overlap, and vanish as
+    objects leave the view or are picked."""
+    cfg, _ = draw(captures())
+    squeeze = draw(st.sampled_from([1.0, 0.6, 0.35]))
+    objects = tuple(dataclasses.replace(o, x=0.4 + (o.x - 0.4) * squeeze) for o in cfg.objects)
+    ops = [Erode(1), Holes(0.1, seed=draw(st.integers(0, 9))), Relabel((0, 8, 0, 8), 2)]
+    if objects:
+        ops.append(CutBand(draw(st.sampled_from(objects)).id, 3))
+    cfg = dataclasses.replace(
+        cfg,
+        objects=objects,
+        ugv_end=(2.0, cfg.ugv_start[1]),
+        speed=0.5,
+        frame_period=draw(st.sampled_from([0.2, 0.4])),
+        seg_ops=tuple(draw(st.permutations(ops))[: draw(st.integers(0, len(ops)))]),
+    )
+    assume(validate_config(cfg) == [])
+    return cfg
+
+
+def _windows_overlap(fd) -> bool:
+    wins = [(p.r0, p.r1, p.c0, p.c1) for p in fd.patches]
+    return any(
+        a[0] < b[1] and b[0] < a[1] and a[2] < b[3] and b[2] < a[3]
+        for i, a in enumerate(wins)
+        for b in wins[i + 1 :]
+    )
+
+
+def _lane_of_two() -> ScenarioConfig:
+    pipe = ObjectSpec("p", ObjectClass.PIPE, PipeDims(0.03, 0.40), 1.4, -0.1, 1.2)
+    return tiny_scenario(
+        [brick("b", 1.2, 0.05, 0.3), pipe],
+        intrinsics=Intrinsics(fx=64.0, fy=64.0, cx=64.0, cy=32.0, width=128, height=64),
+        ugv_end=(2.0, 0.0),
+        frame_period=0.2,
+        noise=NOISY,
+        seg_ops=(Erode(1), Holes(0.1, seed=3), CutBand("p", 3), Relabel((0, 8, 0, 8), 2)),
+        injections=(DepthBiasInjection("b", 0.02),),
+        seed=7,
+    )
+
+
+@settings(deadline=None, max_examples=200)
+@example(cfg=_lane_of_two())
+@given(cfg=short_runs())
+def test_step_loop_equals_fresh_views_on_generated_runs(cfg):
+    # Every capture is composed into the canvas of the one before, its box
+    # searched in its patch windows, and its mask built into the last mask's
+    # array; each view, box and mask must equal one built from scratch.
+    sim = Simulation(cfg)
+    capture = sim._capture
+    perceive = orchestrator.perceive_frame
+    frames, fresh_views = [], []
+
+    def checked_capture(standstill, inject_for):
+        fd, view = capture(standstill, inject_for)
+        fresh = fd.images(cfg)
+        for a, b in (
+            (view.labels.data, fresh.labels.data),
+            (view.depth.data, fresh.depth.data),
+            (view.clean_depth.data, fresh.clean_depth.data),
+            (view.instances.index, fresh.instances.index),
+        ):
+            assert _same_bits(a, b)
+        assert view.labels.box == fresh.labels.box
+        rows, cols = np.nonzero(fresh.labels.data)
+        if len(rows):
+            assert fresh.labels.box == (rows.min(), rows.max() + 1, cols.min(), cols.max() + 1)
+        assert view.instances.windows == fresh.instances.windows
+        frames.append(fd)
+        fresh_views.append(fresh)
+        return fd, view
+
+    def checked_perceive(images, cfg_, cam_to_arm, buffers=None):
+        mask, targets, comps = perceive(images, cfg_, cam_to_arm, buffers)
+        want, want_targets, _ = perceive(fresh_views[-1], cfg_, cam_to_arm)
+        assert _same_bits(mask.data, want.data)
+        rows, cols = np.nonzero(want.data)
+        if len(rows):
+            assert want.box == (rows.min(), rows.max() + 1, cols.min(), cols.max() + 1)
+        assert mask.box == want.box
+        assert targets == want_targets
+        return mask, targets, comps
+
+    sim._capture = checked_capture
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orchestrator, "perceive_frame", checked_perceive)
+        sim.run()
+    pairs = list(zip(frames, frames[1:]))
+    event(f"patches move: {any(a.patches and b.patches for a, b in pairs)}")
+    event(f"patches overlap: {any(map(_windows_overlap, frames))}")
+    event(f"patches vanish: {any(a.patches and not b.patches for a, b in pairs)}")
+    # replay rebuilds every logged mask and target list
+    replayed = replay_grasp_targets(sim.bus.history(Topic.CAMERA_FRAMES), cfg)
+    logged = sim.bus.history(Topic.SEGMENTATION_MASKS)
+    published = [env.payload for env in sim.bus.history(Topic.GRASP_TARGETS)]
+    assert [payload for _, payload in replayed] == published
+    assert len(replayed) == len(logged) == len(frames)
+    for (mask, _), env in zip(replayed, logged):
+        assert _same_bits(mask, env.payload.dense().data)
+
+
+def test_the_lane_of_two_moves_overlaps_and_vanishes():
+    # the explicit example of the generated-run property shows all three
+    frames = [env.payload for env in run_scenario(_lane_of_two())[1].bus.history(Topic.CAMERA_FRAMES)]
+    pairs = list(zip(frames, frames[1:]))
+    assert any(a.patches and b.patches and a.patches[0].c0 != b.patches[0].c0 for a, b in pairs)
+    assert any(map(_windows_overlap, frames))
+    assert any(a.patches and not b.patches for a, b in pairs)
+
+
+def test_step_loop_compose_resets_only_the_last_frames_windows(monkeypatch):
+    # After the first capture, each compose resets the windows of the frame
+    # before it and nothing else: a marker outside them survives the compose.
+    real = orchestrator.compose_patches
+    calls = []
+
+    def checked(shape, floor_depth, patches, out=None):
+        if out is None:
+            return real(shape, floor_depth, patches)
+        labels, depth, inst = out.arrays
+        if calls:
+            before = calls[-1]
+            assert out.written == tuple((p.r0, p.r1, p.c0, p.c1) for p in before)
+            assert out.floor_depth == floor_depth
+            stale = np.zeros(shape, dtype=bool)
+            for p in tuple(before) + tuple(patches):
+                stale[p.r0 : p.r1, p.c0 : p.c1] = True
+            # the last pixel that no compose of these two frames touches
+            marker = np.unravel_index(np.flatnonzero(~stale)[-1], shape)
+            labels[marker], depth[marker], inst[marker] = 7, -5.0, 99
+        else:
+            # a new canvas counts as written everywhere
+            assert out.written == ((0, shape[0], 0, shape[1]),)
+            marker = None
+        result = real(shape, floor_depth, patches, out=out)
+        if marker is not None:
+            assert (labels[marker], depth[marker], inst[marker]) == (7, -5.0, 99)
+            labels[marker], depth[marker], inst[marker] = 0, floor_depth, -1
+        calls.append(patches)
+        return result
+
+    monkeypatch.setattr(orchestrator, "compose_patches", checked)
+    # out of the arm's reach, so both objects stay in view while they pass
+    unreachable = dataclasses.replace(DEFAULT_ARM_CONFIG, envelope=ReachEnvelope(z_min=0.0))
+    pipe = ObjectSpec("p", ObjectClass.PIPE, PipeDims(0.03, 0.40), 1.5, -0.1, 1.2)
+    cfg = tiny_scenario([brick("b", 1.2, 0.05, 0.3), pipe], noise=NOISY, arm=unreachable)
+    _, sim = run_scenario(cfg)
+    assert len(calls) == len(sim.bus.history(Topic.CAMERA_FRAMES))
+    assert sum(1 for patches in calls if patches) > 10
 
 
 def test_retained_memory_grows_by_patches_not_by_dense_images():
