@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -266,21 +266,19 @@ def _pixel_window(obj: ObjectSpec, cam_pos, heading: float, k: Intrinsics):
     floor and at top height, padded by one pixel below and two above."""
     x0, x1, y0, y1 = obj.aabb
     cam_x, cam_y, cam_z = cam_pos
-    z_top = cam_z - obj.top_height
-    if z_top <= 0:
-        return None
+    us, vs = [], []
     c, s = math.cos(heading), math.sin(heading)
-    xs, ys = [], []
-    for wx in (x0, x1):
-        for wy in (y0, y1):
+    for z_w in (0.0, obj.top_height):
+        zc = cam_z - z_w
+        if zc <= 0:
+            return None
+        for wx, wy in ((x0, y0), (x0, y1), (x1, y0), (x1, y1)):
             dx, dy = wx - cam_x, wy - cam_y
             # world -> camera: undo heading, then flip y (camera y = -robot y)
-            xs.append(k.fx * (dx * c + dy * s))
-            ys.append(k.fy * -(-dx * s + dy * c))
-    # dividing by a positive depth and adding are monotone, so the extreme
-    # projections are those of the extreme corners
-    us = [x / zc + k.cx for zc in (cam_z, z_top) for x in (min(xs), max(xs))]
-    vs = [y / zc + k.cy for zc in (cam_z, z_top) for y in (min(ys), max(ys))]
+            xc = dx * c + dy * s
+            yc = -(-dx * s + dy * c)
+            us.append(k.fx * xc / zc + k.cx)
+            vs.append(k.fy * yc / zc + k.cy)
     c0 = max(0, int(math.floor(min(us))) - 1)
     c1 = min(k.width, int(math.ceil(max(us))) + 2)
     r0 = max(0, int(math.floor(min(vs))) - 1)
@@ -303,11 +301,9 @@ def _cast_box(obj: ObjectSpec, o_l: tuple[float, float, float], dlx, dly, dlz) -
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             t1 = (lo - o) / d
             t2 = (hi - o) / d
-        lo_t, hi_t = np.minimum(t1, t2), np.maximum(t1, t2)
         parallel = np.abs(d) < 1e-15
-        if parallel.any():
-            lo_t = np.where(parallel, np.where(lo <= o, -np.inf, np.inf), lo_t)
-            hi_t = np.where(parallel, np.where(o <= hi, np.inf, -np.inf), hi_t)
+        lo_t = np.where(parallel, np.where(lo <= o, -np.inf, np.inf), np.minimum(t1, t2))
+        hi_t = np.where(parallel, np.where(o <= hi, np.inf, -np.inf), np.maximum(t1, t2))
         t_near = np.maximum(t_near, lo_t)
         t_far = np.minimum(t_far, hi_t)
     hit = (t_near <= t_far) & (t_near > 0.0)
@@ -467,15 +463,6 @@ def compose_patches(
         labels[p.r0 : p.r1, p.c0 : p.c1][closer] = p.label
         inst[p.r0 : p.r1, p.c0 : p.c1][closer] = p.obj_index
     return labels, depth, inst
-
-
-def window_union(windows: Iterable[Window]) -> Window:
-    """Bounding box of the windows; (0, 0, 0, 0) when there are none."""
-    windows = list(windows)
-    if not windows:
-        return 0, 0, 0, 0
-    r0s, r1s, c0s, c1s = zip(*windows)
-    return min(r0s), max(r1s), min(c0s), max(c1s)
 
 
 # --- depth noise -------------------------------------------------------------

@@ -46,7 +46,6 @@ from .camera import (
     apply_noise,
     compose_patches,
     render_full,
-    window_union,
 )
 from .geometry import (
     Frame,
@@ -257,10 +256,20 @@ class FrameData:
             np.add(data, self.bias, out=data, where=data > 0.0)
             depth = DepthImage(data)
         ids = self.object_ids
-        windows = {ids[p.obj_index]: (p.obj_index, (p.r0, p.r1, p.c0, p.c1)) for p in self.patches}
+        patches = self.patches
+        windows = {ids[p.obj_index]: (p.obj_index, (p.r0, p.r1, p.c0, p.c1)) for p in patches}
+        # every labelled pixel lies in a patch window: the box is searched in
+        # their union, an empty window when there are none
+        within = (0, 0, 0, 0)
+        if patches:
+            within = (
+                min(p.r0 for p in patches),
+                max(p.r1 for p in patches),
+                min(p.c0 for p in patches),
+                max(p.c1 for p in patches),
+            )
         return FrameImages(
-            # every labelled pixel lies in a patch window
-            labels=LabelImage(lab, within=window_union(w for _, w in windows.values())),
+            labels=LabelImage(lab, within=within),
             depth=depth,
             clean_depth=clean,
             instances=InstanceImage(index, ids, windows),

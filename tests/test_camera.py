@@ -612,28 +612,6 @@ def _reference_pixel_window(obj, cam_pos, heading, k):
     return r0, r1, c0, c1
 
 
-def _reference_cast_box(obj, o_l, dlx, dly, dlz):
-    """Reference ``_cast_box``: the parallel-ray branch taken on every axis."""
-    dims = obj.dims
-    half = (dims.length / 2.0, dims.width / 2.0)
-    t_near = np.full(dlx.shape, -np.inf)
-    t_far = np.full(dlx.shape, np.inf)
-    bounds = ((-half[0], half[0]), (-half[1], half[1]), (0.0, dims.height))
-    for axis, (lo, hi) in enumerate(bounds):
-        d = (dlx, dly, dlz)[axis]
-        o = o_l[axis]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            t1 = (lo - o) / d
-            t2 = (hi - o) / d
-        parallel = np.abs(d) < 1e-15
-        lo_t = np.where(parallel, np.where(lo <= o, -np.inf, np.inf), np.minimum(t1, t2))
-        hi_t = np.where(parallel, np.where(o <= hi, np.inf, -np.inf), np.maximum(t1, t2))
-        t_near = np.maximum(t_near, lo_t)
-        t_far = np.minimum(t_far, hi_t)
-    hit = (t_near <= t_far) & (t_near > 0.0)
-    return np.where(hit, t_near, np.inf)
-
-
 def _reference_render(scene, k):
     """Reference ``render_full``: the culling loop on numpy scalars, with the
     footprint radius and bounding box recomputed for every object and
@@ -677,7 +655,7 @@ def _reference_render(scene, k):
                 o_world[2],
             ]
         )
-        cast = _reference_cast_box if isinstance(obj.dims, BrickDims) else camera._cast_cylinder
+        cast = camera._cast_box if isinstance(obj.dims, BrickDims) else camera._cast_cylinder
         zeta = cast(obj, o_l, dlx, dly, -1.0)
         if np.isfinite(zeta).any():
             patches.append((r0, r1, c0, c1, idx, obj.cls.label, zeta.tobytes()))
@@ -713,9 +691,9 @@ def _parallel_rays_view():
 @example(_parallel_rays_view())
 @given(camera_views())
 def test_render_equals_the_numpy_scalar_reference(view):
-    # Python-float corner arithmetic, the footprint data kept on each object
-    # and the box cast's parallel-ray shortcut give the reference's patches
-    # in order, windows, labels and bits
+    # Python-float culling, corner and ray-origin arithmetic and the
+    # footprint data kept on each object give the reference's patches in
+    # order, windows, labels and bits
     scene, k, cam = view
     floor_depth, want, _ = _reference_render(scene, k)
     # twice: the second render reads what the first kept on the objects
