@@ -42,7 +42,6 @@ from .camera import (
     Intrinsics,
     LabelImage,
     ObjectPatch,
-    Window,
     apply_noise,
     compose_patches,
     render_full,
@@ -278,53 +277,15 @@ class FrameData:
 
 @dataclass(frozen=True)
 class MaskData:
-    """The segmenter's corrupted labels of one frame, kept as their crop.
-
-    ``crop`` is a copy of the mask inside ``box``, the bounding box of its
-    labelled pixels (None, with an empty crop, when the mask is all floor);
-    every pixel outside the box is 0. ``class_pixels`` holds the mask's
-    (brick, pipe) pixel counts.
+    """What the log keeps of the segmenter's corrupted labels of one frame:
+    the mask's (brick, pipe) pixel counts and ``_array_digest`` of the dense
+    mask, both taken at publish. Replay gives the masks themselves back.
     """
 
     frame_index: int
     t_capture: float
-    shape: tuple[int, int]
-    box: Optional[Window]
-    crop: np.ndarray
     class_pixels: tuple[int, int]
-
-    @classmethod
-    def of(cls, frame_index: int, t_capture: float, mask: LabelImage) -> MaskData:
-        r0, r1, c0, c1 = mask.box or (0, 0, 0, 0)
-        return cls(
-            frame_index=frame_index,
-            t_capture=t_capture,
-            shape=mask.data.shape,
-            box=mask.box,
-            crop=mask.data[r0:r1, c0:c1].copy(),
-            class_pixels=mask.class_pixels(),
-        )
-
-    def dense(self) -> LabelImage:
-        """The mask as the segmenter gave it, rebuilt from the crop."""
-        data = np.zeros(self.shape, dtype=np.uint8)
-        r0, r1, c0, c1 = self.box or (0, 0, 0, 0)
-        data[r0:r1, c0:c1] = self.crop
-        return LabelImage(data)
-
-    def digest(self) -> str:
-        """``_array_digest`` of the dense mask, streamed from the crop: its
-        rows above and below the box are zeros, and only the box's band of
-        rows is built."""
-        h = _digest_header(np.dtype(np.uint8), self.shape)
-        height, width = self.shape
-        r0, r1, c0, c1 = self.box or (height, height, 0, 0)
-        _update_zeros(h, r0 * width)
-        band = np.zeros((r1 - r0, width), dtype=np.uint8)
-        band[:, c0:c1] = self.crop
-        h.update(memoryview(band))
-        _update_zeros(h, (height - r1) * width)
-        return h.hexdigest()
+    digest: str
 
 
 @dataclass(frozen=True)
@@ -826,7 +787,8 @@ class Simulation:
         fd, images = self._capture(standstill, inject_for)
         mask, targets, comps = perceive_frame(images, self.cfg, self.cam_to_arm, self._buffers)
         t_mask = fd.t_capture + SEG_LATENCY
-        md = MaskData.of(fd.frame_index, fd.t_capture, mask)
+        # hashed before the next capture reuses the mask's buffer
+        md = MaskData(fd.frame_index, fd.t_capture, mask.class_pixels(), _array_digest(mask.data))
         self.bus.publish(Topic.SEGMENTATION_MASKS, t_mask, md)
         t_targets = t_mask + GEOMETRY_LATENCY
         payload = GraspTargetsPayload(frame_index=fd.frame_index, targets=targets)
@@ -1357,27 +1319,13 @@ def config_digest(cfg: ScenarioConfig) -> str:
     return hashlib.sha256(canonical_json(scenario_to_dict(cfg)).encode()).hexdigest()
 
 
-def _digest_header(dtype: np.dtype, shape: tuple[int, ...]):
-    h = hashlib.sha256()
-    h.update(str(dtype).encode())
-    h.update(repr(shape).encode())
-    return h
-
-
 def _array_digest(arr: np.ndarray) -> str:
-    h = _digest_header(arr.dtype, arr.shape)
+    h = hashlib.sha256()
+    h.update(str(arr.dtype).encode())
+    h.update(repr(arr.shape).encode())
     # the buffer itself, not a ``tobytes`` copy of it
     h.update(memoryview(np.ascontiguousarray(arr)))
     return h.hexdigest()
-
-
-_ZEROS = memoryview(bytes(1 << 16))
-
-
-def _update_zeros(h, n: int) -> None:
-    """Feed ``n`` zero bytes to the hash ``h``."""
-    for start in range(0, n, len(_ZEROS)):
-        h.update(_ZEROS[: min(len(_ZEROS), n - start)])
 
 
 def frame_digest(fd: FrameData) -> str:
@@ -1426,7 +1374,7 @@ def payload_to_dict(payload: object) -> dict:
             "t_capture": payload.t_capture,
             "latency": SEG_LATENCY,
             "class_pixels": {"brick": brick, "pipe": pipe},
-            "digest": payload.digest(),
+            "digest": payload.digest,
         }
     kind = _RECORD_KINDS.get(type(payload))
     if kind is None:
@@ -1487,8 +1435,8 @@ def build_benchmark_config(adaptive_order: bool = False, seed: int = 7) -> Scena
     a transient depth bias on one brick, a segmentation cut through another,
     and one pipe parked at the edge of the reach envelope.
     """
-    brick = BrickDims(0.20, 0.095, 0.057)
-    pipe = PipeDims(0.03, 0.40)
+    brick = _DIMS[ObjectClass.BRICK]
+    pipe = _DIMS[ObjectClass.PIPE]
     thin_pipe = PipeDims(0.02, 0.40)
 
     def b(i: int, x: float, y: float, yaw: float) -> ObjectSpec:
