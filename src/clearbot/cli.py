@@ -51,17 +51,33 @@ EXIT_INTERNAL = 3
 
 Errors = list[tuple[str, str]]
 
+#: largest calibration coordinate, in metres: far above any rig, and far
+#: below the ~1e154 where the fit's squared residuals overflow
+MAX_PAIR_COORD = 1e6
+
 
 # --- output writers ---------------------------------------------------------
 
 
+def _make_out_dir(out: str, dump_frames: bool = False) -> Optional[Path]:
+    """The output directory (and its ``frames/``), made before the run so
+    that a bad path costs no run; ``None`` once the reason is printed."""
+    out_dir = Path(out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        if dump_frames:
+            (out_dir / "frames").mkdir(exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
+        return None
+    return out_dir
+
+
 def _write_outputs(out_dir: Path, report, sim, dump_frames: bool) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(report_to_json(report))
     (out_dir / "messages.ndjson").write_text(messages_to_ndjson(sim.bus))
     if dump_frames:
         frames_dir = out_dir / "frames"
-        frames_dir.mkdir(exist_ok=True)
         for env in sim.bus.history(Topic.CAMERA_FRAMES):
             fd = env.payload
             images = fd.images(sim.cfg)
@@ -90,11 +106,11 @@ def _report_errors(exc: InvalidConfig) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     try:
-        doc = json.loads(Path(args.scenario).read_text())
-    except OSError as exc:
+        doc = json.loads(Path(args.scenario).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         print(f"error: scenario is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     try:
@@ -107,8 +123,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         cfg = dataclasses.replace(
             cfg, arm=dataclasses.replace(cfg.arm, adaptive_order=True)
         )
+    out_dir = _make_out_dir(args.out, args.dump_frames)
+    if out_dir is None:
+        return EXIT_BAD_INPUT
     report, sim = run_scenario(cfg)
-    _write_outputs(Path(args.out), report, sim, args.dump_frames)
+    _write_outputs(out_dir, report, sim, args.dump_frames)
     _print_report(report)
     failures = report.attempted - report.succeeded
     return EXIT_PICK_FAILURES if failures else EXIT_OK
@@ -134,6 +153,10 @@ def _parse_pairs_text(text: str) -> tuple[list[tuple[Point3, Point3]], Errors]:
         if len(vals) != 6:
             errors.append((f"line {lineno}", f"expected 6 numbers, got {len(vals)}"))
             continue
+        if not all(abs(v) <= MAX_PAIR_COORD for v in vals):  # NaN fails too
+            msg = f"every field must be finite and at most {MAX_PAIR_COORD:g} m in size"
+            errors.append((f"line {lineno}", msg))
+            continue
         pairs.append(
             (
                 Point3(vals[0], vals[1], vals[2], Frame.CAMERA),
@@ -145,8 +168,8 @@ def _parse_pairs_text(text: str) -> tuple[list[tuple[Point3, Point3]], Errors]:
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     try:
-        text = Path(args.pairs).read_text()
-    except OSError as exc:
+        text = Path(args.pairs).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read pairs: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     pairs, errors = _parse_pairs_text(text)
@@ -182,8 +205,11 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 def _cmd_benchmark(args: argparse.Namespace) -> int:
     cfg = build_benchmark_config(adaptive_order=args.adaptive_order)
+    out_dir = _make_out_dir(args.out)
+    if out_dir is None:
+        return EXIT_BAD_INPUT
     report, sim = run_scenario(cfg)
-    _write_outputs(Path(args.out), report, sim, dump_frames=False)
+    _write_outputs(out_dir, report, sim, dump_frames=False)
     _print_report(report)
     problems = check_benchmark_report(report, adaptive_order=args.adaptive_order)
     if problems:

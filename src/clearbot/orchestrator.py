@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
+import io
 import json
 import math
 import sys
@@ -147,12 +148,9 @@ class MessageBus:
     def __init__(self) -> None:
         self._history: dict[Topic, list[MessageEnvelope]] = {t: [] for t in Topic}
         self._log: list[MessageEnvelope] = []
-        # NDJSON lines of _log[:len(_lines)], filled by messages_to_ndjson;
-        # envelopes and payloads are frozen, so a line never goes stale
-        self._lines: list[str] = []
-        # (messages, text) of messages_to_ndjson's last result; the log
-        # only grows, so the text is current while its count is
-        self._text: tuple[int, str] = (0, "\n")
+        # NDJSON of the frozen _log[:_written], extended by messages_to_ndjson
+        self._ndjson = io.StringIO()
+        self._written = 0
 
     def publish(self, topic: Topic, t: float, payload: object) -> MessageEnvelope:
         history = self._history[topic]
@@ -1383,26 +1381,18 @@ def payload_to_dict(payload: object) -> dict:
 
 
 def messages_to_ndjson(bus: MessageBus) -> str:
-    """The bus log as NDJSON; each envelope is serialized once per bus, and
-    the text is joined again only after a publish."""
-    count, text = bus._text
-    if count == len(bus._log):
-        return text
-    lines = bus._lines
-    for env in bus._log[len(lines) :]:
-        lines.append(
-            canonical_json(
-                {
-                    "topic": env.topic.value,
-                    "seq": env.seq,
-                    "t": env.t,
-                    "payload": payload_to_dict(env.payload),
-                }
-            )
-        )
-    text = "\n".join(lines) + "\n"
-    bus._text = (len(lines), text)
-    return text
+    """The bus log as NDJSON, one line per envelope; each envelope is
+    serialized once per bus, and a bus with no messages gives ``""``."""
+    for env in bus._log[bus._written :]:
+        record = {
+            "topic": env.topic.value,
+            "seq": env.seq,
+            "t": env.t,
+            "payload": payload_to_dict(env.payload),
+        }
+        bus._ndjson.write(canonical_json(record) + "\n")
+    bus._written = len(bus._log)
+    return bus._ndjson.getvalue()
 
 
 # Wall-clock text must not leak into the report or byte-level determinism

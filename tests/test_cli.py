@@ -311,18 +311,41 @@ def test_readme_scenario_block_shows_the_defaults():
 
 def test_simulate_rejects_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
-    path.write_text("{ not json")
-    code = cli.main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
-    assert code == 2
-    assert "not valid JSON" in capsys.readouterr().err
+    # the second text nests past the JSON decoder's recursion limit
+    for text in ("{ not json", "[" * 200_000 + "]" * 200_000):
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--scenario", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "not valid JSON" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 def test_simulate_reports_missing_file(tmp_path, capsys):
-    code = cli.main(
-        ["simulate", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]
-    )
-    assert code == 2
-    assert "cannot read scenario" in capsys.readouterr().err
+    not_utf8 = tmp_path / "latin.json"
+    not_utf8.write_bytes(b"\xff\xfe{}")
+    for path in (tmp_path / "nope.json", not_utf8):
+        code = cli.main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot read scenario" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "dump-frames", "benchmark"])
+def test_out_that_is_a_file_is_rejected_before_the_run(tmp_path, capsys, monkeypatch, command):
+    taken = tmp_path / "out" / "frames" if command == "dump-frames" else tmp_path / "out"
+    taken.parent.mkdir(exist_ok=True)
+    taken.write_text("not a directory")
+    monkeypatch.setattr(cli, "run_scenario", lambda cfg: pytest.fail("ran"))
+    if command == "benchmark":
+        args = ["benchmark", "--paper-table1"]
+    else:
+        args = ["simulate", "--scenario", write_scenario(tmp_path, one_brick_config())]
+        args += ["--dump-frames"] if command == "dump-frames" else []
+    assert cli.main([*args, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "cannot create output directory" in err and "Traceback" not in err
+    assert taken.read_text() == "not a directory"
 
 
 # --- scenario fuzzing ------------------------------------------------------------
@@ -417,11 +440,14 @@ def test_calibrate_recovers_known_transform(tmp_path, capsys):
 def test_calibrate_identity(tmp_path, capsys):
     pts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
     pairs = tmp_path / "pairs.txt"
-    pairs.write_text("\n".join(f"{x} {y} {z} {x} {y} {z}" for x, y, z in pts))
-    assert cli.main(["calibrate", "--pairs", str(pairs)]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["r"] == pytest.approx([1, 0, 0, 0, 1, 0, 0, 0, 1], abs=1e-12)
-    assert doc["t"] == pytest.approx([0, 0, 0], abs=1e-12)
+    # 1e6 m is the largest coordinate a row may hold
+    for scale in (1, 1e6):
+        scaled = [(scale * x, scale * y, scale * z) for x, y, z in pts]
+        pairs.write_text("\n".join(f"{x} {y} {z} {x} {y} {z}" for x, y, z in scaled))
+        assert cli.main(["calibrate", "--pairs", str(pairs)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["r"] == pytest.approx([1, 0, 0, 0, 1, 0, 0, 0, 1], abs=1e-12)
+        assert doc["t"] == pytest.approx([0, 0, 0], abs=1e-12 * scale)
 
 
 def test_calibrate_needs_three_rows(tmp_path, capsys):
@@ -440,11 +466,32 @@ def test_calibrate_rejects_collinear_points(tmp_path, capsys):
 
 def test_calibrate_rejects_bad_rows(tmp_path, capsys):
     pairs = tmp_path / "pairs.txt"
-    pairs.write_text("0 0 0 0 0 abc\n1 2 3 4 5\n")
+    bad = {
+        "0 0 0 0 0 abc": "every field must be a number",
+        "1 2 3 4 5": "expected 6 numbers, got 5",
+        # NaN and infinities break the fit's SVD, and squares of 1e154 or
+        # more overflow its residual
+        "0 0 0 0 0 nan": "every field must be finite",
+        "0 0 inf 0 0 0": "every field must be finite",
+        "0 0 0 -inf 0 0": "every field must be finite",
+        "1e160 0 0 1e160 0 0": "every field must be finite and at most 1e+06 m in size",
+        "0 0 0 0 -1000001 0": "every field must be finite and at most 1e+06 m in size",
+    }
+    pairs.write_text("\n".join(bad) + "\n")
     assert cli.main(["calibrate", "--pairs", str(pairs)]) == 2
     err = capsys.readouterr().err
-    assert "every field must be a number" in err
-    assert "expected 6 numbers, got 5" in err
+    for lineno, message in enumerate(bad.values(), 1):
+        assert f"error: line {lineno}: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_calibrate_reports_unreadable_pairs(tmp_path, capsys):
+    not_utf8 = tmp_path / "pairs.txt"
+    not_utf8.write_bytes(b"0 0 0 0 0 0\n\xff\xfe\n")
+    for path in (tmp_path / "nope.txt", not_utf8):
+        assert cli.main(["calibrate", "--pairs", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read pairs" in err and "Traceback" not in err
 
 
 # --- benchmark -----------------------------------------------------------------
