@@ -142,30 +142,60 @@ def occupied_box(image: np.ndarray, within: Optional[Window] = None) -> Optional
     return wr0 + r0, wr0 + r1, wc0 + int(cols[0]), wc0 + int(cols[-1]) + 1
 
 
+def span(windows: Sequence[Window]) -> Window:
+    """Bounding box of one or more windows."""
+    r0s, r1s, c0s, c1s = zip(*windows)
+    return min(r0s), max(r1s), min(c0s), max(c1s)
+
+
+def window_clusters(windows: Sequence[Window]) -> tuple[Window, ...]:
+    """Bounding boxes of the windows that overlap or touch (diagonally too),
+    merged until no two touch, sorted; 8-connected pixels in them share one."""
+    clusters: list[Window] = []
+    for w in windows:
+        # a window grown by the clusters it touches may touch more of them
+        while near := [
+            c for c in clusters if w[0] <= c[1] and c[0] <= w[1] and w[2] <= c[3] and c[2] <= w[3]
+        ]:
+            clusters = [c for c in clusters if c not in near]
+            w = span([w, *near])
+        clusters.append(w)
+    return tuple(sorted(clusters))
+
+
 @dataclass(frozen=True)
 class LabelImage:
     """Per-pixel class labels: 0 unlabeled, 1 brick, 2 pipe.
 
     ``box`` is the bounding box of the labelled pixels (None when there are
-    none); every pixel outside it is 0. ``within``, when given, is a window
-    known to hold every labelled pixel, and the box is searched in it alone.
+    none); every pixel outside it is 0. ``windows``, when given, are windows
+    known to hold every labelled pixel between them; ``clusters`` are their
+    :func:`window_clusters`, and the box is searched in the clusters'
+    bounding box alone. Without windows, ``clusters`` is ``(box,)``.
     """
 
     data: np.ndarray
-    within: InitVar[Optional[Window]] = None
+    windows: InitVar[Optional[Sequence[Window]]] = None
     box: Optional[Window] = field(init=False, repr=False, compare=False)
+    clusters: tuple[Window, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, within: Optional[Window]) -> None:
+    def __post_init__(self, windows: Optional[Sequence[Window]]) -> None:
         arr = np.asarray(self.data, dtype=np.uint8)
         if arr.ndim != 2:
             raise ValueError("label image must be 2-D")
-        box = occupied_box(arr, within)
+        if windows is None:
+            box = occupied_box(arr)
+            clusters = () if box is None else (box,)
+        else:
+            clusters = window_clusters(windows)
+            box = occupied_box(arr, span(clusters) if clusters else (0, 0, 0, 0))
         if box is not None:
             r0, r1, c0, c1 = box
             if arr[r0:r1, c0:c1].max() > 2:
                 raise ValueError("label image holds an unknown class code")
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "box", box)
+        object.__setattr__(self, "clusters", clusters)
 
     @property
     def height(self) -> int:

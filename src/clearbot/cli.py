@@ -10,8 +10,8 @@ Three subcommands:
 
 Exit codes: 0 all picks succeeded (or calibration printed), 1 the run
 finished but some picks failed, 2 the input was rejected (every problem is
-reported with its field path), 3 internal error or a benchmark that failed
-its built-in validation.
+reported with its field path) or an output could not be written, 3 internal
+error or a benchmark that failed its built-in validation.
 """
 
 from __future__ import annotations
@@ -73,17 +73,23 @@ def _make_out_dir(out: str, dump_frames: bool = False) -> Optional[Path]:
     return out_dir
 
 
-def _write_outputs(out_dir: Path, report, sim, dump_frames: bool) -> None:
-    (out_dir / "report.json").write_text(report_to_json(report))
-    (out_dir / "messages.ndjson").write_text(messages_to_ndjson(sim.bus))
-    if dump_frames:
-        frames_dir = out_dir / "frames"
-        for env in sim.bus.history(Topic.CAMERA_FRAMES):
-            fd = env.payload
-            images = fd.images(sim.cfg)
-            stem = f"frame_{fd.frame_index:05d}"
-            (frames_dir / f"{stem}_labels.ppm").write_bytes(encode_label_ppm(images.labels))
-            (frames_dir / f"{stem}_depth.pgm").write_bytes(encode_depth_pgm(images.depth))
+def _write_outputs(out_dir: Path, report, sim, dump_frames: bool) -> bool:
+    """Write the run's files; False, with the reason printed, if one cannot be."""
+    try:
+        (out_dir / "report.json").write_text(report_to_json(report))
+        (out_dir / "messages.ndjson").write_text(messages_to_ndjson(sim.bus))
+        if dump_frames:
+            frames_dir = out_dir / "frames"
+            for env in sim.bus.history(Topic.CAMERA_FRAMES):
+                fd = env.payload
+                images = fd.images(sim.cfg)
+                stem = f"frame_{fd.frame_index:05d}"
+                (frames_dir / f"{stem}_labels.ppm").write_bytes(encode_label_ppm(images.labels))
+                (frames_dir / f"{stem}_depth.pgm").write_bytes(encode_depth_pgm(images.depth))
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _print_report(report) -> None:
@@ -127,7 +133,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if out_dir is None:
         return EXIT_BAD_INPUT
     report, sim = run_scenario(cfg)
-    _write_outputs(out_dir, report, sim, args.dump_frames)
+    if not _write_outputs(out_dir, report, sim, args.dump_frames):
+        return EXIT_BAD_INPUT
     _print_report(report)
     failures = report.attempted - report.succeeded
     return EXIT_PICK_FAILURES if failures else EXIT_OK
@@ -209,7 +216,8 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
     if out_dir is None:
         return EXIT_BAD_INPUT
     report, sim = run_scenario(cfg)
-    _write_outputs(out_dir, report, sim, dump_frames=False)
+    if not _write_outputs(out_dir, report, sim, dump_frames=False):
+        return EXIT_BAD_INPUT
     _print_report(report)
     problems = check_benchmark_report(report, adaptive_order=args.adaptive_order)
     if problems:

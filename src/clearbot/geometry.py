@@ -213,49 +213,48 @@ class MaskComponent:
 def connected_components(
     labels: LabelImage, cls: ObjectClass, min_area: int = A_MIN_COMPONENT_PX
 ) -> list[MaskComponent]:
-    """8-connected components of one class, ordered by first raster pixel."""
-    if labels.box is None:
-        return []
-    r0, r1, c0, c1 = labels.box
-    mask = labels.data[r0:r1, c0:c1] == cls.label
-    box = occupied_box(mask)
-    if box is None:
-        return []
-    # labelling only the class's own box gives the same components: the
-    # rows and columns cut away hold no pixel of the class
-    br0, br1, bc0, bc1 = box
-    crop = mask[br0:br1, bc0:bc1]
-    r0 += br0
-    c0 += bc0
-    lab, n = ndimage.label(crop, structure=_STRUCTURE_8)
-    rows, cols = np.nonzero(lab)  # raster order
-    if n == 1:
-        groups = [(rows, cols)]
-    else:
-        # a stable sort by label keeps each component's pixels in raster order
-        labs = lab[rows, cols]
-        order = np.argsort(labs, kind="stable")
-        cuts = np.flatnonzero(np.diff(labs[order])) + 1
-        groups = zip(np.split(rows[order], cuts), np.split(cols[order], cuts))
+    """8-connected components of one class, ordered by first raster pixel;
+    each cluster is labelled on its own, as no component spans two."""
     comps = []
-    for rows, cols in groups:
-        if len(rows) < min_area:
+    for r0, r1, c0, c1 in labels.clusters:
+        mask = labels.data[r0:r1, c0:c1] == cls.label
+        box = occupied_box(mask)
+        if box is None:
             continue
-        pixels = np.stack([rows + r0, cols + c0], axis=1)
-        comps.append(
-            MaskComponent(
-                cls=cls,
-                pixels=pixels,
-                area=len(pixels),
-                bbox=(
-                    int(pixels[0, 0]),
-                    int(pixels[-1, 0]) + 1,
-                    int(cols.min()) + c0,
-                    int(cols.max()) + c0 + 1,
-                ),
-                seed_pixel=(int(pixels[0, 0]), int(pixels[0, 1])),
+        # labelling only the class's own box gives the same components: the
+        # rows and columns cut away hold no pixel of the class
+        br0, br1, bc0, bc1 = box
+        crop = mask[br0:br1, bc0:bc1]
+        r0 += br0
+        c0 += bc0
+        lab, n = ndimage.label(crop, structure=_STRUCTURE_8)
+        rows, cols = np.nonzero(lab)  # raster order
+        if n == 1:
+            groups = [(rows, cols)]
+        else:
+            # a stable sort by label keeps each component's pixels in raster order
+            labs = lab[rows, cols]
+            order = np.argsort(labs, kind="stable")
+            cuts = np.flatnonzero(np.diff(labs[order])) + 1
+            groups = zip(np.split(rows[order], cuts), np.split(cols[order], cuts))
+        for rows, cols in groups:
+            if len(rows) < min_area:
+                continue
+            pixels = np.stack([rows + r0, cols + c0], axis=1)
+            comps.append(
+                MaskComponent(
+                    cls=cls,
+                    pixels=pixels,
+                    area=len(pixels),
+                    bbox=(
+                        int(pixels[0, 0]),
+                        int(pixels[-1, 0]) + 1,
+                        int(cols.min()) + c0,
+                        int(cols.max()) + c0 + 1,
+                    ),
+                    seed_pixel=(int(pixels[0, 0]), int(pixels[0, 1])),
+                )
             )
-        )
     comps.sort(key=lambda cmp: (cmp.seed_pixel[0], cmp.seed_pixel[1]))
     return comps
 

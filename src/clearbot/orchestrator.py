@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import io
 import json
@@ -255,18 +256,9 @@ class FrameData:
         ids = self.object_ids
         patches = self.patches
         windows = {ids[p.obj_index]: (p.obj_index, (p.r0, p.r1, p.c0, p.c1)) for p in patches}
-        # every labelled pixel lies in a patch window: the box is searched in
-        # their union, an empty window when there are none
-        within = (0, 0, 0, 0)
-        if patches:
-            within = (
-                min(p.r0 for p in patches),
-                max(p.r1 for p in patches),
-                min(p.c0 for p in patches),
-                max(p.c1 for p in patches),
-            )
         return FrameImages(
-            labels=LabelImage(lab, within=within),
+            # every labelled pixel lies in a patch window
+            labels=LabelImage(lab, windows=[w for _, w in windows.values()]),
             depth=depth,
             clean_depth=clean,
             instances=InstanceImage(index, ids, windows),
@@ -786,7 +778,8 @@ class Simulation:
         mask, targets, comps = perceive_frame(images, self.cfg, self.cam_to_arm, self._buffers)
         t_mask = fd.t_capture + SEG_LATENCY
         # hashed before the next capture reuses the mask's buffer
-        md = MaskData(fd.frame_index, fd.t_capture, mask.class_pixels(), _array_digest(mask.data))
+        digest = _floor_digest(mask.data.shape) if mask.box is None else _array_digest(mask.data)
+        md = MaskData(fd.frame_index, fd.t_capture, mask.class_pixels(), digest)
         self.bus.publish(Topic.SEGMENTATION_MASKS, t_mask, md)
         t_targets = t_mask + GEOMETRY_LATENCY
         payload = GraspTargetsPayload(frame_index=fd.frame_index, targets=targets)
@@ -1324,6 +1317,12 @@ def _array_digest(arr: np.ndarray) -> str:
     # the buffer itself, not a ``tobytes`` copy of it
     h.update(memoryview(np.ascontiguousarray(arr)))
     return h.hexdigest()
+
+
+@functools.cache
+def _floor_digest(shape: tuple[int, int]) -> str:
+    """``_array_digest`` of an all-floor mask, taken once per shape."""
+    return _array_digest(np.zeros(shape, dtype=np.uint8))
 
 
 def frame_digest(fd: FrameData) -> str:

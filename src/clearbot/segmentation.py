@@ -165,13 +165,13 @@ def segment(
         data = out.data
         r0, r1, c0, c1 = out.box or (0, 0, 0, 0)
         data[r0:r1, c0:c1] = 0
-    box = gt.box or (0, 0, 0, 0)
-    r0, r1, c0, c1 = box
-    # No op labels a floor pixel, so every labelled pixel stays in this box,
-    # and erosion and holes need only its crop: erosion reads past the
-    # crop's edge as floor, which the image holds there, and holes draw over
-    # the crop's labelled pixels in the image's row-major order. Cuts and
-    # relabels only index, on the whole mask, in image coordinates.
+    r0, r1, c0, c1 = gt.box or (0, 0, 0, 0)
+    # No op labels a floor pixel, so every labelled pixel stays in this box
+    # and in the ground truth's clusters, which the mask keeps. Erosion and
+    # holes need only the box's crop: erosion reads past the crop's edge as
+    # floor, which the image holds there, and holes draw over the crop's
+    # labelled pixels in the image's row-major order. Cuts and relabels
+    # only index, on the whole mask, in image coordinates.
     crop = data[r0:r1, c0:c1]
     np.copyto(crop, gt.data[r0:r1, c0:c1])
     op_index = 0
@@ -192,7 +192,7 @@ def segment(
         else:
             raise TypeError(f"unknown corruption op {type(op).__name__}")
         op_index += 1
-    return LabelImage(data, within=box)
+    return LabelImage(data, windows=gt.clusters)
 
 
 def mask_iou(pred: LabelImage, gt: LabelImage, component: MaskComponent) -> float:

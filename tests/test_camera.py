@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 
@@ -427,9 +428,39 @@ def test_windowed_box_equals_a_full_scan(case):
     rows, cols = np.nonzero(data)
     want = (rows.min(), rows.max() + 1, cols.min(), cols.max() + 1) if len(rows) else None
     assert camera.occupied_box(data, window) == want
-    labels = LabelImage(data, within=window)
+    labels = LabelImage(data, windows=[window])
     assert labels.box == want
     assert labels.class_pixels() == ((data == 1).sum(), (data == 2).sum())
+
+
+def test_windows_touching_only_at_a_corner_merge():
+    assert camera.window_clusters([(0, 2, 0, 2), (2, 4, 2, 4)]) == ((0, 4, 0, 4),)
+    assert camera.window_clusters([(2, 4, 0, 2), (0, 2, 2, 4)]) == ((0, 4, 0, 4),)
+
+
+def test_windows_one_empty_row_or_column_apart_stay_apart():
+    assert camera.window_clusters([(3, 5, 0, 2), (0, 2, 0, 2)]) == ((0, 2, 0, 2), (3, 5, 0, 2))
+    assert camera.window_clusters([(0, 2, 3, 5), (0, 2, 0, 2)]) == ((0, 2, 0, 2), (0, 2, 3, 5))
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_merged_windows_take_in_a_window_their_box_reaches(order):
+    # a and b touch at a corner; c touches neither, but lies in their box
+    a, b, c = (0, 2, 0, 2), (2, 4, 2, 4), (0, 1, 3, 4)
+    windows = [(a, b, c)[i] for i in order]
+    assert camera.window_clusters(windows) == ((0, 4, 0, 4),)
+
+
+def test_label_image_without_windows_is_one_cluster_of_its_box():
+    data = np.zeros((6, 9), dtype=np.uint8)
+    assert LabelImage(data).clusters == ()
+    data[1, 2] = 1
+    data[4, 7] = 2
+    assert LabelImage(data).clusters == ((1, 5, 2, 8),)
+    # with windows, the clusters are theirs, labelled pixels or not
+    labels = LabelImage(data, windows=[(1, 2, 2, 3), (4, 5, 7, 8), (0, 1, 8, 9)])
+    assert labels.clusters == ((0, 1, 8, 9), (1, 2, 2, 3), (4, 5, 7, 8))
+    assert labels.box == (1, 5, 2, 8)
 
 
 def test_depth_pgm_golden_bytes():

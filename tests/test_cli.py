@@ -348,6 +348,28 @@ def test_out_that_is_a_file_is_rejected_before_the_run(tmp_path, capsys, monkeyp
     assert taken.read_text() == "not a directory"
 
 
+@pytest.mark.parametrize(
+    "command, taken",
+    [
+        ("simulate", "report.json"),
+        ("simulate", "messages.ndjson"),
+        ("dump-frames", "frames/frame_00000_depth.pgm"),
+        ("benchmark", "messages.ndjson"),
+    ],
+)
+def test_unwritable_output_file_exits_2(tmp_path, capsys, command, taken):
+    # a directory where an output file goes is found only when the run ends
+    (tmp_path / "out" / taken).mkdir(parents=True)
+    if command == "benchmark":
+        args = ["benchmark", "--paper-table1"]
+    else:
+        args = ["simulate", "--scenario", write_scenario(tmp_path, one_brick_config())]
+        args += ["--dump-frames"] if command == "dump-frames" else []
+    assert cli.main([*args, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "cannot write output" in err and "Traceback" not in err
+
+
 # --- scenario fuzzing ------------------------------------------------------------
 
 #: a small course with both classes, all four corruption kinds, depth noise

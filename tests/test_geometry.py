@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
@@ -695,6 +695,39 @@ def test_kernels_match_the_all_pixel_reference(data, min_area, order):
             assert principal_orientation(a) == reference_orientation(b)
             shuffled = a.pixels[order.sample(range(a.area), a.area)]
             assert_same_component(MaskComponent.from_pixels(cls, shuffled), a)
+
+
+@st.composite
+def labels_in_window_clusters(draw) -> tuple[np.ndarray, list[tuple[int, int, int, int]]]:
+    """A blob label image cleared outside up to six windows whose edges lie
+    on an 8 x 8 grid, so that windows often touch at an edge or a corner."""
+    data = draw(blob_label_images())
+    h, w = data.shape
+    edge = st.integers(0, 8)
+    windows = []
+    for _ in range(draw(st.integers(0, 6))):
+        r0, r1 = sorted(draw(st.lists(edge, min_size=2, max_size=2)))
+        c0, c1 = sorted(draw(st.lists(edge, min_size=2, max_size=2)))
+        windows.append((r0 * h // 8, r1 * h // 8, c0 * w // 8, c1 * w // 8))
+    kept = np.zeros_like(data)
+    for r0, r1, c0, c1 in windows:
+        kept[r0:r1, c0:c1] = data[r0:r1, c0:c1]
+    return kept, windows
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=labels_in_window_clusters())
+# the first two windows merge into a box that overlaps the last one
+@example(case=(np.eye(4, 4, 3, dtype=np.uint8), [(0, 1, 3, 4), (0, 2, 0, 2), (2, 4, 2, 4)]))
+def test_components_on_window_clusters_match_the_all_pixel_reference(case):
+    data, windows = case
+    labels = LabelImage(data, windows=windows)
+    for cls in (ObjectClass.BRICK, ObjectClass.PIPE):
+        got = connected_components(labels, cls, min_area=1)
+        want = reference_components(labels, cls, min_area=1)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert_same_component(a, b)
 
 
 def test_orientation_hulls_only_row_extremes(monkeypatch):

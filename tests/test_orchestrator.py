@@ -25,11 +25,12 @@ from clearbot.camera import (
     MAX_FIELD_OF_VIEW_DEG,
     DepthNoiseModel,
     Intrinsics,
+    LabelImage,
     apply_noise,
     compose_patches,
     render_full,
 )
-from clearbot.geometry import Frame, Point3, ReachEnvelope
+from clearbot.geometry import Frame, Point3, ReachEnvelope, connected_components
 from clearbot.orchestrator import (
     DISPATCH_LATENCY,
     GEOMETRY_LATENCY,
@@ -731,6 +732,15 @@ def test_step_loop_equals_fresh_views_on_generated_runs(cfg):
         mask, targets, comps = perceive(images, cfg_, cam_to_arm, buffers)
         want, want_targets, _ = perceive(fresh_views[-1], cfg_, cam_to_arm)
         assert _same_bits(mask.data, want.data)
+        # the mask keeps the frame's clusters of patch windows, and labelling
+        # each cluster finds what labelling the whole box finds
+        assert mask.clusters == images.labels.clusters
+        for cls in ObjectClass:
+            got = connected_components(mask, cls)
+            boxed = connected_components(LabelImage(mask.data), cls)
+            assert [c.bbox for c in got] == [c.bbox for c in boxed]
+            assert [(c.area, c.seed_pixel) for c in got] == [(c.area, c.seed_pixel) for c in boxed]
+            assert all(_same_bits(a.pixels, b.pixels) for a, b in zip(got, boxed))
         rows, cols = np.nonzero(want.data)
         if len(rows):
             assert want.box == (rows.min(), rows.max() + 1, cols.min(), cols.max() + 1)
@@ -1014,6 +1024,13 @@ def test_empty_frames_skip_segmentation_and_targets(monkeypatch):
         assert mask.payload.digest == orchestrator._array_digest(full.data)
         assert mask.t == fd.t_capture + SEG_LATENCY
         assert tgt.payload.targets == ()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (64, 128), (256, 512)])
+def test_floor_digest_is_the_digest_of_an_all_floor_mask(shape):
+    digest = orchestrator._floor_digest(shape)
+    assert digest == orchestrator._array_digest(np.zeros(shape, np.uint8))
+    assert orchestrator._floor_digest(shape) is digest  # taken once per shape
 
 
 def floats(lo: float, hi: float, **kwargs):
