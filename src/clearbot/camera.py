@@ -14,7 +14,7 @@ invalid pixels.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -168,31 +168,32 @@ class LabelImage:
     """Per-pixel class labels: 0 unlabeled, 1 brick, 2 pipe.
 
     ``box`` is the bounding box of the labelled pixels (None when there are
-    none); every pixel outside it is 0. ``windows``, when given, are windows
-    known to hold every labelled pixel between them; ``clusters`` are their
-    :func:`window_clusters`, and the box is searched in the clusters'
-    bounding box alone. Without windows, ``clusters`` is ``(box,)``.
+    none); every pixel outside it is 0. ``clusters``, when given, are
+    windows that touch no other (as :func:`window_clusters` returns them)
+    and hold every labelled pixel between them; the box is searched in
+    their bounding box alone, and they are kept clipped to the box, less
+    any the clipping leaves empty. Without them, ``clusters`` is ``(box,)``.
     """
 
     data: np.ndarray
-    windows: InitVar[Optional[Sequence[Window]]] = None
+    clusters: Optional[tuple[Window, ...]] = field(default=None, repr=False, compare=False)
     box: Optional[Window] = field(init=False, repr=False, compare=False)
-    clusters: tuple[Window, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, windows: Optional[Sequence[Window]]) -> None:
+    def __post_init__(self) -> None:
         arr = np.asarray(self.data, dtype=np.uint8)
         if arr.ndim != 2:
             raise ValueError("label image must be 2-D")
-        if windows is None:
-            box = occupied_box(arr)
-            clusters = () if box is None else (box,)
-        else:
-            clusters = window_clusters(windows)
-            box = occupied_box(arr, span(clusters) if clusters else (0, 0, 0, 0))
-        if box is not None:
-            r0, r1, c0, c1 = box
-            if arr[r0:r1, c0:c1].max() > 2:
-                raise ValueError("label image holds an unknown class code")
+        clusters = self.clusters
+        box = occupied_box(arr, None if clusters is None else span(clusters or [(0, 0, 0, 0)]))
+        r0, r1, c0, c1 = box or (0, 0, 0, 0)
+        if arr[r0:r1, c0:c1].max(initial=0) > 2:
+            raise ValueError("label image holds an unknown class code")
+        # without clusters given, the box is the one cluster
+        clipped = (
+            (max(a, r0), min(b, r1), max(c, c0), min(d, c1))
+            for a, b, c, d in clusters or [(r0, r1, c0, c1)]
+        )
+        clusters = tuple(w for w in clipped if w[0] < w[1] and w[2] < w[3])
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "clusters", clusters)
@@ -219,7 +220,7 @@ class LabelImage:
 
 @dataclass(frozen=True)
 class InstanceImage:
-    """Per-pixel object index into ``ids`` (-1 where no object).
+    """Per-pixel index of the scene object seen (-1 where no object).
 
     ``windows`` maps the id of each object in view to its index and the
     pixel window that holds all of its pixels (its render patch); an object
@@ -227,7 +228,6 @@ class InstanceImage:
     """
 
     index: np.ndarray
-    ids: tuple[str, ...]
     windows: Mapping[str, tuple[int, Window]]
 
     def pixels_of(self, object_id: str) -> tuple[np.ndarray, np.ndarray]:
@@ -269,8 +269,9 @@ def backproject(u, v, z, k: Intrinsics) -> np.ndarray:
 class ObjectPatch:
     """Ray-cast result of one object within its pixel bounding window.
 
-    ``zbuf`` holds candidate z-depths (+inf where the ray misses), so frames
-    can be reassembled exactly with an ordinary z-buffer compose.
+    ``obj_index`` and ``object_id`` are the object's index in the scene and
+    its id. ``zbuf`` holds candidate z-depths (+inf where the ray misses), so
+    frames can be reassembled exactly with an ordinary z-buffer compose.
     """
 
     r0: int
@@ -280,6 +281,7 @@ class ObjectPatch:
     zbuf: np.ndarray
     obj_index: int
     label: int
+    object_id: str
 
 
 @dataclass(frozen=True)
@@ -428,7 +430,7 @@ def render_full(scene: Scene, k: Intrinsics) -> RenderResult:
             zeta = _cast_cylinder(obj, o_l, dlx, dly, dlz)
         if not np.isfinite(zeta).any():
             continue
-        patches.append(ObjectPatch(r0, r1, c0, c1, zeta, idx, obj.cls.label))
+        patches.append(ObjectPatch(r0, r1, c0, c1, zeta, idx, obj.cls.label, obj.id))
 
     return RenderResult(patches=tuple(patches), floor_depth=floor_depth)
 

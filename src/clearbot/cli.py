@@ -35,6 +35,7 @@ from .geometry import (
 )
 from .orchestrator import (
     InvalidConfig,
+    JsonObject,
     Topic,
     build_benchmark_config,
     check_benchmark_report,
@@ -112,7 +113,8 @@ def _report_errors(exc: InvalidConfig) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     try:
-        doc = json.loads(Path(args.scenario).read_text(encoding="utf-8"))
+        text = Path(args.scenario).read_text(encoding="utf-8")
+        doc = json.loads(text, object_pairs_hook=JsonObject)
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

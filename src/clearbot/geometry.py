@@ -191,20 +191,6 @@ class MaskComponent:
     bbox: tuple[int, int, int, int]  # r0, r1, c0, c1 half-open
     seed_pixel: tuple[int, int]
 
-    @staticmethod
-    def from_pixels(cls: ObjectClass, pixels: np.ndarray) -> "MaskComponent":
-        pixels = np.asarray(pixels, dtype=np.int64)
-        rows, cols = pixels[:, 0], pixels[:, 1]
-        order = np.lexsort((cols, rows))
-        pixels = pixels[order]
-        return MaskComponent(
-            cls=cls,
-            pixels=pixels,
-            area=len(pixels),
-            bbox=(int(rows.min()), int(rows.max()) + 1, int(cols.min()), int(cols.max()) + 1),
-            seed_pixel=(int(pixels[0, 0]), int(pixels[0, 1])),
-        )
-
     def touches_border(self, width: int, height: int) -> bool:
         r0, r1, c0, c1 = self.bbox
         return r0 == 0 or c0 == 0 or r1 == height or c1 == width

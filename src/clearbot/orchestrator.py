@@ -22,6 +22,7 @@ import io
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
@@ -47,6 +48,7 @@ from .camera import (
     apply_noise,
     compose_patches,
     render_full,
+    window_clusters,
 )
 from .geometry import (
     Frame,
@@ -228,7 +230,6 @@ class FrameData:
     shape: tuple[int, int]
     floor_depth: float
     patches: tuple[ObjectPatch, ...]
-    object_ids: tuple[str, ...]
     bias: Optional[float] = None
     class_pixels: tuple[int, int] = (0, 0)  # (brick, pipe)
     depth_digest: Optional[str] = None
@@ -253,15 +254,13 @@ class FrameData:
                 np.copyto(data, clean.data)
             np.add(data, self.bias, out=data, where=data > 0.0)
             depth = DepthImage(data)
-        ids = self.object_ids
-        patches = self.patches
-        windows = {ids[p.obj_index]: (p.obj_index, (p.r0, p.r1, p.c0, p.c1)) for p in patches}
+        windows = {p.object_id: (p.obj_index, (p.r0, p.r1, p.c0, p.c1)) for p in self.patches}
         return FrameImages(
             # every labelled pixel lies in a patch window
-            labels=LabelImage(lab, windows=[w for _, w in windows.values()]),
+            labels=LabelImage(lab, window_clusters([w for _, w in windows.values()])),
             depth=depth,
             clean_depth=clean,
-            instances=InstanceImage(index, ids, windows),
+            instances=InstanceImage(index, windows),
         )
 
 
@@ -593,7 +592,9 @@ def match_component(comp: MaskComponent, instances: InstanceImage) -> Optional[s
     votes = votes[votes >= 0]
     if votes.size == 0:
         return None
-    return instances.ids[int(np.bincount(votes).argmax())]
+    # a pixel's index is the obj_index of the patch that drew it
+    winner = int(np.bincount(votes).argmax())
+    return next(oid for oid, (idx, _) in instances.windows.items() if idx == winner)
 
 
 def perceive_frame(
@@ -730,7 +731,6 @@ class Simulation:
             shape=(self.cfg.intrinsics.height, self.cfg.intrinsics.width),
             floor_depth=rr.floor_depth,
             patches=rr.patches,
-            object_ids=tuple(o.id for o in self.scene.objects),
             bias=next((j.bias for j in self.cfg.injections if j.object_id == inject_for), None),
         )
         images = fd.images(self.cfg, self._buffers)
@@ -1188,6 +1188,7 @@ def _conform(value: Any, tmpl: Any, path: str, errors: list[tuple[str, str]]) ->
             return None
         join = lambda key: f"{path}.{key}" if path else key
         errors.extend((join(key), "unknown key") for key in value if key not in tmpl)
+        errors.extend((join(key), "repeated key") for key in getattr(value, "repeated", ()))
         return {
             key: _conform(value.get(key, _MISSING), t, join(key), errors)
             for key, t in tmpl.items()
@@ -1248,6 +1249,16 @@ def _object_from_dict(o: dict) -> ObjectSpec:
 
 def _op_from_dict(op: dict) -> CorruptionOp:
     return _OPS[op["op"]](**{key: v for key, v in op.items() if key != "op"})
+
+
+class JsonObject(dict):
+    """A JSON object as ``json.loads(text, object_pairs_hook=JsonObject)``
+    decodes it: ``repeated`` lists the keys it was given more than once, of
+    which it keeps the last value. :func:`parse_scenario` rejects them."""
+
+    def __init__(self, pairs: list) -> None:
+        super().__init__(pairs)
+        self.repeated = [key for key, n in Counter(k for k, _ in pairs).items() if n > 1]
 
 
 def parse_scenario(doc: Any) -> ScenarioConfig:
@@ -1357,9 +1368,7 @@ def payload_to_dict(payload: object) -> dict:
             "standstill": payload.standstill,
             "shape": list(payload.shape),
             "floor_depth": payload.floor_depth,
-            "objects_in_view": sorted(
-                {payload.object_ids[p.obj_index] for p in payload.patches}
-            ),
+            "objects_in_view": sorted(p.object_id for p in payload.patches),
             "class_pixels": {"brick": brick, "pipe": pipe},
             "digest": frame_digest(payload),
         }

@@ -151,9 +151,9 @@ def segment(
 ) -> LabelImage:
     """Apply corruption operators in order on top of the ground truth.
 
-    A cut whose target is out of view (without pixels in ``instances``, or
-    no ``instances`` given) is skipped and takes no op index, so the
-    ``Holes`` ops after it draw the same pixels as if it were not listed.
+    A cut whose target is out of view (not in ``instances.windows``, without
+    pixels there, or no ``instances`` given) is skipped and takes no op index,
+    so the ``Holes`` ops after it draw the same pixels as if it were not listed.
     ``out``, a mask of the image's shape that an earlier call returned, has
     its array reused for the new mask: its box is cleared and the ground
     truth's box copied in, and it is no longer valid after. Without it, the
@@ -167,11 +167,11 @@ def segment(
         data[r0:r1, c0:c1] = 0
     r0, r1, c0, c1 = gt.box or (0, 0, 0, 0)
     # No op labels a floor pixel, so every labelled pixel stays in this box
-    # and in the ground truth's clusters, which the mask keeps. Erosion and
-    # holes need only the box's crop: erosion reads past the crop's edge as
-    # floor, which the image holds there, and holes draw over the crop's
-    # labelled pixels in the image's row-major order. Cuts and relabels
-    # only index, on the whole mask, in image coordinates.
+    # and in the ground truth's clusters, which the mask keeps, clipped to
+    # its own box. Erosion and holes need only the box's crop: erosion reads
+    # past the crop's edge as floor, which the image holds there, and holes
+    # draw over the crop's labelled pixels in the image's row-major order.
+    # Cuts and relabels only index, on the whole mask, in image coordinates.
     crop = data[r0:r1, c0:c1]
     np.copyto(crop, gt.data[r0:r1, c0:c1])
     op_index = 0
@@ -181,7 +181,7 @@ def segment(
         elif isinstance(op, Holes):
             _apply_holes(crop, op, seed, op_index)
         elif isinstance(op, CutBand):
-            if instances is None:
+            if instances is None or op.target_id not in instances.windows:
                 continue
             rows, cols = instances.pixels_of(op.target_id)
             if len(rows) == 0:
@@ -192,7 +192,7 @@ def segment(
         else:
             raise TypeError(f"unknown corruption op {type(op).__name__}")
         op_index += 1
-    return LabelImage(data, windows=gt.clusters)
+    return LabelImage(data, gt.clusters)
 
 
 def mask_iou(pred: LabelImage, gt: LabelImage, component: MaskComponent) -> float:

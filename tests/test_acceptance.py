@@ -54,6 +54,8 @@ from clearbot.scene import (
 )
 from clearbot.segmentation import segment
 
+from helpers import component_from_pixels
+
 
 @contextmanager
 def criterion(n: int, label: str):
@@ -204,7 +206,7 @@ def test_criterion_05_orientation_estimator():
             assert gap(principal_orientation(comp), float(theta)) <= math.radians(2.0)
 
         base = rect_component(0.6)
-        moved = MaskComponent.from_pixels(
+        moved = component_from_pixels(
             ObjectClass.BRICK, base.pixels + np.array([[9, -17]])
         )
         assert principal_orientation(moved) == principal_orientation(base)

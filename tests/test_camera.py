@@ -428,7 +428,7 @@ def test_windowed_box_equals_a_full_scan(case):
     rows, cols = np.nonzero(data)
     want = (rows.min(), rows.max() + 1, cols.min(), cols.max() + 1) if len(rows) else None
     assert camera.occupied_box(data, window) == want
-    labels = LabelImage(data, windows=[window])
+    labels = LabelImage(data, (window,))
     assert labels.box == want
     assert labels.class_pixels() == ((data == 1).sum(), (data == 2).sum())
 
@@ -457,10 +457,15 @@ def test_label_image_without_windows_is_one_cluster_of_its_box():
     data[1, 2] = 1
     data[4, 7] = 2
     assert LabelImage(data).clusters == ((1, 5, 2, 8),)
-    # with windows, the clusters are theirs, labelled pixels or not
-    labels = LabelImage(data, windows=[(1, 2, 2, 3), (4, 5, 7, 8), (0, 1, 8, 9)])
-    assert labels.clusters == ((0, 1, 8, 9), (1, 2, 2, 3), (4, 5, 7, 8))
+    # given clusters are kept clipped to the box, and one the clipping
+    # empties is dropped, whether it held a labelled pixel or not
+    clusters = camera.window_clusters([(1, 2, 2, 3), (4, 5, 7, 8), (0, 1, 8, 9)])
+    labels = LabelImage(data, clusters)
+    assert labels.clusters == ((1, 2, 2, 3), (4, 5, 7, 8))
     assert labels.box == (1, 5, 2, 8)
+    labels = LabelImage(data, ((0, 6, 0, 9),))
+    assert labels.clusters == ((1, 5, 2, 8),)
+    assert LabelImage(np.zeros((6, 9), dtype=np.uint8), clusters).clusters == ()
 
 
 def test_depth_pgm_golden_bytes():
@@ -756,8 +761,7 @@ def test_the_reference_view_culls_one_object_and_cuts_every_edge():
 def test_windowed_pixels_of_equals_full_image_scan(view):
     scene, k, _ = view
     rr = render_full(scene, k)
-    ids = tuple(o.id for o in scene.objects)
-    fd = FrameData(0, 0.0, scene.ugv, False, (k.height, k.width), rr.floor_depth, rr.patches, ids)
+    fd = FrameData(0, 0.0, scene.ugv, False, (k.height, k.width), rr.floor_depth, rr.patches)
     inst = fd.images(ScenarioConfig(name="view", objects=scene.objects, intrinsics=k)).instances
     for idx, obj in enumerate(scene.objects):
         rows, cols = inst.pixels_of(obj.id)

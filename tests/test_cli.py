@@ -254,6 +254,35 @@ def test_simulate_rejects_bad_value_with_its_path(tmp_path, capsys, mutate, path
 
 
 @pytest.mark.parametrize(
+    "where,key,path",
+    [
+        ((), "seed", "seed"),
+        (("camera", "noise"), "sigma", "camera.noise.sigma"),
+        (("objects", 0), "id", "objects[0].id"),
+    ],
+    ids=["top-level", "nested", "in-a-list-entry"],
+)
+def test_simulate_rejects_a_repeated_key_with_its_path(tmp_path, capsys, where, key, path):
+    # the key is written a second time, after the first; a JSON decoder
+    # would keep the last value without a word
+    def repeat(doc):
+        for part in where:
+            doc = doc[part]
+        doc["__repeat__"] = doc[key]
+
+    scenario = Path(write_scenario(tmp_path, one_brick_config(), mutate=repeat))
+    text = scenario.read_text()
+    scenario.write_text(text.replace('"__repeat__"', json.dumps(key)))
+    out = tmp_path / "out"
+    code = cli.main(["simulate", "--scenario", str(scenario), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: repeated key" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "objects,period,length,frames",
     [
         ((), 0.0625, 2.5, 80),

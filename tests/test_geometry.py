@@ -12,7 +12,13 @@ from scipy import ndimage
 
 from clearbot import geometry
 
-from clearbot.camera import DEFAULT_INTRINSICS, DepthImage, LabelImage, backproject
+from clearbot.camera import (
+    DEFAULT_INTRINSICS,
+    DepthImage,
+    LabelImage,
+    backproject,
+    window_clusters,
+)
 from clearbot.geometry import (
     A_MIN_COMPONENT_PX,
     DEFAULT_ENVELOPE,
@@ -39,6 +45,8 @@ from clearbot.geometry import (
     transform_to_arm,
 )
 from clearbot.scene import ArmMount, CameraMount, ObjectClass
+
+from helpers import component_from_pixels
 
 IDENTITY = RigidTransform(np.eye(3), np.zeros(3), src=Frame.CAMERA, dst=Frame.ARM)
 
@@ -459,7 +467,7 @@ def float_bits(x: float) -> int:
     )
 )
 def test_center_median_equals_np_median_bit_for_bit(depths):
-    comp = MaskComponent.from_pixels(
+    comp = component_from_pixels(
         ObjectClass.BRICK, np.array([[0, c] for c in range(len(depths))])
     )
     z = np.array(depths)
@@ -542,7 +550,7 @@ def test_orientation_matches_grid_search_oracle():
 def test_orientation_translation_invariance_is_exact():
     comp = raster_rect(math.radians(73.0))
     base = principal_orientation(comp)
-    shifted = MaskComponent.from_pixels(
+    shifted = component_from_pixels(
         ObjectClass.BRICK, comp.pixels + np.array([[7, -12]])
     )
     assert principal_orientation(shifted) == base
@@ -576,7 +584,7 @@ def reference_components(labels: LabelImage, cls: ObjectClass, min_area: int) ->
         rows, cols = np.nonzero(lab == i)
         if len(rows) < min_area:
             continue
-        comps.append(MaskComponent.from_pixels(cls, np.stack([rows, cols], axis=1)))
+        comps.append(component_from_pixels(cls, np.stack([rows, cols], axis=1)))
     comps.sort(key=lambda cmp: (cmp.seed_pixel[0], cmp.seed_pixel[1]))
     return comps
 
@@ -694,7 +702,7 @@ def test_kernels_match_the_all_pixel_reference(data, min_area, order):
             assert_same_component(a, b)
             assert principal_orientation(a) == reference_orientation(b)
             shuffled = a.pixels[order.sample(range(a.area), a.area)]
-            assert_same_component(MaskComponent.from_pixels(cls, shuffled), a)
+            assert_same_component(component_from_pixels(cls, shuffled), a)
 
 
 @st.composite
@@ -721,7 +729,7 @@ def labels_in_window_clusters(draw) -> tuple[np.ndarray, list[tuple[int, int, in
 @example(case=(np.eye(4, 4, 3, dtype=np.uint8), [(0, 1, 3, 4), (0, 2, 0, 2), (2, 4, 2, 4)]))
 def test_components_on_window_clusters_match_the_all_pixel_reference(case):
     data, windows = case
-    labels = LabelImage(data, windows=windows)
+    labels = LabelImage(data, window_clusters(windows))
     for cls in (ObjectClass.BRICK, ObjectClass.PIPE):
         got = connected_components(labels, cls, min_area=1)
         want = reference_components(labels, cls, min_area=1)
@@ -764,7 +772,7 @@ def test_orientation_projects_each_direction_like_a_gemv():
     pixels = [
         (135 + r, 392 + c) for r, (a, b) in enumerate(COURSE_PIPE_RUNS) for c in range(a, b + 1)
     ]
-    comp = MaskComponent.from_pixels(ObjectClass.PIPE, np.array(pixels))
+    comp = component_from_pixels(ObjectClass.PIPE, np.array(pixels))
     assert principal_orientation(comp) == reference_orientation(comp)
 
 

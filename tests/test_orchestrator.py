@@ -10,6 +10,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import pickle
 import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +25,7 @@ from clearbot.arm import DEFAULT_ARM_CONFIG, DEFAULT_PHASE_DURATIONS, ArmConfig,
 from clearbot.camera import (
     MAX_FIELD_OF_VIEW_DEG,
     DepthNoiseModel,
+    InstanceImage,
     Intrinsics,
     LabelImage,
     apply_noise,
@@ -517,7 +519,10 @@ def test_frame_images_recompose_bit_for_bit(capture):
         assert _same_bits(images.labels.data, labels)
         assert _same_bits(images.clean_depth.data, depth)
         assert _same_bits(images.instances.index, index)
-        assert images.instances.ids == tuple(o.id for o in cfg.objects)
+        assert images.instances.windows == {
+            cfg.objects[p.obj_index].id: (p.obj_index, (p.r0, p.r1, p.c0, p.c1))
+            for p in rr.patches
+        }
     assert _same_bits(view.depth.data, captured.depth.data)
     # what the log keeps of the frame is what the rebuilt view gives
     assert fd.class_pixels == (int((labels == 1).sum()), int((labels == 2).sum()))
@@ -575,6 +580,68 @@ def test_step_loop_composes_each_frame_once(monkeypatch):
     assert calls == {"compose_patches": frames, "apply_noise": frames}
     messages_to_ndjson(sim.bus)
     assert calls == {"compose_patches": frames, "apply_noise": frames}
+
+
+def _lane_of(objects, **overrides) -> ScenarioConfig:
+    return tiny_scenario(
+        objects,
+        intrinsics=Intrinsics(fx=64.0, fy=64.0, cx=64.0, cy=32.0, width=128, height=64),
+        **overrides,
+    )
+
+
+def test_a_frame_is_the_same_size_however_many_objects_are_out_of_view():
+    # the out-of-view objects come after the in-view ones, so every patch
+    # keeps its object index
+    near = [brick("b", 1.2, 0.05, 0.3), brick("c", 1.0, -0.1, 1.0)]
+    far = [brick(f"far{i}", 40.0 + 0.5 * i, 0.0) for i in range(1000)]
+    sizes = []
+    for objects in (near, near + far):
+        sim = Simulation(_lane_of(objects, ugv_start=(0.8, 0.0)))
+        fd, _ = sim._capture(standstill=False, inject_for=None)
+        assert payload_to_dict(fd)["objects_in_view"] == ["b", "c"]
+        sizes.append(len(pickle.dumps(fd)))
+    assert sizes[0] == sizes[1]
+
+
+def test_segment_searches_only_cut_targets_in_view(monkeypatch):
+    # a long lane, one cut per object: a frame searches the instance image
+    # for the targets it has a patch of, and for no other
+    objects = [brick(f"b{i}", 0.8 + 0.35 * i, 0.3 * (i % 3 - 1), 0.2 * i) for i in range(60)]
+    cfg = _lane_of(
+        objects,
+        ugv_end=(22.0, 0.0),
+        frame_period=0.1,
+        seg_ops=tuple(CutBand(o.id, 3) for o in objects),
+    )
+    searched, in_segment = [], []
+    real_segment, real_pixels_of = orchestrator.segment, InstanceImage.pixels_of
+
+    def counting_segment(*args, **kwargs):
+        in_segment.append(True)
+        try:
+            return real_segment(*args, **kwargs)
+        finally:
+            in_segment.pop()
+
+    def counting_pixels_of(self, object_id):
+        if in_segment:
+            searched.append(object_id)
+        return real_pixels_of(self, object_id)
+
+    monkeypatch.setattr(orchestrator, "segment", counting_segment)
+    monkeypatch.setattr(InstanceImage, "pixels_of", counting_pixels_of)
+    sim = Simulation(cfg)
+    for _ in range(400):
+        if sim.step() is PipelineState.DONE:
+            break
+    want = []
+    for env in sim.bus.history(Topic.CAMERA_FRAMES):
+        in_view = set(payload_to_dict(env.payload)["objects_in_view"])
+        want += [op.target_id for op in cfg.seg_ops if op.target_id in in_view]
+    assert len(sim.bus.history(Topic.CAMERA_FRAMES)) > 100 and want
+    assert len(searched) == len(want)
+    assert searched == want
 
 
 def _arrays(value):
@@ -724,6 +791,8 @@ def test_step_loop_equals_fresh_views_on_generated_runs(cfg):
         if len(rows):
             assert fresh.labels.box == (rows.min(), rows.max() + 1, cols.min(), cols.max() + 1)
         assert view.instances.windows == fresh.instances.windows
+        # each patch names the object of its index in the scene it was cast from
+        assert all(p.object_id == sim.scene.objects[p.obj_index].id for p in fd.patches)
         frames.append(fd)
         fresh_views.append(fresh)
         return fd, view
@@ -732,9 +801,14 @@ def test_step_loop_equals_fresh_views_on_generated_runs(cfg):
         mask, targets, comps = perceive(images, cfg_, cam_to_arm, buffers)
         want, want_targets, _ = perceive(fresh_views[-1], cfg_, cam_to_arm)
         assert _same_bits(mask.data, want.data)
-        # the mask keeps the frame's clusters of patch windows, and labelling
-        # each cluster finds what labelling the whole box finds
-        assert mask.clusters == images.labels.clusters
+        # the mask keeps the frame's clusters of patch windows, clipped to its
+        # box, and labelling each cluster finds what labelling the whole box finds
+        r0, r1, c0, c1 = mask.box or (0, 0, 0, 0)
+        clipped = [
+            (max(a, r0), min(b, r1), max(c, c0), min(d, c1))
+            for a, b, c, d in images.labels.clusters
+        ]
+        assert mask.clusters == tuple(w for w in clipped if w[0] < w[1] and w[2] < w[3])
         for cls in ObjectClass:
             got = connected_components(mask, cls)
             boxed = connected_components(LabelImage(mask.data), cls)

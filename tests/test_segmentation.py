@@ -24,6 +24,8 @@ from clearbot.segmentation import (
     segment,
 )
 
+from helpers import component_from_pixels
+
 
 def rect_labels(r0=10, r1=30, c0=5, c1=45, code=1, shape=(64, 64)) -> LabelImage:
     data = np.zeros(shape, dtype=np.uint8)
@@ -34,7 +36,7 @@ def rect_labels(r0=10, r1=30, c0=5, c1=45, code=1, shape=(64, 64)) -> LabelImage
 def rect_instances(r0=10, r1=30, c0=5, c1=45, oid="t1", shape=(64, 64)) -> InstanceImage:
     idx = np.full(shape, -1, dtype=np.int32)
     idx[r0:r1, c0:c1] = 0
-    return InstanceImage(idx, (oid,), {oid: (0, (r0, r1, c0, c1))})
+    return InstanceImage(idx, {oid: (0, (r0, r1, c0, c1))})
 
 
 def erode_oracle(mask: np.ndarray, radius: int) -> np.ndarray:
@@ -198,7 +200,7 @@ def test_cut_band_only_removes_target_pixels():
     idx[20:32, 5:55] = 0
     idx[40:50, 10:20] = 1
     windows = {"t1": (0, (20, 32, 5, 55)), "other": (1, (40, 50, 10, 20))}
-    inst = InstanceImage(idx, ("t1", "other"), windows)
+    inst = InstanceImage(idx, windows)
     out = segment(LabelImage(data), [CutBand("t1", 3)], instances=inst).data
     removed = (data != 0) & (out == 0)
     assert removed.any()
@@ -225,7 +227,7 @@ def test_cut_band_unknown_target():
 def test_cut_band_target_without_pixels():
     idx = np.full((64, 64), -1, dtype=np.int32)
     # t1 has a patch, but every pixel of it is hidden
-    inst = InstanceImage(idx, ("t1",), {"t1": (0, (0, 64, 0, 64))})
+    inst = InstanceImage(idx, {"t1": (0, (0, 64, 0, 64))})
     out = segment(rect_labels(), [CutBand("t1", 3)], instances=inst)
     assert np.array_equal(out.data, rect_labels().data)
 
@@ -288,9 +290,10 @@ def ops_in_view(ops, instances):
     kept = []
     for op in ops:
         if isinstance(op, CutBand):
-            if instances is None or op.target_id not in instances.ids:
+            if instances is None or op.target_id not in instances.windows:
                 continue
-            if not (instances.index == instances.ids.index(op.target_id)).any():
+            index, _ = instances.windows[op.target_id]
+            if not (instances.index == index).any():
                 continue
         kept.append(op)
     return kept
@@ -315,7 +318,7 @@ def frames_with_ops(draw):
             windows[f"o{i}"] = (i, (rows.min(), rows.max() + 1, cols.min(), cols.max() + 1))
         elif draw(st.booleans()):
             windows[f"o{i}"] = (i, (0, h, 0, w))
-    instances = InstanceImage(index, tuple(f"o{i}" for i in range(n)), windows)
+    instances = InstanceImage(index, windows)
     if draw(st.booleans()):
         instances = None
 
@@ -344,7 +347,7 @@ def frames_with_ops(draw):
 @example(
     (
         rect_labels(),
-        InstanceImage(np.full((64, 64), -1, dtype=np.int32), ("t1",), {"t1": (0, (0, 64, 0, 64))}),
+        InstanceImage(np.full((64, 64), -1, dtype=np.int32), {"t1": (0, (0, 64, 0, 64))}),
         [Erode(1), CutBand("t1", 3), Holes(0.5, seed=1)],
         4,
     )
@@ -425,7 +428,7 @@ def boxed_frames(draw):
         labels[r0:r1, c0:c1][keep] = draw(st.integers(1, 2))
         index[r0:r1, c0:c1][keep] = i
         windows[f"o{i}"] = (i, (r0, r1, c0, c1))
-    instances = InstanceImage(index, tuple(f"o{i}" for i in range(n)), windows)
+    instances = InstanceImage(index, windows)
     if draw(st.booleans()):
         instances = None
 
@@ -504,7 +507,7 @@ def test_iou_window_ignores_distant_pixels():
 
 
 def test_iou_empty_union_raises():
-    comp = MaskComponent.from_pixels(ObjectClass.BRICK, np.array([[5, 5], [5, 6]]))
+    comp = component_from_pixels(ObjectClass.BRICK, np.array([[5, 5], [5, 6]]))
     blank = LabelImage(np.zeros((64, 64), dtype=np.uint8))
     with pytest.raises(EmptyUnion):
         mask_iou(blank, blank, comp)
