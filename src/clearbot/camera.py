@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -518,46 +518,89 @@ class DepthNoiseModel:
     def is_identity(self) -> bool:
         return self.sigma == 0.0 and self.bias == 0.0 and self.dropout_prob == 0.0
 
+    @property
+    def draws_nothing(self) -> bool:
+        """No pixel's value depends on a draw: at most a bias is added."""
+        return self.sigma == 0.0 and self.dropout_prob == 0.0
+
+
+#: uniforms ``draw_noise`` draws per call: their scratch array stays small
+_UNIFORM_CHUNK = 65536
+
+NoiseDraws = tuple[np.ndarray, np.ndarray]  # (float64 noise, bool dropout flags)
+
+
+def draw_noise(
+    model: DepthNoiseModel, seed: int | np.random.SeedSequence, out: NoiseDraws
+) -> NoiseDraws:
+    """Draw the part of :func:`apply_noise` that depends on the seed alone.
+
+    One full-image normal draw comes first, scaled by sigma into ``out[0]``;
+    then one uniform per pixel, in row-major order, of which ``out[1]``
+    keeps the flags of those below the dropout probability. Both arrays
+    must be C-contiguous and of the image's shape; whatever they held is
+    overwritten, and they are returned. A generator fills consecutive
+    ``out=`` arrays with the same stream as one large draw, so the uniforms
+    are drawn in chunks into a small scratch array.
+
+    A model with no dropout draws no uniforms (no uniform is below 0) and
+    leaves ``out[1]`` as it was; a model that draws nothing builds no
+    generator and leaves both. :func:`apply_noise` reads neither then.
+    """
+    noise, drop = out
+    if model.draws_nothing:
+        return out
+    rng = np.random.default_rng(seed)
+    rng.standard_normal(out=noise)
+    noise *= model.sigma
+    if model.dropout_prob > 0.0:
+        flags = drop.reshape(-1)
+        uniforms = np.empty(min(_UNIFORM_CHUNK, flags.size))
+        for i in range(0, flags.size, _UNIFORM_CHUNK):
+            chunk = uniforms[: flags.size - i]
+            rng.random(out=chunk)
+            np.less(chunk, model.dropout_prob, out=flags[i : i + chunk.size])
+    return out
+
 
 def apply_noise(
     depth: DepthImage,
     model: DepthNoiseModel,
-    seed: int,
-    out: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+    seed: int | np.random.SeedSequence,
+    out: Optional[NoiseDraws | Callable[[], NoiseDraws]] = None,
 ) -> DepthImage:
-    """Corrupt valid pixels only; draws are consumed in row-major order.
+    """Corrupt valid pixels only, with the draws of :func:`draw_noise`.
 
-    One full-image normal draw comes first, then one full-image uniform
-    draw. A valid pixel becomes ``(d + bias) + sigma * normal``, or 0 when
-    its uniform is below the dropout probability.
+    A valid pixel becomes ``(d + bias) + sigma * normal``, or 0 when its
+    uniform is below the dropout probability; an invalid pixel keeps its
+    value.
 
-    ``out`` is a (float64, float64, bool) triple of arrays of the depth's
-    shape: the noisy depth, the draws and the dropout flags are written
-    into them, and the result wraps the first. The generator fills an
-    ``out=`` array in the same row-major order as a fresh one, so the
-    stream is the same. Without it, the arrays are fresh.
+    ``out`` is where the draws are taken from: a pair of arrays that
+    ``draw_noise`` fills with this seed's draws here, or a callable that
+    returns such a pair already filled (drawn ahead, perhaps on another
+    thread; calling it is where the caller waits for them). The noisy depth
+    is built in place in the pair's float64 array, and the result wraps it.
+    Without ``out``, the arrays are fresh.
     """
     data = depth.data
     if out is None:
-        out = (np.empty(data.shape), np.empty(data.shape), np.empty(data.shape, dtype=bool))
-    noisy, draws, drop = out
-    rng = np.random.default_rng(seed)
-    # built in place: IEEE addition commutes exactly, so the sum is the
-    # same bits as in the form above
-    rng.standard_normal(out=noisy)
-    noisy *= model.sigma
-    if model.bias != 0.0:
-        noisy += np.add(data, model.bias, out=draws)
+        out = (np.empty(data.shape), np.empty(data.shape, dtype=bool))
+    noisy, drop = out() if callable(out) else draw_noise(model, seed, out)
+    if model.draws_nothing:
+        # exact: sigma * normal is +-0, and (d + bias) + +-0 == d + bias
+        np.add(data, model.bias, out=noisy)
+    elif model.bias != 0.0:
+        # IEEE addition commutes exactly, so the in-place sum is the same
+        # bits as (d + bias) + sigma * normal
+        noisy += data + model.bias
     else:
         noisy += data
-    rng.random(out=draws)
-    np.less(draws, model.dropout_prob, out=drop)
-    # the min is not above 0 when a pixel is invalid (or NaN)
+    if model.dropout_prob > 0.0:
+        np.copyto(noisy, 0.0, where=drop)
+    # the min is not above 0 when a pixel is invalid (or NaN); an invalid
+    # pixel keeps its value, dropped or not
     if data.size and not data.min() > 0.0:
-        valid = depth.valid_mask()
-        np.copyto(noisy, data, where=~valid)
-        drop &= valid
-    np.copyto(noisy, 0.0, where=drop)
+        np.copyto(noisy, data, where=~depth.valid_mask())
     return DepthImage(noisy)
 
 

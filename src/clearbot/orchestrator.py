@@ -21,8 +21,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 from collections import Counter
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
@@ -44,9 +46,11 @@ from .camera import (
     InstanceImage,
     Intrinsics,
     LabelImage,
+    NoiseDraws,
     ObjectPatch,
     apply_noise,
     compose_patches,
+    draw_noise,
     render_full,
     window_clusters,
 )
@@ -196,19 +200,81 @@ class FrameBuffers:
     A :class:`Simulation` builds every capture into one set, so a run holds
     one frame's dense images however long it is, and each capture writes
     into pages it has already touched.
+
+    The noise draws come in two sets. A noisy capture builds its depth in
+    one while the worker thread draws the next frame's noise into the
+    other, so those draws overlap this frame's perception. Every draw in
+    flight writes the set the newest one writes.
     """
 
     def __init__(self, shape: tuple[int, int]) -> None:
         # compose_patches' labels, depth and instances
         self.canvas = Canvas(shape)
-        # apply_noise's noisy depth, draws and dropout flags
-        self.noise = (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool))
+        # two sets of draw_noise's noise (then the noisy depth) and dropout flags
+        self.noise = tuple((np.empty(shape), np.empty(shape, dtype=bool)) for _ in range(2))
         # the last mask segment built, whose array the next one reuses
         self.mask: Optional[LabelImage] = None
+        # (frame index, set, future) of the newest draw submitted to the worker
+        self._ahead: Optional[tuple[int, int, Future]] = None
 
+    def draws(
+        self, cfg: ScenarioConfig, frame_index: int
+    ) -> NoiseDraws | Callable[[], NoiseDraws]:
+        """What :func:`apply_noise` takes frame ``frame_index``'s draws from.
+
+        Draws made ahead for this frame are waited for when apply_noise
+        calls for them. Otherwise the frame draws on the spot, into the set
+        that no draw in flight writes: a draw made ahead for another frame
+        is wasted work, never waited for and never read. Either way, the
+        next frame's draws are submitted into the other set at once.
+        """
+        if cfg.noise.draws_nothing:
+            return self.noise[0]
+        ahead = self._ahead
+        if ahead is not None and ahead[0] == frame_index:
+            current, out = ahead[1], ahead[2].result
+        else:
+            current = 0 if ahead is None else 1 - ahead[1]
+            out = self.noise[current]
+        other = 1 - current
+        seed = _noise_seed(cfg, frame_index + 1)
+        future = _noise_worker().submit(draw_noise, cfg.noise, seed, self.noise[other])
+        self._ahead = (frame_index + 1, other, future)
+        return out
+
+    def settle(self) -> None:
+        """Wait until no draw is in flight; the worker runs them in order."""
+        if self._ahead is not None:
+            wait([self._ahead[2]])
+            self._ahead = None
+
+
+# the one worker thread that draws noise ahead, started by the first noisy
+# capture; a forked child has no such thread, so it starts its own
+_worker: Optional[ThreadPoolExecutor] = None
+
+
+def _noise_worker() -> ThreadPoolExecutor:
+    global _worker
+    if _worker is None:
+        _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="clearbot-noise")
+    return _worker
+
+
+def _forget_worker() -> None:
+    global _worker
+    _worker = None
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only; elsewhere nothing forks
+    os.register_at_fork(after_in_child=_forget_worker)
 
 # mixed into each frame's depth-noise seed
 _NOISE_TAG = 1
+
+
+def _noise_seed(cfg: ScenarioConfig, frame_index: int) -> np.random.SeedSequence:
+    return np.random.SeedSequence([cfg.seed, _NOISE_TAG, frame_index])
 
 
 @dataclass(frozen=True)
@@ -240,17 +306,17 @@ class FrameData:
         The step loop perceives the view this builds at capture, into its
         ``buffers``; without them, the images are fresh arrays."""
         canvas = None if buffers is None else buffers.canvas
-        noise = None if buffers is None else buffers.noise
         lab, dep, index = compose_patches(self.shape, self.floor_depth, self.patches, out=canvas)
         clean = depth = DepthImage(dep)
         if not cfg.noise.is_identity:
-            seed = np.random.SeedSequence([cfg.seed, _NOISE_TAG, self.frame_index])
-            depth = apply_noise(depth, cfg.noise, seed, out=noise)
+            draws = None if buffers is None else buffers.draws(cfg, self.frame_index)
+            depth = apply_noise(depth, cfg.noise, _noise_seed(cfg, self.frame_index), out=draws)
         if self.bias is not None:
             # offsets the valid pixels; the clean depth stays as it is
             data = depth.data
             if depth is clean:
-                data = np.empty_like(data) if noise is None else noise[0]
+                # a scenario without noise draws nothing ahead into this set
+                data = np.empty_like(data) if buffers is None else buffers.noise[0][0]
                 np.copyto(data, clean.data)
             np.add(data, self.bias, out=data, where=data > 0.0)
             depth = DepthImage(data)
@@ -987,11 +1053,15 @@ class Simulation:
         limit = math.ceil(cfg.path_length() / (cfg.speed * cfg.frame_period))
         limit += 2 + 4 * len(cfg.objects)
         steps = 0
-        while self.state is not PipelineState.DONE:
-            if steps == limit:
-                raise RuntimeError("simulation did not terminate")
-            self.step()
-            steps += 1
+        try:
+            while self.state is not PipelineState.DONE:
+                if steps == limit:
+                    raise RuntimeError("simulation did not terminate")
+                self.step()
+                steps += 1
+        finally:
+            # the last capture drew noise ahead for a frame the run never takes
+            self._buffers.settle()
         succeeded = sum(
             1 for r in self.records.values() if r.outcome == PickOutcome.SUCCESS.value
         )

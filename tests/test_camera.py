@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import struct
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from clearbot.camera import (
     NonPositiveDepth,
     apply_noise,
     backproject,
+    draw_noise,
     encode_depth_pgm,
     encode_label_ppm,
     project,
@@ -290,7 +292,9 @@ def _gather_noise_reference(depth: DepthImage, model: DepthNoiseModel, seed) -> 
 
 @st.composite
 def noise_cases(draw):
-    shape = (draw(st.integers(1, 24)), draw(st.integers(1, 24)))
+    # the large shapes end on, past and short of a chunk of uniforms
+    small = st.tuples(st.integers(1, 24), st.integers(1, 24))
+    shape = draw(small | st.sampled_from([(64, 128), (97, 171), (1, 8193)]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     data = rng.uniform(0.05, 2.0, shape)
     # invalid pixels: zeros of both signs and negative depths
@@ -316,10 +320,21 @@ def test_apply_noise_equals_the_gather_form_bit_for_bit(case):
     out = apply_noise(depth, model, seed)
     assert np.array_equal(out.data.view(np.uint64), expected.view(np.uint64))
     assert out.data is not depth.data
-    # into given buffers that hold another frame's values: the same draws
+    # into given buffers that hold another frame's values: the same draws,
+    # whether drawn here or ahead on another thread
     shape = depth.data.shape
-    buffers = (np.full(shape, -7.0), np.full(shape, 0.5), np.ones(shape, dtype=bool))
+
+    def stale():
+        return np.full(shape, -7.0), np.ones(shape, dtype=bool)
+
+    buffers = stale()
     into = apply_noise(depth, model, seed, out=buffers)
+    assert into.data is buffers[0]
+    assert np.array_equal(into.data.view(np.uint64), expected.view(np.uint64))
+    buffers = stale()
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        ahead = worker.submit(draw_noise, model, seed, buffers)
+        into = apply_noise(depth, model, seed, out=ahead.result)
     assert into.data is buffers[0]
     assert np.array_equal(into.data.view(np.uint64), expected.view(np.uint64))
 

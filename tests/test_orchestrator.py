@@ -11,6 +11,9 @@ import importlib.util
 import json
 import math
 import pickle
+import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
@@ -485,13 +488,22 @@ def captures(draw):
     width, height = draw(st.integers(8, 96)), draw(st.integers(8, 64))
     focal = draw(floats(10.0, 120.0))
     intrinsics = Intrinsics(focal, focal, width / 2, height / 2, width, height)
-    noisy = draw(st.booleans())
+    noise = draw(
+        st.sampled_from(
+            [
+                DepthNoiseModel(),
+                DepthNoiseModel(sigma=0.005, dropout_prob=0.1),
+                DepthNoiseModel(sigma=0.005),
+                DepthNoiseModel(bias=0.01),
+            ]
+        )
+    )
     cfg = ScenarioConfig(
         name="capture",
         objects=tuple(objects),
         intrinsics=intrinsics,
         ugv_start=(0.0, draw(floats(-0.2, 0.2))),
-        noise=DepthNoiseModel(sigma=0.005, dropout_prob=0.1) if noisy else DepthNoiseModel(),
+        noise=noise,
         injections=tuple(DepthBiasInjection(o.id, 0.02) for o in objects[:1]),
         seed=draw(st.integers(0, 2**32)),
     )
@@ -669,6 +681,128 @@ def test_frames_on_the_bus_hold_no_image_but_their_patches():
     assert all(fd.depth_digest is not None for fd in frames)
 
 
+# --- noise drawn ahead ---------------------------------------------------------------
+
+
+def _noisy_lane() -> ScenarioConfig:
+    return _lane_of([brick("b", 1.2, 0.05, 0.3)], noise=NOISY, seg_ops=(Holes(0.1, seed=3),))
+
+
+def test_bias_only_noise_builds_no_generator(monkeypatch):
+    # sigma * normal is +-0 and no uniform is below 0: a bias-only model adds
+    # its bias and draws nothing, here or ahead
+    real = np.random.default_rng
+    made = []
+
+    def counting(seed=None):
+        made.append(seed)
+        return real(seed)
+
+    def no_worker():
+        raise AssertionError("a bias-only model drew noise ahead")
+
+    bias_only = DepthNoiseModel(bias=0.01)
+    cfg = _lane_of([brick("b", 1.2, 0.05, 0.3)], noise=bias_only)
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    monkeypatch.setattr(orchestrator, "_noise_worker", no_worker)
+    report, sim = run_scenario(cfg)
+    frames = [env.payload for env in sim.bus.history(Topic.CAMERA_FRAMES)]
+    clean = dataclasses.replace(cfg, noise=DepthNoiseModel())
+    for fd in frames:
+        want = apply_noise(fd.images(clean).depth, bias_only, seed=0)
+        assert fd.depth_digest == orchestrator._array_digest(want.data)
+    assert report.attempted == 1 and made == []
+
+
+def test_a_run_without_noise_starts_no_thread(monkeypatch):
+    # the course injects depth biases but has no noise model: nothing is
+    # drawn ahead, so no worker thread is asked for
+    def no_worker():
+        raise AssertionError("a run without noise drew noise ahead")
+
+    monkeypatch.setattr(orchestrator, "_noise_worker", no_worker)
+    before = set(threading.enumerate())
+    report, _ = run_scenario(build_benchmark_config())
+    assert report.attempted == 10
+    assert set(threading.enumerate()) <= before
+
+
+def test_a_finished_run_leaves_no_draw_in_flight(monkeypatch):
+    # each draw ahead is slowed, so the run ends with the last one running
+    real = orchestrator.draw_noise
+    lock = threading.Lock()
+    drawn = {"started": 0, "finished": 0}
+
+    def slow(*args):
+        with lock:
+            drawn["started"] += 1
+        time.sleep(0.002)
+        result = real(*args)
+        with lock:
+            drawn["finished"] += 1
+        return result
+
+    monkeypatch.setattr(orchestrator, "draw_noise", slow)
+    interval = sys.getswitchinterval()
+    sim = Simulation(_noisy_lane())
+    report = sim.run()
+    assert report.attempted == 1
+    with lock:
+        assert drawn["started"] == drawn["finished"] > 0
+    assert sim._buffers._ahead is None
+    assert sys.getswitchinterval() == interval
+
+
+def test_a_picking_frames_depth_outlives_the_next_draw(monkeypatch):
+    # the attempt diagnoses the picking frame's depth after that frame has
+    # sent the next one's draws ahead; they go into the other set of buffers.
+    # Each draw ahead starts late, so it lands after the capture it follows.
+    real = orchestrator.draw_noise
+
+    def late(*args):
+        time.sleep(0.005)
+        return real(*args)
+
+    monkeypatch.setattr(orchestrator, "draw_noise", late)
+    checked = []
+    sim = Simulation(_noisy_lane())
+    diagnose = sim._diagnose
+
+    def checked_diagnose(rec, comp, matched, images, *rest):
+        ahead = sim._buffers._ahead
+        assert ahead is not None
+        ahead[2].result(timeout=10)
+        fd = sim.bus.history(Topic.CAMERA_FRAMES)[-1].payload
+        assert fd.standstill and ahead[0] == fd.frame_index + 1
+        assert orchestrator._array_digest(images.depth.data) == fd.depth_digest
+        assert _same_bits(images.depth.data, fd.images(sim.cfg).depth.data)
+        checked.append(fd.frame_index)
+        return diagnose(rec, comp, matched, images, *rest)
+
+    sim._diagnose = checked_diagnose
+    sim.run()
+    assert len(checked) == 1
+
+
+def test_simulations_in_threads_share_the_worker_and_keep_their_bytes():
+    # four runs at once on two cores queue their draws ahead on the one
+    # worker; each must log what it logs alone
+    cfgs = [dataclasses.replace(_noisy_lane(), seed=seed) for seed in range(4)]
+    alone = [run_scenario(cfg)[0].log_digest for cfg in cfgs]
+    together: dict[int, str] = {}
+
+    def run(i: int) -> None:
+        together[i] = run_scenario(cfgs[i])[0].log_digest
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cfgs))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    assert [together[i] for i in range(len(cfgs))] == alone
+
+
 # --- memory follows the patches ----------------------------------------------------
 
 
@@ -726,6 +860,12 @@ def short_runs(draw):
     cfg, _ = draw(captures())
     squeeze = draw(st.sampled_from([1.0, 0.6, 0.35]))
     objects = tuple(dataclasses.replace(o, x=0.4 + (o.x - 0.4) * squeeze) for o in cfg.objects)
+    if draw(st.booleans()):
+        # a camera that sees a brick near the lane's center line well enough
+        # for the arm to stop and pick it
+        x, y, yaw = draw(floats(0.8, 1.6)), draw(floats(-0.05, 0.05)), draw(floats(-3.2, 3.2))
+        objects += (ObjectSpec("r", ObjectClass.BRICK, BRICK, x, y, yaw),)
+        cfg = dataclasses.replace(cfg, intrinsics=Intrinsics(64.0, 64.0, 64.0, 32.0, 128, 64))
     ops = [Erode(1), Holes(0.1, seed=draw(st.integers(0, 9))), Relabel((0, 8, 0, 8), 2)]
     if objects:
         ops.append(CutBand(draw(st.sampled_from(objects)).id, 3))
@@ -791,6 +931,10 @@ def test_step_loop_equals_fresh_views_on_generated_runs(cfg):
         if len(rows):
             assert fresh.labels.box == (rows.min(), rows.max() + 1, cols.min(), cols.max() + 1)
         assert view.instances.windows == fresh.instances.windows
+        # the depth the log hashed at capture is the fresh view's, whether
+        # its noise was drawn ahead on the worker or on the spot
+        altered = not cfg.noise.is_identity or fd.bias is not None
+        assert fd.depth_digest == (orchestrator._array_digest(fresh.depth.data) if altered else None)
         # each patch names the object of its index in the scene it was cast from
         assert all(p.object_id == sim.scene.objects[p.obj_index].id for p in fd.patches)
         frames.append(fd)
@@ -828,8 +972,15 @@ def test_step_loop_equals_fresh_views_on_generated_runs(cfg):
     sim._capture = checked_capture
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(orchestrator, "perceive_frame", checked_perceive)
-        sim.run()
+        report = sim.run()
     pairs = list(zip(frames, frames[1:]))
+    if not cfg.noise.draws_nothing:
+        # a frame right after the one before uses the draws made ahead for
+        # it; a standstill frame, or the first one after it, draws on the spot
+        steps = [b.frame_index - a.frame_index for a, b in pairs]
+        event(f"noise drawn ahead and used: {1 in steps}")
+        event(f"noise drawn ahead for another frame: {any(d != 1 for d in steps)}")
+        event(f"noisy run attempts a pick: {report.attempted > 0}")
     event(f"patches move: {any(a.patches and b.patches for a, b in pairs)}")
     event(f"patches overlap: {any(map(_windows_overlap, frames))}")
     event(f"patches vanish: {any(a.patches and not b.patches for a, b in pairs)}")
