@@ -527,75 +527,66 @@ class DepthNoiseModel:
 #: uniforms ``draw_noise`` draws per call: their scratch array stays small
 _UNIFORM_CHUNK = 65536
 
-NoiseDraws = tuple[np.ndarray, np.ndarray]  # (float64 noise, bool dropout flags)
+NoiseDraws = tuple[np.ndarray, Optional[np.ndarray]]  # (float64 noise, dropout flags or None)
 
 
 def draw_noise(
-    model: DepthNoiseModel, seed: int | np.random.SeedSequence, out: NoiseDraws
+    model: DepthNoiseModel, seed: int | np.random.SeedSequence, shape: tuple[int, ...]
 ) -> NoiseDraws:
-    """Draw the part of :func:`apply_noise` that depends on the seed alone.
+    """Draw the part of :func:`apply_noise` that depends on the seed alone,
+    into fresh arrays of ``shape``.
 
-    One full-image normal draw comes first, scaled by sigma into ``out[0]``;
-    then one uniform per pixel, in row-major order, of which ``out[1]``
-    keeps the flags of those below the dropout probability. Both arrays
-    must be C-contiguous and of the image's shape; whatever they held is
-    overwritten, and they are returned. A generator fills consecutive
-    ``out=`` arrays with the same stream as one large draw, so the uniforms
-    are drawn in chunks into a small scratch array.
-
-    A model with no dropout draws no uniforms (no uniform is below 0) and
-    leaves ``out[1]`` as it was; a model that draws nothing builds no
-    generator and leaves both. :func:`apply_noise` reads neither then.
+    One full-image normal draw comes first, scaled by sigma; then one
+    uniform per pixel, in row-major order, of which the flags keep those
+    below the dropout probability. A generator fills consecutive ``out=``
+    arrays with the same stream as one large draw, so the uniforms are
+    drawn in chunks into a small scratch array. A model with no dropout
+    draws no uniforms (no uniform is below 0) and gives no flags.
     """
-    noise, drop = out
-    if model.draws_nothing:
-        return out
     rng = np.random.default_rng(seed)
-    rng.standard_normal(out=noise)
+    noise = rng.standard_normal(shape)
     noise *= model.sigma
-    if model.dropout_prob > 0.0:
-        flags = drop.reshape(-1)
-        uniforms = np.empty(min(_UNIFORM_CHUNK, flags.size))
-        for i in range(0, flags.size, _UNIFORM_CHUNK):
-            chunk = uniforms[: flags.size - i]
-            rng.random(out=chunk)
-            np.less(chunk, model.dropout_prob, out=flags[i : i + chunk.size])
-    return out
+    if model.dropout_prob == 0.0:
+        return noise, None
+    drop = np.empty(shape, dtype=bool)
+    flags = drop.reshape(-1)
+    uniforms = np.empty(min(_UNIFORM_CHUNK, flags.size))
+    for i in range(0, flags.size, _UNIFORM_CHUNK):
+        chunk = uniforms[: flags.size - i]
+        rng.random(out=chunk)
+        np.less(chunk, model.dropout_prob, out=flags[i : i + chunk.size])
+    return noise, drop
 
 
 def apply_noise(
     depth: DepthImage,
     model: DepthNoiseModel,
     seed: int | np.random.SeedSequence,
-    out: Optional[NoiseDraws | Callable[[], NoiseDraws]] = None,
+    drawn: Optional[Callable[[], NoiseDraws]] = None,
 ) -> DepthImage:
     """Corrupt valid pixels only, with the draws of :func:`draw_noise`.
 
     A valid pixel becomes ``(d + bias) + sigma * normal``, or 0 when its
     uniform is below the dropout probability; an invalid pixel keeps its
-    value.
-
-    ``out`` is where the draws are taken from: a pair of arrays that
-    ``draw_noise`` fills with this seed's draws here, or a callable that
-    returns such a pair already filled (drawn ahead, perhaps on another
-    thread; calling it is where the caller waits for them). The noisy depth
-    is built in place in the pair's float64 array, and the result wraps it.
-    Without ``out``, the arrays are fresh.
+    value. ``drawn`` returns this seed's draws made ahead, perhaps on
+    another thread (calling it is where the caller waits for them);
+    without it, they are drawn here. The noisy depth is built in place in
+    the draws' noise array, which the result wraps. A model that draws
+    nothing builds no generator and calls no ``drawn``.
     """
     data = depth.data
-    if out is None:
-        out = (np.empty(data.shape), np.empty(data.shape, dtype=bool))
-    noisy, drop = out() if callable(out) else draw_noise(model, seed, out)
     if model.draws_nothing:
         # exact: sigma * normal is +-0, and (d + bias) + +-0 == d + bias
-        np.add(data, model.bias, out=noisy)
-    elif model.bias != 0.0:
-        # IEEE addition commutes exactly, so the in-place sum is the same
-        # bits as (d + bias) + sigma * normal
-        noisy += data + model.bias
+        noisy, drop = data + model.bias, None
     else:
-        noisy += data
-    if model.dropout_prob > 0.0:
+        noisy, drop = drawn() if drawn is not None else draw_noise(model, seed, data.shape)
+        if model.bias != 0.0:
+            # IEEE addition commutes exactly, so the in-place sum is the same
+            # bits as (d + bias) + sigma * normal
+            noisy += data + model.bias
+        else:
+            noisy += data
+    if drop is not None:
         np.copyto(noisy, 0.0, where=drop)
     # the min is not above 0 when a pixel is invalid (or NaN); an invalid
     # pixel keeps its value, dropped or not

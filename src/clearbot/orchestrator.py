@@ -201,73 +201,55 @@ class FrameBuffers:
     one frame's dense images however long it is, and each capture writes
     into pages it has already touched.
 
-    The noise draws come in two sets. A noisy capture builds its depth in
-    one while the worker thread draws the next frame's noise into the
-    other, so those draws overlap this frame's perception. Every draw in
-    flight writes the set the newest one writes.
+    A noisy capture perceives its depth while the worker thread draws the
+    next frame's noise, so those draws overlap this frame's perception.
+    The worker draws into arrays of its own, which this thread sees only
+    through the future's result.
     """
 
     def __init__(self, shape: tuple[int, int]) -> None:
+        self.shape = shape
         # compose_patches' labels, depth and instances
         self.canvas = Canvas(shape)
-        # two sets of draw_noise's noise (then the noisy depth) and dropout flags
-        self.noise = tuple((np.empty(shape), np.empty(shape, dtype=bool)) for _ in range(2))
         # the last mask segment built, whose array the next one reuses
         self.mask: Optional[LabelImage] = None
-        # (frame index, set, future) of the newest draw submitted to the worker
-        self._ahead: Optional[tuple[int, int, Future]] = None
+        # (frame index, future) of the newest draw submitted to the worker
+        self._ahead: Optional[tuple[int, Future]] = None
 
-    def draws(
-        self, cfg: ScenarioConfig, frame_index: int
-    ) -> NoiseDraws | Callable[[], NoiseDraws]:
+    def draws(self, cfg: ScenarioConfig, frame_index: int) -> Optional[Callable[[], NoiseDraws]]:
         """What :func:`apply_noise` takes frame ``frame_index``'s draws from.
 
         Draws made ahead for this frame are waited for when apply_noise
-        calls for them. Otherwise the frame draws on the spot, into the set
-        that no draw in flight writes: a draw made ahead for another frame
-        is wasted work, never waited for and never read. Either way, the
-        next frame's draws are submitted into the other set at once.
+        calls for them. Otherwise (None) the frame draws on the spot: a
+        draw made ahead for another frame is wasted work, never waited for
+        and never read. Either way, the next frame's draws are submitted
+        at once.
         """
         if cfg.noise.draws_nothing:
-            return self.noise[0]
+            return None
         ahead = self._ahead
-        if ahead is not None and ahead[0] == frame_index:
-            current, out = ahead[1], ahead[2].result
-        else:
-            current = 0 if ahead is None else 1 - ahead[1]
-            out = self.noise[current]
-        other = 1 - current
+        drawn = ahead[1].result if ahead is not None and ahead[0] == frame_index else None
         seed = _noise_seed(cfg, frame_index + 1)
-        future = _noise_worker().submit(draw_noise, cfg.noise, seed, self.noise[other])
-        self._ahead = (frame_index + 1, other, future)
-        return out
+        future = _noise_worker().submit(draw_noise, cfg.noise, seed, self.shape)
+        self._ahead = (frame_index + 1, future)
+        return drawn
 
     def settle(self) -> None:
         """Wait until no draw is in flight; the worker runs them in order."""
         if self._ahead is not None:
-            wait([self._ahead[2]])
+            wait([self._ahead[1]])
             self._ahead = None
 
 
-# the one worker thread that draws noise ahead, started by the first noisy
-# capture; a forked child has no such thread, so it starts its own
-_worker: Optional[ThreadPoolExecutor] = None
-
-
+@functools.cache
 def _noise_worker() -> ThreadPoolExecutor:
-    global _worker
-    if _worker is None:
-        _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="clearbot-noise")
-    return _worker
-
-
-def _forget_worker() -> None:
-    global _worker
-    _worker = None
+    """The one worker thread that draws noise ahead, started by the first
+    noisy capture; a forked child has no such thread, so it starts its own."""
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="clearbot-noise")
 
 
 if hasattr(os, "register_at_fork"):  # POSIX only; elsewhere nothing forks
-    os.register_at_fork(after_in_child=_forget_worker)
+    os.register_at_fork(after_in_child=_noise_worker.cache_clear)
 
 # mixed into each frame's depth-noise seed
 _NOISE_TAG = 1
@@ -309,15 +291,11 @@ class FrameData:
         lab, dep, index = compose_patches(self.shape, self.floor_depth, self.patches, out=canvas)
         clean = depth = DepthImage(dep)
         if not cfg.noise.is_identity:
-            draws = None if buffers is None else buffers.draws(cfg, self.frame_index)
-            depth = apply_noise(depth, cfg.noise, _noise_seed(cfg, self.frame_index), out=draws)
+            drawn = None if buffers is None else buffers.draws(cfg, self.frame_index)
+            depth = apply_noise(depth, cfg.noise, _noise_seed(cfg, self.frame_index), drawn)
         if self.bias is not None:
             # offsets the valid pixels; the clean depth stays as it is
-            data = depth.data
-            if depth is clean:
-                # a scenario without noise draws nothing ahead into this set
-                data = np.empty_like(data) if buffers is None else buffers.noise[0][0]
-                np.copyto(data, clean.data)
+            data = clean.data.copy() if depth is clean else depth.data
             np.add(data, self.bias, out=data, where=data > 0.0)
             depth = DepthImage(data)
         windows = {p.object_id: (p.obj_index, (p.r0, p.r1, p.c0, p.c1)) for p in self.patches}
@@ -551,14 +529,16 @@ def validate_config(cfg: ScenarioConfig) -> list[tuple[str, str]]:
         errors.append(("ugv.end", "path start and end coincide"))
     if speed_ok and period_ok and ends_ok:
         frames = cfg.path_length() / (cfg.speed * cfg.frame_period)
+        # each object can cost one stop: the braking lag and one pick
+        pick_s = sum(cfg.arm.phase_durations.values())
+        t_end = cfg.path_length() / cfg.speed + len(cfg.objects) * (cfg.stop_latency + pick_s)
         if frames > MAX_STEPS:
             errors.append(
                 ("frame_period", f"the course needs {frames:.3g} frames, over {MAX_STEPS}")
             )
-        # each object can cost one stop: the braking lag and one pick
-        pick_s = sum(cfg.arm.phase_durations.values())
-        t_end = cfg.path_length() / cfg.speed + len(cfg.objects) * (cfg.stop_latency + pick_s)
-        if stop_ok and not t_end / cfg.frame_period <= MAX_FRAME_SLOTS:
+        elif stop_ok and not t_end / cfg.frame_period <= MAX_FRAME_SLOTS:
+            # the drive fits far under MAX_FRAME_SLOTS, so the stops and
+            # picks make the excess
             path = "arm.phase_durations" if pick_s >= cfg.stop_latency else "ugv.stop_latency"
             periods = f"over {MAX_FRAME_SLOTS} frame periods"
             errors.append((path, f"the run can last {t_end:.3g} s, {periods}"))

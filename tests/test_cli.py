@@ -254,6 +254,20 @@ def test_simulate_rejects_bad_value_with_its_path(tmp_path, capsys, mutate, path
 
 
 @pytest.mark.parametrize(
+    "mutate", [_set("ugv", "speed", 1e-6), _set("frame_period", 1e-9)], ids=["slow", "fast"]
+)
+def test_a_course_over_max_steps_is_one_frame_period_error(tmp_path, capsys, mutate):
+    # the drive alone runs over: the run's length is not blamed on the stops
+    # and picks as well
+    scenario = write_scenario(tmp_path, one_brick_config(), mutate=mutate)
+    code = cli.main(["simulate", "--scenario", scenario, "--out", str(tmp_path / "out")])
+    assert code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith("error: frame_period: the course needs")
+
+
+@pytest.mark.parametrize(
     "where,key,path",
     [
         ((), "seed", "seed"),

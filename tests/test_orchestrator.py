@@ -10,7 +10,10 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
 import pickle
+import select
+import signal
 import sys
 import threading
 import time
@@ -23,7 +26,7 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from clearbot import orchestrator
+from clearbot import camera, orchestrator
 from clearbot.arm import DEFAULT_ARM_CONFIG, DEFAULT_PHASE_DURATIONS, ArmConfig, PickOutcome
 from clearbot.camera import (
     MAX_FIELD_OF_VIEW_DEG,
@@ -728,16 +731,20 @@ def test_a_run_without_noise_starts_no_thread(monkeypatch):
 
 
 def test_a_finished_run_leaves_no_draw_in_flight(monkeypatch):
-    # each draw ahead is slowed, so the run ends with the last one running
+    # the draw ahead for the frame after the last, which the run never
+    # takes, is slowed past the end of the run
+    history = run_scenario(_noisy_lane())[1].bus.history(Topic.CAMERA_FRAMES)
+    never_taken = history[-1].payload.frame_index + 1
     real = orchestrator.draw_noise
     lock = threading.Lock()
     drawn = {"started": 0, "finished": 0}
 
-    def slow(*args):
+    def slow(model, seed, shape):
         with lock:
             drawn["started"] += 1
-        time.sleep(0.002)
-        result = real(*args)
+        if seed.entropy[-1] == never_taken:
+            time.sleep(0.2)
+        result = real(model, seed, shape)
         with lock:
             drawn["finished"] += 1
         return result
@@ -755,8 +762,8 @@ def test_a_finished_run_leaves_no_draw_in_flight(monkeypatch):
 
 def test_a_picking_frames_depth_outlives_the_next_draw(monkeypatch):
     # the attempt diagnoses the picking frame's depth after that frame has
-    # sent the next one's draws ahead; they go into the other set of buffers.
-    # Each draw ahead starts late, so it lands after the capture it follows.
+    # sent the next one's draws ahead. Each draw ahead starts late, so it
+    # lands after the capture it follows.
     real = orchestrator.draw_noise
 
     def late(*args):
@@ -771,7 +778,7 @@ def test_a_picking_frames_depth_outlives_the_next_draw(monkeypatch):
     def checked_diagnose(rec, comp, matched, images, *rest):
         ahead = sim._buffers._ahead
         assert ahead is not None
-        ahead[2].result(timeout=10)
+        ahead[1].result(timeout=10)
         fd = sim.bus.history(Topic.CAMERA_FRAMES)[-1].payload
         assert fd.standstill and ahead[0] == fd.frame_index + 1
         assert orchestrator._array_digest(images.depth.data) == fd.depth_digest
@@ -782,6 +789,55 @@ def test_a_picking_frames_depth_outlives_the_next_draw(monkeypatch):
     sim._diagnose = checked_diagnose
     sim.run()
     assert len(checked) == 1
+
+
+def test_every_draw_returns_arrays_of_its_own(monkeypatch):
+    # draws made ahead (used or wasted) and draws made on the spot each
+    # return fresh arrays; the kept references stop ids from being reused
+    returned = {"ahead": [], "spot": []}
+
+    def recording(kind, real):
+        def draw(*args):
+            drawn = real(*args)
+            returned[kind].append(drawn)
+            return drawn
+
+        return draw
+
+    monkeypatch.setattr(orchestrator, "draw_noise", recording("ahead", orchestrator.draw_noise))
+    monkeypatch.setattr(camera, "draw_noise", recording("spot", camera.draw_noise))
+    report, _ = run_scenario(_noisy_lane())
+    assert report.attempted == 1
+    assert returned["ahead"] and returned["spot"]
+    arrays = [a for drawn in returned["ahead"] + returned["spot"] for a in drawn if a is not None]
+    assert len({id(a) for a in arrays}) == len(arrays)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="POSIX only")
+def test_a_forked_child_starts_its_own_worker_and_keeps_the_bytes():
+    # the parent's worker thread is not in a forked child, whose first
+    # noisy capture must start its own rather than queue on the lost one
+    cfg = _noisy_lane()
+    digest = run_scenario(cfg)[0].log_digest
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child
+        try:
+            os.close(read)
+            os.write(write, run_scenario(cfg)[0].log_digest.encode())
+        finally:
+            os._exit(0)
+    os.close(write)
+    ready = []
+    try:
+        ready, _, _ = select.select([read], [], [], 60)
+        logged = os.read(read, 256).decode() if ready else None
+    finally:
+        os.close(read)
+        if not ready:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert logged == digest
 
 
 def test_simulations_in_threads_share_the_worker_and_keep_their_bytes():
