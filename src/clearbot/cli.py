@@ -29,7 +29,6 @@ from .geometry import (
     DegenerateConfiguration,
     Frame,
     Point3,
-    TooFewPoints,
     estimate_rigid_transform,
     registration_rms,
 )
@@ -192,9 +191,6 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         return EXIT_BAD_INPUT
     try:
         t = estimate_rigid_transform(pairs)
-    except TooFewPoints as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except DegenerateConfiguration as exc:
         print(f"error: degenerate configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -195,7 +195,7 @@ class FrameImages:
 
 
 class FrameBuffers:
-    """Dense arrays that one frame's images and mask are built into.
+    """Dense arrays that one frame's images are built into.
 
     A :class:`Simulation` builds every capture into one set, so a run holds
     one frame's dense images however long it is, and each capture writes
@@ -211,8 +211,6 @@ class FrameBuffers:
         self.shape = shape
         # compose_patches' labels, depth and instances
         self.canvas = Canvas(shape)
-        # the last mask segment built, whose array the next one reuses
-        self.mask: Optional[LabelImage] = None
         # (frame index, future) of the newest draw submitted to the worker
         self._ahead: Optional[tuple[int, Future]] = None
 
@@ -647,23 +645,18 @@ def perceive_frame(
     images: FrameImages,
     cfg: ScenarioConfig,
     cam_to_arm: RigidTransform,
-    buffers: Optional[FrameBuffers] = None,
 ) -> tuple[LabelImage, tuple[TargetRecord, ...], tuple[MaskComponent, ...]]:
     """Segment one frame and compute its grasp targets.
 
     The step loop and :func:`replay_grasp_targets` both perceive through
-    this function, so a replay runs the very code the run did. The mask is
-    built into the array of ``buffers.mask`` when ``buffers`` are given, and
-    becomes their mask.
+    this function, so a replay runs the very code the run did. A mask that
+    no op changed is ``images.labels`` itself.
     """
     if images.labels.box is None:
         # an empty frame's mask is all floor: every op maps zeros to zeros
         # and no cut has a target in view, so it has no component
         return images.labels, (), ()
-    out = None if buffers is None else buffers.mask
-    mask = segment(images.labels, cfg.seg_ops, seed=cfg.seed, instances=images.instances, out=out)
-    if buffers is not None:
-        buffers.mask = mask
+    mask = segment(images.labels, cfg.seg_ops, seed=cfg.seed, instances=images.instances)
     targets, comps = compute_targets(
         mask, images.depth, cfg.intrinsics, cam_to_arm, cfg.arm.envelope
     )
@@ -744,7 +737,7 @@ class Simulation:
         self.records: dict[str, AttemptRecord] = {}
         self._heading = self.scene.ugv.heading
         self._pending_stop: Optional[ControlStopPayload] = None
-        # every capture's images and mask, valid until the next capture
+        # every capture's images, valid until the next capture
         self._buffers = FrameBuffers((cfg.intrinsics.height, cfg.intrinsics.width))
 
     # -- kinematics --
@@ -821,9 +814,10 @@ class Simulation:
         nothing is actionable).
         """
         fd, images = self._capture(standstill, inject_for)
-        mask, targets, comps = perceive_frame(images, self.cfg, self.cam_to_arm, self._buffers)
+        mask, targets, comps = perceive_frame(images, self.cfg, self.cam_to_arm)
         t_mask = fd.t_capture + SEG_LATENCY
-        # hashed before the next capture reuses the mask's buffer
+        # hashed before the next capture reuses the canvas, which an
+        # unchanged mask shares
         digest = _floor_digest(mask.data.shape) if mask.box is None else _array_digest(mask.data)
         md = MaskData(fd.frame_index, fd.t_capture, mask.class_pixels(), digest)
         self.bus.publish(Topic.SEGMENTATION_MASKS, t_mask, md)

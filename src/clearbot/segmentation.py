@@ -147,24 +147,15 @@ def segment(
     ops: Sequence[CorruptionOp],
     seed: int = 0,
     instances: InstanceImage | None = None,
-    out: LabelImage | None = None,
 ) -> LabelImage:
     """Apply corruption operators in order on top of the ground truth.
 
     A cut whose target is out of view (not in ``instances.windows``, without
     pixels there, or no ``instances`` given) is skipped and takes no op index,
     so the ``Holes`` ops after it draw the same pixels as if it were not listed.
-    ``out``, a mask of the image's shape that an earlier call returned, has
-    its array reused for the new mask: its box is cleared and the ground
-    truth's box copied in, and it is no longer valid after. Without it, the
-    mask is a fresh array.
+    The first op that runs copies the ground truth, and the mask is that
+    copy; when no op runs, the mask is ``gt`` itself.
     """
-    if out is None:
-        data = np.zeros_like(gt.data)
-    else:
-        data = out.data
-        r0, r1, c0, c1 = out.box or (0, 0, 0, 0)
-        data[r0:r1, c0:c1] = 0
     r0, r1, c0, c1 = gt.box or (0, 0, 0, 0)
     # No op labels a floor pixel, so every labelled pixel stays in this box
     # and in the ground truth's clusters, which the mask keeps, clipped to
@@ -172,27 +163,30 @@ def segment(
     # past the crop's edge as floor, which the image holds there, and holes
     # draw over the crop's labelled pixels in the image's row-major order.
     # Cuts and relabels only index, on the whole mask, in image coordinates.
-    crop = data[r0:r1, c0:c1]
-    np.copyto(crop, gt.data[r0:r1, c0:c1])
+    data = None
     op_index = 0
     for op in ops:
-        if isinstance(op, Erode):
-            _apply_erode(crop, op)
-        elif isinstance(op, Holes):
-            _apply_holes(crop, op, seed, op_index)
-        elif isinstance(op, CutBand):
+        if isinstance(op, CutBand):
             if instances is None or op.target_id not in instances.windows:
                 continue
             rows, cols = instances.pixels_of(op.target_id)
             if len(rows) == 0:
                 continue
+        if data is None:
+            data = gt.data.copy()
+            crop = data[r0:r1, c0:c1]
+        if isinstance(op, Erode):
+            _apply_erode(crop, op)
+        elif isinstance(op, Holes):
+            _apply_holes(crop, op, seed, op_index)
+        elif isinstance(op, CutBand):
             _apply_cut_band(data, op, rows, cols)
         elif isinstance(op, Relabel):
             _apply_relabel(data, op)
         else:
             raise TypeError(f"unknown corruption op {type(op).__name__}")
         op_index += 1
-    return LabelImage(data, gt.clusters)
+    return gt if data is None else LabelImage(data, gt.clusters)
 
 
 def mask_iou(pred: LabelImage, gt: LabelImage, component: MaskComponent) -> float:

@@ -898,11 +898,34 @@ def test_step_loop_views_equal_fresh_views_frame_by_frame(noise):
     moved = [a.patches and b.patches for a, b in zip(frames, frames[1:])]
     vanished = [a.patches and not b.patches for a, b in zip(frames, frames[1:])]
     assert any(moved) and any(vanished)
-    # and every mask built into the step loop's buffer hashes as the fresh one
+    # and every mask the step loop perceived hashes as the fresh one
     replayed = replay_grasp_targets(sim.bus.history(Topic.CAMERA_FRAMES), cfg)
     logged = sim.bus.history(Topic.SEGMENTATION_MASKS)
     for (mask, _), env in zip(replayed, logged):
         assert orchestrator._array_digest(mask) == env.payload.digest
+
+
+def test_every_changed_mask_is_an_array_of_its_own(monkeypatch):
+    # erosion runs on every frame with a label in view, so each such mask is
+    # a copy of the ground truth: it outlives the next capture, and shares
+    # no memory with another mask or with the canvas it was segmented from
+    cfg = dataclasses.replace(_noisy_lane(), seg_ops=(Erode(1),))
+    perceive = orchestrator.perceive_frame
+    masks = []
+
+    def keeping_perceive(images, cfg_, cam_to_arm):
+        mask, targets, comps = perceive(images, cfg_, cam_to_arm)
+        if images.labels.box is not None:
+            assert not np.shares_memory(mask.data, images.labels.data)
+            masks.append(mask.data)
+        return mask, targets, comps
+
+    monkeypatch.setattr(orchestrator, "perceive_frame", keeping_perceive)
+    report, _ = run_scenario(cfg)
+    assert report.attempted == 1
+    assert len(masks) > 1
+    for i, a in enumerate(masks):
+        assert not any(np.shares_memory(a, b) for b in masks[i + 1 :])
 
 
 @st.composite
@@ -964,13 +987,13 @@ def _lane_of_two() -> ScenarioConfig:
 @example(cfg=_lane_of_two())
 @given(cfg=short_runs())
 def test_step_loop_equals_fresh_views_on_generated_runs(cfg):
-    # Every capture is composed into the canvas of the one before, its box
-    # searched in its patch windows, and its mask built into the last mask's
-    # array; each view, box and mask must equal one built from scratch.
+    # Every capture is composed into the canvas of the one before and its box
+    # searched in its patch windows, and its mask is that canvas's labels or
+    # a copy; each view, box and mask must equal one built from scratch.
     sim = Simulation(cfg)
     capture = sim._capture
     perceive = orchestrator.perceive_frame
-    frames, fresh_views, fresh_masks = [], [], []
+    frames, fresh_views, fresh_masks, unchanged = [], [], [], []
 
     def checked_capture(standstill, inject_for):
         fd, view = capture(standstill, inject_for)
@@ -997,8 +1020,13 @@ def test_step_loop_equals_fresh_views_on_generated_runs(cfg):
         fresh_views.append(fresh)
         return fd, view
 
-    def checked_perceive(images, cfg_, cam_to_arm, buffers=None):
-        mask, targets, comps = perceive(images, cfg_, cam_to_arm, buffers)
+    def checked_perceive(images, cfg_, cam_to_arm):
+        mask, targets, comps = perceive(images, cfg_, cam_to_arm)
+        # perceiving leaves the ground truth as it was; checked before the
+        # fresh view is perceived, which would change it the same way
+        assert _same_bits(images.labels.data, fresh_views[-1].labels.data)
+        if images.labels.box is not None:
+            unchanged.append(mask is images.labels)
         want, want_targets, _ = perceive(fresh_views[-1], cfg_, cam_to_arm)
         assert _same_bits(mask.data, want.data)
         # the mask keeps the frame's clusters of patch windows, clipped to its
@@ -1040,13 +1068,16 @@ def test_step_loop_equals_fresh_views_on_generated_runs(cfg):
     event(f"patches move: {any(a.patches and b.patches for a, b in pairs)}")
     event(f"patches overlap: {any(map(_windows_overlap, frames))}")
     event(f"patches vanish: {any(a.patches and not b.patches for a, b in pairs)}")
+    # on frames with labels in view
+    event(f"a mask no op changed: {any(unchanged)}")
+    event(f"a mask an op changed: {not all(unchanged)}")
     # replay rebuilds every logged mask and target list
     replayed = replay_grasp_targets(sim.bus.history(Topic.CAMERA_FRAMES), cfg)
     logged = sim.bus.history(Topic.SEGMENTATION_MASKS)
     published = [env.payload for env in sim.bus.history(Topic.GRASP_TARGETS)]
     assert [payload for _, payload in replayed] == published
     assert len(replayed) == len(logged) == len(frames)
-    # each mask was hashed at publish, before later captures reused its buffer
+    # each mask was hashed at publish, before later captures reused the canvas
     assert [env.payload for env in logged] == fresh_masks
     for (mask, _), env in zip(replayed, logged):
         assert orchestrator._array_digest(mask) == env.payload.digest

@@ -78,16 +78,18 @@ def component_count(labels: LabelImage, code: int) -> int:
 
 
 def test_no_ops_is_identity():
+    # with no op to run, the mask is the ground truth itself, not a copy
     gt = rect_labels()
-    res = segment(gt, [])
-    assert np.array_equal(res.data, gt.data)
+    assert segment(gt, []) is gt
+    assert segment(gt, [CutBand("ghost", 3)], instances=rect_instances()) is gt
 
 
 def test_segment_leaves_input_untouched():
     gt = rect_labels()
     before = gt.data.copy()
-    segment(gt, [Erode(2), Holes(0.3, seed=1)])
+    res = segment(gt, [Erode(2), Holes(0.3, seed=1)])
     assert np.array_equal(gt.data, before)
+    assert not np.shares_memory(res.data, gt.data)
 
 
 def test_unknown_op_type_rejected():
