@@ -35,13 +35,15 @@ from .geometry import (
 from .orchestrator import (
     InvalidConfig,
     JsonObject,
+    RunReport,
+    ScenarioConfig,
+    Simulation,
     Topic,
     build_benchmark_config,
     check_benchmark_report,
     messages_to_ndjson,
     parse_scenario,
     report_to_json,
-    run_scenario,
 )
 
 EXIT_OK = 0
@@ -59,9 +61,17 @@ MAX_PAIR_COORD = 1e6
 # --- output writers ---------------------------------------------------------
 
 
-def _make_out_dir(out: str, dump_frames: bool = False) -> Optional[Path]:
-    """The output directory (and its ``frames/``), made before the run so
-    that a bad path costs no run; ``None`` once the reason is printed."""
+def _run_and_write(
+    cfg: ScenarioConfig, out: str, dump_frames: bool = False
+) -> Optional[RunReport]:
+    """Run ``cfg``, write its files under ``out`` and print its records;
+    ``None`` once the reason a file cannot be written is printed.
+
+    The run is built first, so a rejected scenario leaves no directory, and
+    the directory (with its ``frames/``) is made before the run, so a bad
+    path costs no run.
+    """
+    sim = Simulation(cfg)
     out_dir = Path(out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -70,11 +80,7 @@ def _make_out_dir(out: str, dump_frames: bool = False) -> Optional[Path]:
     except OSError as exc:
         print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return None
-    return out_dir
-
-
-def _write_outputs(out_dir: Path, report, sim, dump_frames: bool) -> bool:
-    """Write the run's files; False, with the reason printed, if one cannot be."""
+    report = sim.run()
     try:
         (out_dir / "report.json").write_text(report_to_json(report))
         (out_dir / "messages.ndjson").write_text(messages_to_ndjson(sim.bus))
@@ -88,17 +94,14 @@ def _write_outputs(out_dir: Path, report, sim, dump_frames: bool) -> bool:
                 (frames_dir / f"{stem}_depth.pgm").write_bytes(encode_depth_pgm(images.depth))
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return False
-    return True
-
-
-def _print_report(report) -> None:
+        return None
     for r in report.records:
         line = f"{r.object_id:<4} {r.cls:<6} {r.outcome:<17} {r.elapsed_s:6.3f} s"
         if r.attribution:
             line += "  [" + ", ".join(r.attribution) + "]"
         print(line)
     print(f"picked {report.succeeded}/{report.attempted}")
+    return report
 
 
 def _report_errors(exc: InvalidConfig) -> int:
@@ -130,13 +133,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         cfg = dataclasses.replace(
             cfg, arm=dataclasses.replace(cfg.arm, adaptive_order=True)
         )
-    out_dir = _make_out_dir(args.out, args.dump_frames)
-    if out_dir is None:
+    report = _run_and_write(cfg, args.out, args.dump_frames)
+    if report is None:
         return EXIT_BAD_INPUT
-    report, sim = run_scenario(cfg)
-    if not _write_outputs(out_dir, report, sim, args.dump_frames):
-        return EXIT_BAD_INPUT
-    _print_report(report)
     failures = report.attempted - report.succeeded
     return EXIT_PICK_FAILURES if failures else EXIT_OK
 
@@ -210,13 +209,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 def _cmd_benchmark(args: argparse.Namespace) -> int:
     cfg = build_benchmark_config(adaptive_order=args.adaptive_order)
-    out_dir = _make_out_dir(args.out)
-    if out_dir is None:
+    report = _run_and_write(cfg, args.out)
+    if report is None:
         return EXIT_BAD_INPUT
-    report, sim = run_scenario(cfg)
-    if not _write_outputs(out_dir, report, sim, dump_frames=False):
-        return EXIT_BAD_INPUT
-    _print_report(report)
     problems = check_benchmark_report(report, adaptive_order=args.adaptive_order)
     if problems:
         for p in problems:

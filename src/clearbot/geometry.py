@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 from scipy import ndimage
 
-from .camera import DepthImage, Intrinsics, LabelImage, backproject, occupied_box
+from .camera import DepthImage, Intrinsics, LabelImage, backproject
 from .scene import ArmMount, CameraMount, ObjectClass
 
 
@@ -204,16 +204,9 @@ def connected_components(
     comps = []
     for r0, r1, c0, c1 in labels.clusters:
         mask = labels.data[r0:r1, c0:c1] == cls.label
-        box = occupied_box(mask)
-        if box is None:
+        if not mask.any():
             continue
-        # labelling only the class's own box gives the same components: the
-        # rows and columns cut away hold no pixel of the class
-        br0, br1, bc0, bc1 = box
-        crop = mask[br0:br1, bc0:bc1]
-        r0 += br0
-        c0 += bc0
-        lab, n = ndimage.label(crop, structure=_STRUCTURE_8)
+        lab, n = ndimage.label(mask, structure=_STRUCTURE_8)
         rows, cols = np.nonzero(lab)  # raster order
         if n == 1:
             groups = [(rows, cols)]
@@ -376,7 +369,9 @@ def orientation_to_arm(theta: float, t: RigidTransform) -> float:
     nxy = math.hypot(d[0], d[1])
     if nxy < 1e-6:
         raise IllConditioned("orientation projects to a point in the arm XY plane")
-    return math.atan2(d[1], d[0]) % math.pi
+    # a negative angle within an ulp of 0 folds to pi itself; the second fold
+    # takes that to 0, the same line, and leaves every other angle as it is
+    return math.atan2(d[1], d[0]) % math.pi % math.pi
 
 
 # --- reachability ------------------------------------------------------------

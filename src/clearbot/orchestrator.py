@@ -57,7 +57,6 @@ from .camera import (
 from .geometry import (
     Frame,
     GraspTarget,
-    IllConditioned,
     InsufficientDepth,
     MaskComponent,
     Point3,
@@ -402,9 +401,7 @@ class AttemptDiagnostics:
 
 
 def attribute_failure(
-    diag: AttemptDiagnostics,
-    position_tolerance: float = DEFAULT_ARM_CONFIG.position_tolerance,
-    yaw_tolerance: float = DEFAULT_ARM_CONFIG.yaw_tolerance,
+    diag: AttemptDiagnostics, arm: ArmConfig = DEFAULT_ARM_CONFIG
 ) -> frozenset[FailureModule]:
     """Blame the pipeline stages whose output broke tolerance.
 
@@ -418,17 +415,17 @@ def attribute_failure(
         return frozenset()
     blamed: set[FailureModule] = set()
     mask_ok = diag.iou >= TAU_IOU
-    if mask_ok and diag.median_depth_error > position_tolerance:
+    if mask_ok and diag.median_depth_error > arm.position_tolerance:
         blamed.add(FailureModule.CAMERA)
     if not mask_ok:
         blamed.add(FailureModule.CONTEXT_AWARENESS)
-        if diag.center_error > position_tolerance:
+        if diag.center_error > arm.position_tolerance:
             blamed.add(FailureModule.GEOMETRY_DESCRIPTOR)
     if (
         diag.outcome is PickOutcome.BOUNDARY_COLLISION
         and mask_ok
-        and diag.center_error <= position_tolerance
-        and diag.yaw_error <= yaw_tolerance
+        and diag.center_error <= arm.position_tolerance
+        and diag.yaw_error <= arm.yaw_tolerance
     ):
         blamed.add(FailureModule.ROBOTIC_ARM)
     if not blamed:
@@ -596,20 +593,18 @@ def compute_targets(
 ) -> tuple[tuple[TargetRecord, ...], tuple[MaskComponent, ...]]:
     """All grasp candidates in a frame, in deterministic order.
 
-    Components with mostly-invalid depth or an orientation that does not
-    project into the arm plane produce no target. The result is a pure
-    function of the inputs, which is what makes log replay exact.
+    Components with mostly-invalid depth produce no target. The result is a
+    pure function of the inputs, which is what makes log replay exact.
     """
     records: list[TargetRecord] = []
     comps: list[MaskComponent] = []
-    index = 0
     for cls in (ObjectClass.BRICK, ObjectClass.PIPE):
         for comp in connected_components(labels, cls):
             try:
                 center_cam = component_center_3d(comp, depth, k)
                 theta = principal_orientation(comp)
                 yaw_arm = orientation_to_arm(theta, cam_to_arm)
-            except (InsufficientDepth, IllConditioned):
+            except InsufficientDepth:
                 continue
             center_arm = transform_to_arm(center_cam, cam_to_arm)
             records.append(
@@ -617,7 +612,7 @@ def compute_targets(
                     cls=cls.value,
                     center=(center_arm.x, center_arm.y, center_arm.z),
                     yaw=yaw_arm,
-                    component_index=index,
+                    component_index=len(records),
                     seed_pixel=comp.seed_pixel,
                     area=comp.area,
                     in_reach=in_reach(center_arm, envelope),
@@ -625,18 +620,15 @@ def compute_targets(
                 )
             )
             comps.append(comp)
-            index += 1
     return tuple(records), tuple(comps)
 
 
-def match_component(comp: MaskComponent, instances: InstanceImage) -> Optional[str]:
+def match_component(comp: MaskComponent, instances: InstanceImage) -> str:
     """Ground-truth object behind a mask component (majority pixel vote)."""
     rows, cols = comp.pixels[:, 0], comp.pixels[:, 1]
+    # no op labels a floor pixel, and compose writes a pixel's label and
+    # index together: every vote is the obj_index of the patch that drew it
     votes = instances.index[rows, cols]
-    votes = votes[votes >= 0]
-    if votes.size == 0:
-        return None
-    # a pixel's index is the obj_index of the patch that drew it
     winner = int(np.bincount(votes).argmax())
     return next(oid for oid, (idx, _) in instances.windows.items() if idx == winner)
 
@@ -796,7 +788,7 @@ class Simulation:
             if not rec.in_reach or rec.border:
                 continue
             matched = match_component(comps[rec.component_index], images.instances)
-            if matched is None or matched in self.records or matched in self.abandoned:
+            if matched in self.records or matched in self.abandoned:
                 continue
             dist = math.hypot(rec.center[0], rec.center[1])
             key = (dist, rec.seed_pixel)
@@ -938,11 +930,7 @@ class Simulation:
         attribution: tuple[str, ...] = ()
         if result.outcome is not PickOutcome.SUCCESS:
             try:
-                blamed = attribute_failure(
-                    diag,
-                    position_tolerance=self.cfg.arm.position_tolerance,
-                    yaw_tolerance=self.cfg.arm.yaw_tolerance,
-                )
+                blamed = attribute_failure(diag, self.cfg.arm)
                 attribution = tuple(sorted(m.value for m in blamed))
             except UnattributableFailure:
                 attribution = ("Unattributable",)

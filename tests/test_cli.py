@@ -242,6 +242,11 @@ _HOLES = {"op": "holes", "fraction": 0.1, "seed": 0}
             "camera.fx",
             id="mutate-camera.fx-1e-300",
         ),
+        pytest.param(
+            lambda doc: doc["objects"].append({**doc["objects"][0], "id": "b2"}),
+            "objects",
+            id="mutate-objects-overlap",
+        ),
     ],
 )
 def test_simulate_rejects_bad_value_with_its_path(tmp_path, capsys, mutate, path):
@@ -251,6 +256,8 @@ def test_simulate_rejects_bad_value_with_its_path(tmp_path, capsys, mutate, path
     err = capsys.readouterr().err
     assert f"error: {path}:" in err
     assert "Traceback" not in err
+    # the scenario is rejected before its output directory is made
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -329,6 +336,7 @@ def test_simulate_rejects_negative_seed_flag(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error: seed:" in err
     assert "Traceback" not in err
+    assert not Path(out).exists()
 
 
 def test_readme_scenario_block_shows_the_defaults():
@@ -379,7 +387,7 @@ def test_out_that_is_a_file_is_rejected_before_the_run(tmp_path, capsys, monkeyp
     taken = tmp_path / "out" / "frames" if command == "dump-frames" else tmp_path / "out"
     taken.parent.mkdir(exist_ok=True)
     taken.write_text("not a directory")
-    monkeypatch.setattr(cli, "run_scenario", lambda cfg: pytest.fail("ran"))
+    monkeypatch.setattr(Simulation, "run", lambda sim: pytest.fail("ran"))
     if command == "benchmark":
         args = ["benchmark", "--paper-table1"]
     else:

@@ -860,6 +860,27 @@ def test_orientation_to_arm_ill_conditioned():
         orientation_to_arm(0.0, t)
 
 
+_position = st.floats(-1e6, 1e6)
+
+
+@settings(deadline=None, max_examples=500)
+@given(
+    theta=st.floats(0.0, math.pi, exclude_max=True),
+    cam=st.builds(CameraMount, _position, _position, _position),
+    arm=st.builds(
+        ArmMount, _position, _position, _position,
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+)
+# the angle -yaw is within an ulp of 0, and -yaw % pi rounds to pi
+@example(theta=0.0, cam=CameraMount(0.0, 0.0, 0.0), arm=ArmMount(0.0, 0.0, 0.0, 4e-188))
+def test_orientation_through_the_mounts_is_always_defined(theta, cam, arm):
+    # the nadir camera's image plane is the arm's XY plane, so compute_targets
+    # need not catch IllConditioned
+    yaw = orientation_to_arm(theta, camera_to_arm_transform(cam, arm))
+    assert 0.0 <= yaw < math.pi
+
+
 def test_orientation_to_arm_requires_camera_source():
     t = RigidTransform(np.eye(3), np.zeros(3), src=Frame.ARM, dst=Frame.ROBOT)
     with pytest.raises(FrameMismatch):

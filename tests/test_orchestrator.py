@@ -1025,6 +1025,9 @@ def test_step_loop_equals_fresh_views_on_generated_runs(cfg):
         # perceiving leaves the ground truth as it was; checked before the
         # fresh view is perceived, which would change it the same way
         assert _same_bits(images.labels.data, fresh_views[-1].labels.data)
+        # no op labels a floor pixel, so every mask pixel names the object
+        # that drew it, and match_component always finds one
+        assert (images.instances.index[mask.data != 0] >= 0).all()
         if images.labels.box is not None:
             unchanged.append(mask is images.labels)
         want, want_targets, _ = perceive(fresh_views[-1], cfg_, cam_to_arm)
