@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from scipy import ndimage
 
 from clearbot.geometry import MaskComponent
 from clearbot.scene import ObjectClass
+from clearbot.segmentation import CutBand, Erode, Holes
 
 
 def component_from_pixels(cls: ObjectClass, pixels) -> MaskComponent:
@@ -21,3 +25,47 @@ def component_from_pixels(cls: ObjectClass, pixels) -> MaskComponent:
         bbox=(int(rows.min()), int(rows.max()) + 1, int(cols.min()), int(cols.max()) + 1),
         seed_pixel=(int(pixels[0, 0]), int(pixels[0, 1])),
     )
+
+
+def full_frame_segment(gt, ops, seed, instances):
+    """``segment`` as first written: every op on a fresh copy of the whole
+    image, with erosion by ``ndimage.binary_erosion`` over the full frame."""
+    data = gt.data.copy()
+    op_index = 0
+    for op in ops:
+        if isinstance(op, Erode):
+            out = np.zeros_like(data)
+            se = np.ones((2 * op.radius + 1, 2 * op.radius + 1), dtype=bool)
+            for code in (1, 2):
+                mask = data == code
+                if mask.any():
+                    out[ndimage.binary_erosion(mask, structure=se)] = code
+            data = out
+        elif isinstance(op, Holes):
+            if op.fraction > 0.0:
+                rng = np.random.default_rng(np.random.SeedSequence([seed, op_index, op.seed]))
+                rows, cols = np.nonzero(data)
+                drop = rng.random(len(rows)) < op.fraction
+                data = data.copy()
+                data[rows[drop], cols[drop]] = 0
+        elif isinstance(op, CutBand):
+            rows, cols = instances.pixels_of(op.target_id) if instances else ((), ())
+            if len(rows) == 0:
+                continue
+            x = cols.astype(float)
+            y = rows.astype(float)
+            x -= x.mean()
+            y -= y.mean()
+            theta = 0.5 * math.atan2(
+                2.0 * float(np.dot(x, y)), float(np.dot(x, x)) - float(np.dot(y, y))
+            )
+            band = np.abs(x * math.cos(theta) + y * math.sin(theta)) <= op.band_px / 2.0
+            data = data.copy()
+            data[rows[band], cols[band]] = 0
+        else:
+            r0, r1, c0, c1 = op.region
+            data = data.copy()
+            window = data[r0:r1, c0:c1]
+            window[window != 0] = op.new_class
+        op_index += 1
+    return data

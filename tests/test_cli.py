@@ -225,6 +225,11 @@ _HOLES = {"op": "holes", "fraction": 0.1, "seed": 0}
             "corruptions[0]",
             id="mutate-corruptions[0]-erode-radius-1e6",
         ),
+        pytest.param(
+            _set("corruptions", [{"op": "cut_band", "target_id": "b", "band_px": 10**400}]),
+            "corruptions[0]",
+            id="mutate-corruptions[0]-cut-band-1e400",
+        ),
         (_set("camera", "width", 200000), "camera"),
         (_set("objects", 0, "dims", "length", 1e300), "objects[0].dims.length"),
         pytest.param(
@@ -459,7 +464,9 @@ def _leaf_paths(node, path=()):
 
 
 _FUZZ_LEAVES = tuple(_leaf_paths(_FUZZ_DOC))
-_FUZZ_VALUES = (math.nan, 1e308, -1e308, -1, 0, 2**70, "x", [], None, True, 0.5, 1e-300)
+_FUZZ_VALUES = (
+    math.nan, 1e308, -1e308, -1, 0, 2**70, 10**400, "x", [], None, True, 0.5, 1e-300
+)
 
 
 @settings(max_examples=550, deadline=None)

@@ -20,13 +20,14 @@ import time
 import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from clearbot import camera, orchestrator
+from clearbot import camera, orchestrator, segmentation
 from clearbot.arm import DEFAULT_ARM_CONFIG, DEFAULT_PHASE_DURATIONS, ArmConfig, PickOutcome
 from clearbot.camera import (
     MAX_FIELD_OF_VIEW_DEG,
@@ -80,6 +81,8 @@ from clearbot.scene import (
     PipeDims,
 )
 from clearbot.segmentation import CutBand, Erode, Holes, Relabel
+
+from helpers import full_frame_segment
 
 BRICK = BrickDims(0.20, 0.095, 0.057)
 
@@ -659,6 +662,31 @@ def test_segment_searches_only_cut_targets_in_view(monkeypatch):
     assert searched == want
 
 
+def test_segment_erodes_the_clusters_not_the_box(monkeypatch):
+    # two bricks far apart across the lane: erosion reads each one's cluster,
+    # not the box around both
+    objects = [brick("l", 2.0, 0.3), brick("r", 2.0, -0.3)]
+    cfg = _lane_of(objects, ugv_end=(3.0, 0.0), seg_ops=(Erode(1),))
+    eroded, clusters, boxes = [], [], []
+    real_segment, real_erosion = orchestrator.segment, segmentation.ndimage.binary_erosion
+
+    def counting_segment(gt, *args, **kwargs):
+        clusters.append([(r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in gt.clusters])
+        r0, r1, c0, c1 = gt.box
+        boxes.append((r1 - r0) * (c1 - c0))
+        return real_segment(gt, *args, **kwargs)
+
+    def counting_erosion(mask, *args, **kwargs):
+        eroded.append(mask.size)
+        return real_erosion(mask, *args, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "segment", counting_segment)
+    monkeypatch.setattr(segmentation, "ndimage", SimpleNamespace(binary_erosion=counting_erosion))
+    report, _ = run_scenario(cfg)
+    assert report.attempted == 2 and sum(len(c) == 2 for c in clusters) > 20
+    assert sum(eroded) == sum(map(sum, clusters)) < sum(boxes) // 2
+
+
 def _arrays(value):
     """Every array reachable through a record's fields."""
     if isinstance(value, np.ndarray):
@@ -1025,6 +1053,11 @@ def test_step_loop_equals_fresh_views_on_generated_runs(cfg):
         # perceiving leaves the ground truth as it was; checked before the
         # fresh view is perceived, which would change it the same way
         assert _same_bits(images.labels.data, fresh_views[-1].labels.data)
+        # the mask equals the whole-image reference, which reads neither the
+        # box nor the clusters
+        fresh = fresh_views[-1]
+        reference = full_frame_segment(fresh.labels, cfg_.seg_ops, cfg_.seed, fresh.instances)
+        assert mask.data.tobytes() == reference.tobytes()
         # no op labels a floor pixel, so every mask pixel names the object
         # that drew it, and match_component always finds one
         assert (images.instances.index[mask.data != 0] >= 0).all()

@@ -2,29 +2,28 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import ndimage
 
-from clearbot.camera import InstanceImage, LabelImage
+from clearbot.camera import InstanceImage, LabelImage, window_clusters
 from clearbot.geometry import MaskComponent, connected_components
 from clearbot.scene import ObjectClass
 from clearbot.segmentation import (
+    MAX_BAND_PX,
     MAX_ERODE_RADIUS,
     CutBand,
     EmptyUnion,
     Erode,
     Holes,
     Relabel,
+    _apply_cut_band,
     mask_iou,
     segment,
 )
 
-from helpers import component_from_pixels
+from helpers import component_from_pixels, full_frame_segment
 
 
 def rect_labels(r0=10, r1=30, c0=5, c1=45, code=1, shape=(64, 64)) -> LabelImage:
@@ -37,6 +36,18 @@ def rect_instances(r0=10, r1=30, c0=5, c1=45, oid="t1", shape=(64, 64)) -> Insta
     idx = np.full(shape, -1, dtype=np.int32)
     idx[r0:r1, c0:c1] = 0
     return InstanceImage(idx, {oid: (0, (r0, r1, c0, c1))})
+
+
+def two_rects(a, b, shape=(64, 64)) -> tuple[LabelImage, InstanceImage]:
+    """Two solid brick rectangles ``a`` and ``b`` (r0, r1, c0, c1), objects
+    o0 and o1, labelled with the clusters of their windows."""
+    data = np.zeros(shape, dtype=np.uint8)
+    idx = np.full(shape, -1, dtype=np.int32)
+    for i, (r0, r1, c0, c1) in enumerate((a, b)):
+        data[r0:r1, c0:c1] = 1
+        idx[r0:r1, c0:c1] = i
+    instances = InstanceImage(idx, {"o0": (0, a), "o1": (1, b)})
+    return LabelImage(data, window_clusters([a, b])), instances
 
 
 def erode_oracle(mask: np.ndarray, radius: int) -> np.ndarray:
@@ -237,6 +248,23 @@ def test_cut_band_target_without_pixels():
 def test_cut_band_validation():
     with pytest.raises(ValueError):
         CutBand("t1", 0)
+    with pytest.raises(ValueError):
+        CutBand("t1", MAX_BAND_PX + 1)
+    CutBand("t1", MAX_BAND_PX)
+
+
+def test_the_widest_cut_band_removes_its_whole_target():
+    # a 1-pixel-high strip as long as any image may be: a target of 1000
+    # pixels at one end and one at the other has its centroid near the
+    # first end, nearly the strip's length from the last pixel
+    n = MAX_BAND_PX // 2
+    cols = np.append(np.arange(1000), n - 1)
+    rows = np.zeros_like(cols)
+    for band_px, left in ((MAX_BAND_PX, 0), (MAX_BAND_PX // 2, 1)):
+        data = np.zeros((1, n), dtype=np.uint8)
+        data[rows, cols] = 1
+        _apply_cut_band(data, CutBand("t1", band_px), rows, cols)
+        assert int(data.sum()) == left
 
 
 # --- relabel --------------------------------------------------------------------------
@@ -362,58 +390,15 @@ def test_segment_skips_cuts_out_of_view_like_the_filter_it_replaced(case):
     assert got.data.tobytes() == want.data.tobytes()
 
 
-# --- the occupied box -------------------------------------------------------------------
-
-
-def full_frame_segment(gt, ops, seed, instances):
-    """``segment`` as first written: every op on a fresh copy of the whole
-    image, with erosion by ``ndimage.binary_erosion`` over the full frame."""
-    data = gt.data.copy()
-    op_index = 0
-    for op in ops:
-        if isinstance(op, Erode):
-            out = np.zeros_like(data)
-            se = np.ones((2 * op.radius + 1, 2 * op.radius + 1), dtype=bool)
-            for code in (1, 2):
-                mask = data == code
-                if mask.any():
-                    out[ndimage.binary_erosion(mask, structure=se)] = code
-            data = out
-        elif isinstance(op, Holes):
-            if op.fraction > 0.0:
-                rng = np.random.default_rng(np.random.SeedSequence([seed, op_index, op.seed]))
-                rows, cols = np.nonzero(data)
-                drop = rng.random(len(rows)) < op.fraction
-                data = data.copy()
-                data[rows[drop], cols[drop]] = 0
-        elif isinstance(op, CutBand):
-            rows, cols = instances.pixels_of(op.target_id) if instances else ((), ())
-            if len(rows) == 0:
-                continue
-            x = cols.astype(float)
-            y = rows.astype(float)
-            x -= x.mean()
-            y -= y.mean()
-            theta = 0.5 * math.atan2(
-                2.0 * float(np.dot(x, y)), float(np.dot(x, x)) - float(np.dot(y, y))
-            )
-            band = np.abs(x * math.cos(theta) + y * math.sin(theta)) <= op.band_px / 2.0
-            data = data.copy()
-            data[rows[band], cols[band]] = 0
-        else:
-            r0, r1, c0, c1 = op.region
-            data = data.copy()
-            window = data[r0:r1, c0:c1]
-            window[window != 0] = op.new_class
-        op_index += 1
-    return data
+# --- the clusters ---------------------------------------------------------------------
 
 
 @st.composite
 def boxed_frames(draw):
     """Rectangular objects, possibly cut by the image edge and speckled,
-    in a larger floor image; ops of all four kinds, relabel regions
-    anywhere in (or past) the image, erosion up to the largest radius."""
+    in a larger floor image and labelled with the clusters of their
+    windows; ops of all four kinds, relabel regions anywhere in (or past)
+    the image, erosion up to the largest radius."""
     h, w = draw(st.integers(1, 48)), draw(st.integers(1, 48))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     labels = np.zeros((h, w), dtype=np.uint8)
@@ -449,7 +434,8 @@ def boxed_frames(draw):
         ),
     )
     ops = draw(st.lists(op, max_size=5))
-    return LabelImage(labels), instances, ops, draw(st.integers(0, 2**32))
+    clusters = window_clusters([w for _, w in windows.values()])
+    return LabelImage(labels, clusters), instances, ops, draw(st.integers(0, 2**32))
 
 
 @settings(deadline=None, max_examples=300)
@@ -463,7 +449,14 @@ def boxed_frames(draw):
         0,
     )
 )
-def test_segment_on_the_occupied_box_equals_the_full_frame(case):
+# two clusters that interleave by rows: the holes draw in the image's raster order
+@example((*two_rects((10, 30, 2, 12), (15, 40, 30, 45)), [Erode(1), Holes(0.5, seed=1)], 2))
+# two clusters one floor pixel apart, eroded by the largest radius, or holed
+@example((*two_rects((10, 40, 0, 20), (10, 40, 21, 45)), [Erode(MAX_ERODE_RADIUS)], 0))
+@example((*two_rects((10, 40, 0, 20), (10, 40, 21, 45)), [Holes(0.3, seed=1), Erode(1)], 0))
+# two windows that share an edge are one cluster
+@example((*two_rects((10, 30, 5, 20), (10, 30, 20, 40)), [Erode(1)], 0))
+def test_segment_on_the_clusters_equals_the_full_frame(case):
     labels, instances, ops, seed = case
     got = segment(labels, ops, seed=seed, instances=instances)
     assert got.data.tobytes() == full_frame_segment(labels, ops, seed, instances).tobytes()
