@@ -3,9 +3,10 @@ depth fault to show how the failure is attributed."""
 
 from clearbot.orchestrator import (
     DepthBiasInjection,
+    MessageEnvelope,
     ScenarioConfig,
+    Simulation,
     Topic,
-    run_scenario,
 )
 from clearbot.scene import BrickDims, ObjectClass, ObjectSpec
 
@@ -24,10 +25,15 @@ def one_brick(biased: bool) -> ScenarioConfig:
 
 def show(title: str, biased: bool) -> None:
     print(f"--- {title} ---")
-    report, sim = run_scenario(one_brick(biased))
-    for topic in (Topic.CONTROL_STOP, Topic.ARM_COMMANDS, Topic.ARM_STATUS):
-        for env in sim.bus.history(topic):
+    sim = Simulation(one_brick(biased))
+
+    def print_message(env: MessageEnvelope) -> None:
+        if env.topic in (Topic.CONTROL_STOP, Topic.ARM_COMMANDS, Topic.ARM_STATUS):
             print(f"  t={env.t:8.3f}  {env.topic.value}")
+
+    # the bus keeps no messages; a subscriber sees each one as it is published
+    sim.bus.subscribe(print_message)
+    report = sim.run()
     for r in report.records:
         line = f"  {r.object_id}: {r.outcome}, {r.elapsed_s:.1f} s of arm motion"
         if r.attribution:

@@ -33,8 +33,10 @@ from .geometry import (
     registration_rms,
 )
 from .orchestrator import (
+    FrameData,
     InvalidConfig,
     JsonObject,
+    MessageEnvelope,
     RunReport,
     ScenarioConfig,
     Simulation,
@@ -80,14 +82,22 @@ def _run_and_write(
     except OSError as exc:
         print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return None
+    # the bus keeps no payloads: the frames to dump are kept as they come
+    frames: list[FrameData] = []
+    if dump_frames:
+
+        def keep_frame(env: MessageEnvelope) -> None:
+            if env.topic is Topic.CAMERA_FRAMES:
+                frames.append(env.payload)
+
+        sim.bus.subscribe(keep_frame)
     report = sim.run()
     try:
         (out_dir / "report.json").write_text(report_to_json(report))
         (out_dir / "messages.ndjson").write_text(messages_to_ndjson(sim.bus))
         if dump_frames:
             frames_dir = out_dir / "frames"
-            for env in sim.bus.history(Topic.CAMERA_FRAMES):
-                fd = env.payload
+            for fd in frames:
                 images = fd.images(sim.cfg)
                 stem = f"frame_{fd.frame_index:05d}"
                 (frames_dir / f"{stem}_labels.ppm").write_bytes(encode_label_ppm(images.labels))

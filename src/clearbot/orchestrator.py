@@ -149,29 +149,36 @@ class MessageEnvelope:
 
 
 class MessageBus:
-    """Per-topic ordered publishing with a global publish-order log."""
+    """Per-topic ordered publishing, logged as it goes.
+
+    ``publish`` writes each envelope's canonical NDJSON line at once and
+    hands the envelope to the subscribers. The bus keeps only the log text
+    and each topic's count and last time; a caller that wants payloads
+    keeps what it needs in a subscriber.
+    """
 
     def __init__(self) -> None:
-        self._history: dict[Topic, list[MessageEnvelope]] = {t: [] for t in Topic}
-        self._log: list[MessageEnvelope] = []
-        # NDJSON of the frozen _log[:_written], extended by messages_to_ndjson
+        self._count = dict.fromkeys(Topic, 0)
+        self._last_t = dict.fromkeys(Topic, -math.inf)
         self._ndjson = io.StringIO()
-        self._written = 0
+        self._subscribers: list[Callable[[MessageEnvelope], None]] = []
+
+    def subscribe(self, callback: Callable[[MessageEnvelope], None]) -> None:
+        """Call ``callback`` with every envelope published from now on."""
+        self._subscribers.append(callback)
 
     def publish(self, topic: Topic, t: float, payload: object) -> MessageEnvelope:
-        history = self._history[topic]
-        if history and t < history[-1].t:
-            raise SequenceRegression(f"{topic.value}: t={t} after t={history[-1].t}")
-        env = MessageEnvelope(topic=topic, seq=len(history), t=t, payload=payload)
-        history.append(env)
-        self._log.append(env)
+        if t < self._last_t[topic]:
+            raise SequenceRegression(f"{topic.value}: t={t} after t={self._last_t[topic]}")
+        env = MessageEnvelope(topic=topic, seq=self._count[topic], t=t, payload=payload)
+        record = {"topic": topic.value, "seq": env.seq, "t": t, "payload": payload_to_dict(payload)}
+        # a payload with no JSON form raises above and leaves the bus as it was
+        self._ndjson.write(canonical_json(record) + "\n")
+        self._count[topic] = env.seq + 1
+        self._last_t[topic] = t
+        for callback in self._subscribers:
+            callback(env)
         return env
-
-    def history(self, topic: Topic) -> tuple[MessageEnvelope, ...]:
-        return tuple(self._history[topic])
-
-    def log(self) -> tuple[MessageEnvelope, ...]:
-        return tuple(self._log)
 
 
 # --- message payloads ---------------------------------------------------------
@@ -658,7 +665,8 @@ def perceive_frame(
 def replay_grasp_targets(
     frames: Sequence[MessageEnvelope], cfg: ScenarioConfig
 ) -> list[tuple[np.ndarray, GraspTargetsPayload]]:
-    """Recompute every frame's mask and GraspTargets payload from the logged frames."""
+    """Recompute every frame's mask and GraspTargets payload from the frame
+    envelopes a bus subscriber kept."""
     cam_to_arm = camera_to_arm_transform(cfg.camera_mount, cfg.arm_mount)
     out = []
     for env in frames:
@@ -810,8 +818,7 @@ class Simulation:
         t_mask = fd.t_capture + SEG_LATENCY
         # hashed before the next capture reuses the canvas, which an
         # unchanged mask shares
-        digest = _floor_digest(mask.data.shape) if mask.box is None else _array_digest(mask.data)
-        md = MaskData(fd.frame_index, fd.t_capture, mask.class_pixels(), digest)
+        md = MaskData(fd.frame_index, fd.t_capture, mask.class_pixels(), _mask_digest(mask))
         self.bus.publish(Topic.SEGMENTATION_MASKS, t_mask, md)
         t_targets = t_mask + GEOMETRY_LATENCY
         payload = GraspTargetsPayload(frame_index=fd.frame_index, targets=targets)
@@ -1363,9 +1370,24 @@ def _array_digest(arr: np.ndarray) -> str:
 
 
 @functools.cache
-def _floor_digest(shape: tuple[int, int]) -> str:
-    """``_array_digest`` of an all-floor mask, taken once per shape."""
-    return _array_digest(np.zeros(shape, dtype=np.uint8))
+def _floor_prefix(shape: tuple[int, int], rows: int) -> Any:
+    """sha256 state of ``_array_digest`` of a uint8 image of ``shape``
+    after its header and ``rows`` all-floor rows; callers hash a copy."""
+    h = hashlib.sha256()
+    h.update(b"uint8")
+    h.update(repr(shape).encode())
+    h.update(bytes(rows * shape[1]))
+    return h
+
+
+def _mask_digest(mask: LabelImage) -> str:
+    """``_array_digest`` of ``mask.data``. The rows above its box are all
+    floor, so their hash state is taken once per row count and copied."""
+    data = mask.data
+    r0 = data.shape[0] if mask.box is None else mask.box[0]
+    h = _floor_prefix(data.shape, r0).copy()
+    h.update(memoryview(np.ascontiguousarray(data[r0:])))
+    return h.hexdigest()
 
 
 def frame_digest(fd: FrameData) -> str:
@@ -1421,17 +1443,8 @@ def payload_to_dict(payload: object) -> dict:
 
 
 def messages_to_ndjson(bus: MessageBus) -> str:
-    """The bus log as NDJSON, one line per envelope; each envelope is
-    serialized once per bus, and a bus with no messages gives ``""``."""
-    for env in bus._log[bus._written :]:
-        record = {
-            "topic": env.topic.value,
-            "seq": env.seq,
-            "t": env.t,
-            "payload": payload_to_dict(env.payload),
-        }
-        bus._ndjson.write(canonical_json(record) + "\n")
-    bus._written = len(bus._log)
+    """The bus log as NDJSON, one line per envelope, as written at publish;
+    a bus with no messages gives ``""``."""
     return bus._ndjson.getvalue()
 
 

@@ -18,14 +18,16 @@ from clearbot.orchestrator import (
     build_benchmark_config,
     run_scenario,
 )
+from helpers import Recorder, run_recorded
 
 
 @pytest.fixture(scope="session")
-def benchmark_run() -> tuple[RunReport, Simulation, float]:
+def benchmark_run() -> tuple[RunReport, Simulation, Recorder, float]:
+    """The course, with a recorder that keeps every message it publishes."""
     t0 = time.perf_counter()
-    report, sim = run_scenario(build_benchmark_config())
+    report, sim, recorder = run_recorded(build_benchmark_config())
     wall = time.perf_counter() - t0
-    return report, sim, wall
+    return report, sim, recorder, wall
 
 
 @pytest.fixture(scope="session")

@@ -8,8 +8,37 @@ import numpy as np
 from scipy import ndimage
 
 from clearbot.geometry import MaskComponent
+from clearbot.orchestrator import (
+    MessageBus,
+    MessageEnvelope,
+    RunReport,
+    ScenarioConfig,
+    Simulation,
+    Topic,
+)
 from clearbot.scene import ObjectClass
 from clearbot.segmentation import CutBand, Erode, Holes
+
+
+class Recorder:
+    """A bus subscriber that keeps every envelope, in publish order."""
+
+    def __init__(self, bus: MessageBus) -> None:
+        self._log: list[MessageEnvelope] = []
+        bus.subscribe(self._log.append)
+
+    def history(self, topic: Topic) -> tuple[MessageEnvelope, ...]:
+        return tuple(env for env in self._log if env.topic is topic)
+
+    def log(self) -> tuple[MessageEnvelope, ...]:
+        return tuple(self._log)
+
+
+def run_recorded(cfg: ScenarioConfig) -> tuple[RunReport, Simulation, Recorder]:
+    """``run_scenario`` with a recorder subscribed before the first step."""
+    sim = Simulation(cfg)
+    recorder = Recorder(sim.bus)
+    return sim.run(), sim, recorder
 
 
 def component_from_pixels(cls: ObjectClass, pixels) -> MaskComponent:

@@ -54,7 +54,7 @@ from clearbot.scene import (
 )
 from clearbot.segmentation import segment
 
-from helpers import component_from_pixels
+from helpers import Recorder, component_from_pixels
 
 
 @contextmanager
@@ -122,15 +122,15 @@ def test_criterion_01_course_scoreboard(cli_benchmark):
 
 def test_criterion_02_timing_budget(benchmark_run):
     with criterion(2, "successful picks take exactly 20.0 s; perception stays under 1 s"):
-        report, sim, _ = benchmark_run
+        report, _, recorder, _ = benchmark_run
         successes = [r for r in report.records if r.outcome == "Success"]
         assert successes and all(r.elapsed_s == 20.0 for r in successes)
         frames = {
             e.payload.frame_index: e.payload
-            for e in sim.bus.history(Topic.CAMERA_FRAMES)
+            for e in recorder.history(Topic.CAMERA_FRAMES)
         }
         for topic in (Topic.GRASP_TARGETS, Topic.ARM_COMMANDS):
-            envs = sim.bus.history(topic)
+            envs = recorder.history(topic)
             assert envs
             for env in envs:
                 lag = env.t - frames[env.payload.frame_index].t_capture
@@ -281,7 +281,7 @@ def test_criterion_07_depth_bias_always_blames_the_camera():
 
 def test_criterion_08_adaptive_order_remedy(benchmark_run, adaptive_run):
     with criterion(8, "the boundary pipe fails by default, succeeds adaptively, and wins are a superset"):
-        default_report, _, _ = benchmark_run
+        default_report, _, _, _ = benchmark_run
         adaptive_report, _ = adaptive_run
         default_rows = {r.object_id: r.outcome for r in default_report.records}
         adaptive_rows = {r.object_id: r.outcome for r in adaptive_report.records}
@@ -294,14 +294,14 @@ def test_criterion_08_adaptive_order_remedy(benchmark_run, adaptive_run):
 
 def test_criterion_09_determinism_and_replay(benchmark_run, benchmark_rerun):
     with criterion(9, "same seed gives byte-identical outputs; the geometry stage replays exactly"):
-        report_a, sim_a, _ = benchmark_run
+        report_a, sim_a, recorder, _ = benchmark_run
         report_b, sim_b = benchmark_rerun
         assert report_to_json(report_a) == report_to_json(report_b)
         assert messages_to_ndjson(sim_a.bus) == messages_to_ndjson(sim_b.bus)
-        replayed = replay_grasp_targets(sim_a.bus.history(Topic.CAMERA_FRAMES), sim_a.cfg)
-        targets = [e.payload for e in sim_a.bus.history(Topic.GRASP_TARGETS)]
+        replayed = replay_grasp_targets(recorder.history(Topic.CAMERA_FRAMES), sim_a.cfg)
+        targets = [e.payload for e in recorder.history(Topic.GRASP_TARGETS)]
         assert [payload for _, payload in replayed] == targets
-        masks = [e.payload for e in sim_a.bus.history(Topic.SEGMENTATION_MASKS)]
+        masks = [e.payload for e in recorder.history(Topic.SEGMENTATION_MASKS)]
         assert len(masks) == len(replayed)
         for (mask, _), logged in zip(replayed, masks):
             assert _array_digest(mask) == logged.digest
@@ -310,6 +310,7 @@ def test_criterion_09_determinism_and_replay(benchmark_run, benchmark_rerun):
 def test_criterion_10_causality_and_conservation():
     with criterion(10, "messages stay ordered and causal; objects are conserved; the vehicle holds still to pick"):
         sim = Simulation(build_benchmark_config())
+        recorder = Recorder(sim.bus)
         total = len(sim.scene.objects)
         for _ in range(200_000):
             before = (sim.state, sim.distance)
@@ -322,15 +323,15 @@ def test_criterion_10_causality_and_conservation():
         assert sim.state is PipelineState.DONE
 
         for topic in Topic:
-            envs = sim.bus.history(topic)
+            envs = recorder.history(topic)
             assert [e.seq for e in envs] == list(range(len(envs)))
             times = [e.t for e in envs]
             assert times == sorted(times)
 
-        frames = {e.payload.frame_index: e for e in sim.bus.history(Topic.CAMERA_FRAMES)}
-        masks = {e.payload.frame_index: e for e in sim.bus.history(Topic.SEGMENTATION_MASKS)}
-        targets = {e.payload.frame_index: e for e in sim.bus.history(Topic.GRASP_TARGETS)}
-        log = sim.bus.log()
+        frames = {e.payload.frame_index: e for e in recorder.history(Topic.CAMERA_FRAMES)}
+        masks = {e.payload.frame_index: e for e in recorder.history(Topic.SEGMENTATION_MASKS)}
+        targets = {e.payload.frame_index: e for e in recorder.history(Topic.GRASP_TARGETS)}
+        log = recorder.log()
         stops = [e for e in log if e.topic is Topic.CONTROL_STOP]
         commands = [e for e in log if e.topic is Topic.ARM_COMMANDS]
         for k, cmd in enumerate(commands):

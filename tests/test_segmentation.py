@@ -38,13 +38,14 @@ def rect_instances(r0=10, r1=30, c0=5, c1=45, oid="t1", shape=(64, 64)) -> Insta
     return InstanceImage(idx, {oid: (0, (r0, r1, c0, c1))})
 
 
-def two_rects(a, b, shape=(64, 64)) -> tuple[LabelImage, InstanceImage]:
-    """Two solid brick rectangles ``a`` and ``b`` (r0, r1, c0, c1), objects
-    o0 and o1, labelled with the clusters of their windows."""
+def two_rects(a, b, shape=(64, 64), codes=(1, 1)) -> tuple[LabelImage, InstanceImage]:
+    """Two solid rectangles ``a`` and ``b`` (r0, r1, c0, c1) of class
+    ``codes`` (bricks by default), objects o0 and o1, labelled with the
+    clusters of their windows."""
     data = np.zeros(shape, dtype=np.uint8)
     idx = np.full(shape, -1, dtype=np.int32)
     for i, (r0, r1, c0, c1) in enumerate((a, b)):
-        data[r0:r1, c0:c1] = 1
+        data[r0:r1, c0:c1] = codes[i]
         idx[r0:r1, c0:c1] = i
     instances = InstanceImage(idx, {"o0": (0, a), "o1": (1, b)})
     return LabelImage(data, window_clusters([a, b])), instances
@@ -438,6 +439,34 @@ def boxed_frames(draw):
     return LabelImage(labels, clusters), instances, ops, draw(st.integers(0, 2**32))
 
 
+@st.composite
+def adjacent_rects(draw):
+    """Two rectangles 0, 1 or 2 floor pixels apart, side by side, one below
+    the other or corner to corner, under erosion and holes: the layouts
+    where one cluster's crop meets the other's pixels, or where two windows
+    touch and make one cluster. ``boxed_frames`` seldom draws them."""
+    gap = draw(st.integers(0, 2))
+    place = draw(st.sampled_from(["right", "below", "diagonal"]))
+    size = st.integers(1, 12)
+    h0, w0, h1, w1 = draw(size), draw(size), draw(size), draw(size)
+    # the second rectangle's corner relative to the first's; beside the
+    # first, the two face each other over at least one row or column
+    r = h0 + gap if place != "right" else draw(st.integers(1 - h1, h0 - 1))
+    c = w0 + gap if place != "below" else draw(st.integers(1 - w1, w0 - 1))
+    top, left = draw(st.integers(0, 3)) - min(r, 0), draw(st.integers(0, 3)) - min(c, 0)
+    a = (top, top + h0, left, left + w0)
+    b = (top + r, top + r + h1, left + c, left + c + w1)
+    shape = (max(a[1], b[1]) + draw(st.integers(0, 3)), max(a[3], b[3]) + draw(st.integers(0, 3)))
+    # erosion runs per class, so two rectangles of one class meet in it
+    codes = draw(st.sampled_from([(1, 1), (2, 2), (1, 2)]))
+    op = st.one_of(
+        st.builds(Erode, st.integers(1, 3)),
+        st.builds(Holes, st.floats(0.1, 0.9), st.integers(0, 2**32)),
+    )
+    ops = draw(st.lists(op, min_size=1, max_size=3))
+    return (*two_rects(a, b, shape, codes), ops, draw(st.integers(0, 2**32)))
+
+
 @settings(deadline=None, max_examples=300)
 @given(boxed_frames())
 @example((rect_labels(0, 64, 0, 64), rect_instances(0, 64, 0, 64), [Erode(3), Holes(0.3)], 1))
@@ -457,6 +486,14 @@ def boxed_frames(draw):
 # two windows that share an edge are one cluster
 @example((*two_rects((10, 30, 5, 20), (10, 30, 20, 40)), [Erode(1)], 0))
 def test_segment_on_the_clusters_equals_the_full_frame(case):
+    labels, instances, ops, seed = case
+    got = segment(labels, ops, seed=seed, instances=instances)
+    assert got.data.tobytes() == full_frame_segment(labels, ops, seed, instances).tobytes()
+
+
+@settings(deadline=None, max_examples=500)
+@given(adjacent_rects())
+def test_segment_on_adjacent_clusters_equals_the_full_frame(case):
     labels, instances, ops, seed = case
     got = segment(labels, ops, seed=seed, instances=instances)
     assert got.data.tobytes() == full_frame_segment(labels, ops, seed, instances).tobytes()
