@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 from scipy import ndimage
 
-from .camera import DepthImage, Intrinsics, LabelImage, backproject
+from .camera import DepthImage, Intrinsics, LabelImage
 from .scene import ArmMount, CameraMount, ObjectClass
 
 
@@ -201,9 +201,10 @@ def connected_components(
 ) -> list[MaskComponent]:
     """8-connected components of one class, ordered by first raster pixel;
     each cluster is labelled on its own, as no component spans two."""
+    code = cls.label
     comps = []
     for r0, r1, c0, c1 in labels.clusters:
-        mask = labels.data[r0:r1, c0:c1] == cls.label
+        mask = labels.data[r0:r1, c0:c1] == code
         if not mask.any():
             continue
         lab, n = ndimage.label(mask, structure=_STRUCTURE_8)
@@ -262,21 +263,21 @@ def component_center_3d(
     area = len(rows)
     u = float(np.add.reduce(cols, axis=None, dtype=np.float64)) / area
     v = float(np.add.reduce(rows, axis=None, dtype=np.float64)) / area
-    p = backproject(u, v, z_med, k)
-    return Point3(float(p[0]), float(p[1]), float(p[2]), Frame.CAMERA)
+    # backproject's arithmetic on Python floats; z_med > 0 as only z > 0 is kept
+    return Point3((u - k.cx) * z_med / k.fx, (v - k.cy) * z_med / k.fy, z_med, Frame.CAMERA)
 
 
 # --- principal orientation ---------------------------------------------------
 
 
-def _chain(pts: list[list[float]]) -> list[list[float]]:
+def _chain(pts: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """One half of the monotone chain over (row, col)-sorted (col, row) points.
 
     Sorted by (row, col), the chain keeps a point where the (col, row) cross
     product is negative. All coordinates are integers, so each cross product
     is exact and the vertices are those of a chain in (col, row) order.
     """
-    chain: list[list[float]] = []
+    chain: list[tuple[int, int]] = []
     for p in pts:
         px, py = p
         while len(chain) >= 2:
@@ -288,21 +289,35 @@ def _chain(pts: list[list[float]]) -> list[list[float]]:
     return chain
 
 
-def _convex_hull(points: np.ndarray) -> np.ndarray:
-    """Monotone-chain hull of distinct points sorted by (row, col), as the
-    row extremes of a raster-ordered component arrive.
+def _convex_hull(
+    firsts: list[tuple[int, int]], lasts: list[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """Monotone-chain hull of a raster-ordered component, given each row's
+    first and last pixel as (col, row) points, top row first.
+
+    Sorted by (row, col), the forward chain runs from the first point (the
+    top row's first pixel) to the last (the bottom row's last pixel) down
+    the left side, and the reverse chain back up the right side. A row's
+    last pixel lies right of its first, so no other last pixel can be a
+    vertex of the forward chain, and no other first pixel one of the
+    reverse chain. Each chain therefore runs over one side's pixels and the
+    other endpoint alone, and gives the vertices the whole set would.
 
     Returns the vertices counterclockwise in (x, y) = (col, row) coords from
     the least (col, row) vertex: the order the caliper tie-break sees.
     """
-    # plain lists: the chain's scalar arithmetic is far slower on numpy scalars
-    pts = points.tolist()
-    if len(pts) <= 2:
-        return np.array(sorted(pts))
+    first, last = firsts[0], lasts[-1]
+    if first == last:
+        return [first]
+    # An endpoint that repeats its list's end (a one-pixel row) is popped
+    # and pushed back: its cross product with itself is 0, and the chain
+    # holds 2 points by then, as a one-row component has first != last.
+    left = _chain(firsts + [last])
+    right = _chain(lasts[::-1] + [first])
     # clockwise in (col, row) coords, so reversed
-    hull = (_chain(pts)[:-1] + _chain(pts[::-1])[:-1])[::-1]
-    first = hull.index(min(hull))
-    return np.array(hull[first:] + hull[:first])
+    hull = (left[:-1] + right[:-1])[::-1]
+    i = hull.index(min(hull))
+    return hull[i:] + hull[:i]
 
 
 def principal_orientation(component: MaskComponent) -> float:
@@ -318,18 +333,22 @@ def principal_orientation(component: MaskComponent) -> float:
     # these points equal those over all pixels, bit for bit. Projecting the
     # hull vertices alone would not do: a point inside a hull edge can round
     # differently in the last ulp. Needs the raster order of ``pixels``.
-    rows = component.pixels[:, 0]
+    pixels = component.pixels
+    rows, cols = pixels[:, 0], pixels[:, 1]
     breaks = np.concatenate(([True], rows[1:] != rows[:-1], [True]))
-    pts = component.pixels[breaks[:-1] | breaks[1:], ::-1].astype(float)  # (col, row)
-    hull = _convex_hull(pts)
-    if len(hull) == 1:
+    starts, ends = breaks[:-1], breaks[1:]
+    # Python ints: the chain's scalar arithmetic is far slower on numpy scalars
+    row_list = rows[starts].tolist()
+    vertices = _convex_hull(
+        list(zip(cols[starts].tolist(), row_list)), list(zip(cols[ends].tolist(), row_list))
+    )
+    if len(vertices) == 1:
         return 0.0
-    if len(hull) == 2:
-        d = hull[1] - hull[0]
-        return math.atan2(d[1], d[0]) % math.pi
+    if len(vertices) == 2:
+        (ax, ay), (bx, by) = vertices
+        return math.atan2(by - ay, bx - ax) % math.pi
 
     # Hull vertices are distinct pixels, so every edge is at least 1 long.
-    vertices = hull.tolist()
     units = []
     for (ax, ay), (bx, by) in zip(vertices, vertices[1:] + vertices[:1]):
         norm = math.hypot(bx - ax, by - ay)
@@ -339,7 +358,8 @@ def principal_orientation(component: MaskComponent) -> float:
     # one gemv per direction. A single (N, 2) @ (2, E) gemm, einsum or the
     # elementwise c*ux + r*uy each round differently in the last ulp, and
     # the extremes must be those of the all-pixel projection bit for bit.
-    dirs = np.array([d for ux, uy in units for d in ((ux, uy), (-uy, ux))])
+    dirs = np.array([d for ux, uy in units for d in (ux, uy, -uy, ux)])
+    pts = pixels[starts | ends, ::-1].astype(float)  # (col, row)
     proj = np.matmul(pts, dirs.reshape(-1, 2, 1))
     extent = (proj.max(axis=1) - proj.min(axis=1)).reshape(-1, 2)
     best = None

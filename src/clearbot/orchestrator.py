@@ -152,15 +152,16 @@ class MessageBus:
     """Per-topic ordered publishing, logged as it goes.
 
     ``publish`` writes each envelope's canonical NDJSON line at once and
-    hands the envelope to the subscribers. The bus keeps only the log text
-    and each topic's count and last time; a caller that wants payloads
-    keeps what it needs in a subscriber.
+    hands the envelope to the subscribers. The bus keeps only the log text,
+    its running sha256 and each topic's count and last time; a caller that
+    wants payloads keeps what it needs in a subscriber.
     """
 
     def __init__(self) -> None:
         self._count = dict.fromkeys(Topic, 0)
         self._last_t = dict.fromkeys(Topic, -math.inf)
         self._ndjson = io.StringIO()
+        self._sha = hashlib.sha256()
         self._subscribers: list[Callable[[MessageEnvelope], None]] = []
 
     def subscribe(self, callback: Callable[[MessageEnvelope], None]) -> None:
@@ -173,12 +174,18 @@ class MessageBus:
         env = MessageEnvelope(topic=topic, seq=self._count[topic], t=t, payload=payload)
         record = {"topic": topic.value, "seq": env.seq, "t": t, "payload": payload_to_dict(payload)}
         # a payload with no JSON form raises above and leaves the bus as it was
-        self._ndjson.write(canonical_json(record) + "\n")
+        line = canonical_json(record) + "\n"
+        self._ndjson.write(line)
+        self._sha.update(line.encode())
         self._count[topic] = env.seq + 1
         self._last_t[topic] = t
         for callback in self._subscribers:
             callback(env)
         return env
+
+    def digest(self) -> str:
+        """sha256 of the log text published so far, hashed line by line."""
+        return self._sha.hexdigest()
 
 
 # --- message payloads ---------------------------------------------------------
@@ -1038,7 +1045,7 @@ class Simulation:
             name=self.cfg.name,
             seed=self.cfg.seed,
             config_digest=config_digest(self.cfg),
-            log_digest=hashlib.sha256(messages_to_ndjson(self.bus).encode()).hexdigest(),
+            log_digest=self.bus.digest(),
             attempted=len(self.records),
             succeeded=succeeded,
             records=tuple(self.records.values()),
@@ -1352,8 +1359,11 @@ def parse_scenario(doc: Any) -> ScenarioConfig:
     return cfg
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(value: dict) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(value)
 
 
 def config_digest(cfg: ScenarioConfig) -> str:

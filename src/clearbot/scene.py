@@ -33,7 +33,10 @@ class ObjectClass(Enum):
     @property
     def label(self) -> int:
         """Integer code used in label images (0 is reserved for unlabeled)."""
-        return {ObjectClass.BRICK: 1, ObjectClass.PIPE: 2}[self]
+        return _LABEL_CODES[self]
+
+
+_LABEL_CODES = {ObjectClass.BRICK: 1, ObjectClass.PIPE: 2}
 
 
 # Default object sizes. A standard clay brick and a short PVC pipe segment,

@@ -15,6 +15,7 @@ from clearbot import geometry
 from clearbot.camera import (
     DEFAULT_INTRINSICS,
     DepthImage,
+    Intrinsics,
     LabelImage,
     backproject,
     window_clusters,
@@ -480,6 +481,64 @@ def test_center_median_equals_np_median_bit_for_bit(depths):
     assert float_bits(center.z) == float_bits(np.median(valid))
 
 
+@st.composite
+def components_over_depth(draw) -> tuple[np.ndarray, list[float]]:
+    """Up to 40 distinct pixels in a 6 x 12 window of a 256 x 512 image, in
+    raster order, and a depth for each, some of them invalid."""
+    r0 = draw(st.integers(0, 250))
+    c0 = draw(st.integers(0, 500))
+    offsets = draw(
+        st.sets(st.tuples(st.integers(0, 5), st.integers(0, 11)), min_size=1, max_size=40)
+    )
+    pixels = np.array(sorted((r0 + r, c0 + c) for r, c in offsets))
+    depth = st.one_of(
+        st.sampled_from([0.5, 1.143, 2.0]),  # repeated values
+        st.floats(1e-3, 10.0),
+        st.sampled_from([0.0, -0.0, -1.0]),  # invalid depth
+    )
+    depths = draw(st.lists(depth, min_size=len(pixels), max_size=len(pixels)))
+    return pixels, depths
+
+
+INTRINSICS = st.builds(
+    Intrinsics,
+    fx=st.floats(100.0, 2000.0),
+    fy=st.floats(100.0, 2000.0),
+    cx=st.floats(0.0, 511.5),
+    cy=st.floats(0.0, 255.5),
+    width=st.just(512),
+    height=st.just(256),
+)
+
+FIVE_PX = np.array([[10, 20], [10, 21], [11, 19], [11, 20], [12, 20]])
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=components_over_depth(), k=st.one_of(st.just(DEFAULT_INTRINSICS), INTRINSICS))
+@example(case=(FIVE_PX, [1.0, 1.5, 2.0, 0.7, 1.143]), k=DEFAULT_INTRINSICS)  # odd count
+@example(case=(FIVE_PX, [1.0, 0.0, 2.0, -1.0, 1.143]), k=DEFAULT_INTRINSICS)  # odd, invalid
+@example(case=(FIVE_PX[:4], [1.0, 1.5, 2.0, 0.7]), k=DEFAULT_INTRINSICS)  # even count
+@example(case=(FIVE_PX[:4], [1.0, -0.0, 2.0, 0.0]), k=DEFAULT_INTRINSICS)  # exactly half valid
+@example(case=(FIVE_PX, [1.0, 0.0, 2.0, 0.0, -1.0]), k=DEFAULT_INTRINSICS)  # just under half
+@example(case=(FIVE_PX[:3], [0.0, 2.0, 1.5]), k=DEFAULT_INTRINSICS)  # 2 of 3 valid
+@example(case=(FIVE_PX[:3], [0.0, 2.0, -0.0]), k=DEFAULT_INTRINSICS)  # 1 of 3 valid
+def test_center_equals_backproject_of_mean_pixel_and_median_depth(case, k):
+    pixels, depths = case
+    comp = component_from_pixels(ObjectClass.BRICK, pixels)
+    data = np.zeros((256, 512))
+    data[comp.pixels[:, 0], comp.pixels[:, 1]] = depths
+    z = np.array(depths)
+    valid = z[z > 0.0]
+    if len(valid) < 0.5 * comp.area:
+        with pytest.raises(InsufficientDepth):
+            component_center_3d(comp, DepthImage(data), k)
+        return
+    got = component_center_3d(comp, DepthImage(data), k)
+    want = backproject(comp.pixels[:, 1].mean(), comp.pixels[:, 0].mean(), np.median(valid), k)
+    assert got.frame is Frame.CAMERA
+    assert [float_bits(c) for c in (got.x, got.y, got.z)] == [float_bits(c) for c in want]
+
+
 # --- principal orientation ---------------------------------------------------------------
 
 
@@ -745,9 +804,9 @@ def test_orientation_hulls_only_row_extremes(monkeypatch):
     sizes = []
     hull = geometry._convex_hull
 
-    def recording_hull(points):
-        sizes.append(len(points))
-        return hull(points)
+    def recording_hull(firsts, lasts):
+        sizes.append(len(firsts) + len(lasts))
+        return hull(firsts, lasts)
 
     monkeypatch.setattr(geometry, "_convex_hull", recording_hull)
     assert principal_orientation(comp) == reference_orientation(comp)
@@ -774,6 +833,31 @@ def test_orientation_projects_each_direction_like_a_gemv():
     ]
     comp = component_from_pixels(ObjectClass.PIPE, np.array(pixels))
     assert principal_orientation(comp) == reference_orientation(comp)
+
+
+def test_orientation_chains_at_most_rows_plus_one_points(monkeypatch):
+    # each half of the hull runs over one side's row extremes and the other
+    # side's endpoint, not over every row extreme
+    pipe = [(r, c) for r, (a, b) in enumerate(COURSE_PIPE_RUNS) for c in range(a, b + 1)]
+    comps = [
+        raster_rect(0.5),
+        raster_rect(math.pi / 2),
+        component_from_pixels(ObjectClass.PIPE, np.array(pipe)),
+    ]
+    sizes = []
+    chain = geometry._chain
+
+    def counting_chain(pts):
+        sizes.append(len(pts))
+        return chain(pts)
+
+    monkeypatch.setattr(geometry, "_chain", counting_chain)
+    for comp in comps:
+        sizes.clear()
+        rows = len(np.unique(comp.pixels[:, 0]))
+        assert principal_orientation(comp) == reference_orientation(comp)
+        assert len(sizes) == 2
+        assert max(sizes) <= rows + 1
 
 
 @st.composite
@@ -806,17 +890,24 @@ def row_extremes(draw) -> np.ndarray:
         pts.append((c0 + a, r))
         if b != a:
             pts.append((c0 + b, r))
-    return np.array(pts, dtype=float)
+    return np.array(pts)
 
 
 @settings(deadline=None, max_examples=400)
 @given(pts=row_extremes())
+@example(pts=np.array([[5, 0], [3, 1], [8, 1], [2, 2], [9, 2]]))  # one-pixel first row
+@example(pts=np.array([[3, 0], [8, 0], [2, 1], [9, 1], [6, 2]]))  # one-pixel last row
+@example(pts=np.array([[0, 0], [1, 1], [2, 2], [3, 3]]))  # one-pixel-wide diagonal
+@example(pts=np.array([[3, 0], [2, 1], [1, 2], [0, 3]]))  # and the other diagonal
+@example(pts=np.array([[2, 0], [6, 0], [1, 1], [4, 1]]))  # two rows
 def test_hull_of_row_extremes_equals_the_reference_hull(pts):
-    got = geometry._convex_hull(pts)
-    want = reference_hull(pts)
-    assert got.dtype == want.dtype
-    assert got.shape == want.shape
-    assert np.array_equal(got, want)  # same vertices in the same order
+    # each row's first and last point, as principal_orientation splits them
+    rows = pts[:, 1]
+    step = rows[1:] != rows[:-1]
+    firsts = list(map(tuple, pts[np.concatenate(([True], step))].tolist()))
+    lasts = list(map(tuple, pts[np.concatenate((step, [True]))].tolist()))
+    # same vertices in the same order
+    assert geometry._convex_hull(firsts, lasts) == list(map(tuple, reference_hull(pts).tolist()))
 
 
 # --- orientation into the arm frame ----------------------------------------------------

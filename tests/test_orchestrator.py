@@ -142,8 +142,10 @@ def test_bus_rejects_time_regression_per_topic():
     text = messages_to_ndjson(bus)
     with pytest.raises(SequenceRegression):
         bus.publish(Topic.CAMERA_FRAMES, 4.9, _stop(1))
-    # a rejected message writes no line and takes no sequence number
+    # a rejected message writes no line, hashes nothing and takes no
+    # sequence number
     assert messages_to_ndjson(bus) == text
+    assert bus.digest() == hashlib.sha256(text.encode()).hexdigest()
     assert bus.publish(Topic.CAMERA_FRAMES, 5.0, _stop(2)).seq == 1
     # an earlier time on a different topic is allowed
     bus.publish(Topic.ARM_STATUS, 0.1, _stop(3))
@@ -171,6 +173,7 @@ def test_bus_publishes_no_payload_it_cannot_log():
         bus.publish(Topic.CONTROL_STOP, 0.0, "a")
     # the bus is as it was: no line, no subscriber call, no sequence number
     assert messages_to_ndjson(bus) == "" and recorder.log() == ()
+    assert bus.digest() == hashlib.sha256(b"").hexdigest()
     assert bus.publish(Topic.CONTROL_STOP, 0.0, _stop(0)).seq == 0
 
 
@@ -1165,9 +1168,9 @@ def test_step_loop_equals_fresh_views_on_generated_runs(cfg):
 @example(cfg=_lane_of_two())
 @given(cfg=short_runs())
 def test_ndjson_taken_after_every_step_is_a_prefix_of_the_final_log(cfg):
-    # the bus writes each envelope's line when it is published; the text
-    # read after any step, from before the first message, is a prefix of
-    # the final log
+    # the bus writes and hashes each envelope's line when it is published;
+    # the text read after any step, from before the first message, is a
+    # prefix of the final log, and the bus's digest is that text's
     sim = Simulation(cfg)
     recorder = Recorder(sim.bus)
     step = sim.step
@@ -1176,6 +1179,7 @@ def test_ndjson_taken_after_every_step_is_a_prefix_of_the_final_log(cfg):
     def step_and_serialize():
         state = step()
         texts.append(messages_to_ndjson(sim.bus))
+        assert sim.bus.digest() == hashlib.sha256(texts[-1].encode()).hexdigest()
         return state
 
     sim.step = step_and_serialize
