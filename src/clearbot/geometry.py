@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .camera import DepthImage, Intrinsics, LabelImage
 from .scene import ArmMount, CameraMount, ObjectClass
@@ -180,7 +179,63 @@ def registration_rms(t: RigidTransform, pairs: Sequence[tuple[Point3, Point3]]) 
 
 A_MIN_COMPONENT_PX = 25
 
-_STRUCTURE_8 = np.ones((3, 3), dtype=bool)
+
+def _run_components(mask: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """8-connected components of ``mask`` over its row runs (two-pass run
+    labelling, Rosenfeld and Pfaltz 1966).
+
+    Returns, for each run in raster order, the index of its component's
+    first run, and each run's pixel count. Run ``[s, e)`` (half-open
+    columns) touches run ``[s', e')`` of the row above when ``s <= e'`` and
+    ``s' <= e``; a union-find joins touching runs, always under the lesser
+    root, so every root is the first run of its tree.
+    """
+    h, w = mask.shape
+    # The rows laid end to end, each followed by one unset pixel, after one
+    # more: every run starts and ends where a pixel differs from the one
+    # before it. Starts and ends are offsets r * stride + column.
+    stride = w + 1
+    flat = np.zeros(h * stride + 1, dtype=bool)
+    flat[1:].reshape(h, stride)[:, :w] = mask
+    edges = (flat[1:] != flat[:-1]).nonzero()[0]
+    starts, ends = edges[0::2].tolist(), edges[1::2].tolist()
+
+    parent = list(range(len(starts)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    above = 0  # the first run that may touch a run still to come
+    for i, (s, e) in enumerate(zip(starts, ends)):
+        # the same columns one row up: a run of any row higher still ends
+        # left of ``s``, and one of this row starts right of ``e``, so the
+        # walk below visits the row above alone
+        s -= stride
+        e -= stride
+        while ends[above] < s:
+            above += 1
+        # the last run touched may touch this row's next run too: the walk
+        # resumes at ``above``, not past it
+        k, root = above, i
+        while starts[k] <= e:
+            # a run's parent was a root when it was set, and mostly still is
+            b = parent[k]
+            if parent[b] != b:
+                b = find(b)
+            if root == i:
+                root = b
+            elif b != root:
+                root, b = min(root, b), max(root, b)
+                parent[b] = root
+            k += 1
+        parent[i] = root
+    # a parent never follows its child, so one forward pass finds every root
+    for i, p in enumerate(parent):
+        parent[i] = parent[p]
+    return parent, np.subtract(ends, starts)
 
 
 @dataclass(frozen=True)
@@ -207,13 +262,13 @@ def connected_components(
         mask = labels.data[r0:r1, c0:c1] == code
         if not mask.any():
             continue
-        lab, n = ndimage.label(mask, structure=_STRUCTURE_8)
-        rows, cols = np.nonzero(lab)  # raster order
-        if n == 1:
+        roots, lengths = _run_components(mask)
+        rows, cols = np.nonzero(mask)  # raster order, one run after another
+        if not any(roots):
             groups = [(rows, cols)]
         else:
-            # a stable sort by label keeps each component's pixels in raster order
-            labs = lab[rows, cols]
+            # a stable sort by first run keeps each component's pixels in raster order
+            labs = np.repeat(roots, lengths)
             order = np.argsort(labs, kind="stable")
             cuts = np.flatnonzero(np.diff(labs[order])) + 1
             groups = zip(np.split(rows[order], cuts), np.split(cols[order], cuts))

@@ -7,9 +7,13 @@ import copy
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
@@ -590,3 +594,27 @@ def test_benchmark_flag_is_required(tmp_path):
     with pytest.raises(SystemExit) as exc_info:
         cli.main(["benchmark", "--out", str(tmp_path)])
     assert exc_info.value.code == 2
+
+
+def test_the_course_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: with every scipy import made to fail,
+    # the built-in course still exits 0 and writes the recorded bytes
+    root = Path(__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from clearbot import cli\n"
+        "sys.exit(cli.main(['benchmark', '--paper-table1', '--out', sys.argv[1]]))\n"
+    )
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), path]))}
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(out)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    recorded = json.loads((root / "perfbench" / "recorded.json").read_text())
+    course = recorded["digests"]["course"]
+    assert sha256((out / "messages.ndjson").read_bytes()).hexdigest() == course["log_digest"]
+    assert sha256((out / "report.json").read_bytes()).hexdigest() == course["report_sha256"]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
 from clearbot import geometry
@@ -795,6 +796,40 @@ def test_components_on_window_clusters_match_the_all_pixel_reference(case):
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert_same_component(a, b)
+
+
+def mask_of(*rows: str) -> np.ndarray:
+    """A mask drawn as text rows, ``#`` set and ``.`` unset."""
+    return np.array([[ch == "#" for ch in row] for row in rows])
+
+
+@st.composite
+def salt_and_pepper(draw) -> np.ndarray:
+    """Masks of independent pixels, each set with a drawn share; near and
+    below 8-connected percolation (~0.41) they hold many tangled components."""
+    shape = draw(st.tuples(st.integers(1, 32), st.integers(1, 32)))
+    tenths = draw(st.integers(2, 8))
+    pixel = st.integers(0, 9).map(lambda v: v < tenths)
+    return draw(hnp.arrays(np.bool_, shape, elements=pixel))
+
+
+@settings(deadline=None, max_examples=300)
+@given(mask=salt_and_pepper())
+# a U whose arms join only in its last row; the right arm starts a row earlier
+@example(mask=mask_of("...#", "#..#", "#..#", "####"))
+# one run touching two runs of the row above only at diagonal corners
+@example(mask=mask_of("#...#", ".###."))
+# one run bridging three runs of the row above, and touched by three of the row below
+@example(mask=mask_of("#.#.#.", "#####.", ".#.#.#"))
+# the last row's long run reads a run whose root a merge later in the row above moved
+@example(mask=mask_of("###...#", "#...#.#", ".#.#.#.", ".###..#"))
+def test_run_labelling_matches_ndimage_on_salt_and_pepper(mask):
+    labels = labels_of(mask)
+    got = connected_components(labels, ObjectClass.BRICK, min_area=1)
+    want = reference_components(labels, ObjectClass.BRICK, min_area=1)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert_same_component(a, b)
 
 
 def test_orientation_hulls_only_row_extremes(monkeypatch):

@@ -21,7 +21,6 @@ import tracemalloc
 import types
 from dataclasses import dataclass
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -709,7 +708,7 @@ def test_segment_erodes_the_clusters_not_the_box(monkeypatch):
     objects = [brick("l", 2.0, 0.3), brick("r", 2.0, -0.3)]
     cfg = _lane_of(objects, ugv_end=(3.0, 0.0), seg_ops=(Erode(1),))
     eroded, clusters, boxes = [], [], []
-    real_segment, real_erosion = orchestrator.segment, segmentation.ndimage.binary_erosion
+    real_segment, real_erosion = orchestrator.segment, segmentation._erode_square
 
     def counting_segment(gt, *args, **kwargs):
         clusters.append([(r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in gt.clusters])
@@ -717,12 +716,12 @@ def test_segment_erodes_the_clusters_not_the_box(monkeypatch):
         boxes.append((r1 - r0) * (c1 - c0))
         return real_segment(gt, *args, **kwargs)
 
-    def counting_erosion(mask, *args, **kwargs):
+    def counting_erosion(mask, radius):
         eroded.append(mask.size)
-        return real_erosion(mask, *args, **kwargs)
+        return real_erosion(mask, radius)
 
     monkeypatch.setattr(orchestrator, "segment", counting_segment)
-    monkeypatch.setattr(segmentation, "ndimage", SimpleNamespace(binary_erosion=counting_erosion))
+    monkeypatch.setattr(segmentation, "_erode_square", counting_erosion)
     report, _ = run_scenario(cfg)
     assert report.attempted == 2 and sum(len(c) == 2 for c in clusters) > 20
     assert sum(eroded) == sum(map(sum, clusters)) < sum(boxes) // 2

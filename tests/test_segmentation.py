@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy import ndimage
 
 from clearbot.camera import InstanceImage, LabelImage, window_clusters
 from clearbot.geometry import MaskComponent, connected_components
@@ -19,6 +21,7 @@ from clearbot.segmentation import (
     Holes,
     Relabel,
     _apply_cut_band,
+    _erode_square,
     mask_iou,
     segment,
 )
@@ -152,6 +155,28 @@ def test_erode_treats_classes_independently():
 def test_erode_radius_validation():
     with pytest.raises(ValueError):
         Erode(0)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    mask=hnp.arrays(
+        np.bool_,
+        st.tuples(st.integers(1, 48), st.integers(1, 48)),
+        elements=st.booleans(),
+        fill=st.booleans(),
+    )
+)
+# smaller than the square at every radius
+@example(mask=np.ones((2, 3), bool))
+# one row taller than the largest square and as wide: two pixels stay at radius 10
+@example(mask=np.ones((22, 21), bool))
+# set everywhere but in the column next to the crop's left edge
+@example(mask=np.ones((30, 30), bool) & (np.arange(30) != 1))
+def test_erode_square_equals_binary_erosion_at_every_radius(mask):
+    for radius in range(1, MAX_ERODE_RADIUS + 1):
+        square = np.ones((2 * radius + 1, 2 * radius + 1), dtype=bool)
+        want = ndimage.binary_erosion(mask, structure=square)
+        assert np.array_equal(_erode_square(mask, radius), want)
 
 
 # --- holes --------------------------------------------------------------------------
