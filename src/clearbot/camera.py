@@ -124,24 +124,6 @@ class DepthImage:
 Window = tuple[int, int, int, int]  # (r0, r1, c0, c1), half open
 
 
-def occupied_box(image: np.ndarray, within: Optional[Window] = None) -> Optional[Window]:
-    """Bounding box of a 2-D array's nonzero pixels, None when it has none.
-
-    ``within``, a window that holds every nonzero pixel, is the only part
-    searched; without it, the whole array is.
-    """
-    if within is None:
-        within = (0, image.shape[0], 0, image.shape[1])
-    wr0, wr1, wc0, wc1 = within
-    crop = image[wr0:wr1, wc0:wc1]
-    rows = np.flatnonzero(crop.any(axis=1))
-    if not len(rows):
-        return None
-    r0, r1 = int(rows[0]), int(rows[-1]) + 1
-    cols = np.flatnonzero(crop[r0:r1].any(axis=0))
-    return wr0 + r0, wr0 + r1, wc0 + int(cols[0]), wc0 + int(cols[-1]) + 1
-
-
 def span(windows: Sequence[Window]) -> Window:
     """Bounding box of one or more windows."""
     r0s, r1s, c0s, c1s = zip(*windows)
@@ -167,35 +149,24 @@ def window_clusters(windows: Sequence[Window]) -> tuple[Window, ...]:
 class LabelImage:
     """Per-pixel class labels: 0 unlabeled, 1 brick, 2 pipe.
 
-    ``box`` is the bounding box of the labelled pixels (None when there are
-    none); every pixel outside it is 0. ``clusters``, when given, are
-    windows that touch no other (as :func:`window_clusters` returns them)
-    and hold every labelled pixel between them; the box is searched in
-    their bounding box alone, and they are kept clipped to the box, less
-    any the clipping leaves empty. Without them, ``clusters`` is ``(box,)``.
+    ``clusters`` are windows that touch no other, sorted (as
+    :func:`window_clusters` returns them), and hold every labelled pixel
+    between them; every pixel outside them is 0. Without them, the one
+    cluster is the whole image.
     """
 
     data: np.ndarray
     clusters: Optional[tuple[Window, ...]] = field(default=None, repr=False, compare=False)
-    box: Optional[Window] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.data, dtype=np.uint8)
         if arr.ndim != 2:
             raise ValueError("label image must be 2-D")
-        clusters = self.clusters
-        box = occupied_box(arr, None if clusters is None else span(clusters or [(0, 0, 0, 0)]))
-        r0, r1, c0, c1 = box or (0, 0, 0, 0)
-        if arr[r0:r1, c0:c1].max(initial=0) > 2:
+        h, w = arr.shape
+        clusters = ((0, h, 0, w),) if self.clusters is None else self.clusters
+        if any(arr[r0:r1, c0:c1].max(initial=0) > 2 for r0, r1, c0, c1 in clusters):
             raise ValueError("label image holds an unknown class code")
-        # without clusters given, the box is the one cluster
-        clipped = (
-            (max(a, r0), min(b, r1), max(c, c0), min(d, c1))
-            for a, b, c, d in clusters or [(r0, r1, c0, c1)]
-        )
-        clusters = tuple(w for w in clipped if w[0] < w[1] and w[2] < w[3])
         object.__setattr__(self, "data", arr)
-        object.__setattr__(self, "box", box)
         object.__setattr__(self, "clusters", clusters)
 
     @property
@@ -207,14 +178,15 @@ class LabelImage:
         return self.data.shape[1]
 
     def class_pixels(self) -> tuple[int, int]:
-        """(brick, pipe) pixel counts; codes are 0, 1 or 2, so the nonzero
-        count and the sum give both without an image-sized temporary."""
-        if self.box is None:
-            return 0, 0
-        r0, r1, c0, c1 = self.box
-        crop = self.data[r0:r1, c0:c1]
-        labelled = int(np.count_nonzero(crop))
-        pipe = int(crop.sum(dtype=np.uint32)) - labelled
+        """(brick, pipe) pixel counts; codes are 0, 1 or 2, so each cluster
+        crop's nonzero count and sum give both without an image-sized
+        temporary."""
+        labelled = total = 0
+        for r0, r1, c0, c1 in self.clusters:
+            crop = self.data[r0:r1, c0:c1]
+            labelled += int(np.count_nonzero(crop))
+            total += int(crop.sum(dtype=np.uint32))
+        pipe = total - labelled
         return labelled - pipe, pipe
 
 

@@ -658,9 +658,10 @@ def perceive_frame(
     this function, so a replay runs the very code the run did. A mask that
     no op changed is ``images.labels`` itself.
     """
-    if images.labels.box is None:
-        # an empty frame's mask is all floor: every op maps zeros to zeros
-        # and no cut has a target in view, so it has no component
+    if not images.labels.clusters:
+        # a frame without patches has no labelled pixel, so its mask is all
+        # floor: every op maps zeros to zeros and no cut has a target in
+        # view, so it has no component
         return images.labels, (), ()
     mask = segment(images.labels, cfg.seg_ops, seed=cfg.seed, instances=images.instances)
     targets, comps = compute_targets(
@@ -995,7 +996,7 @@ class Simulation:
         # mask quality: the attempted component alone against the true mask
         canvas = np.zeros(images.labels.data.shape, dtype=np.uint8)
         canvas[comp.pixels[:, 0], comp.pixels[:, 1]] = comp.cls.label
-        iou = mask_iou(LabelImage(canvas), images.labels, comp)
+        iou = mask_iou(LabelImage(canvas, (comp.bbox,)), images.labels, comp)
 
         # depth quality over the object's true pixels
         rows, cols = images.instances.pixels_of(matched)
@@ -1391,10 +1392,10 @@ def _floor_prefix(shape: tuple[int, int], rows: int) -> Any:
 
 
 def _mask_digest(mask: LabelImage) -> str:
-    """``_array_digest`` of ``mask.data``. The rows above its box are all
-    floor, so their hash state is taken once per row count and copied."""
+    """``_array_digest`` of ``mask.data``. The rows above its first cluster
+    are all floor, so their hash state is taken once per row count and copied."""
     data = mask.data
-    r0 = data.shape[0] if mask.box is None else mask.box[0]
+    r0 = mask.clusters[0][0] if mask.clusters else data.shape[0]
     h = _floor_prefix(data.shape, r0).copy()
     h.update(memoryview(np.ascontiguousarray(data[r0:])))
     return h.hexdigest()

@@ -30,6 +30,7 @@ from clearbot.camera import (
     render,
     render_full,
 )
+from clearbot.geometry import connected_components
 from clearbot.orchestrator import FrameData, ScenarioConfig
 from clearbot.scene import (
     BrickDims,
@@ -372,7 +373,8 @@ def label_arrays(draw):
 @given(case=label_arrays())
 @example(case=(np.zeros((1, 1), dtype=np.uint8), None))
 @example(case=(np.ones((64, 128), dtype=np.uint8), None))
-def test_label_image_box_and_class_pixels_match_a_full_scan(case):
+def test_label_image_class_pixels_and_code_check_match_a_full_scan(case):
+    # without clusters, the whole image is the one cluster
     data, unknown = case
     if unknown is not None:
         r, c, bad = unknown
@@ -381,18 +383,47 @@ def test_label_image_box_and_class_pixels_match_a_full_scan(case):
             LabelImage(data)
         return
     labels = LabelImage(data)
-    rows, cols = np.nonzero(data)
-    if len(rows):
-        assert labels.box == (rows.min(), rows.max() + 1, cols.min(), cols.max() + 1)
-    else:
-        assert labels.box is None
+    assert labels.clusters == ((0, data.shape[0], 0, data.shape[1]),)
     assert labels.class_pixels() == ((data == 1).sum(), (data == 2).sum())
+
+
+@st.composite
+def windows_in(draw, shape: tuple[int, int]):
+    """A window of at least one pixel inside an image of ``shape``."""
+    h, w = shape
+    r0, c0 = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+    return r0, draw(st.integers(r0 + 1, h)), c0, draw(st.integers(c0 + 1, w))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=label_arrays(), drawn=st.data())
+def test_an_unknown_code_in_any_cluster_raises(case, drawn):
+    # clusters of the labels' components and of up to three more windows;
+    # a code above 2 in any of them is found, as it is anywhere in an image
+    # built without clusters
+    data, _ = case
+    windows = [
+        comp.bbox
+        for cls in ObjectClass
+        for comp in connected_components(LabelImage(data), cls, min_area=1)
+    ]
+    windows += drawn.draw(st.lists(windows_in(data.shape), min_size=0 if windows else 1, max_size=3))
+    clusters = camera.window_clusters(windows)
+    labels = LabelImage(data, clusters)
+    assert labels.class_pixels() == ((data == 1).sum(), (data == 2).sum())
+    r0, r1, c0, c1 = drawn.draw(st.sampled_from(clusters))
+    r, c = drawn.draw(st.integers(r0, r1 - 1)), drawn.draw(st.integers(c0, c1 - 1))
+    data[r, c] = drawn.draw(st.integers(3, 255))
+    with pytest.raises(ValueError, match="unknown class code"):
+        LabelImage(data, clusters)
+    with pytest.raises(ValueError, match="unknown class code"):
+        LabelImage(data)
 
 
 @st.composite
 def labels_in_windows(draw):
     """A label image and a window that holds all of its labels: the labels'
-    own box grown by zero or more pixels on each side, up to the image's
+    own bounding box grown by zero or more pixels on each side, up to the image's
     edges. Empty images get any window, empty ones included."""
     data, _ = draw(label_arrays())
     h, w = data.shape
@@ -426,13 +457,11 @@ def labels_in_windows(draw):
 @example(case=(np.ones((1, 1), dtype=np.uint8), (0, 1, 0, 1)))
 @example(case=(np.eye(4, 9, 8, dtype=np.uint8), (0, 1, 8, 9)))
 @example(case=(np.eye(6, 3, -5, dtype=np.uint8), (5, 6, 0, 1)))
-def test_windowed_box_equals_a_full_scan(case):
+def test_windowed_class_pixels_equal_a_full_scan(case):
+    # the given window is the one cluster, and the counts read it alone
     data, window = case
-    rows, cols = np.nonzero(data)
-    want = (rows.min(), rows.max() + 1, cols.min(), cols.max() + 1) if len(rows) else None
-    assert camera.occupied_box(data, window) == want
     labels = LabelImage(data, (window,))
-    assert labels.box == want
+    assert labels.clusters == (window,)
     assert labels.class_pixels() == ((data == 1).sum(), (data == 2).sum())
 
 
@@ -454,21 +483,20 @@ def test_merged_windows_take_in_a_window_their_box_reaches(order):
     assert camera.window_clusters(windows) == ((0, 4, 0, 4),)
 
 
-def test_label_image_without_windows_is_one_cluster_of_its_box():
+def test_label_image_without_windows_is_one_cluster_of_the_whole_image():
     data = np.zeros((6, 9), dtype=np.uint8)
-    assert LabelImage(data).clusters == ()
+    assert LabelImage(data).clusters == ((0, 6, 0, 9),)
     data[1, 2] = 1
     data[4, 7] = 2
-    assert LabelImage(data).clusters == ((1, 5, 2, 8),)
-    # given clusters are kept clipped to the box, and one the clipping
-    # empties is dropped, whether it held a labelled pixel or not
+    assert LabelImage(data).clusters == ((0, 6, 0, 9),)
+    # given clusters are kept as they are, whether they hold a labelled
+    # pixel or not
     clusters = camera.window_clusters([(1, 2, 2, 3), (4, 5, 7, 8), (0, 1, 8, 9)])
     labels = LabelImage(data, clusters)
-    assert labels.clusters == ((1, 2, 2, 3), (4, 5, 7, 8))
-    assert labels.box == (1, 5, 2, 8)
-    labels = LabelImage(data, ((0, 6, 0, 9),))
-    assert labels.clusters == ((1, 5, 2, 8),)
-    assert LabelImage(np.zeros((6, 9), dtype=np.uint8), clusters).clusters == ()
+    assert labels.clusters == clusters == ((0, 1, 8, 9), (1, 2, 2, 3), (4, 5, 7, 8))
+    assert labels.class_pixels() == (1, 1)
+    empty = LabelImage(np.zeros((6, 9), dtype=np.uint8), ())
+    assert empty.clusters == () and empty.class_pixels() == (0, 0)
 
 
 def test_depth_pgm_golden_bytes():

@@ -704,16 +704,16 @@ def test_segment_searches_only_cut_targets_in_view(monkeypatch):
 
 def test_segment_erodes_the_clusters_not_the_box(monkeypatch):
     # two bricks far apart across the lane: erosion reads each one's cluster,
-    # not the box around both
+    # not the span of both
     objects = [brick("l", 2.0, 0.3), brick("r", 2.0, -0.3)]
     cfg = _lane_of(objects, ugv_end=(3.0, 0.0), seg_ops=(Erode(1),))
-    eroded, clusters, boxes = [], [], []
+    eroded, clusters, spans = [], [], []
     real_segment, real_erosion = orchestrator.segment, segmentation._erode_square
 
     def counting_segment(gt, *args, **kwargs):
         clusters.append([(r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in gt.clusters])
-        r0, r1, c0, c1 = gt.box
-        boxes.append((r1 - r0) * (c1 - c0))
+        r0, r1, c0, c1 = camera.span(gt.clusters)
+        spans.append((r1 - r0) * (c1 - c0))
         return real_segment(gt, *args, **kwargs)
 
     def counting_erosion(mask, radius):
@@ -724,7 +724,7 @@ def test_segment_erodes_the_clusters_not_the_box(monkeypatch):
     monkeypatch.setattr(segmentation, "_erode_square", counting_erosion)
     report, _ = run_scenario(cfg)
     assert report.attempted == 2 and sum(len(c) == 2 for c in clusters) > 20
-    assert sum(eroded) == sum(map(sum, clusters)) < sum(boxes) // 2
+    assert sum(eroded) == sum(map(sum, clusters)) < sum(spans) // 2
 
 
 def _arrays(value):
@@ -958,7 +958,7 @@ def test_step_loop_views_equal_fresh_views_frame_by_frame(noise):
             (view.instances.index, fresh.instances.index),
         ):
             assert a is not b and _same_bits(a, b)
-        assert view.labels.box == fresh.labels.box
+        assert view.labels.clusters == fresh.labels.clusters
         frames.append(fd)
         return fd, view
 
@@ -986,7 +986,7 @@ def test_every_changed_mask_is_an_array_of_its_own(monkeypatch):
 
     def keeping_perceive(images, cfg_, cam_to_arm):
         mask, targets, comps = perceive(images, cfg_, cam_to_arm)
-        if images.labels.box is not None:
+        if images.labels.clusters:
             assert not np.shares_memory(mask.data, images.labels.data)
             masks.append(mask.data)
         return mask, targets, comps
@@ -1054,13 +1054,29 @@ def _lane_of_two() -> ScenarioConfig:
     )
 
 
+def _assert_clusters_hold_the_labels(labels: LabelImage) -> None:
+    """The clusters are sorted, no two touch (diagonally included), every
+    labelled pixel lies in one of them, and the counts over them are a
+    whole-image count."""
+    clusters = labels.clusters
+    assert list(clusters) == sorted(clusters)
+    for i, a in enumerate(clusters):
+        for b in clusters[i + 1 :]:
+            assert not (a[0] <= b[1] and b[0] <= a[1] and a[2] <= b[3] and b[2] <= a[3])
+    inside = np.zeros(labels.data.shape, dtype=bool)
+    for r0, r1, c0, c1 in clusters:
+        inside[r0:r1, c0:c1] = True
+    assert not labels.data[~inside].any()
+    assert labels.class_pixels() == ((labels.data == 1).sum(), (labels.data == 2).sum())
+
+
 @settings(deadline=None, max_examples=200)
 @example(cfg=_lane_of_two())
 @given(cfg=short_runs())
 def test_step_loop_equals_fresh_views_on_generated_runs(cfg):
-    # Every capture is composed into the canvas of the one before and its box
-    # searched in its patch windows, and its mask is that canvas's labels or
-    # a copy; each view, box and mask must equal one built from scratch.
+    # Every capture is composed into the canvas of the one before, and its
+    # mask is that canvas's labels or a copy; each view, its clusters and
+    # its mask must equal ones built from scratch.
     sim = Simulation(cfg)
     recorder = Recorder(sim.bus)
     capture = sim._capture
@@ -1077,10 +1093,11 @@ def test_step_loop_equals_fresh_views_on_generated_runs(cfg):
             (view.instances.index, fresh.instances.index),
         ):
             assert _same_bits(a, b)
-        assert view.labels.box == fresh.labels.box
-        rows, cols = np.nonzero(fresh.labels.data)
-        if len(rows):
-            assert fresh.labels.box == (rows.min(), rows.max() + 1, cols.min(), cols.max() + 1)
+        assert view.labels.clusters == fresh.labels.clusters
+        _assert_clusters_hold_the_labels(fresh.labels)
+        # every patch draws a pixel, so a view has clusters just when it has
+        # labels, and perceiving may skip a view without clusters
+        assert all(fresh.labels.data[r0:r1, c0:c1].any() for r0, r1, c0, c1 in fresh.labels.clusters)
         assert view.instances.windows == fresh.instances.windows
         # the depth the log hashed at capture is the fresh view's, whether
         # its noise was drawn ahead on the worker or on the spot
@@ -1097,36 +1114,30 @@ def test_step_loop_equals_fresh_views_on_generated_runs(cfg):
         # perceiving leaves the ground truth as it was; checked before the
         # fresh view is perceived, which would change it the same way
         assert _same_bits(images.labels.data, fresh_views[-1].labels.data)
-        # the mask equals the whole-image reference, which reads neither the
-        # box nor the clusters
+        # the mask equals the whole-image reference, which does not read
+        # the clusters
         fresh = fresh_views[-1]
         reference = full_frame_segment(fresh.labels, cfg_.seg_ops, cfg_.seed, fresh.instances)
         assert mask.data.tobytes() == reference.tobytes()
         # no op labels a floor pixel, so every mask pixel names the object
         # that drew it, and match_component always finds one
         assert (images.instances.index[mask.data != 0] >= 0).all()
-        if images.labels.box is not None:
+        if images.labels.clusters:
             unchanged.append(mask is images.labels)
         want, want_targets, _ = perceive(fresh_views[-1], cfg_, cam_to_arm)
         assert _same_bits(mask.data, want.data)
-        # the mask keeps the frame's clusters of patch windows, clipped to its
-        # box, and labelling each cluster finds what labelling the whole box finds
-        r0, r1, c0, c1 = mask.box or (0, 0, 0, 0)
-        clipped = [
-            (max(a, r0), min(b, r1), max(c, c0), min(d, c1))
-            for a, b, c, d in images.labels.clusters
-        ]
-        assert mask.clusters == tuple(w for w in clipped if w[0] < w[1] and w[2] < w[3])
+        # the mask keeps the frame's clusters of patch windows, which still
+        # hold its labels, so its digest may start at its first cluster; and
+        # labelling each cluster finds what labelling the whole image finds
+        assert mask.clusters == images.labels.clusters
+        _assert_clusters_hold_the_labels(mask)
+        assert orchestrator._mask_digest(mask) == orchestrator._array_digest(mask.data)
         for cls in ObjectClass:
             got = connected_components(mask, cls)
-            boxed = connected_components(LabelImage(mask.data), cls)
-            assert [c.bbox for c in got] == [c.bbox for c in boxed]
-            assert [(c.area, c.seed_pixel) for c in got] == [(c.area, c.seed_pixel) for c in boxed]
-            assert all(_same_bits(a.pixels, b.pixels) for a, b in zip(got, boxed))
-        rows, cols = np.nonzero(want.data)
-        if len(rows):
-            assert want.box == (rows.min(), rows.max() + 1, cols.min(), cols.max() + 1)
-        assert mask.box == want.box
+            whole = connected_components(LabelImage(mask.data), cls)
+            assert [c.bbox for c in got] == [c.bbox for c in whole]
+            assert [(c.area, c.seed_pixel) for c in got] == [(c.area, c.seed_pixel) for c in whole]
+            assert all(_same_bits(a.pixels, b.pixels) for a, b in zip(got, whole))
         assert targets == want_targets
         fd = frames[-1]
         digest = orchestrator._array_digest(want.data)
@@ -1148,7 +1159,7 @@ def test_step_loop_equals_fresh_views_on_generated_runs(cfg):
     event(f"patches move: {any(a.patches and b.patches for a, b in pairs)}")
     event(f"patches overlap: {any(map(_windows_overlap, frames))}")
     event(f"patches vanish: {any(a.patches and not b.patches for a, b in pairs)}")
-    # on frames with labels in view
+    # on frames with patches in view
     event(f"a mask no op changed: {any(unchanged)}")
     event(f"a mask an op changed: {not all(unchanged)}")
     # replay rebuilds every logged mask and target list
@@ -1515,8 +1526,11 @@ def labelled_masks(draw) -> np.ndarray:
 @example(data=_labelled((16, 8), [(0, 7, 1)]))
 @example(data=_labelled((16, 8), [(15, 0, 2)]))
 def test_mask_digest_equals_the_digest_of_the_dense_mask(data):
-    # the rows above the mask's box come from the cached floor prefix
-    assert orchestrator._mask_digest(LabelImage(data)) == orchestrator._array_digest(data)
+    # the rows above the mask's first cluster come from the cached floor
+    # prefix: none for the whole image, all of them for no cluster
+    clusters = camera.window_clusters([(r, r + 1, c, c + 1) for r, c in zip(*np.nonzero(data))])
+    for labels in (LabelImage(data), LabelImage(data, clusters)):
+        assert orchestrator._mask_digest(labels) == orchestrator._array_digest(data)
 
 
 def floats(lo: float, hi: float, **kwargs):
