@@ -292,61 +292,56 @@ def _pixel_window(obj: ObjectSpec, cam_pos, heading: float, k: Intrinsics):
     return r0, r1, c0, c1
 
 
-def _cast_box(obj: ObjectSpec, o_l: tuple[float, float, float], dlx, dly, dlz) -> np.ndarray:
+def _cast_box(obj: ObjectSpec, o_l: tuple[float, float, float], dlx, dly) -> np.ndarray:
+    # Slabs (Kay and Kajiya 1986) on nadir rays, d_z = -1: the z slab runs from
+    # o_z - height > 0 (``_pixel_window`` skips a top above the camera) to o_z.
     dims: BrickDims = obj.dims
-    half = (dims.length / 2.0, dims.width / 2.0)
-    t_near = np.full(dlx.shape, -np.inf)
-    t_far = np.full(dlx.shape, np.inf)
-    bounds = ((-half[0], half[0]), (-half[1], half[1]), (0.0, dims.height))
-    for axis, (lo, hi) in enumerate(bounds):
-        d = (dlx, dly, dlz)[axis]
-        o = o_l[axis]
-        # a near-zero d can overflow t1 and t2; the parallel test discards them
+    t_near, t_far = o_l[2] - dims.height, o_l[2]
+    for d, o, half in ((dlx, o_l[0], dims.length / 2.0), (dly, o_l[1], dims.width / 2.0)):
+        # a near-zero d can overflow t1 and t2; the parallel fix-up replaces them
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            t1 = (lo - o) / d
-            t2 = (hi - o) / d
+            t1 = (-half - o) / d
+            t2 = (half - o) / d
+        lo_t, hi_t = np.minimum(t1, t2), np.maximum(t1, t2)
         parallel = np.abs(d) < 1e-15
-        lo_t = np.where(parallel, np.where(lo <= o, -np.inf, np.inf), np.minimum(t1, t2))
-        hi_t = np.where(parallel, np.where(o <= hi, np.inf, -np.inf), np.maximum(t1, t2))
+        inside = -half <= o <= half
+        np.copyto(lo_t, -np.inf if inside else np.inf, where=parallel)
+        np.copyto(hi_t, np.inf if inside else -np.inf, where=parallel)
         t_near = np.maximum(t_near, lo_t)
         t_far = np.minimum(t_far, hi_t)
-    hit = (t_near <= t_far) & (t_near > 0.0)
-    return np.where(hit, t_near, np.inf)
+    return np.where(t_near <= t_far, t_near, np.inf)
 
 
-def _cast_cylinder(obj: ObjectSpec, o_l: tuple[float, float, float], dlx, dly, dlz) -> np.ndarray:
+def _cast_cylinder(obj: ObjectSpec, o_l: tuple[float, float, float], dlx, dly) -> np.ndarray:
     dims: PipeDims = obj.dims
     r, half_len = dims.radius, dims.length / 2.0
-    oy, oz = o_l[1], o_l[2] - r  # shift so the axis sits at local z = 0
-    # a ray far from the optical axis can overflow these; an infinite or
-    # NaN discriminant or root fails the tests below, as in ``_cast_box``
+    ox, oy, oz = o_l[0], o_l[1], o_l[2] - r  # shift so the axis sits at local z = 0
+    # the side's quadratic on nadir rays (d_z = -1); a ray far from the optical
+    # axis can overflow it, and an infinite or NaN discriminant or root fails
+    # the tests below, as in ``_cast_box``
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a = dly * dly + dlz * dlz
-        b = 2.0 * (oy * dly + oz * dlz)
-        c = oy * oy + oz * oz - r * r
-        disc = b * b - 4.0 * a * c
+        a = dly * dly + 1.0
+        b = 2.0 * (oy * dly - oz)
+        disc = b * b - 4.0 * a * (oy * oy + oz * oz - r * r)
         ok = disc >= 0.0
         sq = np.sqrt(np.where(ok, disc, 0.0))
         t_lo = (-b - sq) / (2.0 * a)
         t_hi = (-b + sq) / (2.0 * a)
+        hit_lo, hit_hi = (ok & (t > 0.0) & (np.abs(ox + t * dlx) <= half_len) for t in (t_lo, t_hi))
+        # t_lo <= t_hi, so the far root counts only where the near one misses
+        best = np.where(hit_hi, t_hi, np.inf)
+        np.copyto(best, t_lo, where=hit_lo)
 
-    best = np.full(dlx.shape, np.inf)
-    for t in (t_lo, t_hi):
-        x_at = o_l[0] + t * dlx
-        valid = ok & (t > 0.0) & (np.abs(x_at) <= half_len)
-        best = np.where(valid & (t < best), t, best)
-
-    # Flat end caps (vertical disks); grazing-only for a top-down camera but
-    # kept for exactness with tilted rays near the image border. A ray
-    # nearly parallel to the caps can overflow ``t_cap``; the dlx test
-    # discards it.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # Flat end caps (vertical disks): a ray tilted along the axis can
+        # enter through one. A ray nearly parallel to the caps can overflow
+        # ``t_cap``; the dlx test discards it.
+        tilted = np.abs(dlx) > 1e-15
         for sign in (-1.0, 1.0):
-            t_cap = (sign * half_len - o_l[0]) / dlx
+            t_cap = (sign * half_len - ox) / dlx
             y_at = oy + t_cap * dly
-            z_at = oz + t_cap * dlz
-            valid = (np.abs(dlx) > 1e-15) & (t_cap > 0.0) & (y_at * y_at + z_at * z_at <= r * r)
-            best = np.where(valid & (t_cap < best), t_cap, best)
+            z_at = oz - t_cap
+            valid = tilted & (t_cap > 0.0) & (y_at * y_at + z_at * z_at <= r * r)
+            np.copyto(best, t_cap, where=valid & (t_cap < best))
     return best
 
 
@@ -392,15 +387,15 @@ def render_full(scene: Scene, k: Intrinsics) -> RenderResult:
         # object-local frame: translate to object origin, rotate by -yaw
         cy_, sy_ = math.cos(obj.yaw), math.sin(obj.yaw)
         dlx = dx * cy_ + dy * sy_
-        dly = -dx * sy_ + dy * cy_
-        dlz = -1.0
+        dly = dy * cy_ - dx * sy_
         owx, owy = cam_x - obj.x, cam_y - obj.y
         o_l = (owx * cy_ + owy * sy_, -owx * sy_ + owy * cy_, floor_depth)
         if isinstance(obj.dims, BrickDims):
-            zeta = _cast_box(obj, o_l, dlx, dly, dlz)
+            zeta = _cast_box(obj, o_l, dlx, dly)
         else:
-            zeta = _cast_cylinder(obj, o_l, dlx, dly, dlz)
-        if not np.isfinite(zeta).any():
+            zeta = _cast_cylinder(obj, o_l, dlx, dly)
+        # a ray that only grazes the floor draws nothing
+        if not (zeta < floor_depth).any():
             continue
         patches.append(ObjectPatch(r0, r1, c0, c1, zeta, idx, obj.cls.label, obj.id))
 

@@ -251,11 +251,10 @@ class MaskComponent:
         return r0 == 0 or c0 == 0 or r1 == height or c1 == width
 
 
-def connected_components(
-    labels: LabelImage, cls: ObjectClass, min_area: int = A_MIN_COMPONENT_PX
-) -> list[MaskComponent]:
-    """8-connected components of one class, ordered by first raster pixel;
-    each cluster is labelled on its own, as no component spans two."""
+def connected_components(labels: LabelImage, cls: ObjectClass) -> list[MaskComponent]:
+    """8-connected components of one class of at least ``A_MIN_COMPONENT_PX``
+    pixels, ordered by first raster pixel; each cluster is labelled on its
+    own, as no component spans two."""
     code = cls.label
     comps = []
     for r0, r1, c0, c1 in labels.clusters:
@@ -273,7 +272,7 @@ def connected_components(
             cuts = np.flatnonzero(np.diff(labs[order])) + 1
             groups = zip(np.split(rows[order], cuts), np.split(cols[order], cuts))
         for rows, cols in groups:
-            if len(rows) < min_area:
+            if len(rows) < A_MIN_COMPONENT_PX:
                 continue
             pixels = np.stack([rows + r0, cols + c0], axis=1)
             comps.append(

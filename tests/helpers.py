@@ -5,8 +5,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from scipy import ndimage
 
+from clearbot import geometry
+from clearbot.camera import LabelImage
 from clearbot.geometry import MaskComponent
 from clearbot.orchestrator import (
     MessageBus,
@@ -32,6 +35,14 @@ class Recorder:
 
     def log(self) -> tuple[MessageEnvelope, ...]:
         return tuple(self._log)
+
+
+def components(labels: LabelImage, cls: ObjectClass, min_area: int = 1) -> list[MaskComponent]:
+    """``connected_components`` with the run's area floor lowered to
+    ``min_area``, for masks that hold smaller components."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "A_MIN_COMPONENT_PX", min_area)
+        return geometry.connected_components(labels, cls)
 
 
 def run_recorded(cfg: ScenarioConfig) -> tuple[RunReport, Simulation, Recorder]:

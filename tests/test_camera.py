@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from clearbot import camera
 from clearbot.camera import (
@@ -30,7 +31,6 @@ from clearbot.camera import (
     render,
     render_full,
 )
-from clearbot.geometry import connected_components
 from clearbot.orchestrator import FrameData, ScenarioConfig
 from clearbot.scene import (
     BrickDims,
@@ -43,6 +43,8 @@ from clearbot.scene import (
     object_footprint,
     robot_to_world,
 )
+
+from helpers import components
 
 NADIR_CAM = CameraMount(0.0, 0.0, 1.2)
 
@@ -402,11 +404,7 @@ def test_an_unknown_code_in_any_cluster_raises(case, drawn):
     # a code above 2 in any of them is found, as it is anywhere in an image
     # built without clusters
     data, _ = case
-    windows = [
-        comp.bbox
-        for cls in ObjectClass
-        for comp in connected_components(LabelImage(data), cls, min_area=1)
-    ]
+    windows = [comp.bbox for cls in ObjectClass for comp in components(LabelImage(data), cls)]
     windows += drawn.draw(st.lists(windows_in(data.shape), min_size=0 if windows else 1, max_size=3))
     clusters = camera.window_clusters(windows)
     labels = LabelImage(data, clusters)
@@ -553,9 +551,144 @@ def test_cylinder_cast_ignores_overflow_on_far_off_axis_rays():
     # overflowed roots are discarded, so only the rays near the axis hit
     obj = pipe("p", 0.0, 0.0)
     d = np.array([[0.0, 1e-3, 1e300]])
-    zeta = camera._cast_cylinder(obj, np.array([0.0, 0.0, 1.2]), np.zeros_like(d), d, -1.0)
+    zeta = camera._cast_cylinder(obj, np.array([0.0, 0.0, 1.2]), np.zeros_like(d), d)
     assert zeta[0, 0] == pytest.approx(1.2 - 0.06) and zeta[0, 1] < np.inf
     assert zeta[0, 2] == np.inf
+
+
+# --- the nadir casts against the general ones -------------------------------------
+
+
+def _reference_cast_box(obj: ObjectSpec, o_l: tuple[float, float, float], dlx, dly, dlz) -> np.ndarray:
+    """Reference ``_cast_box``: three slabs for any ray direction."""
+    dims: BrickDims = obj.dims
+    half = (dims.length / 2.0, dims.width / 2.0)
+    t_near = np.full(dlx.shape, -np.inf)
+    t_far = np.full(dlx.shape, np.inf)
+    bounds = ((-half[0], half[0]), (-half[1], half[1]), (0.0, dims.height))
+    for axis, (lo, hi) in enumerate(bounds):
+        d = (dlx, dly, dlz)[axis]
+        o = o_l[axis]
+        # a near-zero d can overflow t1 and t2; the parallel test discards them
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            t1 = (lo - o) / d
+            t2 = (hi - o) / d
+        parallel = np.abs(d) < 1e-15
+        lo_t = np.where(parallel, np.where(lo <= o, -np.inf, np.inf), np.minimum(t1, t2))
+        hi_t = np.where(parallel, np.where(o <= hi, np.inf, -np.inf), np.maximum(t1, t2))
+        t_near = np.maximum(t_near, lo_t)
+        t_far = np.minimum(t_far, hi_t)
+    hit = (t_near <= t_far) & (t_near > 0.0)
+    return np.where(hit, t_near, np.inf)
+
+
+def _reference_cast_cylinder(obj: ObjectSpec, o_l: tuple[float, float, float], dlx, dly, dlz) -> np.ndarray:
+    """Reference ``_cast_cylinder``: the quadratic for any ray direction."""
+    dims: PipeDims = obj.dims
+    r, half_len = dims.radius, dims.length / 2.0
+    oy, oz = o_l[1], o_l[2] - r  # shift so the axis sits at local z = 0
+    # a ray far from the optical axis can overflow these; an infinite or
+    # NaN discriminant or root fails the tests below, as in ``_cast_box``
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a = dly * dly + dlz * dlz
+        b = 2.0 * (oy * dly + oz * dlz)
+        c = oy * oy + oz * oz - r * r
+        disc = b * b - 4.0 * a * c
+        ok = disc >= 0.0
+        sq = np.sqrt(np.where(ok, disc, 0.0))
+        t_lo = (-b - sq) / (2.0 * a)
+        t_hi = (-b + sq) / (2.0 * a)
+
+    best = np.full(dlx.shape, np.inf)
+    for t in (t_lo, t_hi):
+        x_at = o_l[0] + t * dlx
+        valid = ok & (t > 0.0) & (np.abs(x_at) <= half_len)
+        best = np.where(valid & (t < best), t, best)
+
+    # Flat end caps (vertical disks); grazing-only for a top-down camera but
+    # kept for exactness with tilted rays near the image border. A ray
+    # nearly parallel to the caps can overflow ``t_cap``; the dlx test
+    # discards it.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for sign in (-1.0, 1.0):
+            t_cap = (sign * half_len - o_l[0]) / dlx
+            y_at = oy + t_cap * dly
+            z_at = oz + t_cap * dlz
+            valid = (np.abs(dlx) > 1e-15) & (t_cap > 0.0) & (y_at * y_at + z_at * z_at <= r * r)
+            best = np.where(valid & (t_cap < best), t_cap, best)
+    return best
+
+
+#: ray direction components where the parallel and overflow tests decide,
+#: and 1e90, whose ray from just above a pipe can round to a root behind it
+_EDGE_DIRECTIONS = [
+    s * v
+    for s in (1.0, -1.0)
+    for v in (0.0, 1e-16, np.nextafter(1e-15, 0.0), 1e-15, np.nextafter(1e-15, 1.0), 1e-14, 1e90, 1e300)
+]
+
+
+@st.composite
+def nadir_casts(draw):
+    """An object, a ray origin above its top and a grid of ray directions.
+
+    The origin is drawn near the object, on a face's plane, or an ulp
+    above its top, and each direction either aims at a floor point near the
+    object or is one of ``_EDGE_DIRECTIONS``.
+    """
+    if draw(st.booleans()):
+        length = draw(st.floats(0.01, 0.5))
+        dims = BrickDims(length, draw(st.floats(0.01, length)), draw(st.floats(0.01, 0.3)))
+        obj = brick("b", 0.0, 0.0, dims=dims)
+        halves = (dims.length / 2.0, dims.width / 2.0)
+    else:
+        dims = PipeDims(draw(st.floats(0.005, 0.1)), draw(st.floats(0.02, 0.6)))
+        obj = pipe("p", 0.0, 0.0, dims=dims)
+        halves = (dims.length / 2.0, dims.radius)
+    top = obj.top_height
+    o_z = draw(st.one_of(st.just(np.nextafter(top, 3.0)), st.floats(top, 3.0, exclude_min=True)))
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    o_l, grids = [], []
+    for half in halves:
+        o = draw(st.one_of(st.sampled_from([0.0, -half, half]), st.floats(-3.0 * half, 3.0 * half)))
+        aimed = st.floats(-2.0, 2.0).map(lambda f, o=o, half=half: (f * half - o) / o_z)
+        edge = st.sampled_from(_EDGE_DIRECTIONS)
+        grids.append(draw(hnp.arrays(np.float64, shape, elements=st.one_of(aimed, edge))))
+        o_l.append(o)
+    return obj, (*o_l, o_z), grids[0], grids[1]
+
+
+# a ray in a brick's side plane; a pipe seen from one ray on its axis and one
+# past its cap; rays whose quadratic overflows; a flat ray from an ulp above
+# a pipe, whose roots round to just behind the origin; a ray that enters a
+# cap; and one that runs 1e-15 from a cap's plane, and would meet it
+@example((brick("b", 0.0, 0.0), (0.1, 0.0, 1.2), np.array([[0.0, -0.1]]), np.array([[0.0, 1e-16]])))
+@example((pipe("p", 0.0, 0.0), (0.0, 0.0, 1.2), np.array([[0.0, 0.2]]), np.array([[0.0, 0.0]])))
+@example((pipe("p", 0.0, 0.0), (0.0, 0.01, 1.2), np.array([[0.0, 1e300]]), np.array([[1e300, -1e300]])))
+@example((pipe("p", 0.0, 0.0), (0.0, 0.05, np.nextafter(0.06, 1.0)), np.zeros((1, 1)), np.full((1, 1), 1e90)))
+@example((pipe("p", 0.0, 0.0), (0.3, 0.0, 1.2), np.array([[-0.085]]), np.zeros((1, 1))))
+@example(
+    (
+        pipe("p", 0.0, 0.0, dims=PipeDims(0.05, 0.2)),
+        (0.1 + 2 * np.spacing(0.1), 0.0, 0.11),
+        np.full((1, 1), -1e-15),
+        np.zeros((1, 1)),
+    )
+)
+@settings(deadline=None, max_examples=400)
+@given(nadir_casts())
+def test_nadir_casts_equal_the_general_casts(case):
+    # the casts on d_z = -1 give the general casts' bits, parallel, grazing
+    # and overflowing rays included, and raise no floating-point warning
+    obj, o_l, dlx, dly = case
+    if isinstance(obj.dims, BrickDims):
+        cast, reference = camera._cast_box, _reference_cast_box
+    else:
+        cast, reference = camera._cast_cylinder, _reference_cast_cylinder
+    with np.errstate(all="ignore"):
+        want = reference(obj, o_l, dlx, dly, -1.0)
+    got = cast(obj, o_l, dlx, dly)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # --- render culling and windowed instance scans ----------------------------------
@@ -722,9 +855,9 @@ def _reference_render(scene, k):
                 o_world[2],
             ]
         )
-        cast = camera._cast_box if isinstance(obj.dims, BrickDims) else camera._cast_cylinder
+        cast = _reference_cast_box if isinstance(obj.dims, BrickDims) else _reference_cast_cylinder
         zeta = cast(obj, o_l, dlx, dly, -1.0)
-        if np.isfinite(zeta).any():
+        if (zeta < floor_depth).any():
             patches.append((r0, r1, c0, c1, idx, obj.cls.label, zeta.tobytes()))
     return floor_depth, patches, culled
 

@@ -48,7 +48,7 @@ from clearbot.geometry import (
 )
 from clearbot.scene import ArmMount, CameraMount, ObjectClass
 
-from helpers import component_from_pixels
+from helpers import component_from_pixels, components
 
 IDENTITY = RigidTransform(np.eye(3), np.zeros(3), src=Frame.CAMERA, dst=Frame.ARM)
 
@@ -346,7 +346,7 @@ def test_components_cut_rectangle_splits_in_two():
 def test_components_diagonal_pixels_are_eight_connected():
     mask = np.zeros((8, 8), bool)
     mask[2, 2] = mask[3, 3] = mask[4, 4] = True
-    comps = connected_components(labels_of(mask), ObjectClass.BRICK, min_area=1)
+    comps = components(labels_of(mask), ObjectClass.BRICK)
     assert len(comps) == 1 and comps[0].area == 3
 
 
@@ -354,7 +354,7 @@ def test_components_match_flood_fill_oracle():
     rng = np.random.default_rng(30)
     for _ in range(5):
         mask = rng.random((40, 60)) < 0.35
-        got = connected_components(labels_of(mask), ObjectClass.BRICK, min_area=1)
+        got = components(labels_of(mask), ObjectClass.BRICK)
         want = flood_fill_components(mask)
         assert len(got) == len(want)
         for comp, px in zip(got, want):
@@ -380,11 +380,11 @@ def test_components_respect_class_code():
 def test_component_touches_border():
     mask = np.zeros((16, 16), bool)
     mask[0:4, 3:8] = True
-    comp = connected_components(labels_of(mask), ObjectClass.BRICK, min_area=1)[0]
+    comp = components(labels_of(mask), ObjectClass.BRICK)[0]
     assert comp.touches_border(width=16, height=16)
     inner = np.zeros((16, 16), bool)
     inner[5:9, 5:9] = True
-    comp2 = connected_components(labels_of(inner), ObjectClass.BRICK, min_area=1)[0]
+    comp2 = components(labels_of(inner), ObjectClass.BRICK)[0]
     assert not comp2.touches_border(width=16, height=16)
 
 
@@ -394,7 +394,7 @@ def test_component_touches_border():
 def square_component(r0: int, c0: int, side: int, shape=(128, 160)) -> MaskComponent:
     mask = np.zeros(shape, bool)
     mask[r0 : r0 + side, c0 : c0 + side] = True
-    return connected_components(labels_of(mask), ObjectClass.BRICK, min_area=1)[0]
+    return components(labels_of(mask), ObjectClass.BRICK)[0]
 
 
 def test_center_of_uniform_depth_square():
@@ -444,7 +444,7 @@ def test_center_stays_on_symmetry_axis():
     mask = np.zeros((128, 160), bool)
     mask[58:63, 70:91] = True
     mask[50:71, 78:83] = True
-    comp = connected_components(labels_of(mask), ObjectClass.BRICK, min_area=1)[0]
+    comp = components(labels_of(mask), ObjectClass.BRICK)[0]
     center = component_center_3d(comp, DepthImage(np.full((128, 160), 1.0)), DEFAULT_INTRINSICS)
     u = center.x * DEFAULT_INTRINSICS.fx / center.z + DEFAULT_INTRINSICS.cx
     v = center.y * DEFAULT_INTRINSICS.fy / center.z + DEFAULT_INTRINSICS.cy
@@ -553,7 +553,7 @@ def raster_rect(theta: float, long_px: float = 60.0, short_px: float = 14.0,
     u = x * c + y * s
     v = -x * s + y * c
     mask = (np.abs(u) <= long_px / 2.0) & (np.abs(v) <= short_px / 2.0)
-    return connected_components(labels_of(mask), ObjectClass.BRICK, min_area=1)[0]
+    return components(labels_of(mask), ObjectClass.BRICK)[0]
 
 
 def grid_search_orientation(comp: MaskComponent, steps: int = 3600) -> float:
@@ -755,7 +755,7 @@ def blob_label_images(draw) -> np.ndarray:
 def test_kernels_match_the_all_pixel_reference(data, min_area, order):
     labels = LabelImage(data)
     for cls in (ObjectClass.BRICK, ObjectClass.PIPE):
-        got = connected_components(labels, cls, min_area)
+        got = components(labels, cls, min_area)
         want = reference_components(labels, cls, min_area)
         assert len(got) == len(want)
         for a, b in zip(got, want):
@@ -791,7 +791,7 @@ def test_components_on_window_clusters_match_the_all_pixel_reference(case):
     data, windows = case
     labels = LabelImage(data, window_clusters(windows))
     for cls in (ObjectClass.BRICK, ObjectClass.PIPE):
-        got = connected_components(labels, cls, min_area=1)
+        got = components(labels, cls)
         want = reference_components(labels, cls, min_area=1)
         assert len(got) == len(want)
         for a, b in zip(got, want):
@@ -825,7 +825,7 @@ def salt_and_pepper(draw) -> np.ndarray:
 @example(mask=mask_of("###...#", "#...#.#", ".#.#.#.", ".###..#"))
 def test_run_labelling_matches_ndimage_on_salt_and_pepper(mask):
     labels = labels_of(mask)
-    got = connected_components(labels, ObjectClass.BRICK, min_area=1)
+    got = components(labels, ObjectClass.BRICK)
     want = reference_components(labels, ObjectClass.BRICK, min_area=1)
     assert len(got) == len(want)
     for a, b in zip(got, want):

@@ -1054,6 +1054,33 @@ def _lane_of_two() -> ScenarioConfig:
     )
 
 
+def _floor_graze() -> ScenarioConfig:
+    """Frame 0 sees the brick's side only along rays that meet it at the
+    floor: its one finite depth is the floor depth, which draws nothing."""
+    pipe = ObjectSpec("o0", ObjectClass.PIPE, PipeDims(0.03125, 0.25), 0.4, 0.0, 0.0)
+    narrow = ObjectSpec("o1", ObjectClass.BRICK, BrickDims(0.02, 0.02, 0.125), 0.8, 0.0, 0.0)
+    return tiny_scenario(
+        [pipe, narrow],
+        intrinsics=Intrinsics(fx=10.0, fy=10.0, cx=4.0, cy=4.0, width=8, height=8),
+        ugv_end=(2.0, 0.0),
+        frame_period=0.2,
+        injections=(DepthBiasInjection("o0", 0.02),),
+    )
+
+
+def _pipe_behind_a_brick() -> ScenarioConfig:
+    """In frames 0 and 1 the brick's top hides both of the thin pipe's hits:
+    its patch is in view but draws no pixel."""
+    tall = ObjectSpec("o0", ObjectClass.BRICK, BrickDims(0.15, 0.15, 0.2), 1.35, 0.0, 0.0)
+    thin = ObjectSpec("o1", ObjectClass.PIPE, PipeDims(0.005, 0.05), 1.46, 0.0, 0.0)
+    return tiny_scenario(
+        [tall, thin],
+        intrinsics=Intrinsics(fx=60.0, fy=60.0, cx=32.0, cy=32.0, width=64, height=64),
+        ugv_end=(2.0, 0.0),
+        frame_period=0.2,
+    )
+
+
 def _assert_clusters_hold_the_labels(labels: LabelImage) -> None:
     """The clusters are sorted, no two touch (diagonally included), every
     labelled pixel lies in one of them, and the counts over them are a
@@ -1072,6 +1099,8 @@ def _assert_clusters_hold_the_labels(labels: LabelImage) -> None:
 
 @settings(deadline=None, max_examples=200)
 @example(cfg=_lane_of_two())
+@example(cfg=_floor_graze())
+@example(cfg=_pipe_behind_a_brick())
 @given(cfg=short_runs())
 def test_step_loop_equals_fresh_views_on_generated_runs(cfg):
     # Every capture is composed into the canvas of the one before, and its
@@ -1095,9 +1124,11 @@ def test_step_loop_equals_fresh_views_on_generated_runs(cfg):
             assert _same_bits(a, b)
         assert view.labels.clusters == fresh.labels.clusters
         _assert_clusters_hold_the_labels(fresh.labels)
-        # every patch draws a pixel, so a view has clusters just when it has
-        # labels, and perceiving may skip a view without clusters
-        assert all(fresh.labels.data[r0:r1, c0:c1].any() for r0, r1, c0, c1 in fresh.labels.clusters)
+        # every patch has a hit nearer than the floor (an occluded one may
+        # still draw nothing), and perceiving may skip a view without
+        # clusters, since such a view has no labelled pixel
+        assert all((p.zbuf < fd.floor_depth).any() for p in fd.patches)
+        assert fresh.labels.clusters or not fresh.labels.data.any()
         assert view.instances.windows == fresh.instances.windows
         # the depth the log hashed at capture is the fresh view's, whether
         # its noise was drawn ahead on the worker or on the spot
