@@ -21,14 +21,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Protocol
 
-from .geometry import (
-    DEFAULT_ENVELOPE,
-    Frame,
-    GraspTarget,
-    Point3,
-    ReachEnvelope,
-    in_reach,
-)
+from .geometry import DEFAULT_ENVELOPE, Frame, Point3, ReachEnvelope, in_reach
 from .scene import BrickDims, ObjectSpec, PipeDims
 
 
@@ -83,19 +76,20 @@ class ArmConfig:
     adaptive_order: bool = False
 
     def __post_init__(self) -> None:
+        # the chained comparisons also reject NaN, which compares false
         for phase, dur in self.phase_durations.items():
             if phase is MotionPhase.HOME:
                 raise ValueError("the home pose has no duration entry")
-            if dur <= 0.0:
-                raise ValueError(f"{phase.value} duration must be positive")
+            if not 0.0 < dur < math.inf:
+                raise ValueError(f"{phase.value} duration must be positive and finite")
         missing = set(DEFAULT_PHASE_DURATIONS) - set(self.phase_durations)
         if missing:
             names = ", ".join(sorted(p.value for p in missing))
             raise ValueError(f"missing phase durations: {names}")
-        if self.position_tolerance <= 0 or self.yaw_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.gripper_max_opening <= 0:
-            raise ValueError("gripper opening must be positive")
+        if not (0.0 < self.position_tolerance < math.inf and 0.0 < self.yaw_tolerance < math.inf):
+            raise ValueError("tolerances must be positive and finite")
+        if not 0.0 < self.gripper_max_opening < math.inf:
+            raise ValueError("gripper opening must be positive and finite")
         if not (0.0 <= self.boundary_margin < self.envelope.r_max - self.envelope.r_min):
             raise ValueError("boundary margin must fit inside the envelope")
         if not in_reach(self.drop_pose, self.envelope):
@@ -160,21 +154,25 @@ class Arm:
 
     def execute_pick(
         self,
-        target: GraspTarget,
+        center: Point3,
+        yaw: float,
         truth: ObjectSpec,
         clock: Clock,
         floor_z: float,
     ) -> PickResult:
-        """Run the pick sequence against the true object pose.
+        """Grasp at ``center`` with the jaws' axis at ``yaw``, against the
+        true object pose.
 
-        ``truth`` carries the object pose expressed in the arm frame;
-        ``floor_z`` is the workspace floor height in the arm frame; a
-        :class:`GraspTarget` is always in the arm frame.
+        ``center`` must be in the arm frame, or the reach check raises
+        :class:`FrameMismatch`; ``yaw`` is an undirected axis, so it and
+        ``yaw + pi`` grasp alike. ``truth`` carries the object pose
+        expressed in the arm frame; ``floor_z`` is the workspace floor
+        height in the arm frame.
         """
         cfg = self.config
-        xy_error = math.hypot(target.center.x - truth.x, target.center.y - truth.y)
-        z_error = abs(target.center.z - (floor_z + truth.top_height))
-        yaw_error = fold_yaw_error(target.yaw, truth.yaw)
+        xy_error = math.hypot(center.x - truth.x, center.y - truth.y)
+        z_error = abs(center.z - (floor_z + truth.top_height))
+        yaw_error = fold_yaw_error(yaw, truth.yaw)
         width = effective_grasp_width(truth, yaw_error)
         grasp_ok = (
             xy_error <= cfg.position_tolerance
@@ -182,8 +180,7 @@ class Arm:
             and yaw_error <= cfg.yaw_tolerance
             and width <= cfg.gripper_max_opening
         )
-        target_radius = math.hypot(target.center.x, target.center.y)
-        near_boundary = target_radius >= cfg.envelope.r_max - cfg.boundary_margin
+        near_boundary = math.hypot(center.x, center.y) >= cfg.envelope.r_max - cfg.boundary_margin
 
         start = clock.now()
         trace: list[tuple[MotionPhase, float, float]] = []
@@ -212,7 +209,7 @@ class Arm:
                 start_time=start,
             )
 
-        if not in_reach(target.center, cfg.envelope):
+        if not in_reach(center, cfg.envelope):
             return result(PickOutcome.UNREACHABLE)  # no motion at all
 
         for phase in cfg.phase_order():

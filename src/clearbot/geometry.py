@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -240,11 +241,25 @@ def _run_components(mask: np.ndarray) -> tuple[list[int], np.ndarray]:
 
 @dataclass(frozen=True)
 class MaskComponent:
+    """One class's 8-connected pixels: row and column indices, raster order."""
+
     cls: ObjectClass
-    pixels: np.ndarray  # (N, 2) rows of (row, col), raster order
-    area: int
-    bbox: tuple[int, int, int, int]  # r0, r1, c0, c1 half-open
-    seed_pixel: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+
+    @property
+    def area(self) -> int:
+        return len(self.rows)
+
+    @property
+    def seed_pixel(self) -> tuple[int, int]:
+        return int(self.rows[0]), int(self.cols[0])
+
+    @cached_property
+    def bbox(self) -> tuple[int, int, int, int]:
+        """r0, r1, c0, c1, half-open; raster order puts the rows at the ends."""
+        cols = self.cols
+        return int(self.rows[0]), int(self.rows[-1]) + 1, int(cols.min()), int(cols.max()) + 1
 
     def touches_border(self, width: int, height: int) -> bool:
         r0, r1, c0, c1 = self.bbox
@@ -271,25 +286,12 @@ def connected_components(labels: LabelImage, cls: ObjectClass) -> list[MaskCompo
             order = np.argsort(labs, kind="stable")
             cuts = np.flatnonzero(np.diff(labs[order])) + 1
             groups = zip(np.split(rows[order], cuts), np.split(cols[order], cuts))
-        for rows, cols in groups:
-            if len(rows) < A_MIN_COMPONENT_PX:
-                continue
-            pixels = np.stack([rows + r0, cols + c0], axis=1)
-            comps.append(
-                MaskComponent(
-                    cls=cls,
-                    pixels=pixels,
-                    area=len(pixels),
-                    bbox=(
-                        int(pixels[0, 0]),
-                        int(pixels[-1, 0]) + 1,
-                        int(cols.min()) + c0,
-                        int(cols.max()) + c0 + 1,
-                    ),
-                    seed_pixel=(int(pixels[0, 0]), int(pixels[0, 1])),
-                )
-            )
-    comps.sort(key=lambda cmp: (cmp.seed_pixel[0], cmp.seed_pixel[1]))
+        comps += [
+            MaskComponent(cls, rows + r0, cols + c0)
+            for rows, cols in groups
+            if len(rows) >= A_MIN_COMPONENT_PX
+        ]
+    comps.sort(key=lambda cmp: cmp.seed_pixel)
     return comps
 
 
@@ -297,8 +299,7 @@ def component_center_3d(
     component: MaskComponent, depth: DepthImage, k: Intrinsics
 ) -> Point3:
     """Camera-frame 3-D center: mean pixel at the median valid depth."""
-    rows = component.pixels[:, 0]
-    cols = component.pixels[:, 1]
+    rows, cols = component.rows, component.cols
     z = depth.data[rows, cols]
     z = z[z > 0.0]
     n = len(z)
@@ -386,9 +387,8 @@ def principal_orientation(component: MaskComponent) -> float:
     # projection c*ux + r*uy is monotone in c, so the caliper extremes over
     # these points equal those over all pixels, bit for bit. Projecting the
     # hull vertices alone would not do: a point inside a hull edge can round
-    # differently in the last ulp. Needs the raster order of ``pixels``.
-    pixels = component.pixels
-    rows, cols = pixels[:, 0], pixels[:, 1]
+    # differently in the last ulp. Needs the raster order of the pixels.
+    rows, cols = component.rows, component.cols
     breaks = np.concatenate(([True], rows[1:] != rows[:-1], [True]))
     starts, ends = breaks[:-1], breaks[1:]
     # Python ints: the chain's scalar arithmetic is far slower on numpy scalars
@@ -413,7 +413,8 @@ def principal_orientation(component: MaskComponent) -> float:
     # elementwise c*ux + r*uy each round differently in the last ulp, and
     # the extremes must be those of the all-pixel projection bit for bit.
     dirs = np.array([d for ux, uy in units for d in (ux, uy, -uy, ux)])
-    pts = pixels[starts | ends, ::-1].astype(float)  # (col, row)
+    sel = starts | ends
+    pts = np.stack([cols[sel], rows[sel]], axis=1).astype(float)  # (col, row)
     proj = np.matmul(pts, dirs.reshape(-1, 2, 1))
     extent = (proj.max(axis=1) - proj.min(axis=1)).reshape(-1, 2)
     best = None
@@ -461,10 +462,11 @@ class ReachEnvelope:
     z_max: float = 0.50
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.r_min < self.r_max):
-            raise ValueError("need 0 <= r_min < r_max")
-        if self.z_min >= self.z_max:
-            raise ValueError("need z_min < z_max")
+        # the chained comparisons also reject NaN, which compares false
+        if not 0.0 <= self.r_min < self.r_max < math.inf:
+            raise ValueError("need 0 <= r_min < r_max, all finite")
+        if not -math.inf < self.z_min < self.z_max < math.inf:
+            raise ValueError("need z_min < z_max, both finite")
 
 
 DEFAULT_ENVELOPE = ReachEnvelope()
@@ -478,19 +480,3 @@ def in_reach(p: Point3, envelope: ReachEnvelope = DEFAULT_ENVELOPE) -> bool:
         envelope.r_min <= r <= envelope.r_max
         and envelope.z_min <= p.z <= envelope.z_max
     )
-
-
-@dataclass(frozen=True)
-class GraspTarget:
-    """A pick request in the arm frame: where, at what yaw, what class."""
-
-    center: Point3
-    yaw: float
-    cls: ObjectClass
-    component_index: int
-    frame_seq: int
-
-    def __post_init__(self) -> None:
-        if self.center.frame is not Frame.ARM:
-            raise FrameMismatch("grasp targets live in the arm frame")
-        object.__setattr__(self, "yaw", self.yaw % math.pi)

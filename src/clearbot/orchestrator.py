@@ -56,7 +56,6 @@ from .camera import (
 )
 from .geometry import (
     Frame,
-    GraspTarget,
     InsufficientDepth,
     MaskComponent,
     Point3,
@@ -345,15 +344,6 @@ class TargetRecord:
     in_reach: bool
     border: bool
 
-    def to_grasp_target(self, frame_seq: int) -> GraspTarget:
-        return GraspTarget(
-            center=Point3(self.center[0], self.center[1], self.center[2], Frame.ARM),
-            yaw=self.yaw,
-            cls=ObjectClass(self.cls),
-            component_index=self.component_index,
-            frame_seq=frame_seq,
-        )
-
 
 @dataclass(frozen=True)
 class GraspTargetsPayload:
@@ -536,6 +526,14 @@ def validate_config(cfg: ScenarioConfig) -> list[tuple[str, str]]:
             ends_ok = False
     if cfg.path_length() <= 0:
         errors.append(("ugv.end", "path start and end coincide"))
+    cam, mount = cfg.camera_mount, cfg.arm_mount
+    for path, values in (
+        ("camera.mount_xy", (cam.x, cam.y)),
+        ("camera.height_m", (cam.height,)),
+        ("arm.mount", (mount.x, mount.y, mount.z, mount.yaw)),
+    ):
+        if not all(math.isfinite(v) for v in values):
+            errors.append((path, "must be finite"))
     if speed_ok and period_ok and ends_ok:
         frames = cfg.path_length() / (cfg.speed * cfg.frame_period)
         # each object can cost one stop: the braking lag and one pick
@@ -639,10 +637,9 @@ def compute_targets(
 
 def match_component(comp: MaskComponent, instances: InstanceImage) -> str:
     """Ground-truth object behind a mask component (majority pixel vote)."""
-    rows, cols = comp.pixels[:, 0], comp.pixels[:, 1]
     # no op labels a floor pixel, and compose writes a pixel's label and
     # index together: every vote is the obj_index of the patch that drew it
-    votes = instances.index[rows, cols]
+    votes = instances.index[comp.rows, comp.cols]
     winner = int(np.bincount(votes).argmax())
     return next(oid for oid, (idx, _) in instances.windows.items() if idx == winner)
 
@@ -895,7 +892,7 @@ class Simulation:
             ArmCommandPayload(frame_index=fd.frame_index, target=rec, matched_id=matched),
         )
         self.clock.advance(t_cmd - self.clock.now())
-        self._execute_attempt(rec, comp, matched, fd.frame_index, images)
+        self._execute_attempt(rec, comp, matched, images)
         self.state = PipelineState.RESUMING
 
     def _step_resuming(self) -> None:
@@ -932,14 +929,13 @@ class Simulation:
         rec: TargetRecord,
         comp: MaskComponent,
         matched: str,
-        frame_index: int,
         images: FrameImages,
     ) -> None:
         truth_world = self.scene.object_by_id(matched)
         truth_arm = self._truth_in_arm_frame(truth_world)
         floor_z = -self.cfg.arm_mount.z
-        grasp = rec.to_grasp_target(frame_seq=frame_index)
-        result: PickResult = self.arm.execute_pick(grasp, truth_arm, self.clock, floor_z)
+        center = Point3(*rec.center, Frame.ARM)
+        result = self.arm.execute_pick(center, rec.yaw, truth_arm, self.clock, floor_z)
 
         diag = self._diagnose(rec, comp, matched, images, truth_arm, result, floor_z)
         attribution: tuple[str, ...] = ()
@@ -995,7 +991,7 @@ class Simulation:
     ) -> AttemptDiagnostics:
         # mask quality: the attempted component alone against the true mask
         canvas = np.zeros(images.labels.data.shape, dtype=np.uint8)
-        canvas[comp.pixels[:, 0], comp.pixels[:, 1]] = comp.cls.label
+        canvas[comp.rows, comp.cols] = comp.cls.label
         iou = mask_iou(LabelImage(canvas, (comp.bbox,)), images.labels, comp)
 
         # depth quality over the object's true pixels

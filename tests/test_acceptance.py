@@ -54,7 +54,7 @@ from clearbot.scene import (
 )
 from clearbot.segmentation import segment
 
-from helpers import Recorder, component_from_pixels
+from helpers import Recorder
 
 
 @contextmanager
@@ -206,9 +206,7 @@ def test_criterion_05_orientation_estimator():
             assert gap(principal_orientation(comp), float(theta)) <= math.radians(2.0)
 
         base = rect_component(0.6)
-        moved = component_from_pixels(
-            ObjectClass.BRICK, base.pixels + np.array([[9, -17]])
-        )
+        moved = MaskComponent(ObjectClass.BRICK, base.rows + 9, base.cols - 17)
         assert principal_orientation(moved) == principal_orientation(base)
 
 

@@ -15,7 +15,7 @@ from clearbot.arm import (
     effective_grasp_width,
     fold_yaw_error,
 )
-from clearbot.geometry import Frame, GraspTarget, Point3, ReachEnvelope
+from clearbot.geometry import Frame, FrameMismatch, Point3, ReachEnvelope
 from clearbot.scene import (
     BrickDims,
     ObjectClass,
@@ -47,23 +47,18 @@ def arm_truth(x: float, y: float, yaw: float = 0.0, dims=BRICK_DIMS,
     return ObjectSpec(oid, cls, dims, x, y, yaw)
 
 
-def target_for(truth: ObjectSpec, dx=0.0, dy=0.0, dz=0.0, dyaw=0.0) -> GraspTarget:
-    return GraspTarget(
-        center=Point3(
-            truth.x + dx, truth.y + dy, FLOOR_Z + truth.top_height + dz, Frame.ARM
-        ),
-        yaw=truth.yaw + dyaw,
-        cls=truth.cls,
-        component_index=0,
-        frame_seq=0,
-    )
+def target_for(truth: ObjectSpec, dx=0.0, dy=0.0, dz=0.0, dyaw=0.0) -> tuple[Point3, float]:
+    """The grasp center and yaw of a pick at ``truth``, off by the given errors."""
+    center = Point3(truth.x + dx, truth.y + dy, FLOOR_Z + truth.top_height + dz, Frame.ARM)
+    return center, truth.yaw + dyaw
 
 
-def run_pick(truth: ObjectSpec, target: GraspTarget, config: ArmConfig = ArmConfig(),
-             t0: float = 0.0):
+def run_pick(truth: ObjectSpec, target: tuple[Point3, float],
+             config: ArmConfig = ArmConfig(), t0: float = 0.0):
     arm = Arm(config)
     clock = FakeClock(t0)
-    result = arm.execute_pick(target, truth, clock, FLOOR_Z)
+    center, yaw = target
+    result = arm.execute_pick(center, yaw, truth, clock, FLOOR_Z)
     return arm, clock, result
 
 
@@ -242,11 +237,29 @@ def test_boundary_trigger_uses_margin_from_r_max():
 
 
 def test_commanded_yaw_is_half_turn_invariant():
+    # a yaw and its half turn are one jaw axis, and the arm folds them alike
     truth = arm_truth(0.5, 0.0, 0.4)
-    _, _, a = run_pick(truth, target_for(truth))
-    _, _, b = run_pick(truth, target_for(truth, dyaw=math.pi))
-    assert b.outcome is a.outcome is PickOutcome.SUCCESS
-    assert b.yaw_error == pytest.approx(a.yaw_error, abs=1e-12)
+    for dyaw, outcome in (
+        (0.0, PickOutcome.SUCCESS),
+        (math.radians(11.0), PickOutcome.MISSED_GRASP),
+        (math.radians(80.0), PickOutcome.MISSED_GRASP),
+    ):
+        center, yaw = target_for(truth, dyaw=dyaw)
+        _, clock_a, a = run_pick(truth, (center, yaw))
+        _, clock_b, b = run_pick(truth, (center, yaw + math.pi))
+        assert b.outcome is a.outcome is outcome
+        assert b.phases == a.phases and clock_b.now() == clock_a.now()
+        assert b.yaw_error == pytest.approx(a.yaw_error, abs=1e-12)
+
+
+def test_a_center_outside_the_arm_frame_is_refused():
+    truth = arm_truth(0.5, 0.0)
+    center, yaw = target_for(truth)
+    camera_center = Point3(center.x, center.y, center.z, Frame.CAMERA)
+    clock = FakeClock(3.0)
+    with pytest.raises(FrameMismatch):
+        Arm().execute_pick(camera_center, yaw, truth, clock, FLOOR_Z)
+    assert clock.now() == 3.0  # refused before any motion
 
 
 def test_tolerance_monotonicity():
@@ -333,6 +346,22 @@ def test_config_rejects_unreachable_drop_pose():
 def test_config_rejects_oversized_boundary_margin():
     with pytest.raises(ValueError):
         ArmConfig(boundary_margin=0.9, envelope=ReachEnvelope())
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "name",
+    ["position_tolerance", "yaw_tolerance", "gripper_max_opening", "boundary_margin", "grasp"],
+)
+def test_config_rejects_non_finite_values(name, value):
+    if name == "grasp":
+        durations = dict(ArmConfig().phase_durations)
+        durations[MotionPhase.GRASP] = value
+        kwargs = {"phase_durations": durations}
+    else:
+        kwargs = {name: value}
+    with pytest.raises(ValueError):
+        ArmConfig(**kwargs)
 
 
 def test_default_phase_budget_is_twenty_seconds():

@@ -27,7 +27,6 @@ from clearbot.geometry import (
     DegenerateConfiguration,
     Frame,
     FrameMismatch,
-    GraspTarget,
     IllConditioned,
     InsufficientDepth,
     MaskComponent,
@@ -358,7 +357,7 @@ def test_components_match_flood_fill_oracle():
         want = flood_fill_components(mask)
         assert len(got) == len(want)
         for comp, px in zip(got, want):
-            assert [tuple(p) for p in comp.pixels] == px
+            assert list(zip(comp.rows.tolist(), comp.cols.tolist())) == px
 
 
 def test_components_min_area_filter():
@@ -430,11 +429,11 @@ def test_center_uses_median_depth():
 def test_center_requires_half_valid_depth():
     comp = square_component(50, 70, 21)  # 441 px
     data = np.full((128, 160), 1.143)
-    flat = comp.pixels
-    data[flat[:221, 0], flat[:221, 1]] = 0.0  # 220 valid < 50%
+    rows, cols = comp.rows, comp.cols
+    data[rows[:221], cols[:221]] = 0.0  # 220 valid < 50%
     with pytest.raises(InsufficientDepth):
         component_center_3d(comp, DepthImage(data), DEFAULT_INTRINSICS)
-    data[flat[220, 0], flat[220, 1]] = 1.143  # back to exactly half valid
+    data[rows[220], cols[220]] = 1.143  # back to exactly half valid
     center = component_center_3d(comp, DepthImage(data), DEFAULT_INTRINSICS)
     assert center.z == pytest.approx(1.143, abs=1e-12)
 
@@ -527,7 +526,7 @@ def test_center_equals_backproject_of_mean_pixel_and_median_depth(case, k):
     pixels, depths = case
     comp = component_from_pixels(ObjectClass.BRICK, pixels)
     data = np.zeros((256, 512))
-    data[comp.pixels[:, 0], comp.pixels[:, 1]] = depths
+    data[comp.rows, comp.cols] = depths
     z = np.array(depths)
     valid = z[z > 0.0]
     if len(valid) < 0.5 * comp.area:
@@ -535,7 +534,7 @@ def test_center_equals_backproject_of_mean_pixel_and_median_depth(case, k):
             component_center_3d(comp, DepthImage(data), k)
         return
     got = component_center_3d(comp, DepthImage(data), k)
-    want = backproject(comp.pixels[:, 1].mean(), comp.pixels[:, 0].mean(), np.median(valid), k)
+    want = backproject(comp.cols.mean(), comp.rows.mean(), np.median(valid), k)
     assert got.frame is Frame.CAMERA
     assert [float_bits(c) for c in (got.x, got.y, got.z)] == [float_bits(c) for c in want]
 
@@ -558,7 +557,7 @@ def raster_rect(theta: float, long_px: float = 60.0, short_px: float = 14.0,
 
 def grid_search_orientation(comp: MaskComponent, steps: int = 3600) -> float:
     """Independent oracle: dense sweep for the min-area enclosing box angle."""
-    pts = comp.pixels[:, ::-1].astype(float)
+    pts = np.stack([comp.cols, comp.rows], axis=1).astype(float)
     best_area, best_angle = math.inf, 0.0
     for theta in np.linspace(0.0, math.pi, steps, endpoint=False):
         c, s = math.cos(theta), math.sin(theta)
@@ -610,9 +609,7 @@ def test_orientation_matches_grid_search_oracle():
 def test_orientation_translation_invariance_is_exact():
     comp = raster_rect(math.radians(73.0))
     base = principal_orientation(comp)
-    shifted = component_from_pixels(
-        ObjectClass.BRICK, comp.pixels + np.array([[7, -12]])
-    )
+    shifted = MaskComponent(ObjectClass.BRICK, comp.rows + 7, comp.cols - 12)
     assert principal_orientation(shifted) == base
 
 
@@ -674,7 +671,7 @@ def reference_hull(points: np.ndarray) -> np.ndarray:
 
 def reference_orientation(component: MaskComponent) -> float:
     """Hull and calipers over every pixel of the component."""
-    pts = component.pixels[:, ::-1].astype(float)
+    pts = np.stack([component.cols, component.rows], axis=1).astype(float)
     hull = reference_hull(pts)
     if len(hull) == 1:
         return 0.0
@@ -709,8 +706,8 @@ def reference_orientation(component: MaskComponent) -> float:
 
 def assert_same_component(a: MaskComponent, b: MaskComponent) -> None:
     assert a.cls is b.cls
-    assert a.pixels.dtype == b.pixels.dtype
-    assert np.array_equal(a.pixels, b.pixels)
+    assert a.rows.dtype == b.rows.dtype and a.cols.dtype == b.cols.dtype
+    assert np.array_equal(a.rows, b.rows) and np.array_equal(a.cols, b.cols)
     assert (a.area, a.bbox, a.seed_pixel) == (b.area, b.bbox, b.seed_pixel)
 
 
@@ -761,8 +758,9 @@ def test_kernels_match_the_all_pixel_reference(data, min_area, order):
         for a, b in zip(got, want):
             assert_same_component(a, b)
             assert principal_orientation(a) == reference_orientation(b)
-            shuffled = a.pixels[order.sample(range(a.area), a.area)]
-            assert_same_component(component_from_pixels(cls, shuffled), a)
+            shuffled = order.sample(range(a.area), a.area)
+            pixels = np.stack([a.rows[shuffled], a.cols[shuffled]], axis=1)
+            assert_same_component(component_from_pixels(cls, pixels), a)
 
 
 @st.composite
@@ -832,6 +830,27 @@ def test_run_labelling_matches_ndimage_on_salt_and_pepper(mask):
         assert_same_component(a, b)
 
 
+@settings(deadline=None, max_examples=200)
+@given(mask=salt_and_pepper(), dr=st.integers(0, 3), dc=st.integers(0, 3))
+def test_components_hold_raster_ordered_pixels_and_derive_their_extents(mask, dr, dc):
+    # the mask sits in a cluster ``dr`` rows and ``dc`` columns into the image
+    h, w = mask.shape
+    data = np.zeros((h + dr + 1, w + dc + 1), np.uint8)
+    data[dr : dr + h, dc : dc + w] = mask
+    labels = LabelImage(data, window_clusters([(dr, dr + h, dc, dc + w)]))
+    for comp in components(labels, ObjectClass.BRICK):
+        rows, cols = comp.rows, comp.cols
+        raster = rows * data.shape[1] + cols
+        assert (np.diff(raster) > 0).all()
+        assert (data[rows, cols] == ObjectClass.BRICK.label).all()
+        # the derived facts against a scan over every pixel
+        first = raster.argmin()
+        assert comp.area == len(rows) == len(cols)
+        assert comp.seed_pixel == (rows[first], cols[first])
+        assert comp.bbox == (rows.min(), rows.max() + 1, cols.min(), cols.max() + 1)
+        assert all(type(v) is int for v in (comp.area, *comp.seed_pixel, *comp.bbox))
+
+
 def test_orientation_hulls_only_row_extremes(monkeypatch):
     mask = np.zeros((64, 64), bool)
     mask[10:50, 12:52] = True  # a filled 40 x 40 blob
@@ -889,7 +908,7 @@ def test_orientation_chains_at_most_rows_plus_one_points(monkeypatch):
     monkeypatch.setattr(geometry, "_chain", counting_chain)
     for comp in comps:
         sizes.clear()
-        rows = len(np.unique(comp.pixels[:, 0]))
+        rows = len(np.unique(comp.rows))
         assert principal_orientation(comp) == reference_orientation(comp)
         assert len(sizes) == 2
         assert max(sizes) <= rows + 1
@@ -1058,15 +1077,13 @@ def test_envelope_validation():
         ReachEnvelope(z_min=0.5, z_max=0.2)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["r_min", "r_max", "z_min", "z_max"])
+def test_envelope_rejects_non_finite_bounds(name, value):
+    with pytest.raises(ValueError):
+        ReachEnvelope(**{name: value})
+
+
 def test_default_envelope_values():
     e = DEFAULT_ENVELOPE
     assert (e.r_min, e.r_max, e.z_min, e.z_max) == (0.25, 0.90, -0.20, 0.50)
-
-
-def test_grasp_target_folds_yaw_and_checks_frame():
-    g = GraspTarget(arm_point(0.5, 0.0, 0.0), yaw=math.pi + 0.3,
-                    cls=ObjectClass.BRICK, component_index=0, frame_seq=0)
-    assert g.yaw == pytest.approx(0.3, abs=1e-12)
-    with pytest.raises(FrameMismatch):
-        GraspTarget(Point3(0.5, 0.0, 0.0, Frame.CAMERA), yaw=0.0,
-                    cls=ObjectClass.BRICK, component_index=0, frame_seq=0)

@@ -251,6 +251,26 @@ def test_simulation_rejects_invalid_config():
     assert any(p == "ugv.speed" for p, _ in exc_info.value.errors)
 
 
+@pytest.mark.parametrize(
+    "overrides,path",
+    [
+        (dict(camera_mount=CameraMount(1.05, 0.0, math.nan)), "camera.height_m"),
+        (dict(camera_mount=CameraMount(1.05, 0.0, math.inf)), "camera.height_m"),
+        (dict(camera_mount=CameraMount(math.nan, 0.0, 1.2)), "camera.mount_xy"),
+        (dict(camera_mount=CameraMount(1.05, -math.inf, 1.2)), "camera.mount_xy"),
+        (dict(arm_mount=ArmMount(0.4, 0.0, math.nan)), "arm.mount"),
+        (dict(arm_mount=ArmMount(math.inf, 0.0, 0.15)), "arm.mount"),
+        (dict(arm_mount=ArmMount(0.4, 0.0, 0.15, yaw=math.nan)), "arm.mount"),
+    ],
+)
+def test_simulation_rejects_non_finite_mounts(overrides, path):
+    # a library-built config is not read through the scenario parser, which
+    # refuses non-finite numbers itself
+    with pytest.raises(InvalidConfig) as exc_info:
+        run_scenario(tiny_scenario([brick("b", 1.0, 0.0)], **overrides))
+    assert path in [p for p, _ in exc_info.value.errors]
+
+
 # --- failure attribution ----------------------------------------------------------
 
 
@@ -1168,7 +1188,8 @@ def test_step_loop_equals_fresh_views_on_generated_runs(cfg):
             whole = connected_components(LabelImage(mask.data), cls)
             assert [c.bbox for c in got] == [c.bbox for c in whole]
             assert [(c.area, c.seed_pixel) for c in got] == [(c.area, c.seed_pixel) for c in whole]
-            assert all(_same_bits(a.pixels, b.pixels) for a, b in zip(got, whole))
+            for a, b in zip(got, whole):
+                assert _same_bits(a.rows, b.rows) and _same_bits(a.cols, b.cols)
         assert targets == want_targets
         fd = frames[-1]
         digest = orchestrator._array_digest(want.data)
