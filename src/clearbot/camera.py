@@ -73,7 +73,8 @@ class Intrinsics:
 
     def __post_init__(self) -> None:
         for name in ("fx", "fy"):
-            if not getattr(self, name) > 0:
+            # NaN compares false; an infinite focal length has no pixel window
+            if not 0 < getattr(self, name) < math.inf:
                 raise InvalidIntrinsics("focal lengths must be positive", name)
         if self.width <= 0 or self.height <= 0:
             raise InvalidIntrinsics("image dimensions must be positive")

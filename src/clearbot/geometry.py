@@ -239,9 +239,11 @@ def _run_components(mask: np.ndarray) -> tuple[list[int], np.ndarray]:
     return parent, np.subtract(ends, starts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MaskComponent:
-    """One class's 8-connected pixels: row and column indices, raster order."""
+    """One class's 8-connected pixels: row and column indices, raster order.
+
+    Components compare and hash by identity, as their fields are arrays."""
 
     cls: ObjectClass
     rows: np.ndarray

@@ -990,9 +990,7 @@ class Simulation:
         floor_z: float,
     ) -> AttemptDiagnostics:
         # mask quality: the attempted component alone against the true mask
-        canvas = np.zeros(images.labels.data.shape, dtype=np.uint8)
-        canvas[comp.rows, comp.cols] = comp.cls.label
-        iou = mask_iou(LabelImage(canvas, (comp.bbox,)), images.labels, comp)
+        iou = mask_iou(comp, images.labels)
 
         # depth quality over the object's true pixels
         rows, cols = images.instances.pixels_of(matched)

@@ -128,7 +128,14 @@ class ObjectSpec:
     def aabb(self) -> tuple[float, float, float, float]:
         """(x0, x1, y0, y1) of the footprint's axis-aligned bounding box, in
         Python floats."""
-        x0, x1, y0, y1 = object_footprint(self).aabb()
+        if isinstance(self.dims, BrickDims):
+            pts = _corners(self)
+            x0, x1, y0, y1 = pts[:, 0].min(), pts[:, 0].max(), pts[:, 1].min(), pts[:, 1].max()
+        else:
+            a, b = _axis(self)
+            r = self.dims.radius
+            x0, x1 = min(a[0], b[0]) - r, max(a[0], b[0]) + r
+            y0, y1 = min(a[1], b[1]) - r, max(a[1], b[1]) + r
         return float(x0), float(x1), float(y0), float(y1)
 
     @cached_property
@@ -141,89 +148,21 @@ class ObjectSpec:
         return math.sqrt(2.0) * r
 
 
-@dataclass(frozen=True)
-class RectFootprint:
-    """Oriented rectangle on the floor plane (brick footprint)."""
-
-    cx: float
-    cy: float
-    yaw: float
-    length: float
-    width: float
-
-    @property
-    def area(self) -> float:
-        return self.length * self.width
-
-    def corners(self) -> np.ndarray:
-        c, s = math.cos(self.yaw), math.sin(self.yaw)
-        hl, hw = self.length / 2.0, self.width / 2.0
-        local = np.array([[hl, hw], [-hl, hw], [-hl, -hw], [hl, -hw]])
-        rot = np.array([[c, -s], [s, c]])
-        return local @ rot.T + np.array([self.cx, self.cy])
-
-    def contains(self, x, y, margin: float = 0.0):
-        c, s = math.cos(self.yaw), math.sin(self.yaw)
-        dx = np.asarray(x, dtype=float) - self.cx
-        dy = np.asarray(y, dtype=float) - self.cy
-        lx = dx * c + dy * s
-        ly = -dx * s + dy * c
-        return (np.abs(lx) <= self.length / 2.0 + margin) & (np.abs(ly) <= self.width / 2.0 + margin)
-
-    def aabb(self) -> tuple[float, float, float, float]:
-        pts = self.corners()
-        return pts[:, 0].min(), pts[:, 0].max(), pts[:, 1].min(), pts[:, 1].max()
+def _corners(obj: ObjectSpec) -> np.ndarray:
+    """(4, 2) corners of a brick's footprint, counterclockwise."""
+    c, s = math.cos(obj.yaw), math.sin(obj.yaw)
+    hl, hw = obj.dims.length / 2.0, obj.dims.width / 2.0
+    local = np.array([[hl, hw], [-hl, hw], [-hl, -hw], [hl, -hw]])
+    rot = np.array([[c, -s], [s, c]])
+    return local @ rot.T + np.array([obj.x, obj.y])
 
 
-@dataclass(frozen=True)
-class StadiumFootprint:
-    """Segment dilated by a radius (lying cylinder footprint)."""
-
-    cx: float
-    cy: float
-    yaw: float
-    length: float
-    radius: float
-
-    @property
-    def area(self) -> float:
-        return self.length * 2.0 * self.radius + math.pi * self.radius**2
-
-    def segment(self) -> tuple[np.ndarray, np.ndarray]:
-        h = np.array([math.cos(self.yaw), math.sin(self.yaw)]) * (self.length / 2.0)
-        center = np.array([self.cx, self.cy])
-        return center - h, center + h
-
-    def contains(self, x, y, margin: float = 0.0):
-        a, b = self.segment()
-        px = np.asarray(x, dtype=float) - a[0]
-        py = np.asarray(y, dtype=float) - a[1]
-        ab = b - a
-        denom = float(ab @ ab)
-        t = np.clip((px * ab[0] + py * ab[1]) / denom, 0.0, 1.0)
-        dx = px - t * ab[0]
-        dy = py - t * ab[1]
-        return dx * dx + dy * dy <= (self.radius + margin) ** 2
-
-    def aabb(self) -> tuple[float, float, float, float]:
-        a, b = self.segment()
-        r = self.radius
-        return (
-            min(a[0], b[0]) - r,
-            max(a[0], b[0]) + r,
-            min(a[1], b[1]) - r,
-            max(a[1], b[1]) + r,
-        )
-
-
-Footprint = RectFootprint | StadiumFootprint
-
-
-def object_footprint(obj: ObjectSpec) -> Footprint:
-    """Exact floor-plane footprint of an object."""
-    if isinstance(obj.dims, BrickDims):
-        return RectFootprint(obj.x, obj.y, obj.yaw, obj.dims.length, obj.dims.width)
-    return StadiumFootprint(obj.x, obj.y, obj.yaw, obj.dims.length, obj.dims.radius)
+def _axis(obj: ObjectSpec) -> tuple[np.ndarray, np.ndarray]:
+    """End points of a pipe's axis; its footprint is this segment dilated by
+    the radius."""
+    h = np.array([math.cos(obj.yaw), math.sin(obj.yaw)]) * (obj.dims.length / 2.0)
+    center = np.array([obj.x, obj.y])
+    return center - h, center + h
 
 
 # --- exact footprint overlap tests -----------------------------------------
@@ -268,8 +207,8 @@ def _seg_seg_distance(p1, p2, q1, q2) -> float:
     return float(np.linalg.norm(p1 + s * d1 - (q1 + t * d2)))
 
 
-def _rect_rect_overlap(a: RectFootprint, b: RectFootprint) -> bool:
-    ca, cb = a.corners(), b.corners()
+def _rect_rect_overlap(a: ObjectSpec, b: ObjectSpec) -> bool:
+    ca, cb = _corners(a), _corners(b)
     best_gap = -math.inf
     for rect in (a, b):
         for ang in (rect.yaw, rect.yaw + math.pi / 2.0):
@@ -281,13 +220,13 @@ def _rect_rect_overlap(a: RectFootprint, b: RectFootprint) -> bool:
     return best_gap < -_TOL
 
 
-def _seg_rect_distance(p1, p2, rect: RectFootprint) -> float:
-    # Work in the rectangle's local axis-aligned frame.
-    c, s = math.cos(rect.yaw), math.sin(rect.yaw)
+def _seg_rect_distance(p1, p2, brick: ObjectSpec) -> float:
+    # Work in the brick's local axis-aligned frame.
+    c, s = math.cos(brick.yaw), math.sin(brick.yaw)
     rot = np.array([[c, s], [-s, c]])
-    a = rot @ (np.asarray(p1, dtype=float) - [rect.cx, rect.cy])
-    b = rot @ (np.asarray(p2, dtype=float) - [rect.cx, rect.cy])
-    hl, hw = rect.length / 2.0, rect.width / 2.0
+    a = rot @ (np.asarray(p1, dtype=float) - [brick.x, brick.y])
+    b = rot @ (np.asarray(p2, dtype=float) - [brick.x, brick.y])
+    hl, hw = brick.dims.length / 2.0, brick.dims.width / 2.0
     inside = lambda p: abs(p[0]) <= hl and abs(p[1]) <= hw
     if inside(a) or inside(b):
         return 0.0
@@ -300,19 +239,17 @@ def _seg_rect_distance(p1, p2, rect: RectFootprint) -> float:
     return min(_seg_seg_distance(a, b, e1, e2) for e1, e2 in edges)
 
 
-def footprints_overlap(a: Footprint, b: Footprint) -> bool:
+def footprints_overlap(a: ObjectSpec, b: ObjectSpec) -> bool:
     """True when the footprint interiors intersect (touching is allowed)."""
-    if isinstance(a, RectFootprint) and isinstance(b, RectFootprint):
+    a_brick, b_brick = isinstance(a.dims, BrickDims), isinstance(b.dims, BrickDims)
+    if a_brick and b_brick:
         return _rect_rect_overlap(a, b)
-    if isinstance(a, StadiumFootprint) and isinstance(b, StadiumFootprint):
-        a1, a2 = a.segment()
-        b1, b2 = b.segment()
-        return _seg_seg_distance(a1, a2, b1, b2) < a.radius + b.radius - _TOL
-    if isinstance(a, RectFootprint):
+    if not a_brick and not b_brick:
+        return _seg_seg_distance(*_axis(a), *_axis(b)) < a.dims.radius + b.dims.radius - _TOL
+    if a_brick:
         a, b = b, a
-    # a is the stadium, b the rectangle
-    s1, s2 = a.segment()
-    return _seg_rect_distance(s1, s2, b) < a.radius - _TOL
+    # a is the pipe, b the brick
+    return _seg_rect_distance(*_axis(a), b) < a.dims.radius - _TOL
 
 
 # --- mounts and scene -------------------------------------------------------
@@ -405,14 +342,15 @@ def validate_scene(scene: Scene) -> list[Violation]:
             )
         )
 
-    feet = [(o.id, object_footprint(o)) for o in scene.objects]
-    for i, j in _aabb_overlapping_pairs([f.aabb() for _, f in feet]):
-        if footprints_overlap(feet[i][1], feet[j][1]):
+    objs = scene.objects
+    for i, j in _aabb_overlapping_pairs([o.aabb for o in objs]):
+        a, b = objs[i], objs[j]
+        if footprints_overlap(a, b):
             issues.append(
                 Violation(
                     "overlapping_footprints",
-                    f"footprints of {feet[i][0]!r} and {feet[j][0]!r} overlap",
-                    (feet[i][0], feet[j][0]),
+                    f"footprints of {a.id!r} and {b.id!r} overlap",
+                    (a.id, b.id),
                 )
             )
     return issues

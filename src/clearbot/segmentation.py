@@ -4,8 +4,8 @@ Ground-truth label images come straight out of the renderer, so a perfect
 segmenter is just the identity. Realistic segmenter behavior is modeled as
 an ordered list of corruption operators applied on top of the ground truth:
 boundary erosion, random holes, a band cut through one object, and region
-relabeling. The module also provides the IoU score used to judge a mask
-against ground truth around one component.
+relabeling. The module also provides the IoU score used to judge one mask
+component against the ground truth around it.
 """
 
 from __future__ import annotations
@@ -32,10 +32,6 @@ MAX_ERODE_RADIUS = 10
 #: lie that far apart, so half this width on each side of the target's
 #: centroid already removes every pixel of it
 MAX_BAND_PX = 2 * MAX_IMAGE_PIXELS
-
-
-class EmptyUnion(ValueError):
-    """Raised when an IoU is requested over a window with no class pixels."""
 
 
 @dataclass(frozen=True)
@@ -222,25 +218,18 @@ def segment(
     return gt if data is None else LabelImage(data, gt.clusters)
 
 
-def mask_iou(pred: LabelImage, gt: LabelImage, component: MaskComponent) -> float:
-    """IoU of one class between two masks near one component.
+def mask_iou(component: MaskComponent, gt: LabelImage) -> float:
+    """IoU of one component against the ground truth of its class near it.
 
     The window is the component bounding box grown by ``IOU_DILATION`` pixels,
-    clipped to the image; both masks are restricted to the component class
-    inside that window, so the score is symmetric in its two mask inputs.
+    clipped to the image; the ground truth counts only its pixels of the
+    component's class inside that window. The union holds the component's
+    own pixels, so it is never empty.
     """
-    if pred.data.shape != gt.data.shape:
-        raise ValueError("mask shapes differ")
     r0, r1, c0, c1 = component.bbox
-    r0 = max(0, r0 - IOU_DILATION)
-    c0 = max(0, c0 - IOU_DILATION)
-    r1 = min(pred.height, r1 + IOU_DILATION)
-    c1 = min(pred.width, c1 + IOU_DILATION)
+    d = IOU_DILATION
+    window = gt.data[max(0, r0 - d) : r1 + d, max(0, c0 - d) : c1 + d]
     code = component.cls.label
-    a = pred.data[r0:r1, c0:c1] == code
-    b = gt.data[r0:r1, c0:c1] == code
-    union = int(np.logical_or(a, b).sum())
-    if union == 0:
-        raise EmptyUnion("neither mask has class pixels near the component")
-    inter = int(np.logical_and(a, b).sum())
-    return inter / union
+    near = int(np.count_nonzero(window == code))
+    inter = int(np.count_nonzero(gt.data[component.rows, component.cols] == code))
+    return inter / (component.area + near - inter)

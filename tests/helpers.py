@@ -19,7 +19,7 @@ from clearbot.orchestrator import (
     Simulation,
     Topic,
 )
-from clearbot.scene import ObjectClass
+from clearbot.scene import BrickDims, ObjectClass, ObjectSpec, _axis
 from clearbot.segmentation import CutBand, Erode, Holes
 
 
@@ -58,6 +58,30 @@ def component_from_pixels(cls: ObjectClass, pixels) -> MaskComponent:
     rows, cols = np.asarray(pixels, dtype=np.int64).T
     order = np.lexsort((cols, rows))
     return MaskComponent(cls, rows[order], cols[order])
+
+
+def footprint_contains(obj: ObjectSpec, x, y, margin: float = 0.0):
+    """Which floor points (x, y) lie on the object's footprint grown by
+    ``margin``: a brick's oriented rectangle, or a pipe's axis segment
+    dilated by its radius."""
+    if isinstance(obj.dims, BrickDims):
+        c, s = math.cos(obj.yaw), math.sin(obj.yaw)
+        dx = np.asarray(x, dtype=float) - obj.x
+        dy = np.asarray(y, dtype=float) - obj.y
+        lx = dx * c + dy * s
+        ly = -dx * s + dy * c
+        return (np.abs(lx) <= obj.dims.length / 2.0 + margin) & (
+            np.abs(ly) <= obj.dims.width / 2.0 + margin
+        )
+    a, b = _axis(obj)
+    px = np.asarray(x, dtype=float) - a[0]
+    py = np.asarray(y, dtype=float) - a[1]
+    ab = b - a
+    denom = float(ab @ ab)
+    t = np.clip((px * ab[0] + py * ab[1]) / denom, 0.0, 1.0)
+    dx = px - t * ab[0]
+    dy = py - t * ab[1]
+    return dx * dx + dy * dy <= (obj.dims.radius + margin) ** 2
 
 
 def full_frame_segment(gt, ops, seed, instances):

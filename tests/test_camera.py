@@ -40,11 +40,12 @@ from clearbot.scene import (
     PipeDims,
     Pose2D,
     Scene,
-    object_footprint,
+    _axis,
+    _corners,
     robot_to_world,
 )
 
-from helpers import components
+from helpers import components, footprint_contains
 
 NADIR_CAM = CameraMount(0.0, 0.0, 1.2)
 
@@ -196,15 +197,15 @@ def test_labeled_pixels_backproject_into_footprints():
             NADIR_CAM.height,
         ]
     )
-    by_label = {o.cls.label: object_footprint(o) for o in scene.objects}
+    by_label = {o.cls.label: o for o in scene.objects}
     rows, cols = np.nonzero(labels.data)
     assert len(rows) > 200
     z = depth.data[rows, cols]
     pts_cam = backproject(cols.astype(float), rows.astype(float), z, k)
     pts_world = pts_cam @ rot.T + cam_pos
-    for code, fp in by_label.items():
+    for code, obj in by_label.items():
         sel = labels.data[rows, cols] == code
-        inside = fp.contains(pts_world[sel, 0], pts_world[sel, 1], margin=1e-9)
+        inside = footprint_contains(obj, pts_world[sel, 0], pts_world[sel, 1], margin=1e-9)
         assert bool(np.all(inside))
 
 
@@ -539,7 +540,7 @@ def test_intrinsics_bound_the_field_of_view(name):
     shortest = extent / math.tan(math.radians(camera.MAX_FIELD_OF_VIEW_DEG / 2.0))
     base = dict(fx=256.0, fy=256.0, cx=256.0, cy=128.0, width=512, height=256)
     Intrinsics(**{**base, name: shortest * (1 + 1e-12)})
-    for focal in (shortest * (1 - 1e-12), 1e-300, 5e-324):
+    for focal in (shortest * (1 - 1e-12), 1e-300, 5e-324, math.inf):
         with pytest.raises(camera.InvalidIntrinsics) as err:
             Intrinsics(**{**base, name: focal})
         assert err.value.field == name
@@ -788,8 +789,15 @@ def test_culled_render_equals_render_of_every_window(view):
 
 def _reference_pixel_window(obj, cam_pos, heading, k):
     """Reference ``_pixel_window``: the footprint's bounding box rebuilt on
-    every call, and all eight corners projected in numpy scalars."""
-    x0, x1, y0, y1 = object_footprint(obj).aabb()
+    every call from the brick's corners or the pipe's axis ends pushed out
+    by the radius, and all eight corners projected in numpy scalars."""
+    if isinstance(obj.dims, BrickDims):
+        pts = _corners(obj)
+    else:
+        a, b = _axis(obj)
+        r = obj.dims.radius
+        pts = np.array([a - r, a + r, b - r, b + r])
+    x0, x1, y0, y1 = pts[:, 0].min(), pts[:, 0].max(), pts[:, 1].min(), pts[:, 1].max()
     corners = np.array([[x0, y0], [x0, y1], [x1, y0], [x1, y1]])
     us, vs = [], []
     c, s = math.cos(heading), math.sin(heading)

@@ -342,6 +342,18 @@ def test_components_cut_rectangle_splits_in_two():
     assert comps[0].seed_pixel < comps[1].seed_pixel
 
 
+def test_components_compare_and_hash_by_identity():
+    mask = np.zeros((64, 64), bool)
+    mask[10:30, 5:45] = True
+    mask[:, 24:27] = False
+    comps = connected_components(labels_of(mask), ObjectClass.BRICK)
+    twin = MaskComponent(comps[1].cls, comps[1].rows, comps[1].cols)
+    assert comps[1] in comps and twin not in comps
+    assert comps[0] == comps[0] and comps[0] != comps[1] and comps[1] != twin
+    assert len({comps[0], comps[1], comps[0]}) == 2
+    assert hash(comps[1]) == hash(comps[1])
+
+
 def test_components_diagonal_pixels_are_eight_connected():
     mask = np.zeros((8, 8), bool)
     mask[2, 2] = mask[3, 3] = mask[4, 4] = True

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clearbot.scene import (
@@ -19,12 +20,14 @@ from clearbot.scene import (
     Pose2D,
     Scene,
     Violation,
+    _corners,
     footprints_overlap,
-    object_footprint,
     robot_to_world,
     validate_scene,
     world_to_robot,
 )
+
+from helpers import footprint_contains
 
 BRICK = BrickDims(0.20, 0.10, 0.06)
 PIPE = PipeDims(0.03, 0.40)
@@ -42,58 +45,56 @@ def pipe_at(oid: str, x: float, y: float, yaw: float = 0.0, dims: PipeDims = PIP
 
 
 def test_brick_footprint_corners_axis_aligned():
-    fp = object_footprint(brick_at("b", 0.0, 0.0, 0.0))
-    got = {(round(x, 12), round(y, 12)) for x, y in fp.corners()}
+    got = {(round(x, 12), round(y, 12)) for x, y in _corners(brick_at("b", 0.0, 0.0, 0.0))}
     assert got == {(0.10, 0.05), (-0.10, 0.05), (-0.10, -0.05), (0.10, -0.05)}
 
 
 def test_brick_footprint_corners_quarter_turn():
-    fp = object_footprint(brick_at("b", 0.0, 0.0, math.pi / 2.0))
-    got = {(round(x, 12), round(y, 12)) for x, y in fp.corners()}
+    got = {(round(x, 12), round(y, 12)) for x, y in _corners(brick_at("b", 0.0, 0.0, math.pi / 2.0))}
     assert got == {(0.05, 0.10), (-0.05, 0.10), (-0.05, -0.10), (0.05, -0.10)}
-
-
-def test_stadium_area_analytic():
-    # rectangle L x 2r plus a full disk of radius r from the two end caps
-    fp = object_footprint(pipe_at("p", 0.0, 0.0))
-    assert fp.area == pytest.approx(0.40 * 0.06 + math.pi * 0.03**2, abs=1e-15)
-    assert fp.area == pytest.approx(0.026827433388230814, abs=1e-12)
-
-
-def test_stadium_area_matches_monte_carlo():
-    # independent oracle: hit fraction of uniform samples over the bounding box
-    fp = object_footprint(pipe_at("p", 0.37, -0.12, 0.6))
-    x0, x1, y0, y1 = fp.aabb()
-    rng = np.random.default_rng(0)
-    n = 200_000
-    xs = rng.uniform(x0, x1, n)
-    ys = rng.uniform(y0, y1, n)
-    hits = fp.contains(xs, ys)
-    mc_area = hits.mean() * (x1 - x0) * (y1 - y0)
-    # statistical tolerance ~10 sigma for n = 2e5
-    assert abs(mc_area - fp.area) < 1e-4
-
-
-def test_footprint_area_is_pose_invariant():
-    rng = np.random.default_rng(1)
-    base_rect = object_footprint(brick_at("b", 0.0, 0.0)).area
-    base_stad = object_footprint(pipe_at("p", 0.0, 0.0)).area
-    for _ in range(50):
-        x, y = rng.uniform(-3, 3, 2)
-        yaw = rng.uniform(-math.pi, math.pi)
-        assert object_footprint(brick_at("b", x, y, yaw)).area == pytest.approx(
-            base_rect, rel=1e-9
-        )
-        assert object_footprint(pipe_at("p", x, y, yaw)).area == pytest.approx(
-            base_stad, rel=1e-9
-        )
 
 
 def test_footprint_contains_center_and_excludes_far_point():
     for obj in (brick_at("b", 1.0, 2.0, 0.7), pipe_at("p", -1.0, 0.5, -0.3)):
-        fp = object_footprint(obj)
-        assert bool(fp.contains(obj.x, obj.y))
-        assert not bool(fp.contains(obj.x + 5.0, obj.y))
+        assert bool(footprint_contains(obj, obj.x, obj.y))
+        assert not bool(footprint_contains(obj, obj.x + 5.0, obj.y))
+
+
+@st.composite
+def placed_objects(draw) -> ObjectSpec:
+    """A brick or a pipe of any size at any pose."""
+    x, y = draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0))
+    yaw = draw(st.floats(-math.pi, math.pi))
+    size = st.floats(0.001, 2.0)
+    if draw(st.booleans()):
+        length, width = sorted((draw(size), draw(size)), reverse=True)
+        return brick_at("b", x, y, yaw, BrickDims(length, width, draw(size)))
+    return pipe_at("p", x, y, yaw, PipeDims(draw(size), draw(size)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(placed_objects(), st.integers(0, 2**32 - 1))
+@example(brick_at("b", 0.3, -0.2, math.pi / 6), 0)
+@example(pipe_at("p", 0.3, -0.2, -math.pi / 3), 0)
+@example(pipe_at("p", 0.0, 0.0, 0.0, PipeDims(0.5, 0.001)), 0)
+def test_every_footprint_point_lies_in_the_bounding_box(obj, seed):
+    # sample the footprint's own oriented box grown by 5% (a thin footprint
+    # covers little of its bounding box), with that box's corners among them
+    if isinstance(obj.dims, BrickDims):
+        ex, ey = obj.dims.length / 2.0, obj.dims.width / 2.0
+    else:
+        ex, ey = obj.dims.length / 2.0 + obj.dims.radius, obj.dims.radius
+    rng = np.random.default_rng(seed)
+    u = np.concatenate([rng.uniform(-1.05, 1.05, 4000) * ex, [ex, ex, -ex, -ex]])
+    v = np.concatenate([rng.uniform(-1.05, 1.05, 4000) * ey, [ey, -ey, ey, -ey]])
+    c, s = math.cos(obj.yaw), math.sin(obj.yaw)
+    xs, ys = obj.x + u * c - v * s, obj.y + u * s + v * c
+    inside = footprint_contains(obj, xs, ys)
+    assert inside.sum() > 2000
+    x0, x1, y0, y1 = obj.aabb
+    tol = 1e-12 * (1.0 + abs(obj.x) + abs(obj.y))
+    assert np.all((x0 - tol <= xs[inside]) & (xs[inside] <= x1 + tol))
+    assert np.all((y0 - tol <= ys[inside]) & (ys[inside] <= y1 + tol))
 
 
 # --- validation ---------------------------------------------------------------
@@ -136,10 +137,9 @@ def test_touching_footprints_do_not_overlap():
 
 
 def test_mixed_shape_overlap_detected():
-    a = object_footprint(brick_at("a", 0.0, 0.0))
-    b = object_footprint(pipe_at("b", 0.0, 0.0))
-    assert footprints_overlap(a, b)
-    assert not footprints_overlap(a, object_footprint(pipe_at("c", 0.0, 1.0)))
+    a = brick_at("a", 0.0, 0.0)
+    assert footprints_overlap(a, pipe_at("b", 0.0, 0.0))
+    assert not footprints_overlap(a, pipe_at("c", 0.0, 1.0))
 
 
 def test_duplicate_ids_reported():
@@ -186,15 +186,22 @@ def crowded_scenes(draw) -> Scene:
 @settings(deadline=None, max_examples=200)
 @given(crowded_scenes())
 def test_overlap_sweep_matches_all_pairs(scene):
-    feet = [(o.id, object_footprint(o)) for o in scene.objects]
+    objs = scene.objects
     want = [
-        Violation("overlapping_footprints", f"footprints of {a!r} and {b!r} overlap", (a, b))
-        for i, (a, fa) in enumerate(feet)
-        for b, fb in feet[i + 1 :]
-        if footprints_overlap(fa, fb)
+        Violation("overlapping_footprints", f"footprints of {a.id!r} and {b.id!r} overlap", (a.id, b.id))
+        for i, a in enumerate(objs)
+        for b in objs[i + 1 :]
+        if footprints_overlap(a, b)
     ]
     got = [v for v in validate_scene(scene) if v.code == "overlapping_footprints"]
     assert got == want
+
+
+@settings(deadline=None, max_examples=200)
+@given(crowded_scenes())
+def test_footprint_overlap_is_symmetric(scene):
+    for a, b in itertools.combinations(scene.objects, 2):
+        assert footprints_overlap(a, b) == footprints_overlap(b, a)
 
 
 # --- construction guards --------------------------------------------------------

@@ -15,8 +15,8 @@ from clearbot.scene import ObjectClass
 from clearbot.segmentation import (
     MAX_BAND_PX,
     MAX_ERODE_RADIUS,
+    IOU_DILATION,
     CutBand,
-    EmptyUnion,
     Erode,
     Holes,
     Relabel,
@@ -531,53 +531,103 @@ def main_component(img: LabelImage) -> MaskComponent:
     return connected_components(img, ObjectClass.BRICK)[0]
 
 
+def dense_iou(comp: MaskComponent, gt: LabelImage) -> float:
+    """The IoU as first written: the component drawn into an image of its
+    own, and both images restricted to its class in the window."""
+    canvas = np.zeros_like(gt.data)
+    canvas[comp.rows, comp.cols] = comp.cls.label
+    r0, r1, c0, c1 = comp.bbox
+    r0 = max(0, r0 - IOU_DILATION)
+    c0 = max(0, c0 - IOU_DILATION)
+    r1 = min(gt.height, r1 + IOU_DILATION)
+    c1 = min(gt.width, c1 + IOU_DILATION)
+    a = canvas[r0:r1, c0:c1] == comp.cls.label
+    b = gt.data[r0:r1, c0:c1] == comp.cls.label
+    return int(np.logical_and(a, b).sum()) / int(np.logical_or(a, b).sum())
+
+
 def test_iou_identical_masks():
     gt = rect_labels()
-    assert mask_iou(gt, gt, main_component(gt)) == 1.0
+    assert mask_iou(main_component(gt), gt) == 1.0
 
 
 def test_iou_half_erased():
-    gt = rect_labels(10, 30, 5, 45)
-    pred = rect_labels(10, 30, 5, 25)  # right half of the block erased
-    assert mask_iou(pred, gt, main_component(gt)) == 0.5
+    comp = main_component(rect_labels(10, 30, 5, 45))
+    gt = rect_labels(10, 30, 5, 25)  # right half of the block missing
+    assert mask_iou(comp, gt) == 0.5
 
 
 def test_iou_disjoint_masks():
-    gt = rect_labels(10, 30, 5, 25)
-    pred = rect_labels(10, 30, 26, 46)
-    assert mask_iou(pred, gt, main_component(gt)) == 0.0
+    comp = main_component(rect_labels(10, 30, 26, 46))
+    assert mask_iou(comp, rect_labels(10, 30, 5, 25)) == 0.0
 
 
-def test_iou_is_symmetric():
-    rng = np.random.default_rng(42)
-    gt = rect_labels()
-    pred = LabelImage((rng.random((64, 64)) < 0.3).astype(np.uint8))
-    comp = main_component(gt)
-    assert mask_iou(pred, gt, comp) == mask_iou(gt, pred, comp)
+def test_iou_over_no_truth_is_zero():
+    # the union holds the component's own pixels, so it is never empty
+    comp = component_from_pixels(ObjectClass.BRICK, np.array([[5, 5], [5, 6]]))
+    assert mask_iou(comp, LabelImage(np.zeros((64, 64), dtype=np.uint8))) == 0.0
 
 
 def test_iou_window_ignores_distant_pixels():
     gt = rect_labels(10, 20, 10, 30)
     noisy = gt.data.copy()
     noisy[50:60, 50:60] = 1  # well beyond the 8 px dilation window
-    assert mask_iou(LabelImage(noisy), gt, main_component(gt)) == 1.0
-
-
-def test_iou_empty_union_raises():
-    comp = component_from_pixels(ObjectClass.BRICK, np.array([[5, 5], [5, 6]]))
-    blank = LabelImage(np.zeros((64, 64), dtype=np.uint8))
-    with pytest.raises(EmptyUnion):
-        mask_iou(blank, blank, comp)
-
-
-def test_iou_shape_mismatch_raises():
-    gt = rect_labels()
-    small = LabelImage(np.zeros((32, 32), dtype=np.uint8))
-    with pytest.raises(ValueError):
-        mask_iou(small, gt, main_component(gt))
+    assert mask_iou(main_component(gt), LabelImage(noisy)) == 1.0
 
 
 def test_iou_equals_one_only_when_windows_coincide():
-    gt = rect_labels(10, 30, 5, 45)
-    shifted = rect_labels(10, 30, 6, 46)
-    assert mask_iou(shifted, gt, main_component(gt)) < 1.0
+    comp = main_component(rect_labels(10, 30, 6, 46))
+    assert mask_iou(comp, rect_labels(10, 30, 5, 45)) < 1.0
+
+
+@st.composite
+def components_over_truth(draw):
+    """A ground truth of random class pixels and a component of any pixels
+    of one class, not always connected, in a box that may meet the image
+    edge, so that the window is clipped and class pixels lie just past it."""
+    h, w = draw(st.integers(1, 48)), draw(st.integers(1, 48))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.2, 0.6, 1.0]))
+    gt = np.where(rng.random((h, w)) < density, rng.integers(1, 3, (h, w)), 0)
+    r0 = draw(st.integers(0, h - 1))
+    r1 = draw(st.integers(r0 + 1, h))
+    c0 = draw(st.integers(0, w - 1))
+    c1 = draw(st.integers(c0 + 1, w))
+    pick = rng.random((r1 - r0, c1 - c0)) < draw(st.sampled_from([0.3, 1.0]))
+    pick[draw(st.integers(0, r1 - r0 - 1)), draw(st.integers(0, c1 - c0 - 1))] = True
+    rows, cols = np.nonzero(pick)
+    comp = component_from_pixels(
+        draw(st.sampled_from(list(ObjectClass))), np.stack([rows + r0, cols + c0], axis=1)
+    )
+    return comp, LabelImage(gt.astype(np.uint8))
+
+
+def _ringed_pixel() -> tuple[MaskComponent, LabelImage]:
+    """One brick pixel whose window is ringed, just outside, by brick pixels
+    and, just inside, by a brick pixel on each side."""
+    d = IOU_DILATION
+    gt = np.zeros((2 * d + 5, 2 * d + 5), dtype=np.uint8)
+    gt[[1, -2], 1:-1] = gt[1:-1, [1, -2]] = 1
+    gt[2, d + 2] = gt[-3, d + 2] = gt[d + 2, 2] = gt[d + 2, -3] = 1
+    gt[d + 2, d + 2] = 1
+    return component_from_pixels(ObjectClass.BRICK, [[d + 2, d + 2]]), LabelImage(gt)
+
+
+@settings(deadline=None, max_examples=300)
+@given(components_over_truth())
+@example(_ringed_pixel())
+@example(
+    (
+        component_from_pixels(ObjectClass.PIPE, [[0, 0], [0, 1], [3, 0]]),
+        rect_labels(0, 64, 0, 64, code=2),
+    )
+)
+@example((main_component(rect_labels(54, 64, 50, 64)), rect_labels(40, 64, 40, 64)))
+def test_iou_equals_the_dense_two_mask_iou(case):
+    comp, gt = case
+    assert mask_iou(comp, gt) == dense_iou(comp, gt)
+
+
+def test_iou_of_a_ringed_pixel_counts_only_its_window():
+    comp, gt = _ringed_pixel()
+    assert mask_iou(comp, gt) == 1 / 5
