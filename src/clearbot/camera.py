@@ -13,6 +13,7 @@ invalid pixels.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
@@ -93,6 +94,16 @@ class Intrinsics:
                     f"{MAX_FIELD_OF_VIEW_DEG:g}-degree field of view",
                     name,
                 )
+
+    @functools.cached_property
+    def ray_offsets(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each column's and each row's ray offset from the optical axis at
+        unit depth, ``(u - cx) / fx`` and ``(v - cy) / fy``; read-only."""
+        a = (np.arange(self.width) - self.cx) / self.fx
+        b = (np.arange(self.height) - self.cy) / self.fy
+        a.flags.writeable = False
+        b.flags.writeable = False
+        return a, b
 
 
 DEFAULT_INTRINSICS = Intrinsics(fx=256.0, fy=256.0, cx=256.0, cy=128.0, width=512, height=256)
@@ -359,8 +370,7 @@ def render_full(scene: Scene, k: Intrinsics) -> RenderResult:
 
     # Per-pixel ray directions parameterized by z-depth zeta:
     #   P_world(zeta) = cam_pos + zeta * D,   D_z = -1 exactly (nadir view).
-    a = (np.arange(k.width) - k.cx) / k.fx
-    b = (np.arange(k.height) - k.cy) / k.fy
+    a, b = k.ray_offsets
 
     patches: list[ObjectPatch] = []
 

@@ -170,13 +170,18 @@ class MessageBus:
     def publish(self, topic: Topic, t: float, payload: object) -> MessageEnvelope:
         if t < self._last_t[topic]:
             raise SequenceRegression(f"{topic.value}: t={t} after t={self._last_t[topic]}")
-        env = MessageEnvelope(topic=topic, seq=self._count[topic], t=t, payload=payload)
-        record = {"topic": topic.value, "seq": env.seq, "t": t, "payload": payload_to_dict(payload)}
-        # a payload with no JSON form raises above and leaves the bus as it was
-        line = canonical_json(record) + "\n"
+        write = _PAYLOAD_JSON.get(type(payload))
+        if write is None:
+            raise TypeError(f"no JSON form for payload type {type(payload).__name__}")
+        seq = self._count[topic]
+        # the line is whole before the bus changes: a value that cannot be
+        # written raises here and leaves the bus as it was
+        body = write(payload)
+        line = f'{{"payload":{body},"seq":{seq},"t":{_float(t)},"topic":"{topic.value}"}}\n'
+        env = MessageEnvelope(topic=topic, seq=seq, t=t, payload=payload)
         self._ndjson.write(line)
         self._sha.update(line.encode())
-        self._count[topic] = env.seq + 1
+        self._count[topic] = seq + 1
         self._last_t[topic] = t
         for callback in self._subscribers:
             callback(env)
@@ -822,8 +827,9 @@ class Simulation:
         mask, targets, comps = perceive_frame(images, self.cfg, self.cam_to_arm)
         t_mask = fd.t_capture + SEG_LATENCY
         # hashed before the next capture reuses the canvas, which an
-        # unchanged mask shares
-        md = MaskData(fd.frame_index, fd.t_capture, mask.class_pixels(), _mask_digest(mask))
+        # unchanged mask shares; an unchanged mask's counts are the frame's
+        counts = fd.class_pixels if mask is images.labels else mask.class_pixels()
+        md = MaskData(fd.frame_index, fd.t_capture, counts, _mask_digest(mask))
         self.bus.publish(Topic.SEGMENTATION_MASKS, t_mask, md)
         t_targets = t_mask + GEOMETRY_LATENCY
         payload = GraspTargetsPayload(frame_index=fd.frame_index, targets=targets)
@@ -1406,45 +1412,99 @@ def frame_digest(fd: FrameData) -> str:
     return h.hexdigest()
 
 
-# payloads logged field for field, by the kind each is logged as
-_RECORD_KINDS = {
-    GraspTargetsPayload: "targets",
-    ControlStopPayload: "stop",
-    ArmCommandPayload: "command",
-    ArmStatusPayload: "status",
+# Each payload type writes its own canonical JSON text: the keys in sorted
+# order, no spaces, and each value as ``canonical_json`` writes it.
+_int = int.__repr__
+_str = json.encoder.encode_basestring_ascii
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float(x: float) -> str:
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
+
+
+def _bool(x: bool) -> str:
+    return "true" if x else "false"
+
+
+def _frame_json(fd: FrameData) -> str:
+    """Image bodies reduce to the frame's digest and its class pixel counts."""
+    brick, pipe = fd.class_pixels
+    height, width = fd.shape
+    ugv = fd.ugv
+    in_view = ",".join([_str(i) for i in sorted(p.object_id for p in fd.patches)])
+    return (
+        f'{{"class_pixels":{{"brick":{_int(brick)},"pipe":{_int(pipe)}}},'
+        f'"digest":"{frame_digest(fd)}","floor_depth":{_float(fd.floor_depth)},'
+        f'"frame_index":{_int(fd.frame_index)},"kind":"frame",'
+        f'"objects_in_view":[{in_view}],"shape":[{_int(height)},{_int(width)}],'
+        f'"standstill":{_bool(fd.standstill)},"t_capture":{_float(fd.t_capture)},'
+        f'"ugv":[{_float(ugv.x)},{_float(ugv.y)},{_float(ugv.heading)}]}}'
+    )
+
+
+def _mask_json(md: MaskData) -> str:
+    brick, pipe = md.class_pixels
+    return (
+        f'{{"class_pixels":{{"brick":{_int(brick)},"pipe":{_int(pipe)}}},'
+        f'"digest":{_str(md.digest)},"frame_index":{_int(md.frame_index)},'
+        f'"kind":"mask","latency":{_float(SEG_LATENCY)},"t_capture":{_float(md.t_capture)}}}'
+    )
+
+
+def _target_json(rec: TargetRecord) -> str:
+    x, y, z = rec.center
+    row, col = rec.seed_pixel
+    return (
+        f'{{"area":{_int(rec.area)},"border":{_bool(rec.border)},'
+        f'"center":[{_float(x)},{_float(y)},{_float(z)}],"class":{_str(rec.cls)},'
+        f'"component_index":{_int(rec.component_index)},"in_reach":{_bool(rec.in_reach)},'
+        f'"seed_pixel":[{_int(row)},{_int(col)}],"yaw":{_float(rec.yaw)}}}'
+    )
+
+
+def _targets_json(p: GraspTargetsPayload) -> str:
+    targets = ",".join([_target_json(rec) for rec in p.targets])
+    return f'{{"frame_index":{_int(p.frame_index)},"kind":"targets","targets":[{targets}]}}'
+
+
+def _stop_json(p: ControlStopPayload) -> str:
+    return (
+        f'{{"frame_index":{_int(p.frame_index)},"kind":"stop",'
+        f'"target":{_target_json(p.target)},"trigger_id":{_str(p.trigger_id)}}}'
+    )
+
+
+def _command_json(p: ArmCommandPayload) -> str:
+    return (
+        f'{{"frame_index":{_int(p.frame_index)},"kind":"command",'
+        f'"matched_id":{_str(p.matched_id)},"target":{_target_json(p.target)}}}'
+    )
+
+
+def _status_json(p: ArmStatusPayload) -> str:
+    phases = ",".join(
+        [f"[{_str(phase)},{_float(t0)},{_float(t1)}]" for phase, t0, t1 in p.phases]
+    )
+    return (
+        f'{{"elapsed_s":{_float(p.elapsed_s)},"grasp_width":{_float(p.grasp_width)},'
+        f'"kind":"status","object_id":{_str(p.object_id)},"outcome":{_str(p.outcome)},'
+        f'"phases":[{phases}],"t_end":{_float(p.t_end)},"t_start":{_float(p.t_start)},'
+        f'"xy_error":{_float(p.xy_error)},"yaw_error":{_float(p.yaw_error)},'
+        f'"z_error":{_float(p.z_error)}}}'
+    )
+
+
+# the JSON text of each payload type the bus can log
+_PAYLOAD_JSON: dict[type, Callable[[Any], str]] = {
+    FrameData: _frame_json,
+    MaskData: _mask_json,
+    GraspTargetsPayload: _targets_json,
+    ControlStopPayload: _stop_json,
+    ArmCommandPayload: _command_json,
+    ArmStatusPayload: _status_json,
 }
-
-
-def payload_to_dict(payload: object) -> dict:
-    """JSON form of a bus payload; image bodies reduce to digests + stats."""
-    if isinstance(payload, FrameData):
-        brick, pipe = payload.class_pixels
-        return {
-            "kind": "frame",
-            "frame_index": payload.frame_index,
-            "t_capture": payload.t_capture,
-            "ugv": [payload.ugv.x, payload.ugv.y, payload.ugv.heading],
-            "standstill": payload.standstill,
-            "shape": list(payload.shape),
-            "floor_depth": payload.floor_depth,
-            "objects_in_view": sorted(p.object_id for p in payload.patches),
-            "class_pixels": {"brick": brick, "pipe": pipe},
-            "digest": frame_digest(payload),
-        }
-    if isinstance(payload, MaskData):
-        brick, pipe = payload.class_pixels
-        return {
-            "kind": "mask",
-            "frame_index": payload.frame_index,
-            "t_capture": payload.t_capture,
-            "latency": SEG_LATENCY,
-            "class_pixels": {"brick": brick, "pipe": pipe},
-            "digest": payload.digest,
-        }
-    kind = _RECORD_KINDS.get(type(payload))
-    if kind is None:
-        raise TypeError(f"no JSON form for payload type {type(payload).__name__}")
-    return {"kind": kind, **_record(payload)}
 
 
 def messages_to_ndjson(bus: MessageBus) -> str:

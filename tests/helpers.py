@@ -12,12 +12,22 @@ from clearbot import geometry
 from clearbot.camera import LabelImage
 from clearbot.geometry import MaskComponent
 from clearbot.orchestrator import (
+    SEG_LATENCY,
+    ArmCommandPayload,
+    ArmStatusPayload,
+    ControlStopPayload,
+    FrameData,
+    GraspTargetsPayload,
+    MaskData,
     MessageBus,
     MessageEnvelope,
     RunReport,
     ScenarioConfig,
     Simulation,
     Topic,
+    _record,
+    canonical_json,
+    frame_digest,
 )
 from clearbot.scene import BrickDims, ObjectClass, ObjectSpec, _axis
 from clearbot.segmentation import CutBand, Erode, Holes
@@ -35,6 +45,60 @@ class Recorder:
 
     def log(self) -> tuple[MessageEnvelope, ...]:
         return tuple(self._log)
+
+
+# payloads logged field for field, by the kind each is logged as
+_RECORD_KINDS = {
+    GraspTargetsPayload: "targets",
+    ControlStopPayload: "stop",
+    ArmCommandPayload: "command",
+    ArmStatusPayload: "status",
+}
+
+
+def payload_to_dict(payload: object) -> dict:
+    """JSON form of a bus payload; image bodies reduce to digests + stats."""
+    if isinstance(payload, FrameData):
+        brick, pipe = payload.class_pixels
+        return {
+            "kind": "frame",
+            "frame_index": payload.frame_index,
+            "t_capture": payload.t_capture,
+            "ugv": [payload.ugv.x, payload.ugv.y, payload.ugv.heading],
+            "standstill": payload.standstill,
+            "shape": list(payload.shape),
+            "floor_depth": payload.floor_depth,
+            "objects_in_view": sorted(p.object_id for p in payload.patches),
+            "class_pixels": {"brick": brick, "pipe": pipe},
+            "digest": frame_digest(payload),
+        }
+    if isinstance(payload, MaskData):
+        brick, pipe = payload.class_pixels
+        return {
+            "kind": "mask",
+            "frame_index": payload.frame_index,
+            "t_capture": payload.t_capture,
+            "latency": SEG_LATENCY,
+            "class_pixels": {"brick": brick, "pipe": pipe},
+            "digest": payload.digest,
+        }
+    kind = _RECORD_KINDS.get(type(payload))
+    if kind is None:
+        raise TypeError(f"no JSON form for payload type {type(payload).__name__}")
+    return {"kind": kind, **_record(payload)}
+
+
+def oracle_line(env: MessageEnvelope) -> str:
+    """The envelope's log line as the bus once wrote it: the payload's dict
+    in an envelope dict, through the key-sorting ``canonical_json``. It is
+    the reference for the line each payload type writes itself."""
+    record = {
+        "topic": env.topic.value,
+        "seq": env.seq,
+        "t": env.t,
+        "payload": payload_to_dict(env.payload),
+    }
+    return canonical_json(record) + "\n"
 
 
 def components(labels: LabelImage, cls: ObjectClass, min_area: int = 1) -> list[MaskComponent]:

@@ -546,6 +546,25 @@ def test_intrinsics_bound_the_field_of_view(name):
         assert err.value.field == name
 
 
+@pytest.mark.parametrize(
+    "k",
+    [
+        DEFAULT_INTRINSICS,
+        Intrinsics(fx=200.0, fy=180.0, cx=40.3, cy=19.7, width=80, height=40),
+        Intrinsics(fx=3.0, fy=1e6, cx=0.0, cy=0.5, width=1, height=1),
+    ],
+)
+def test_ray_offsets_are_computed_once_and_read_only(k):
+    a, b = k.ray_offsets
+    fresh_a = (np.arange(k.width) - k.cx) / k.fx
+    fresh_b = (np.arange(k.height) - k.cy) / k.fy
+    assert a.tobytes() == fresh_a.tobytes() and b.tobytes() == fresh_b.tobytes()
+    assert k.ray_offsets[0] is a and k.ray_offsets[1] is b
+    for arr in (a, b):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cylinder_cast_ignores_overflow_on_far_off_axis_rays():
     # ray directions of 1e300 overflow the quadratic's coefficients; the

@@ -45,10 +45,14 @@ from clearbot.orchestrator import (
     DISPATCH_LATENCY,
     GEOMETRY_LATENCY,
     SEG_LATENCY,
+    ArmCommandPayload,
+    ArmStatusPayload,
     AttemptDiagnostics,
     ControlStopPayload,
     DepthBiasInjection,
     FailureModule,
+    FrameData,
+    GraspTargetsPayload,
     InvalidConfig,
     MaskData,
     MessageBus,
@@ -66,7 +70,6 @@ from clearbot.orchestrator import (
     config_digest,
     messages_to_ndjson,
     parse_scenario,
-    payload_to_dict,
     replay_grasp_targets,
     report_to_json,
     run_scenario,
@@ -82,10 +85,11 @@ from clearbot.scene import (
     ObjectClass,
     ObjectSpec,
     PipeDims,
+    Pose2D,
 )
 from clearbot.segmentation import CutBand, Erode, Holes, Relabel
 
-from helpers import Recorder, full_frame_segment, run_recorded
+from helpers import Recorder, full_frame_segment, oracle_line, payload_to_dict, run_recorded
 
 BRICK = BrickDims(0.20, 0.095, 0.057)
 
@@ -174,6 +178,112 @@ def test_bus_publishes_no_payload_it_cannot_log():
     assert messages_to_ndjson(bus) == "" and recorder.log() == ()
     assert bus.digest() == hashlib.sha256(b"").hexdigest()
     assert bus.publish(Topic.CONTROL_STOP, 0.0, _stop(0)).seq == 0
+
+
+# ids with the characters the JSON writer escapes: quotes, backslashes,
+# control characters, non-ASCII, lone surrogates and astral characters
+_IDS = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\/\x00\x1f\x7f~\x85\u00e9\u2028\ud800\U0001f600'), st.characters()
+    ),
+    max_size=5,
+)
+_EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1e16, 1e-7)
+# floats and numpy float64s (whose repr names the type) of every kind
+_FLOATS = st.tuples(
+    st.one_of(
+        st.sampled_from(_EDGE_FLOATS + (math.nan, math.inf, -math.inf)),
+        st.floats(allow_nan=True, allow_infinity=True),
+    ),
+    st.booleans(),
+).map(lambda fb: np.float64(fb[0]) if fb[1] else fb[0])
+_INTS = st.one_of(
+    st.sampled_from((0, -1, 2**31, 2**63 - 1, -(2**63))),
+    st.integers(-(2**63), 2**63 - 1),
+)
+_TARGETS = st.builds(
+    TargetRecord,
+    cls=_IDS,
+    center=st.tuples(_FLOATS, _FLOATS, _FLOATS),
+    yaw=_FLOATS,
+    component_index=_INTS,
+    seed_pixel=st.tuples(_INTS, _INTS),
+    area=_INTS,
+    in_reach=st.booleans(),
+    border=st.booleans(),
+)
+_PATCHES = st.builds(
+    lambda oid, r0, obj_index: ObjectPatch(r0, r0 + 1, 0, 1, np.zeros((1, 1)), obj_index, 1, oid),
+    _IDS,
+    st.integers(0, 9),
+    st.integers(0, 9),
+)
+_PAYLOADS = st.one_of(
+    st.builds(
+        FrameData,
+        frame_index=_INTS,
+        t_capture=_FLOATS,
+        ugv=st.builds(Pose2D, _FLOATS, _FLOATS, _FLOATS),
+        standstill=st.booleans(),
+        shape=st.tuples(_INTS, _INTS),
+        floor_depth=_FLOATS,
+        patches=st.lists(_PATCHES, max_size=4).map(tuple),
+        class_pixels=st.tuples(_INTS, _INTS),
+        # hashed into the frame's digest, so any text the UTF-8 codec takes
+        depth_digest=st.none() | st.text(st.characters(codec="utf-8"), max_size=5),
+    ),
+    st.builds(
+        MaskData,
+        frame_index=_INTS,
+        t_capture=_FLOATS,
+        class_pixels=st.tuples(_INTS, _INTS),
+        digest=_IDS,
+    ),
+    st.builds(
+        GraspTargetsPayload,
+        frame_index=_INTS,
+        targets=st.lists(_TARGETS, max_size=3).map(tuple),
+    ),
+    st.builds(ControlStopPayload, frame_index=_INTS, target=_TARGETS, trigger_id=_IDS),
+    st.builds(ArmCommandPayload, frame_index=_INTS, target=_TARGETS, matched_id=_IDS),
+    st.builds(
+        ArmStatusPayload,
+        object_id=_IDS,
+        outcome=_IDS,
+        elapsed_s=_FLOATS,
+        phases=st.lists(st.tuples(_IDS, _FLOATS, _FLOATS), max_size=3).map(tuple),
+        xy_error=_FLOATS,
+        z_error=_FLOATS,
+        yaw_error=_FLOATS,
+        grasp_width=_FLOATS,
+        t_start=_FLOATS,
+        t_end=_FLOATS,
+    ),
+)
+
+
+def _frame_in_view(*ids: str) -> FrameData:
+    patches = tuple(
+        ObjectPatch(0, 1, 0, 1, np.zeros((1, 1)), i, 1, oid) for i, oid in enumerate(ids)
+    )
+    return FrameData(0, 0.0, Pose2D(0.0, 0.0), False, (1, 1), 1.0, patches)
+
+
+@settings(deadline=None, max_examples=300)
+# the ids sort one way as text and the other way once escaped
+@example(payload=_frame_in_view("\u00e9", "~"), topic=Topic.CAMERA_FRAMES, t=np.float64(0.5))
+@example(payload=_stop(0), topic=Topic.CONTROL_STOP, t=-0.0)
+@given(payload=_PAYLOADS, topic=st.sampled_from(Topic), t=_FLOATS)
+def test_each_payload_writes_the_line_of_the_dict_oracle(payload, topic, t):
+    # each payload type writes its own line; it must be the line the bus
+    # once wrote through the payload's dict and the key-sorting encoder
+    bus = MessageBus()
+    recorder = Recorder(bus)
+    bus.publish(topic, t, payload)
+    bus.publish(topic, t, payload)
+    text = messages_to_ndjson(bus)
+    assert text == "".join(oracle_line(env) for env in recorder.log())
+    assert bus.digest() == hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_ndjson_of_an_empty_bus_is_empty():
@@ -1262,14 +1372,8 @@ def _ndjson_after_the_run(envelopes) -> str:
     lines = []
     for env in envelopes:
         assert env.seq == counts[env.topic]
-        record = {
-            "topic": env.topic.value,
-            "seq": counts[env.topic],
-            "t": env.t,
-            "payload": payload_to_dict(env.payload),
-        }
         counts[env.topic] += 1
-        lines.append(orchestrator.canonical_json(record) + "\n")
+        lines.append(oracle_line(env))
     return "".join(lines)
 
 
@@ -1452,8 +1556,11 @@ def test_report_json_schema(benchmark_run):
         }
 
 
-def test_ndjson_log_is_one_canonical_line_per_message(benchmark_run):
-    _, sim, recorder, _ = benchmark_run
+@pytest.mark.parametrize("run", ["benchmark_run", "noisy_run"])
+def test_ndjson_log_is_one_canonical_line_per_message(request, run):
+    # the noisy course's frame lines carry a depth digest, and its masks
+    # come from eroded, holed labels
+    _, sim, recorder = request.getfixturevalue(run)[:3]
     text = messages_to_ndjson(sim.bus)
     assert text.endswith("\n")
     lines = text.splitlines()
@@ -1465,6 +1572,7 @@ def test_ndjson_log_is_one_canonical_line_per_message(benchmark_run):
         assert doc["seq"] == env.seq
         # canonical form: no whitespace, sorted keys
         assert json.dumps(doc, sort_keys=True, separators=(",", ":")) == line
+        assert line + "\n" == oracle_line(env)
     # image payloads are digested, never inlined
     assert "zbuf" not in text
 
@@ -1474,16 +1582,16 @@ RECORDED = PERFBENCH / "recorded.json"
 
 
 @pytest.fixture(scope="module")
-def noisy_run() -> tuple[RunReport, Simulation]:
+def noisy_run() -> tuple[RunReport, Simulation, Recorder]:
     """The benchmark's noisy_course at its recorded seed: depth noise with
-    dropout, and eroded, holed masks."""
+    dropout, and eroded, holed masks; a recorder keeps every message."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", PERFBENCH / "workloads.py"
     )
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     seed = json.loads(RECORDED.read_text())["default_seed"]
-    return run_scenario(parse_scenario(workloads.noisy_course(seed)))
+    return run_recorded(parse_scenario(workloads.noisy_course(seed)))
 
 
 @pytest.mark.parametrize(
@@ -1508,13 +1616,16 @@ def test_course_outputs_match_the_recorded_digests(request, run, entry):
     )
 
 
-def test_payload_to_dict_names_an_unknown_payload_type():
+def test_publish_names_an_unknown_payload_type():
     @dataclass(frozen=True)
     class Odometry:
         frame_index: int
 
+    bus = MessageBus()
+    recorder = Recorder(bus)
     with pytest.raises(TypeError, match="Odometry"):
-        payload_to_dict(Odometry(0))
+        bus.publish(Topic.CAMERA_FRAMES, 0.0, Odometry(0))
+    assert messages_to_ndjson(bus) == "" and recorder.log() == ()
 
 
 def test_empty_frames_skip_segmentation_and_targets(monkeypatch):
@@ -1546,6 +1657,27 @@ def test_empty_frames_skip_segmentation_and_targets(monkeypatch):
         assert mask.payload.digest == orchestrator._array_digest(full.data)
         assert mask.t == fd.t_capture + SEG_LATENCY
         assert tgt.payload.targets == ()
+
+
+def test_an_unchanged_mask_takes_its_frames_pixel_counts(monkeypatch):
+    # no op runs, so each mask is its frame's labels: their pixels are
+    # counted once a frame, at capture
+    calls = []
+    real = LabelImage.class_pixels
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(LabelImage, "class_pixels", counting)
+    _, _, recorder = run_recorded(
+        tiny_scenario([brick("b", 1.2, 0.05, 0.3), brick("c", 2.0, -0.1, 1.0)])
+    )
+    frames = [env.payload for env in recorder.history(Topic.CAMERA_FRAMES)]
+    masks = [env.payload for env in recorder.history(Topic.SEGMENTATION_MASKS)]
+    assert any(fd.standstill for fd in frames) and any(fd.class_pixels != (0, 0) for fd in frames)
+    assert len(calls) == len(frames) == len(masks)
+    assert [md.class_pixels for md in masks] == [fd.class_pixels for fd in frames]
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (64, 128), (256, 512)])
