@@ -125,6 +125,11 @@ class PickResult:
                 return end
         return None
 
+    @property
+    def end_time(self) -> float:
+        """End of the last phase that ran; the start when none ran."""
+        return self.phases[-1][2] if self.phases else self.start_time
+
 
 def fold_yaw_error(commanded: float, actual: float) -> float:
     """Smallest angle between two undirected in-plane axes, in [0, pi/2]."""

@@ -493,13 +493,13 @@ class DepthNoiseModel:
             raise ValueError("dropout_prob must be in [0, 1)")
 
     @property
-    def is_identity(self) -> bool:
-        return self.sigma == 0.0 and self.bias == 0.0 and self.dropout_prob == 0.0
-
-    @property
     def draws_nothing(self) -> bool:
         """No pixel's value depends on a draw: at most a bias is added."""
         return self.sigma == 0.0 and self.dropout_prob == 0.0
+
+    @property
+    def is_identity(self) -> bool:
+        return self.draws_nothing and self.bias == 0.0
 
 
 #: uniforms ``draw_noise`` draws per call: their scratch array stays small

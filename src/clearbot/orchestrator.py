@@ -168,7 +168,8 @@ class MessageBus:
         self._subscribers.append(callback)
 
     def publish(self, topic: Topic, t: float, payload: object) -> MessageEnvelope:
-        if t < self._last_t[topic]:
+        # written so that a NaN time, which compares false, is refused too
+        if not t >= self._last_t[topic]:
             raise SequenceRegression(f"{topic.value}: t={t} after t={self._last_t[topic]}")
         write = _PAYLOAD_JSON.get(type(payload))
         if write is None:
@@ -309,10 +310,9 @@ class FrameData:
             drawn = None if buffers is None else buffers.draws(cfg, self.frame_index)
             depth = apply_noise(depth, cfg.noise, _noise_seed(cfg, self.frame_index), drawn)
         if self.bias is not None:
-            # offsets the valid pixels; the clean depth stays as it is
-            data = clean.data.copy() if depth is clean else depth.data
-            np.add(data, self.bias, out=data, where=data > 0.0)
-            depth = DepthImage(data)
+            # a bias-only model offsets the valid pixels into a new array
+            # and draws nothing, so it reads no seed
+            depth = apply_noise(depth, DepthNoiseModel(bias=self.bias), 0)
         windows = {p.object_id: (p.obj_index, (p.r0, p.r1, p.c0, p.c1)) for p in self.patches}
         return FrameImages(
             # every labelled pixel lies in a patch window
@@ -373,15 +373,7 @@ class ArmCommandPayload:
 @dataclass(frozen=True)
 class ArmStatusPayload:
     object_id: str
-    outcome: str
-    elapsed_s: float
-    phases: tuple[tuple[str, float, float], ...]  # (phase, start, end)
-    xy_error: float
-    z_error: float
-    yaw_error: float
-    grasp_width: float
-    t_start: float
-    t_end: float
+    result: PickResult
 
 
 # --- failure attribution --------------------------------------------------------
@@ -708,9 +700,15 @@ class RunReport:
     seed: int
     config_digest: str
     log_digest: str  # sha256 of the serialized message log
-    attempted: int
-    succeeded: int
     records: tuple[AttemptRecord, ...]
+
+    @property
+    def attempted(self) -> int:
+        return len(self.records)
+
+    @property
+    def succeeded(self) -> int:
+        return sum(r.outcome == PickOutcome.SUCCESS.value for r in self.records)
 
 
 # --- the simulation ----------------------------------------------------------------
@@ -952,19 +950,7 @@ class Simulation:
             except UnattributableFailure:
                 attribution = ("Unattributable",)
 
-        status = ArmStatusPayload(
-            object_id=matched,
-            outcome=result.outcome.value,
-            elapsed_s=result.elapsed_s,
-            phases=tuple((p.value, t0, t1) for p, t0, t1 in result.phases),
-            xy_error=result.xy_error,
-            z_error=result.z_error,
-            yaw_error=result.yaw_error,
-            grasp_width=result.grasp_width,
-            t_start=result.start_time,
-            t_end=self.clock.now(),
-        )
-        self.bus.publish(Topic.ARM_STATUS, self.clock.now(), status)
+        self.bus.publish(Topic.ARM_STATUS, self.clock.now(), ArmStatusPayload(matched, result))
 
         self.records[matched] = AttemptRecord(
             object_id=matched,
@@ -1039,16 +1025,11 @@ class Simulation:
         finally:
             # the last capture drew noise ahead for a frame the run never takes
             self._buffers.settle()
-        succeeded = sum(
-            1 for r in self.records.values() if r.outcome == PickOutcome.SUCCESS.value
-        )
         return RunReport(
             name=self.cfg.name,
             seed=self.cfg.seed,
             config_digest=config_digest(self.cfg),
             log_digest=self.bus.digest(),
-            attempted=len(self.records),
-            succeeded=succeeded,
             records=tuple(self.records.values()),
         )
 
@@ -1484,15 +1465,16 @@ def _command_json(p: ArmCommandPayload) -> str:
 
 
 def _status_json(p: ArmStatusPayload) -> str:
+    r = p.result
     phases = ",".join(
-        [f"[{_str(phase)},{_float(t0)},{_float(t1)}]" for phase, t0, t1 in p.phases]
+        [f"[{_str(phase.value)},{_float(t0)},{_float(t1)}]" for phase, t0, t1 in r.phases]
     )
     return (
-        f'{{"elapsed_s":{_float(p.elapsed_s)},"grasp_width":{_float(p.grasp_width)},'
-        f'"kind":"status","object_id":{_str(p.object_id)},"outcome":{_str(p.outcome)},'
-        f'"phases":[{phases}],"t_end":{_float(p.t_end)},"t_start":{_float(p.t_start)},'
-        f'"xy_error":{_float(p.xy_error)},"yaw_error":{_float(p.yaw_error)},'
-        f'"z_error":{_float(p.z_error)}}}'
+        f'{{"elapsed_s":{_float(r.elapsed_s)},"grasp_width":{_float(r.grasp_width)},'
+        f'"kind":"status","object_id":{_str(p.object_id)},"outcome":{_str(r.outcome.value)},'
+        f'"phases":[{phases}],"t_end":{_float(r.end_time)},"t_start":{_float(r.start_time)},'
+        f'"xy_error":{_float(r.xy_error)},"yaw_error":{_float(r.yaw_error)},'
+        f'"z_error":{_float(r.z_error)}}}'
     )
 
 

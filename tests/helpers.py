@@ -52,7 +52,6 @@ _RECORD_KINDS = {
     GraspTargetsPayload: "targets",
     ControlStopPayload: "stop",
     ArmCommandPayload: "command",
-    ArmStatusPayload: "status",
 }
 
 
@@ -81,6 +80,21 @@ def payload_to_dict(payload: object) -> dict:
             "latency": SEG_LATENCY,
             "class_pixels": {"brick": brick, "pipe": pipe},
             "digest": payload.digest,
+        }
+    if isinstance(payload, ArmStatusPayload):
+        r = payload.result
+        return {
+            "kind": "status",
+            "object_id": payload.object_id,
+            "outcome": r.outcome.value,
+            "elapsed_s": r.elapsed_s,
+            "phases": [[phase.value, t0, t1] for phase, t0, t1 in r.phases],
+            "xy_error": r.xy_error,
+            "z_error": r.z_error,
+            "yaw_error": r.yaw_error,
+            "grasp_width": r.grasp_width,
+            "t_start": r.start_time,
+            "t_end": r.phases[-1][2] if r.phases else r.start_time,
         }
     kind = _RECORD_KINDS.get(type(payload))
     if kind is None:

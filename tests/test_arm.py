@@ -217,6 +217,22 @@ def test_boundary_pick_collides_without_adaptive_order():
     assert result.release_time is None
 
 
+@pytest.mark.parametrize(
+    "x, dz, outcome, end",
+    [
+        (1.2, 0.0, PickOutcome.UNREACHABLE, 2.5),  # no phase ran: the start
+        (0.5, 0.02, PickOutcome.MISSED_GRASP, 14.5),
+        (0.87, 0.0, PickOutcome.BOUNDARY_COLLISION, 6.5),
+    ],
+)
+def test_end_time_is_the_clock_after_the_last_phase(x, dz, outcome, end):
+    truth = arm_truth(x, 0.0)
+    _, clock, result = run_pick(truth, target_for(truth, dz=dz), t0=2.5)
+    assert result.outcome is outcome
+    assert result.end_time == end == clock.now()
+    assert result.end_time == result.start_time + result.elapsed_s
+
+
 def test_boundary_pick_succeeds_with_adaptive_order():
     truth = arm_truth(0.87, 0.0)
     cfg = ArmConfig(adaptive_order=True)

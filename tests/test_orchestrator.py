@@ -28,7 +28,14 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from clearbot import camera, orchestrator, segmentation
-from clearbot.arm import DEFAULT_ARM_CONFIG, DEFAULT_PHASE_DURATIONS, ArmConfig, PickOutcome
+from clearbot.arm import (
+    DEFAULT_ARM_CONFIG,
+    DEFAULT_PHASE_DURATIONS,
+    ArmConfig,
+    MotionPhase,
+    PickOutcome,
+    PickResult,
+)
 from clearbot.camera import (
     MAX_FIELD_OF_VIEW_DEG,
     DepthNoiseModel,
@@ -154,6 +161,29 @@ def test_bus_rejects_time_regression_per_topic():
     bus.publish(Topic.ARM_STATUS, 0.1, _stop(3))
 
 
+@pytest.mark.parametrize("nan", [math.nan, np.float64("nan")])
+def test_bus_refuses_a_nan_time(nan):
+    bus = MessageBus()
+    recorder = Recorder(bus)
+    # a NaN is refused on a fresh topic too, whose last time is -inf
+    with pytest.raises(SequenceRegression):
+        bus.publish(Topic.ARM_STATUS, nan, _stop(0))
+    bus.publish(Topic.CONTROL_STOP, 1.0, _stop(1))
+    text = messages_to_ndjson(bus)
+    with pytest.raises(SequenceRegression):
+        bus.publish(Topic.CONTROL_STOP, nan, _stop(2))
+    # a refused NaN writes no line, hashes nothing, takes no sequence
+    # number and reaches no subscriber
+    assert messages_to_ndjson(bus) == text
+    assert bus.digest() == hashlib.sha256(text.encode()).hexdigest()
+    assert [e.payload.frame_index for e in recorder.log()] == [1]
+    # nor does it clear the topic's last time: a regression is still refused
+    with pytest.raises(SequenceRegression):
+        bus.publish(Topic.CONTROL_STOP, 0.5, _stop(3))
+    assert bus.publish(Topic.CONTROL_STOP, 1.0, _stop(4)).seq == 1
+    assert bus.publish(Topic.ARM_STATUS, 0.5, _stop(5)).seq == 0
+
+
 def test_bus_global_log_preserves_publish_order():
     bus = MessageBus()
     recorder = Recorder(bus)
@@ -189,14 +219,25 @@ _IDS = st.text(
     max_size=5,
 )
 _EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1e16, 1e-7)
-# floats and numpy float64s (whose repr names the type) of every kind
-_FLOATS = st.tuples(
-    st.one_of(
-        st.sampled_from(_EDGE_FLOATS + (math.nan, math.inf, -math.inf)),
-        st.floats(allow_nan=True, allow_infinity=True),
-    ),
-    st.booleans(),
-).map(lambda fb: np.float64(fb[0]) if fb[1] else fb[0])
+
+
+def _floats(nan: bool) -> st.SearchStrategy:
+    """Floats and numpy float64s (whose repr names the type) of every
+    kind, NaN among them when ``nan``."""
+    specials = (math.nan, math.inf, -math.inf) if nan else (math.inf, -math.inf)
+    return st.tuples(
+        st.one_of(
+            st.sampled_from(_EDGE_FLOATS + specials),
+            st.floats(allow_nan=nan, allow_infinity=True),
+        ),
+        st.booleans(),
+    ).map(lambda fb: np.float64(fb[0]) if fb[1] else fb[0])
+
+
+_FLOATS = _floats(nan=True)
+# an envelope's time is never NaN: the bus refuses it
+# (test_bus_refuses_a_nan_time)
+_TIMES = _floats(nan=False)
 _INTS = st.one_of(
     st.sampled_from((0, -1, 2**31, 2**63 - 1, -(2**63))),
     st.integers(-(2**63), 2**63 - 1),
@@ -249,15 +290,19 @@ _PAYLOADS = st.one_of(
     st.builds(
         ArmStatusPayload,
         object_id=_IDS,
-        outcome=_IDS,
-        elapsed_s=_FLOATS,
-        phases=st.lists(st.tuples(_IDS, _FLOATS, _FLOATS), max_size=3).map(tuple),
-        xy_error=_FLOATS,
-        z_error=_FLOATS,
-        yaw_error=_FLOATS,
-        grasp_width=_FLOATS,
-        t_start=_FLOATS,
-        t_end=_FLOATS,
+        result=st.builds(
+            PickResult,
+            outcome=st.sampled_from(PickOutcome),
+            elapsed_s=_FLOATS,
+            phases=st.lists(
+                st.tuples(st.sampled_from(MotionPhase), _FLOATS, _FLOATS), max_size=3
+            ).map(tuple),
+            xy_error=_FLOATS,
+            z_error=_FLOATS,
+            yaw_error=_FLOATS,
+            grasp_width=_FLOATS,
+            start_time=_FLOATS,
+        ),
     ),
 )
 
@@ -273,7 +318,7 @@ def _frame_in_view(*ids: str) -> FrameData:
 # the ids sort one way as text and the other way once escaped
 @example(payload=_frame_in_view("\u00e9", "~"), topic=Topic.CAMERA_FRAMES, t=np.float64(0.5))
 @example(payload=_stop(0), topic=Topic.CONTROL_STOP, t=-0.0)
-@given(payload=_PAYLOADS, topic=st.sampled_from(Topic), t=_FLOATS)
+@given(payload=_PAYLOADS, topic=st.sampled_from(Topic), t=_TIMES)
 def test_each_payload_writes_the_line_of_the_dict_oracle(payload, topic, t):
     # each payload type writes its own line; it must be the line the bus
     # once wrote through the payload's dict and the key-sorting encoder
@@ -720,9 +765,10 @@ def test_frame_images_recompose_bit_for_bit(capture):
 @settings(deadline=None, max_examples=60)
 @given(capture=captures(), data=st.data())
 def test_depth_bias_injection_is_apply_noise_with_that_bias(capture, data):
-    # the injection offsets valid pixels only, bit for bit as apply_noise
-    # does for a bias-only model; biases that cancel a pixel's depth exactly
-    # are drawn too
+    # the injection is apply_noise with a bias-only model: it adds the bias
+    # to each valid pixel of the perceived depth and keeps every invalid
+    # one, which an elementwise reference gives; biases that cancel a
+    # pixel's depth exactly are drawn too
     cfg, _ = capture
     assume(cfg.injections)
     oid = cfg.injections[0].object_id
@@ -735,9 +781,7 @@ def test_depth_bias_injection_is_apply_noise_with_that_bias(capture, data):
     bias = data.draw(biases)
     sim = Simulation(dataclasses.replace(cfg, injections=(DepthBiasInjection(oid, bias),)))
     _, injected = sim._capture(standstill=True, inject_for=oid)
-    seed = data.draw(st.integers(0, 2**32))
-    want = apply_noise(plain.depth, DepthNoiseModel(bias=bias), seed)
-    assert _same_bits(injected.depth.data, want.data)
+    assert _same_bits(injected.depth.data, np.where(depth > 0.0, depth + bias, depth))
 
 
 NOISY = DepthNoiseModel(sigma=0.002, dropout_prob=0.01)
@@ -1575,6 +1619,26 @@ def test_ndjson_log_is_one_canonical_line_per_message(request, run):
         assert line + "\n" == oracle_line(env)
     # image payloads are digested, never inlined
     assert "zbuf" not in text
+
+
+@pytest.mark.parametrize("run", ["benchmark_run", "noisy_run", "adaptive_run"])
+def test_status_lines_time_the_pick_by_its_phases(request, run):
+    # a status carries the pick's PickResult, and its times are derived from
+    # the phases: the line's time is the end of the last phase, which is
+    # where the pick left the clock
+    sim = request.getfixturevalue(run)[1]
+    statuses = [
+        json.loads(line)
+        for line in messages_to_ndjson(sim.bus).splitlines()
+        if '"topic":"ArmStatus"' in line
+    ]
+    assert len(statuses) == len(sim.records)
+    for doc in statuses:
+        status, phases = doc["payload"], doc["payload"]["phases"]
+        assert phases and doc["t"] == status["t_end"] == phases[-1][2]
+        assert status["t_start"] == phases[0][1]
+        for (_, _, end), (_, start, _) in zip(phases, phases[1:]):
+            assert end == start
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
