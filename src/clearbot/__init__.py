@@ -3,120 +3,3 @@
 pick pipeline: synthetic top-down RGB-D sensing, mask geometry, camera-to-
 arm calibration, reachability gating, and a scripted pick sequence, wired
 together by a replayable message bus."""
-
-from .arm import (
-    Arm,
-    ArmConfig,
-    MotionPhase,
-    PickOutcome,
-    PickResult,
-    effective_grasp_width,
-)
-from .camera import (
-    DEFAULT_INTRINSICS,
-    DepthImage,
-    DepthNoiseModel,
-    Intrinsics,
-    LabelImage,
-    apply_noise,
-    backproject,
-    project,
-    render,
-)
-from .geometry import (
-    DEFAULT_ENVELOPE,
-    Frame,
-    MaskComponent,
-    Point3,
-    ReachEnvelope,
-    RigidTransform,
-    camera_to_arm_transform,
-    component_center_3d,
-    connected_components,
-    estimate_rigid_transform,
-    in_reach,
-    principal_orientation,
-    transform_to_arm,
-)
-from .orchestrator import (
-    FailureModule,
-    MessageBus,
-    PipelineState,
-    RunReport,
-    ScenarioConfig,
-    Simulation,
-    Topic,
-    attribute_failure,
-    build_benchmark_config,
-    run_scenario,
-)
-from .scene import (
-    ArmMount,
-    BrickDims,
-    CameraMount,
-    ObjectClass,
-    ObjectSpec,
-    PipeDims,
-    Pose2D,
-    Scene,
-    validate_scene,
-)
-from .segmentation import CutBand, Erode, Holes, Relabel, mask_iou, segment
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Arm",
-    "ArmConfig",
-    "ArmMount",
-    "BrickDims",
-    "CameraMount",
-    "CutBand",
-    "DEFAULT_ENVELOPE",
-    "DEFAULT_INTRINSICS",
-    "DepthImage",
-    "DepthNoiseModel",
-    "Erode",
-    "FailureModule",
-    "Frame",
-    "Holes",
-    "Intrinsics",
-    "LabelImage",
-    "MaskComponent",
-    "MessageBus",
-    "MotionPhase",
-    "ObjectClass",
-    "ObjectSpec",
-    "PickOutcome",
-    "PickResult",
-    "PipeDims",
-    "PipelineState",
-    "Point3",
-    "Pose2D",
-    "ReachEnvelope",
-    "Relabel",
-    "RigidTransform",
-    "RunReport",
-    "ScenarioConfig",
-    "Scene",
-    "Simulation",
-    "Topic",
-    "apply_noise",
-    "attribute_failure",
-    "backproject",
-    "build_benchmark_config",
-    "camera_to_arm_transform",
-    "component_center_3d",
-    "connected_components",
-    "effective_grasp_width",
-    "estimate_rigid_transform",
-    "in_reach",
-    "mask_iou",
-    "principal_orientation",
-    "project",
-    "render",
-    "run_scenario",
-    "segment",
-    "transform_to_arm",
-    "validate_scene",
-]

@@ -77,12 +77,14 @@ class Intrinsics:
             # NaN compares false; an infinite focal length has no pixel window
             if not 0 < getattr(self, name) < math.inf:
                 raise InvalidIntrinsics("focal lengths must be positive", name)
-        if self.width <= 0 or self.height <= 0:
-            raise InvalidIntrinsics("image dimensions must be positive")
+        for name in ("width", "height"):
+            if getattr(self, name) <= 0:
+                raise InvalidIntrinsics("image dimensions must be positive", name)
         if self.width * self.height > MAX_IMAGE_PIXELS:
             raise InvalidIntrinsics("image area must be at most 2**22 pixels")
-        if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
-            raise InvalidIntrinsics("principal point must lie inside the image")
+        for name, size in (("cx", self.width), ("cy", self.height)):
+            if not 0 <= getattr(self, name) < size:
+                raise InvalidIntrinsics("principal point must lie inside the image", name)
         # the farthest pixel center from the principal point, along each axis,
         # must see at most half the field of view off the optical axis
         tan_half = math.tan(math.radians(MAX_FIELD_OF_VIEW_DEG / 2.0))

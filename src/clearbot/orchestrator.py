@@ -734,8 +734,6 @@ class Simulation:
         self.bus = MessageBus()
         self.arm = Arm(cfg.arm)
         self.scene = cfg.initial_scene()
-        # (object id, release time) of every picked object, in pick order
-        self.removed: list[tuple[str, float]] = []
         self.cam_to_arm = camera_to_arm_transform(cfg.camera_mount, cfg.arm_mount)
         self.state = PipelineState.DRIVING
         self.frame_index = 0
@@ -964,12 +962,7 @@ class Simulation:
             mask_iou=diag.iou,
         )
         if result.outcome is PickOutcome.SUCCESS:
-            # the object leaves the scene when the gripper opens, not at
-            # the end of the return-home leg
-            release = result.release_time
-            assert release is not None
             self.scene = self.scene.without(matched)
-            self.removed.append((matched, release))
 
     def _diagnose(
         self,

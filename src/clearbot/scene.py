@@ -129,14 +129,11 @@ class ObjectSpec:
         """(x0, x1, y0, y1) of the footprint's axis-aligned bounding box, in
         Python floats."""
         if isinstance(self.dims, BrickDims):
-            pts = _corners(self)
-            x0, x1, y0, y1 = pts[:, 0].min(), pts[:, 0].max(), pts[:, 1].min(), pts[:, 1].max()
-        else:
-            a, b = _axis(self)
-            r = self.dims.radius
-            x0, x1 = min(a[0], b[0]) - r, max(a[0], b[0]) + r
-            y0, y1 = min(a[1], b[1]) - r, max(a[1], b[1]) + r
-        return float(x0), float(x1), float(y0), float(y1)
+            xs, ys = zip(*_corners(self))
+            return min(xs), max(xs), min(ys), max(ys)
+        (ax, ay), (bx, by) = _axis(self)
+        r = self.dims.radius
+        return min(ax, bx) - r, max(ax, bx) + r, min(ay, by) - r, max(ay, by) + r
 
     @cached_property
     def aabb_radius(self) -> float:
@@ -148,63 +145,68 @@ class ObjectSpec:
         return math.sqrt(2.0) * r
 
 
-def _corners(obj: ObjectSpec) -> np.ndarray:
-    """(4, 2) corners of a brick's footprint, counterclockwise."""
+def _corners(obj: ObjectSpec) -> tuple[tuple[float, float], ...]:
+    """The four (x, y) corners of a brick's footprint, counterclockwise."""
     c, s = math.cos(obj.yaw), math.sin(obj.yaw)
     hl, hw = obj.dims.length / 2.0, obj.dims.width / 2.0
-    local = np.array([[hl, hw], [-hl, hw], [-hl, -hw], [hl, -hw]])
-    rot = np.array([[c, -s], [s, c]])
-    return local @ rot.T + np.array([obj.x, obj.y])
+    return tuple(
+        (lx * c - ly * s + obj.x, lx * s + ly * c + obj.y)
+        for lx, ly in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))
+    )
 
 
-def _axis(obj: ObjectSpec) -> tuple[np.ndarray, np.ndarray]:
-    """End points of a pipe's axis; its footprint is this segment dilated by
-    the radius."""
-    h = np.array([math.cos(obj.yaw), math.sin(obj.yaw)]) * (obj.dims.length / 2.0)
-    center = np.array([obj.x, obj.y])
-    return center - h, center + h
+def _axis(obj: ObjectSpec) -> tuple[tuple[float, float], tuple[float, float]]:
+    """(x, y) end points of a pipe's axis; its footprint is this segment
+    dilated by the radius."""
+    h = obj.dims.length / 2.0
+    hx, hy = math.cos(obj.yaw) * h, math.sin(obj.yaw) * h
+    return (obj.x - hx, obj.y - hy), (obj.x + hx, obj.y + hy)
 
 
 # --- exact footprint overlap tests -----------------------------------------
 # Touching boundaries do not count as overlap; penetration must exceed _TOL.
+# Every sum of products is written out on Python floats: a BLAS dot product
+# or matmul rounds differently on different CPUs (FMA or not), and whether
+# two close objects are accepted must not depend on the CPU.
 
 _TOL = 1e-9
 
 
+def _clamp01(x: float) -> float:
+    return min(max(x, 0.0), 1.0)
+
+
 def _seg_seg_distance(p1, p2, q1, q2) -> float:
-    """Minimum distance between two 2D segments."""
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    q1 = np.asarray(q1, dtype=float)
-    q2 = np.asarray(q2, dtype=float)
-    d1 = p2 - p1
-    d2 = q2 - q1
-    r = p1 - q1
-    a = d1 @ d1
-    e = d2 @ d2
-    f = d2 @ r
+    """Minimum distance between two 2D segments, given by their (x, y) end
+    points."""
+    d1x, d1y = p2[0] - p1[0], p2[1] - p1[1]
+    d2x, d2y = q2[0] - q1[0], q2[1] - q1[1]
+    rx, ry = p1[0] - q1[0], p1[1] - q1[1]
+    a = d1x * d1x + d1y * d1y
+    e = d2x * d2x + d2y * d2y
+    f = d2x * rx + d2y * ry
 
     if a <= 1e-30 and e <= 1e-30:
-        return float(np.hypot(*r))
+        return math.hypot(rx, ry)
     if a <= 1e-30:
-        t = np.clip(f / e, 0.0, 1.0)
-        return float(np.linalg.norm(p1 - (q1 + t * d2)))
-    c = d1 @ r
+        t = _clamp01(f / e)
+        return math.hypot(p1[0] - (q1[0] + t * d2x), p1[1] - (q1[1] + t * d2y))
+    c = d1x * rx + d1y * ry
     if e <= 1e-30:
-        s = np.clip(-c / a, 0.0, 1.0)
-        return float(np.linalg.norm(p1 + s * d1 - q1))
+        s = _clamp01(-c / a)
+        return math.hypot(p1[0] + s * d1x - q1[0], p1[1] + s * d1y - q1[1])
 
-    b = d1 @ d2
+    b = d1x * d2x + d1y * d2y
     denom = a * e - b * b
-    s = np.clip((b * f - c * e) / denom, 0.0, 1.0) if denom > 1e-30 else 0.0
+    s = _clamp01((b * f - c * e) / denom) if denom > 1e-30 else 0.0
     t = (b * s + f) / e
     if t < 0.0:
         t = 0.0
-        s = np.clip(-c / a, 0.0, 1.0)
+        s = _clamp01(-c / a)
     elif t > 1.0:
         t = 1.0
-        s = np.clip((b - c) / a, 0.0, 1.0)
-    return float(np.linalg.norm(p1 + s * d1 - (q1 + t * d2)))
+        s = _clamp01((b - c) / a)
+    return math.hypot(p1[0] + s * d1x - (q1[0] + t * d2x), p1[1] + s * d1y - (q1[1] + t * d2y))
 
 
 def _rect_rect_overlap(a: ObjectSpec, b: ObjectSpec) -> bool:
@@ -212,10 +214,10 @@ def _rect_rect_overlap(a: ObjectSpec, b: ObjectSpec) -> bool:
     best_gap = -math.inf
     for rect in (a, b):
         for ang in (rect.yaw, rect.yaw + math.pi / 2.0):
-            axis = np.array([math.cos(ang), math.sin(ang)])
-            pa = ca @ axis
-            pb = cb @ axis
-            gap = max(pa.min() - pb.max(), pb.min() - pa.max())
+            ux, uy = math.cos(ang), math.sin(ang)
+            pa = [x * ux + y * uy for x, y in ca]
+            pb = [x * ux + y * uy for x, y in cb]
+            gap = max(min(pa) - max(pb), min(pb) - max(pa))
             best_gap = max(best_gap, gap)
     return best_gap < -_TOL
 
@@ -223,9 +225,12 @@ def _rect_rect_overlap(a: ObjectSpec, b: ObjectSpec) -> bool:
 def _seg_rect_distance(p1, p2, brick: ObjectSpec) -> float:
     # Work in the brick's local axis-aligned frame.
     c, s = math.cos(brick.yaw), math.sin(brick.yaw)
-    rot = np.array([[c, s], [-s, c]])
-    a = rot @ (np.asarray(p1, dtype=float) - [brick.x, brick.y])
-    b = rot @ (np.asarray(p2, dtype=float) - [brick.x, brick.y])
+
+    def local(p):
+        dx, dy = p[0] - brick.x, p[1] - brick.y
+        return c * dx + s * dy, -s * dx + c * dy
+
+    a, b = local(p1), local(p2)
     hl, hw = brick.dims.length / 2.0, brick.dims.width / 2.0
     inside = lambda p: abs(p[0]) <= hl and abs(p[1]) <= hw
     if inside(a) or inside(b):

@@ -5,12 +5,10 @@ shared by the orchestrator, CLI, and acceptance tests."""
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import io
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from clearbot import cli
@@ -20,26 +18,13 @@ from clearbot.orchestrator import (
     build_benchmark_config,
     run_scenario,
 )
-from helpers import Recorder, run_recorded
-
-
-def _openblas_core() -> str:
-    """The kernel the OpenBLAS bundled with numpy picked for this CPU
-    (``SkylakeX``, ``Haswell``, ...), or ``unknown``."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    try:
-        lib = ctypes.CDLL(str(next(libs.glob("*openblas*"))))
-        corename = lib.scipy_openblas_get_corename64_
-        corename.restype = ctypes.c_char_p
-        return corename().decode()
-    except (StopIteration, OSError, AttributeError, UnicodeDecodeError):
-        return "unknown"
+from helpers import Recorder, openblas_core, run_recorded
 
 
 def pytest_report_header(config) -> str:
     # the recorded digests hold under the SkylakeX kernel alone (ROADMAP,
     # Baseline), so a red digest test on another kernel need not be a fault
-    return f"openblas core: {_openblas_core()}"
+    return f"openblas core: {openblas_core()}"
 
 
 @pytest.fixture(scope="session")

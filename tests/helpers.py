@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
 from clearbot import geometry
+from clearbot.arm import PickOutcome
 from clearbot.camera import LabelImage
 from clearbot.geometry import MaskComponent
 from clearbot.orchestrator import (
@@ -33,6 +37,31 @@ from clearbot.scene import BrickDims, ObjectClass, ObjectSpec, _axis
 from clearbot.segmentation import CutBand, Erode, Holes
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """This process's environment plus ``extra``, for a child interpreter
+    that imports clearbot from this checkout's ``src`` and the test modules
+    from ``tests``."""
+    path = os.environ.get("PYTHONPATH")
+    dirs = [str(ROOT / "src"), str(ROOT / "tests"), path]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, dirs)), **extra}
+
+
+def openblas_core() -> str:
+    """The kernel the OpenBLAS bundled with numpy picked for this CPU
+    (``SkylakeX``, ``Haswell``, ...), or ``unknown``."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    try:
+        lib = ctypes.CDLL(str(next(libs.glob("*openblas*"))))
+        corename = lib.scipy_openblas_get_corename64_
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    except (StopIteration, OSError, AttributeError, UnicodeDecodeError):
+        return "unknown"
+
+
 class Recorder:
     """A bus subscriber that keeps every envelope, in publish order."""
 
@@ -45,6 +74,15 @@ class Recorder:
 
     def log(self) -> tuple[MessageEnvelope, ...]:
         return tuple(self._log)
+
+    def picked(self) -> list[str]:
+        """Ids of the objects picked so far, in pick order, from the arm's
+        status messages."""
+        return [
+            env.payload.object_id
+            for env in self.history(Topic.ARM_STATUS)
+            if env.payload.result.outcome is PickOutcome.SUCCESS
+        ]
 
 
 # payloads logged field for field, by the kind each is logged as
@@ -151,14 +189,13 @@ def footprint_contains(obj: ObjectSpec, x, y, margin: float = 0.0):
         return (np.abs(lx) <= obj.dims.length / 2.0 + margin) & (
             np.abs(ly) <= obj.dims.width / 2.0 + margin
         )
-    a, b = _axis(obj)
-    px = np.asarray(x, dtype=float) - a[0]
-    py = np.asarray(y, dtype=float) - a[1]
-    ab = b - a
-    denom = float(ab @ ab)
-    t = np.clip((px * ab[0] + py * ab[1]) / denom, 0.0, 1.0)
-    dx = px - t * ab[0]
-    dy = py - t * ab[1]
+    (ax, ay), (bx, by) = _axis(obj)
+    px = np.asarray(x, dtype=float) - ax
+    py = np.asarray(y, dtype=float) - ay
+    abx, aby = bx - ax, by - ay
+    t = np.clip((px * abx + py * aby) / (abx * abx + aby * aby), 0.0, 1.0)
+    dx = px - t * abx
+    dy = py - t * aby
     return dx * dx + dy * dy <= (obj.dims.radius + margin) ** 2
 
 

@@ -313,7 +313,7 @@ def test_criterion_10_causality_and_conservation():
         for _ in range(200_000):
             before = (sim.state, sim.distance)
             state = sim.step()
-            assert len(sim.scene.objects) + len(sim.removed) == total
+            assert len(sim.scene.objects) + len(recorder.picked()) == total
             if before[0] is PipelineState.PICKING:
                 assert sim.distance == before[1]  # zero velocity during the pick
             if state is PipelineState.DONE:

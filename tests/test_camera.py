@@ -811,9 +811,9 @@ def _reference_pixel_window(obj, cam_pos, heading, k):
     every call from the brick's corners or the pipe's axis ends pushed out
     by the radius, and all eight corners projected in numpy scalars."""
     if isinstance(obj.dims, BrickDims):
-        pts = _corners(obj)
+        pts = np.array(_corners(obj))
     else:
-        a, b = _axis(obj)
+        a, b = np.array(_axis(obj))
         r = obj.dims.radius
         pts = np.array([a - r, a + r, b - r, b + r])
     x0, x1, y0, y1 = pts[:, 0].min(), pts[:, 0].max(), pts[:, 1].min(), pts[:, 1].max()

@@ -7,7 +7,6 @@ import copy
 import io
 import json
 import math
-import os
 import re
 import subprocess
 import sys
@@ -30,6 +29,8 @@ from clearbot.orchestrator import (
 )
 from clearbot.scene import BrickDims, ObjectClass, ObjectSpec, PipeDims
 from clearbot.segmentation import CutBand, Erode, Holes, Relabel
+
+from helpers import child_env
 
 REPORT_KEYS = {"seed", "config_digest", "attempted", "succeeded", "records", "wall_notes"}
 RECORD_KEYS = {
@@ -235,6 +236,10 @@ _HOLES = {"op": "holes", "fraction": 0.1, "seed": 0}
             id="mutate-corruptions[0]-cut-band-1e400",
         ),
         (_set("camera", "width", 200000), "camera"),
+        (_set("camera", "width", 0), "camera.width"),
+        (_set("camera", "height", -1), "camera.height"),
+        (_set("camera", "cx", 512.0), "camera.cx"),
+        (_set("camera", "cy", -0.5), "camera.cy"),
         (_set("objects", 0, "dims", "length", 1e300), "objects[0].dims.length"),
         pytest.param(
             _set("corruptions", [{"op": "relabel", "region": [-40, -1, 0, 512], "new_class": 0}]),
@@ -606,12 +611,10 @@ def test_the_course_runs_without_scipy(tmp_path):
         "from clearbot import cli\n"
         "sys.exit(cli.main(['benchmark', '--paper-table1', '--out', sys.argv[1]]))\n"
     )
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), path]))}
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-c", script, str(out)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        cwd=tmp_path, env=child_env(), capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     recorded = json.loads((root / "perfbench" / "recorded.json").read_text())

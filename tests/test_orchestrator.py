@@ -507,7 +507,9 @@ def test_single_brick_flow_stops_once_and_picks():
     assert log.index(stops[0]) < log.index(commands[0])
     assert stops[0].t < commands[0].t
     assert sim.scene.objects == ()
-    assert sim.removed == [("b", pytest.approx(commands[0].t + 17.0))]
+    (status,) = recorder.history(Topic.ARM_STATUS)
+    assert recorder.picked() == ["b"]
+    assert status.payload.result.release_time == pytest.approx(commands[0].t + 17.0)
 
 
 def test_vehicle_holds_still_through_the_pick():
@@ -614,17 +616,18 @@ def test_adaptive_order_rescues_the_boundary_pipe(benchmark_run, adaptive_run):
 
 def test_objects_are_conserved_at_every_step():
     sim = Simulation(build_benchmark_config())
+    recorder = Recorder(sim.bus)
     total = len(sim.scene.objects)
     for _ in range(100000):
         state = sim.step()
-        assert len(sim.scene.objects) + len(sim.removed) == total
-        # each object is removed once, and a removed object is gone
-        gone = {oid for oid, _ in sim.removed}
-        assert len(gone) == len(sim.removed)
-        assert gone.isdisjoint(o.id for o in sim.scene.objects)
+        picked = recorder.picked()
+        assert len(sim.scene.objects) + len(picked) == total
+        # each object is picked once, and a picked object is gone
+        assert len(set(picked)) == len(picked)
+        assert set(picked).isdisjoint(o.id for o in sim.scene.objects)
         if state is PipelineState.DONE:
             break
-    assert len(sim.removed) == 7
+    assert len(recorder.picked()) == 7
 
 
 def test_command_latency_is_fixed_and_subsecond(benchmark_run):

@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,14 +25,18 @@ from clearbot.scene import (
     Pose2D,
     Scene,
     Violation,
+    _axis,
     _corners,
+    _seg_rect_distance,
+    _seg_seg_distance,
+    _TOL,
     footprints_overlap,
     robot_to_world,
     validate_scene,
     world_to_robot,
 )
 
-from helpers import footprint_contains
+from helpers import child_env, footprint_contains, openblas_core
 
 BRICK = BrickDims(0.20, 0.10, 0.06)
 PIPE = PipeDims(0.03, 0.40)
@@ -202,6 +211,84 @@ def test_overlap_sweep_matches_all_pairs(scene):
 def test_footprint_overlap_is_symmetric(scene):
     for a, b in itertools.combinations(scene.objects, 2):
         assert footprints_overlap(a, b) == footprints_overlap(b, a)
+
+
+def scene_geometry_bits() -> dict[str, list]:
+    """The footprint geometry's results on seeded draws, floats as
+    ``float.hex``: brick corners, bounding boxes, segment distances, and the
+    overlap verdicts of pairs placed just either side of the verdict's
+    threshold (touching, less ``_TOL``), where a rounding can decide it."""
+    rng = random.Random(0)
+    out: dict[str, list] = {"corners": [], "aabb": [], "distance": [], "overlap": []}
+
+    def segment():
+        return [(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(2)]
+
+    def beside(obj, make, gap):
+        """``make``'s object parallel to ``obj``, across its width axis, its
+        center ``gap`` less ``_TOL`` away, give or take a couple of ulps."""
+        d = gap - _TOL + rng.uniform(-2e-15, 2e-15)
+        return make("n", obj.x - d * math.sin(obj.yaw), obj.y + d * math.cos(obj.yaw), obj.yaw)
+
+    for _ in range(100):
+        x, y, yaw = rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0), rng.uniform(-math.pi, math.pi)
+        b, p = brick_at("b", x, y, yaw), pipe_at("p", x, y, yaw)
+        b_brick = beside(b, brick_at, BRICK.width)
+        b_pipe = beside(b, pipe_at, BRICK.width / 2.0 + PIPE.radius)
+        p_pipe = beside(p, pipe_at, 2.0 * PIPE.radius)
+        distances = (
+            _seg_seg_distance(*segment(), *segment()),
+            _seg_rect_distance(*segment(), b),
+            _seg_rect_distance(*_axis(b_pipe), b),
+            _seg_seg_distance(*_axis(p), *_axis(p_pipe)),
+        )
+        out["corners"] += [float.hex(v) for corner in _corners(b) for v in corner]
+        out["aabb"] += [float.hex(v) for v in b.aabb + p.aabb + p_pipe.aabb]
+        out["distance"] += [float.hex(v) for v in distances]
+        out["overlap"] += [
+            footprints_overlap(b, b_brick),
+            footprints_overlap(b, b_pipe),
+            footprints_overlap(p, p_pipe),
+        ]
+    return out
+
+
+# OpenBLAS kernels and the CPU flag each needs: Prescott (SSE3, which Linux
+# lists as pni) has no FMA, Haswell is AVX2 with FMA, SkylakeX AVX-512.
+# OpenBLAS names its Prescott kernel Katmai.
+_KERNELS = {"Prescott": "pni", "Haswell": "avx2", "SkylakeX": "avx512f"}
+_CORE_NAMES = {"Prescott": "Katmai"}
+
+
+def _cpu_flags() -> set[str]:
+    try:
+        lines = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        return set()
+    return {f for line in lines if line.startswith("flags") for f in line.split(":", 1)[1].split()}
+
+
+@pytest.mark.parametrize("core", _KERNELS)
+def test_footprint_geometry_has_the_same_bits_under_every_blas_kernel(core):
+    # a BLAS dot product or matmul rounds with or without FMA as the kernel
+    # does; the scene's geometry must not depend on which one the CPU picks
+    if _KERNELS[core] not in _cpu_flags():
+        pytest.skip(f"the CPU lists no {_KERNELS[core]}")
+    if openblas_core() == "unknown":
+        pytest.skip("numpy's OpenBLAS does not name its kernel")
+    script = (
+        "import json, test_scene\n"
+        "from helpers import openblas_core\n"
+        "print(json.dumps([openblas_core(), test_scene.scene_geometry_bits()]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=child_env(OPENBLAS_CORETYPE=core), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    child_core, bits = json.loads(proc.stdout)
+    assert child_core == _CORE_NAMES.get(core, core)
+    assert bits == scene_geometry_bits()
 
 
 # --- construction guards --------------------------------------------------------
