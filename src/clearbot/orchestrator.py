@@ -1247,6 +1247,14 @@ def _conform(value: Any, tmpl: Any, path: str, errors: list[tuple[str, str]]) ->
     if kind is float and not math.isfinite(value):
         errors.append((path, "expected a finite number"))
         return None
+    if kind is str:
+        # a JSON "\\ud800" escape decodes to a lone surrogate, which no UTF-8
+        # output can write
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            errors.append((path, "expected Unicode text, not a lone surrogate"))
+            return None
     return value
 
 
@@ -1387,7 +1395,8 @@ def frame_digest(fd: FrameData) -> str:
 
 
 # Each payload type writes its own canonical JSON text: the keys in sorted
-# order, no spaces, and each value as ``canonical_json`` writes it.
+# order, no spaces, and each value as ``canonical_json`` writes it. The
+# report writes its text from the same value writers.
 _int = int.__repr__
 _str = json.encoder.encode_basestring_ascii
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -1493,19 +1502,39 @@ def messages_to_ndjson(bus: MessageBus) -> str:
 _WALL_NOTES = "timings are simulated; wall clock intentionally excluded"
 
 
+def _attempt_json(rec: AttemptRecord) -> str:
+    """One entry of the report's records list, indented as it sits there."""
+    if rec.attribution:
+        names = ",\n        ".join([_str(name) for name in rec.attribution])
+        attribution = f"[\n        {names}\n      ]"
+    else:
+        attribution = "[]"
+    return (
+        f'    {{\n      "attribution": {attribution},\n'
+        f'      "cause": {_str(rec.cause)},\n'
+        f'      "center_error_m": {_float(rec.center_error_m)},\n'
+        f'      "class": {_str(rec.cls)},\n'
+        f'      "elapsed_s": {_float(rec.elapsed_s)},\n'
+        f'      "id": {_str(rec.object_id)},\n'
+        f'      "mask_iou": {_float(rec.mask_iou)},\n'
+        f'      "outcome": {_str(rec.outcome)},\n'
+        f'      "yaw_error_rad": {_float(rec.yaw_error_rad)}\n    }}'
+    )
+
+
 def report_to_json(report: RunReport) -> str:
-    records = [_record(r) for r in report.records]
-    for rec in records:
-        rec["id"] = rec.pop("object_id")
-    doc = {
-        "seed": report.seed,
-        "config_digest": report.config_digest,
-        "attempted": report.attempted,
-        "succeeded": report.succeeded,
-        "records": records,
-        "wall_notes": _WALL_NOTES,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The report as ``report.json`` holds it: the text the key-sorting JSON
+    encoder writes with a two-space indent, and a final newline."""
+    records = ",\n".join([_attempt_json(r) for r in report.records])
+    records = f"[\n{records}\n  ]" if records else "[]"
+    return (
+        f'{{\n  "attempted": {_int(report.attempted)},\n'
+        f'  "config_digest": {_str(report.config_digest)},\n'
+        f'  "records": {records},\n'
+        f'  "seed": {_int(report.seed)},\n'
+        f'  "succeeded": {_int(report.succeeded)},\n'
+        f'  "wall_notes": {_str(_WALL_NOTES)}\n}}\n'
+    )
 
 
 # --- built-in benchmark course ------------------------------------------------------

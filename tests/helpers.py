@@ -29,6 +29,7 @@ from clearbot.orchestrator import (
     ScenarioConfig,
     Simulation,
     Topic,
+    _WALL_NOTES,
     _record,
     canonical_json,
     frame_digest,
@@ -151,6 +152,24 @@ def oracle_line(env: MessageEnvelope) -> str:
         "payload": payload_to_dict(env.payload),
     }
     return canonical_json(record) + "\n"
+
+
+def report_to_dict(report: RunReport) -> dict:
+    """JSON form of a run report: each record field for field, with its
+    ``object_id`` written as ``id``. Through the key-sorting encoder with a
+    two-space indent it is the reference for the text ``report_to_json``
+    writes itself."""
+    records = [_record(r) for r in report.records]
+    for rec in records:
+        rec["id"] = rec.pop("object_id")
+    return {
+        "seed": report.seed,
+        "config_digest": report.config_digest,
+        "attempted": report.attempted,
+        "succeeded": report.succeeded,
+        "records": records,
+        "wall_notes": _WALL_NOTES,
+    }
 
 
 def components(labels: LabelImage, cls: ObjectClass, min_area: int = 1) -> list[MaskComponent]:

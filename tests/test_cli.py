@@ -261,6 +261,28 @@ _HOLES = {"op": "holes", "fraction": 0.1, "seed": 0}
             "objects",
             id="mutate-objects-overlap",
         ),
+        # a JSON "\ud800" escape decodes to a lone surrogate, which the run
+        # could not print to a UTF-8 stdout
+        pytest.param(
+            _set("objects", 0, "id", "b\ud8001"),
+            "objects[0].id",
+            id="mutate-objects[0].id-lone-surrogate",
+        ),
+        pytest.param(
+            _set("corruptions", [{"op": "cut_band", "target_id": "b\ud800", "band_px": 1}]),
+            "corruptions[0].target_id",
+            id="mutate-corruptions[0].target_id-lone-surrogate",
+        ),
+        pytest.param(
+            _set("injections", "depth_bias", [{"id": "\udc00b", "bias": 0.0}]),
+            "injections.depth_bias[0].id",
+            id="mutate-injections.depth_bias[0].id-lone-surrogate",
+        ),
+        pytest.param(
+            _set("name", "one-brick\ud800"),
+            "name",
+            id="mutate-name-lone-surrogate",
+        ),
     ],
 )
 def test_simulate_rejects_bad_value_with_its_path(tmp_path, capsys, mutate, path):

@@ -55,6 +55,7 @@ from clearbot.orchestrator import (
     ArmCommandPayload,
     ArmStatusPayload,
     AttemptDiagnostics,
+    AttemptRecord,
     ControlStopPayload,
     DepthBiasInjection,
     FailureModule,
@@ -96,7 +97,14 @@ from clearbot.scene import (
 )
 from clearbot.segmentation import CutBand, Erode, Holes, Relabel
 
-from helpers import Recorder, full_frame_segment, oracle_line, payload_to_dict, run_recorded
+from helpers import (
+    Recorder,
+    full_frame_segment,
+    oracle_line,
+    payload_to_dict,
+    report_to_dict,
+    run_recorded,
+)
 
 BRICK = BrickDims(0.20, 0.095, 0.057)
 
@@ -329,6 +337,40 @@ def test_each_payload_writes_the_line_of_the_dict_oracle(payload, topic, t):
     text = messages_to_ndjson(bus)
     assert text == "".join(oracle_line(env) for env in recorder.log())
     assert bus.digest() == hashlib.sha256(text.encode()).hexdigest()
+
+
+_REPORTS = st.builds(
+    RunReport,
+    name=_IDS,
+    seed=st.one_of(st.sampled_from((0, 2**63 - 1)), st.integers(0, 2**63 - 1)),
+    config_digest=_IDS,
+    log_digest=_IDS,
+    records=st.lists(
+        st.builds(
+            AttemptRecord,
+            object_id=_IDS,
+            cls=_IDS,
+            outcome=st.one_of(st.sampled_from([o.value for o in PickOutcome]), _IDS),
+            cause=_IDS,
+            attribution=st.lists(_IDS, max_size=4).map(tuple),
+            elapsed_s=_FLOATS,
+            center_error_m=_FLOATS,
+            yaw_error_rad=_FLOATS,
+            mask_iou=_FLOATS,
+        ),
+        max_size=5,
+    ).map(tuple),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@example(report=RunReport("empty", 0, "", "", ()))
+@given(report=_REPORTS)
+def test_report_writes_the_text_of_the_dict_oracle(report):
+    # the report writes its own text; it must be the text the key-sorting,
+    # two-space-indenting encoder writes from the report's dict
+    oracle = json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+    assert report_to_json(report) == oracle
 
 
 def test_ndjson_of_an_empty_bus_is_empty():
