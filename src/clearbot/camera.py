@@ -428,10 +428,11 @@ def render(scene: Scene, k: Intrinsics) -> tuple[LabelImage, DepthImage]:
 class Canvas:
     """The (labels, depth, instances) arrays a frame is composed into.
 
-    It remembers what :func:`compose_patches` wrote last: the floor depth
-    and the windows of the patches. Outside those windows the arrays hold
-    the background (0, the floor depth, -1), so the next compose resets
-    only them. A new canvas counts as written everywhere.
+    A canvas serves one floor depth: one run's, whose camera height is
+    fixed. It remembers the windows of the patches :func:`compose_patches`
+    wrote last. Outside those windows the arrays hold the background (0,
+    the floor depth, -1), so the next compose resets only them. A new
+    canvas counts as written everywhere.
     """
 
     def __init__(self, shape: tuple[int, int]) -> None:
@@ -440,7 +441,6 @@ class Canvas:
             np.empty(shape),
             np.empty(shape, dtype=np.int32),
         )
-        self.floor_depth = math.nan
         self.written: tuple[Window, ...] = ((0, shape[0], 0, shape[1]),)
 
 
@@ -452,21 +452,17 @@ def compose_patches(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rebuild (labels, depth, instances) from sparse patches; exact.
 
-    ``out`` is a canvas of ``shape`` to compose into: the windows the last
-    compose wrote are reset, or the whole image when the floor depth
-    changed. Without it, the images are fresh arrays.
+    ``out`` is a canvas of ``shape`` to compose into, whose every compose
+    has this ``floor_depth``: the windows the last compose wrote are
+    reset. Without it, the images are fresh arrays.
     """
     canvas = Canvas(shape) if out is None else out
     labels, depth, inst = canvas.arrays
-    stale = canvas.written
-    if canvas.floor_depth != floor_depth:
-        stale = ((0, shape[0], 0, shape[1]),)
-    for r0, r1, c0, c1 in stale:
+    for r0, r1, c0, c1 in canvas.written:
         labels[r0:r1, c0:c1] = 0
         depth[r0:r1, c0:c1] = floor_depth
         inst[r0:r1, c0:c1] = -1
     # recorded before the patches go in, so that it covers them all
-    canvas.floor_depth = floor_depth
     canvas.written = tuple((p.r0, p.r1, p.c0, p.c1) for p in patches)
     for p in patches:
         win = depth[p.r0 : p.r1, p.c0 : p.c1]

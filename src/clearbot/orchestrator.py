@@ -21,10 +21,9 @@ import hashlib
 import io
 import json
 import math
-import os
 import sys
 from collections import Counter
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
@@ -213,22 +212,24 @@ class FrameImages:
 
 
 class FrameBuffers:
-    """Dense arrays that one frame's images are built into.
+    """Dense arrays that one run's frame images are built into.
 
     A :class:`Simulation` builds every capture into one set, so a run holds
     one frame's dense images however long it is, and each capture writes
     into pages it has already touched.
 
-    A noisy capture perceives its depth while the worker thread draws the
-    next frame's noise, so those draws overlap this frame's perception.
+    A noisy capture perceives its depth while the run's worker thread draws
+    the next frame's noise, so those draws overlap this frame's perception.
     The worker draws into arrays of its own, which this thread sees only
-    through the future's result.
+    through the future's result. It starts at the first draw ahead and
+    ends at :meth:`settle`.
     """
 
     def __init__(self, shape: tuple[int, int]) -> None:
         self.shape = shape
         # compose_patches' labels, depth and instances
         self.canvas = Canvas(shape)
+        self._worker: Optional[ThreadPoolExecutor] = None
         # (frame index, future) of the newest draw submitted to the worker
         self._ahead: Optional[tuple[int, Future]] = None
 
@@ -245,27 +246,20 @@ class FrameBuffers:
             return None
         ahead = self._ahead
         drawn = ahead[1].result if ahead is not None and ahead[0] == frame_index else None
+        if self._worker is None:
+            self._worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="clearbot-noise")
         seed = _noise_seed(cfg, frame_index + 1)
-        future = _noise_worker().submit(draw_noise, cfg.noise, seed, self.shape)
+        future = self._worker.submit(draw_noise, cfg.noise, seed, self.shape)
         self._ahead = (frame_index + 1, future)
         return drawn
 
     def settle(self) -> None:
-        """Wait until no draw is in flight; the worker runs them in order."""
-        if self._ahead is not None:
-            wait([self._ahead[1]])
-            self._ahead = None
+        """End the worker, once the draws in flight are done."""
+        if self._worker is not None:
+            self._worker.shutdown()
+            self._worker = None
+        self._ahead = None
 
-
-@functools.cache
-def _noise_worker() -> ThreadPoolExecutor:
-    """The one worker thread that draws noise ahead, started by the first
-    noisy capture; a forked child has no such thread, so it starts its own."""
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="clearbot-noise")
-
-
-if hasattr(os, "register_at_fork"):  # POSIX only; elsewhere nothing forks
-    os.register_at_fork(after_in_child=_noise_worker.cache_clear)
 
 # mixed into each frame's depth-noise seed
 _NOISE_TAG = 1
@@ -850,6 +844,8 @@ class Simulation:
         self._drive(t_frame - self.clock.now())
         if self.distance >= self.cfg.path_length():
             self.state = PipelineState.DONE
+            # the last capture drew noise ahead for a frame the run never takes
+            self._buffers.settle()
             return
         fd, _, t_targets, chosen = self._perceive(standstill=False, inject_for=None)
         if chosen is None:
@@ -1016,7 +1012,7 @@ class Simulation:
                 self.step()
                 steps += 1
         finally:
-            # the last capture drew noise ahead for a frame the run never takes
+            # a run that raised never reached DONE
             self._buffers.settle()
         return RunReport(
             name=self.cfg.name,
