@@ -477,6 +477,10 @@ class ScenarioConfig:
             self.ugv_end[0] - self.ugv_start[0], self.ugv_end[1] - self.ugv_start[1]
         )
 
+    def course_frames(self) -> float:
+        """Frame periods the drive takes at full speed, stops left out."""
+        return self.path_length() / (self.speed * self.frame_period)
+
 
 class InvalidConfig(ValueError):
     """Scenario rejected; ``errors`` holds (field_path, message) pairs."""
@@ -526,7 +530,7 @@ def validate_config(cfg: ScenarioConfig) -> list[tuple[str, str]]:
         if not all(math.isfinite(v) for v in values):
             errors.append((path, "must be finite"))
     if speed_ok and period_ok and ends_ok:
-        frames = cfg.path_length() / (cfg.speed * cfg.frame_period)
+        frames = cfg.course_frames()
         # each object can cost one stop: the braking lag and one pick
         pick_s = sum(cfg.arm.phase_durations.values())
         t_end = cfg.path_length() / cfg.speed + len(cfg.objects) * (cfg.stop_latency + pick_s)
@@ -710,9 +714,7 @@ class RunReport:
 
 class PipelineState(enum.Enum):
     DRIVING = "Driving"
-    STOPPING = "Stopping"
     PICKING = "Picking"
-    RESUMING = "Resuming"
     DONE = "Done"
 
 
@@ -736,7 +738,8 @@ class Simulation:
         # one record per attempted object, in attempt order
         self.records: dict[str, AttemptRecord] = {}
         self._heading = self.scene.ugv.heading
-        self._pending_stop: Optional[ControlStopPayload] = None
+        # the object whose sighting stopped the vehicle, until its pick step
+        self._trigger_id: Optional[str] = None
         # every capture's images, valid until the next capture
         self._buffers = FrameBuffers((cfg.intrinsics.height, cfg.intrinsics.width))
 
@@ -831,12 +834,8 @@ class Simulation:
     def step(self) -> PipelineState:
         if self.state is PipelineState.DRIVING:
             self._step_driving()
-        elif self.state is PipelineState.STOPPING:
-            self._step_stopping()
         elif self.state is PipelineState.PICKING:
             self._step_picking()
-        elif self.state is PipelineState.RESUMING:
-            self._step_resuming()
         return self.state
 
     def _step_driving(self) -> None:
@@ -856,44 +855,37 @@ class Simulation:
             frame_index=fd.frame_index, target=rec, trigger_id=matched
         )
         self.bus.publish(Topic.CONTROL_STOP, t_targets, stop)
-        self._pending_stop = stop
-        self.state = PipelineState.STOPPING
-
-    def _step_stopping(self) -> None:
+        self._trigger_id = matched
         # the vehicle keeps rolling through the perception latencies and the
-        # braking lag, then stands still
+        # braking lag, then stands still for the pick step
         self._drive(SEG_LATENCY + GEOMETRY_LATENCY + self.cfg.stop_latency)
         self.state = PipelineState.PICKING
 
     def _step_picking(self) -> None:
-        stop = self._pending_stop
-        self._pending_stop = None
-        assert stop is not None
+        trigger_id = self._trigger_id
+        self._trigger_id = None
+        assert trigger_id is not None
         # align the standstill capture to the camera's frame grid
         n = self._next_frame_slot()
         self.frame_index = n
         self.clock.advance(n * self.cfg.frame_period - self.clock.now())
 
-        fd, images, t_targets, chosen = self._perceive(standstill=True, inject_for=stop.trigger_id)
+        fd, images, t_targets, chosen = self._perceive(standstill=True, inject_for=trigger_id)
         self.frame_index += 1
         if chosen is None:
             # nothing actionable from the standstill view; skip the trigger
             # object so the same frame cannot stop the vehicle forever
-            self.abandoned.add(stop.trigger_id)
-            self.state = PipelineState.RESUMING
-            return
-        rec, comp, matched = chosen
-        t_cmd = t_targets + DISPATCH_LATENCY
-        self.bus.publish(
-            Topic.ARM_COMMANDS,
-            t_cmd,
-            ArmCommandPayload(frame_index=fd.frame_index, target=rec, matched_id=matched),
-        )
-        self.clock.advance(t_cmd - self.clock.now())
-        self._execute_attempt(rec, comp, matched, images)
-        self.state = PipelineState.RESUMING
-
-    def _step_resuming(self) -> None:
+            self.abandoned.add(trigger_id)
+        else:
+            rec, comp, matched = chosen
+            t_cmd = t_targets + DISPATCH_LATENCY
+            self.bus.publish(
+                Topic.ARM_COMMANDS,
+                t_cmd,
+                ArmCommandPayload(frame_index=fd.frame_index, target=rec, matched_id=matched),
+            )
+            self.clock.advance(t_cmd - self.clock.now())
+            self._execute_attempt(rec, comp, matched, images)
         # re-start the vehicle on the next camera grid slot
         self.frame_index = max(self.frame_index, self._next_frame_slot())
         self.state = PipelineState.DRIVING
@@ -999,11 +991,11 @@ class Simulation:
 
     def run(self) -> RunReport:
         # a valid run takes one step per frame of the course, one to end the
-        # drive and one for rounding, plus at most four per object: each stop
-        # attempts or abandons a new object, and costs three steps and a frame
+        # drive and one for rounding, plus at most two per object: each stop
+        # attempts or abandons an object not seen before, and costs a driving
+        # step that does not advance the frame index and a picking step
         cfg = self.cfg
-        limit = math.ceil(cfg.path_length() / (cfg.speed * cfg.frame_period))
-        limit += 2 + 4 * len(cfg.objects)
+        limit = math.ceil(cfg.course_frames()) + 2 + 2 * len(cfg.objects)
         steps = 0
         try:
             while self.state is not PipelineState.DONE:

@@ -561,8 +561,8 @@ def test_vehicle_holds_still_through_the_pick():
     while sim.state is not PipelineState.PICKING:
         sim.step()
     parked = sim.distance
-    sim.step()  # executes the pick
-    assert sim.state is PipelineState.RESUMING
+    sim.step()  # executes the pick, then resumes the drive
+    assert sim.state is PipelineState.DRIVING
     assert sim.distance == parked
     # standstill frames record a stationary vehicle at the parked pose
     standstill = [
@@ -582,24 +582,29 @@ def test_nearer_of_two_visible_objects_goes_first():
     assert report.succeeded == 2
 
 
-def test_state_transitions_stay_legal():
-    legal = {
-        (PipelineState.DRIVING, PipelineState.DRIVING),
-        (PipelineState.DRIVING, PipelineState.STOPPING),
-        (PipelineState.DRIVING, PipelineState.DONE),
-        (PipelineState.STOPPING, PipelineState.PICKING),
-        (PipelineState.PICKING, PipelineState.RESUMING),
-        (PipelineState.RESUMING, PipelineState.DRIVING),
-    }
-    sim = Simulation(tiny_scenario([brick("b", 1.2, 0.0)]))
-    prev = sim.state
-    for _ in range(10000):
-        state = sim.step()
-        assert (prev, state) in legal
-        prev = state
-        if state is PipelineState.DONE:
-            break
-    assert sim.state is PipelineState.DONE
+def _step_bound(cfg: ScenarioConfig) -> int:
+    """The steps a run may take: one per frame of the course, one to end the
+    drive, one for rounding, and two per object, for a stop's driving step
+    and its picking step."""
+    return math.ceil(cfg.course_frames()) + 2 + 2 * len(cfg.objects)
+
+
+def test_a_run_that_makes_no_progress_raises_at_the_step_bound(monkeypatch):
+    # driving steps that do nothing never reach Done: the run must raise
+    # after exactly the bound's number of steps, not hang
+    cfg =tiny_scenario([brick("a", 1.2, 0.0), brick("b", 2.0, 0.0)])
+    sim = Simulation(cfg)
+    monkeypatch.setattr(sim, "_step_driving", lambda: None)
+    step, steps = sim.step, []
+
+    def counted_step():
+        steps.append(sim.state)
+        return step()
+
+    sim.step = counted_step
+    with pytest.raises(RuntimeError, match="simulation did not terminate"):
+        sim.run()
+    assert steps == [PipelineState.DRIVING] * _step_bound(cfg)
 
 
 # --- the ten-object course ---------------------------------------------------------
@@ -1364,6 +1369,43 @@ def _assert_clusters_hold_the_labels(labels: LabelImage) -> None:
         inside[r0:r1, c0:c1] = True
     assert not labels.data[~inside].any()
     assert labels.class_pixels() == ((labels.data == 1).sum(), (labels.data == 2).sum())
+
+
+@settings(deadline=None, max_examples=60)
+@example(cfg=tiny_scenario([brick("b", 1.2, 0.0)]))
+@example(cfg=_lane_of_two())
+@given(cfg=short_runs())
+def test_state_transitions_stay_legal(cfg):
+    # a stop is two steps: the driving step that sees the object brakes the
+    # vehicle, and the picking step holds it still, then resumes the drive
+    legal = {
+        (PipelineState.DRIVING, PipelineState.DRIVING),
+        (PipelineState.DRIVING, PipelineState.PICKING),
+        (PipelineState.DRIVING, PipelineState.DONE),
+        (PipelineState.PICKING, PipelineState.DRIVING),
+    }
+    sim = Simulation(cfg)
+    recorder = Recorder(sim.bus)
+    bound = _step_bound(cfg)
+    steps = picks = 0
+    prev = sim.state
+    while prev is not PipelineState.DONE:
+        assert steps < bound
+        parked = sim.distance
+        state = sim.step()
+        steps += 1
+        assert (prev, state) in legal
+        if prev is PipelineState.PICKING:
+            picks += 1
+            assert sim.distance == parked
+        prev = state
+    event(f"the run stops: {picks > 0}")
+    # every step but the last captures one frame: a driving step on the
+    # move, a picking step at standstill
+    frames = [env.payload for env in recorder.history(Topic.CAMERA_FRAMES)]
+    standstill = sum(fd.standstill for fd in frames)
+    assert standstill == picks == len(recorder.history(Topic.CONTROL_STOP))
+    assert steps == (len(frames) - standstill) + picks + 1 <= bound
 
 
 @settings(deadline=None, max_examples=200)
