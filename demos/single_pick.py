@@ -1,14 +1,9 @@
 """Drive past one brick, stop, and pick it -- then repeat with a rigged
 depth fault to show how the failure is attributed."""
 
-from clearbot.orchestrator import (
-    DepthBiasInjection,
-    MessageEnvelope,
-    ScenarioConfig,
-    Simulation,
-    Topic,
-)
+from clearbot.orchestrator import MessageEnvelope, Simulation, Topic
 from clearbot.scene import BrickDims, ObjectClass, ObjectSpec
+from clearbot.schema import DepthBiasInjection, ScenarioConfig
 
 
 def one_brick(biased: bool) -> ScenarioConfig:

@@ -311,18 +311,18 @@ def _cast_box(obj: ObjectSpec, o_l: tuple[float, float, float], dlx, dly) -> np.
     # o_z - height > 0 (``_pixel_window`` skips a top above the camera) to o_z.
     dims: BrickDims = obj.dims
     t_near, t_far = o_l[2] - dims.height, o_l[2]
-    for d, o, half in ((dlx, o_l[0], dims.length / 2.0), (dly, o_l[1], dims.width / 2.0)):
-        # a near-zero d can overflow t1 and t2; the parallel fix-up replaces them
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    # a near-zero d can overflow t1 and t2; the parallel fix-up replaces them
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for d, o, half in ((dlx, o_l[0], dims.length / 2.0), (dly, o_l[1], dims.width / 2.0)):
             t1 = (-half - o) / d
             t2 = (half - o) / d
-        lo_t, hi_t = np.minimum(t1, t2), np.maximum(t1, t2)
-        parallel = np.abs(d) < 1e-15
-        inside = -half <= o <= half
-        np.copyto(lo_t, -np.inf if inside else np.inf, where=parallel)
-        np.copyto(hi_t, np.inf if inside else -np.inf, where=parallel)
-        t_near = np.maximum(t_near, lo_t)
-        t_far = np.minimum(t_far, hi_t)
+            lo_t, hi_t = np.minimum(t1, t2), np.maximum(t1, t2)
+            parallel = np.abs(d) < 1e-15
+            inside = -half <= o <= half
+            np.copyto(lo_t, -np.inf if inside else np.inf, where=parallel)
+            np.copyto(hi_t, np.inf if inside else -np.inf, where=parallel)
+            t_near = np.maximum(t_near, lo_t)
+            t_far = np.minimum(t_far, hi_t)
     return np.where(t_near <= t_far, t_near, np.inf)
 
 
@@ -331,17 +331,15 @@ def _cast_cylinder(obj: ObjectSpec, o_l: tuple[float, float, float], dlx, dly) -
     r, half_len = dims.radius, dims.length / 2.0
     ox, oy, oz = o_l[0], o_l[1], o_l[2] - r  # shift so the axis sits at local z = 0
     # the side's quadratic on nadir rays (d_z = -1); a ray far from the optical
-    # axis can overflow it, and an infinite or NaN discriminant or root fails
-    # the tests below, as in ``_cast_box``
+    # axis can overflow it, and a missed ray's negative discriminant has a NaN
+    # root: an infinite or NaN discriminant or root fails the tests below
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a = dly * dly + 1.0
         b = 2.0 * (oy * dly - oz)
-        disc = b * b - 4.0 * a * (oy * oy + oz * oz - r * r)
-        ok = disc >= 0.0
-        sq = np.sqrt(np.where(ok, disc, 0.0))
+        sq = np.sqrt(b * b - 4.0 * a * (oy * oy + oz * oz - r * r))
         t_lo = (-b - sq) / (2.0 * a)
         t_hi = (-b + sq) / (2.0 * a)
-        hit_lo, hit_hi = (ok & (t > 0.0) & (np.abs(ox + t * dlx) <= half_len) for t in (t_lo, t_hi))
+        hit_lo, hit_hi = ((t > 0.0) & (np.abs(ox + t * dlx) <= half_len) for t in (t_lo, t_hi))
         # t_lo <= t_hi, so the far root counts only where the near one misses
         best = np.where(hit_hi, t_hi, np.inf)
         np.copyto(best, t_lo, where=hit_lo)

@@ -34,19 +34,16 @@ from .geometry import (
 )
 from .orchestrator import (
     FrameData,
-    InvalidConfig,
-    JsonObject,
     MessageEnvelope,
     RunReport,
-    ScenarioConfig,
     Simulation,
     Topic,
     build_benchmark_config,
     check_benchmark_report,
     messages_to_ndjson,
-    parse_scenario,
     report_to_json,
 )
+from .schema import InvalidConfig, JsonObject, ScenarioConfig, parse_scenario
 
 EXIT_OK = 0
 EXIT_PICK_FAILURES = 1

@@ -26,15 +26,13 @@ from clearbot.orchestrator import (
     MessageBus,
     MessageEnvelope,
     RunReport,
-    ScenarioConfig,
     Simulation,
     Topic,
     _WALL_NOTES,
-    _record,
-    canonical_json,
     frame_digest,
 )
 from clearbot.scene import BrickDims, ObjectClass, ObjectSpec, _axis
+from clearbot.schema import ScenarioConfig, canonical_json
 from clearbot.segmentation import CutBand, Erode, Holes
 
 
@@ -84,6 +82,20 @@ class Recorder:
             for env in self.history(Topic.ARM_STATUS)
             if env.payload.result.outcome is PickOutcome.SUCCESS
         ]
+
+
+def record_to_dict(value: object) -> object:
+    """JSON form of a logged record: a dataclass becomes an object of its
+    fields, with ``cls`` written as ``class``, and a tuple becomes a list."""
+    fields = getattr(value, "__dataclass_fields__", None)
+    if fields is not None:
+        return {
+            "class" if name == "cls" else name: record_to_dict(getattr(value, name))
+            for name in fields
+        }
+    if isinstance(value, tuple):
+        return [record_to_dict(v) for v in value]
+    return value
 
 
 # payloads logged field for field, by the kind each is logged as
@@ -138,7 +150,7 @@ def payload_to_dict(payload: object) -> dict:
     kind = _RECORD_KINDS.get(type(payload))
     if kind is None:
         raise TypeError(f"no JSON form for payload type {type(payload).__name__}")
-    return {"kind": kind, **_record(payload)}
+    return {"kind": kind, **record_to_dict(payload)}
 
 
 def oracle_line(env: MessageEnvelope) -> str:
@@ -159,7 +171,7 @@ def report_to_dict(report: RunReport) -> dict:
     ``object_id`` written as ``id``. Through the key-sorting encoder with a
     two-space indent it is the reference for the text ``report_to_json``
     writes itself."""
-    records = [_record(r) for r in report.records]
+    records = [record_to_dict(r) for r in report.records]
     for rec in records:
         rec["id"] = rec.pop("object_id")
     return {

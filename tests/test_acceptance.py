@@ -30,9 +30,7 @@ from clearbot.geometry import (
     transform_to_arm,
 )
 from clearbot.orchestrator import (
-    DepthBiasInjection,
     PipelineState,
-    ScenarioConfig,
     Simulation,
     Topic,
     _array_digest,
@@ -52,6 +50,7 @@ from clearbot.scene import (
     Pose2D,
     Scene,
 )
+from clearbot.schema import DepthBiasInjection, ScenarioConfig
 from clearbot.segmentation import segment
 
 from helpers import Recorder

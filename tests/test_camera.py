@@ -31,7 +31,7 @@ from clearbot.camera import (
     render,
     render_full,
 )
-from clearbot.orchestrator import FrameData, ScenarioConfig
+from clearbot.orchestrator import FrameData
 from clearbot.scene import (
     BrickDims,
     CameraMount,
@@ -44,6 +44,7 @@ from clearbot.scene import (
     _corners,
     robot_to_world,
 )
+from clearbot.schema import ScenarioConfig
 
 from helpers import components, footprint_contains
 

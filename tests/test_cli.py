@@ -21,13 +21,9 @@ from hypothesis import strategies as st
 
 from clearbot import cli, orchestrator
 from clearbot.camera import DepthNoiseModel, Intrinsics, encode_depth_pgm
-from clearbot.orchestrator import (
-    DepthBiasInjection,
-    ScenarioConfig,
-    Simulation,
-    scenario_to_dict,
-)
+from clearbot.orchestrator import Simulation
 from clearbot.scene import BrickDims, ObjectClass, ObjectSpec, PipeDims
+from clearbot.schema import DepthBiasInjection, ScenarioConfig, scenario_to_dict
 from clearbot.segmentation import CutBand, Erode, Holes, Relabel
 
 from helpers import child_env

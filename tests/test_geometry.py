@@ -842,6 +842,79 @@ def test_run_labelling_matches_ndimage_on_salt_and_pepper(mask):
         assert_same_component(a, b)
 
 
+def assert_labelled_as_ndimage_labels(mask: np.ndarray, count: int) -> None:
+    """``mask``'s components are ``ndimage.label``'s, and there are ``count``."""
+    labels = labels_of(mask)
+    got = components(labels, ObjectClass.BRICK)
+    want = reference_components(labels, ObjectClass.BRICK, min_area=1)
+    assert len(got) == len(want) == count
+    for a, b in zip(got, want):
+        assert_same_component(a, b)
+
+
+def comb(height: int, width: int, pitch: int = 2, first: int = 0) -> np.ndarray:
+    """A comb standing on its spine, the bottom row, with one-pixel teeth up
+    to the top row in every ``pitch``-th column from ``first``. Its top row
+    holds one run per tooth, which meet only at the spine."""
+    mask = np.zeros((height, width), bool)
+    mask[:, first::pitch] = True
+    mask[-1] = True
+    return mask
+
+
+TURNS = {
+    "upright": lambda m: m,
+    "upside_down": np.flipud,
+    "sideways_left": np.transpose,
+    "sideways_right": lambda m: np.fliplr(m.T),
+}
+
+
+@pytest.mark.parametrize("turn", TURNS)
+@pytest.mark.parametrize("shape", [(2, 3), (40, 33), (200, 100)])
+def test_run_labelling_matches_ndimage_on_combs(shape, turn):
+    assert_labelled_as_ndimage_labels(TURNS[turn](comb(*shape)), count=1)
+
+
+@pytest.mark.parametrize("turn", TURNS)
+def test_run_labelling_matches_ndimage_on_interlocked_combs(turn):
+    # teeth four columns apart, each comb's reaching to a row short of the
+    # other's spine: two components, tangled across the whole mask
+    up = comb(200, 100, pitch=4)
+    up[:2] = False
+    down = np.flipud(comb(200, 100, pitch=4, first=2))
+    down[-2:] = False
+    assert_labelled_as_ndimage_labels(TURNS[turn](up | down), count=2)
+
+
+def spiral(side: int) -> np.ndarray:
+    """A one-pixel path that winds clockwise from the top left corner into
+    a square of ``side`` pixels, with a one-pixel gap between its turns."""
+    mask = np.zeros((side, side), bool)
+    r, c, dr, dc = 0, 0, 0, 1
+    mask[r, c] = True
+    turns = 0
+    while turns < 2:
+        ahead = [(r + k * dr, c + k * dc) for k in (1, 2)]
+        inside = [0 <= y < side and 0 <= x < side for y, x in ahead]
+        if inside[0] and not mask[ahead[0]] and not (inside[1] and mask[ahead[1]]):
+            r, c = ahead[0]
+            mask[r, c] = True
+            turns = 0
+        else:
+            dr, dc = dc, -dr
+            turns += 1
+    return mask
+
+
+@pytest.mark.parametrize("side", [9, 10, 33, 64, 127])
+def test_run_labelling_matches_ndimage_on_spirals(side):
+    mask = spiral(side)
+    # the path holds about half the square, in one piece
+    assert mask.sum() > side * side // 2 - side
+    assert_labelled_as_ndimage_labels(mask, count=1)
+
+
 @settings(deadline=None, max_examples=200)
 @given(mask=salt_and_pepper(), dr=st.integers(0, 3), dc=st.integers(0, 3))
 def test_components_hold_raster_ordered_pixels_and_derive_their_extents(mask, dr, dc):

@@ -57,16 +57,13 @@ from clearbot.orchestrator import (
     AttemptDiagnostics,
     AttemptRecord,
     ControlStopPayload,
-    DepthBiasInjection,
     FailureModule,
     FrameData,
     GraspTargetsPayload,
-    InvalidConfig,
     MaskData,
     MessageBus,
     PipelineState,
     RunReport,
-    ScenarioConfig,
     SequenceRegression,
     SimClock,
     Simulation,
@@ -77,11 +74,9 @@ from clearbot.orchestrator import (
     build_benchmark_config,
     config_digest,
     messages_to_ndjson,
-    parse_scenario,
     replay_grasp_targets,
     report_to_json,
     run_scenario,
-    scenario_to_dict,
     validate_config,
 )
 from clearbot.scene import (
@@ -94,6 +89,13 @@ from clearbot.scene import (
     ObjectSpec,
     PipeDims,
     Pose2D,
+)
+from clearbot.schema import (
+    DepthBiasInjection,
+    InvalidConfig,
+    ScenarioConfig,
+    parse_scenario,
+    scenario_to_dict,
 )
 from clearbot.segmentation import CutBand, Erode, Holes, Relabel
 
