@@ -40,8 +40,8 @@ def main() -> None:
     )
     label_image, depth_image = render(scene, DEFAULT_INTRINSICS)
 
-    labels = label_image.data
-    depth = depth_image.data
+    labels = label_image.dense()
+    depth = depth_image.dense()
     print(f"image {labels.shape[1]}x{labels.shape[0]}")
     print(f"floor depth {scene.camera_mount.height:.3f} m")
     print(f"brick pixels {int((labels == 1).sum())}, pipe pixels {int((labels == 2).sum())}")

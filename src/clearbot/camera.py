@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, ClassVar, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -43,8 +43,8 @@ class InvalidScene(ValueError):
         super().__init__("; ".join(v.message for v in self.violations))
 
 
-#: most pixels an image may have (2048 x 2048); a frame holds several
-#: dense images of this size
+#: most pixels an image may have (2048 x 2048); a noisy frame's depth is
+#: one dense image of this size
 MAX_IMAGE_PIXELS = 2**22
 
 #: widest field of view, in degrees, of a camera centred on its principal
@@ -111,30 +111,6 @@ class Intrinsics:
 DEFAULT_INTRINSICS = Intrinsics(fx=256.0, fy=256.0, cx=256.0, cy=128.0, width=512, height=256)
 
 
-@dataclass(frozen=True)
-class DepthImage:
-    """z-depth per pixel in meters; values <= 0 are invalid."""
-
-    data: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.data, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError("depth image must be 2-D")
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    def valid_mask(self) -> np.ndarray:
-        return self.data > 0.0
-
-
 Window = tuple[int, int, int, int]  # (r0, r1, c0, c1), half open
 
 
@@ -159,67 +135,144 @@ def window_clusters(windows: Sequence[Window]) -> tuple[Window, ...]:
     return tuple(sorted(clusters))
 
 
-@dataclass(frozen=True)
-class LabelImage:
-    """Per-pixel class labels: 0 unlabeled, 1 brick, 2 pipe.
+def cluster_holding(clusters: Sequence[Window], window: Window) -> int:
+    """Index of the cluster that holds all of ``window``."""
+    wr0, wr1, wc0, wc1 = window
+    return next(
+        i
+        for i, (r0, r1, c0, c1) in enumerate(clusters)
+        if r0 <= wr0 and wr1 <= r1 and c0 <= wc0 and wc1 <= c1
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class ClusterImage:
+    """An image of ``shape`` that holds ``background`` outside its clusters.
 
     ``clusters`` are windows that touch no other, sorted (as
-    :func:`window_clusters` returns them), and hold every labelled pixel
-    between them; every pixel outside them is 0. Without them, the one
-    cluster is the whole image.
+    :func:`window_clusters` returns them), and ``crops`` holds the image
+    inside each. A dense image is the one-cluster case, which
+    :meth:`from_array` builds; :meth:`dense` gives any image as one array.
+    Images compare by identity, as their crops are arrays.
     """
 
-    data: np.ndarray
-    clusters: Optional[tuple[Window, ...]] = field(default=None, repr=False, compare=False)
+    shape: tuple[int, int]
+    clusters: tuple[Window, ...]
+    crops: tuple[np.ndarray, ...]
+    background: Any
 
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.data, dtype=np.uint8)
+    dtype: ClassVar[type]
+
+    @classmethod
+    def from_array(cls, data, clusters: Optional[Sequence[Window]] = None, **fields):
+        """The image of the array ``data``, whose pixels outside
+        ``clusters`` (if given; the whole image otherwise) are the
+        background; its crops are views of ``data``."""
+        arr = np.asarray(data, dtype=cls.dtype)
         if arr.ndim != 2:
-            raise ValueError("label image must be 2-D")
+            raise ValueError(f"{cls.__name__} must be 2-D")
         h, w = arr.shape
-        clusters = ((0, h, 0, w),) if self.clusters is None else self.clusters
-        if any(arr[r0:r1, c0:c1].max(initial=0) > 2 for r0, r1, c0, c1 in clusters):
-            raise ValueError("label image holds an unknown class code")
-        object.__setattr__(self, "data", arr)
-        object.__setattr__(self, "clusters", clusters)
+        clusters = ((0, h, 0, w),) if clusters is None else tuple(clusters)
+        crops = tuple(arr[r0:r1, c0:c1] for r0, r1, c0, c1 in clusters)
+        return cls((h, w), clusters, crops, **fields)
 
     @property
     def height(self) -> int:
-        return self.data.shape[0]
+        return self.shape[0]
 
     @property
     def width(self) -> int:
-        return self.data.shape[1]
+        return self.shape[1]
+
+    def dense(self) -> np.ndarray:
+        """The image as one array: the crop itself when one cluster covers
+        the image, a new array otherwise."""
+        h, w = self.shape
+        if self.clusters == ((0, h, 0, w),):
+            return self.crops[0]
+        out = np.full(self.shape, self.background, dtype=self.dtype)
+        for (r0, r1, c0, c1), crop in zip(self.clusters, self.crops):
+            out[r0:r1, c0:c1] = crop
+        return out
+
+    def views(self, window: Window) -> Iterator[tuple[int, int, np.ndarray]]:
+        """The parts of the crops inside ``window``, which may reach past
+        the image: each as its top row and left column in the image and a
+        view of its crop. The rest of the window is background."""
+        wr0, wr1, wc0, wc1 = window
+        for (r0, r1, c0, c1), crop in zip(self.clusters, self.crops):
+            a, b, c, d = max(wr0, r0), min(wr1, r1), max(wc0, c0), min(wc1, c1)
+            if a < b and c < d:
+                yield a, c, crop[a - r0 : b - r0, c - c0 : d - c0]
+
+    def holding(self, window: Window) -> tuple[int, int, np.ndarray]:
+        """``window``, which one cluster holds: its top row and left column
+        and a view of that cluster's crop."""
+        wr0, wr1, wc0, wc1 = window
+        r0, _, c0, _ = self.clusters[i := cluster_holding(self.clusters, window)]
+        return wr0, wc0, self.crops[i][wr0 - r0 : wr1 - r0, wc0 - c0 : wc1 - c0]
+
+    def at(self, rows: np.ndarray, cols: np.ndarray, box: Window) -> np.ndarray:
+        """Values at the pixels ``(rows, cols)``, which lie in ``box``, a
+        window that one cluster holds."""
+        r0, c0, view = self.holding(box)
+        return view[rows - r0, cols - c0]
+
+
+@dataclass(frozen=True, eq=False)
+class LabelImage(ClusterImage):
+    """Per-pixel class labels: 0 unlabeled, 1 brick, 2 pipe."""
+
+    background: int = 0
+
+    dtype = np.uint8
+
+    def __post_init__(self) -> None:
+        if any(crop.max(initial=0) > 2 for crop in self.crops):
+            raise ValueError("label image holds an unknown class code")
 
     def class_pixels(self) -> tuple[int, int]:
-        """(brick, pipe) pixel counts; codes are 0, 1 or 2, so each cluster
-        crop's nonzero count and sum give both without an image-sized
-        temporary."""
+        """(brick, pipe) pixel counts; codes are 0, 1 or 2, so each crop's
+        nonzero count and sum give both without a temporary."""
         labelled = total = 0
-        for r0, r1, c0, c1 in self.clusters:
-            crop = self.data[r0:r1, c0:c1]
+        for crop in self.crops:
             labelled += int(np.count_nonzero(crop))
             total += int(crop.sum(dtype=np.uint32))
         pipe = total - labelled
         return labelled - pipe, pipe
 
 
-@dataclass(frozen=True)
-class InstanceImage:
+@dataclass(frozen=True, eq=False)
+class DepthImage(ClusterImage):
+    """z-depth per pixel in meters; values <= 0 are invalid. The background
+    of a composed frame is the floor depth."""
+
+    background: float = 0.0
+
+    dtype = np.float64
+
+
+@dataclass(frozen=True, eq=False)
+class InstanceImage(ClusterImage):
     """Per-pixel index of the scene object seen (-1 where no object).
 
     ``windows`` maps the id of each object in view to its index and the
-    pixel window that holds all of its pixels (its render patch); an object
-    not in ``windows`` has no pixels.
+    pixel window that holds all of its pixels (its render patch), which
+    lies in one cluster; an object not in ``windows`` has no pixels.
     """
 
-    index: np.ndarray
-    windows: Mapping[str, tuple[int, Window]]
+    background: int = -1
+    windows: Mapping[str, tuple[int, Window]] = field(default_factory=dict)
+
+    dtype = np.int32
 
     def pixels_of(self, object_id: str) -> tuple[np.ndarray, np.ndarray]:
         """Row and column indices of the object's pixels, in row-major order."""
-        idx, (r0, r1, c0, c1) = self.windows.get(object_id, (-1, (0, 0, 0, 0)))
-        rows, cols = np.nonzero(self.index[r0:r1, c0:c1] == idx)
+        if object_id not in self.windows:
+            return np.nonzero(np.zeros((0, 0), dtype=bool))
+        idx, window = self.windows[object_id]
+        r0, c0, view = self.holding(window)
+        rows, cols = np.nonzero(view == idx)
         return rows + r0, cols + c0
 
 
@@ -420,55 +473,39 @@ def render(scene: Scene, k: Intrinsics) -> tuple[LabelImage, DepthImage]:
         raise InvalidScene(violations)
     rr = render_full(scene, k)
     labels, depth, _ = compose_patches((k.height, k.width), rr.floor_depth, rr.patches)
-    return LabelImage(labels), DepthImage(depth)
-
-
-class Canvas:
-    """The (labels, depth, instances) arrays a frame is composed into.
-
-    A canvas serves one floor depth: one run's, whose camera height is
-    fixed. It remembers the windows of the patches :func:`compose_patches`
-    wrote last. Outside those windows the arrays hold the background (0,
-    the floor depth, -1), so the next compose resets only them. A new
-    canvas counts as written everywhere.
-    """
-
-    def __init__(self, shape: tuple[int, int]) -> None:
-        self.arrays = (
-            np.empty(shape, dtype=np.uint8),
-            np.empty(shape),
-            np.empty(shape, dtype=np.int32),
-        )
-        self.written: tuple[Window, ...] = ((0, shape[0], 0, shape[1]),)
+    return labels, depth
 
 
 def compose_patches(
-    shape: tuple[int, int],
-    floor_depth: float,
-    patches: Sequence[ObjectPatch],
-    out: Optional[Canvas] = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rebuild (labels, depth, instances) from sparse patches; exact.
+    shape: tuple[int, int], floor_depth: float, patches: Sequence[ObjectPatch]
+) -> tuple[LabelImage, DepthImage, InstanceImage]:
+    """Build (labels, depth, instances) from sparse patches; exact.
 
-    ``out`` is a canvas of ``shape`` to compose into, whose every compose
-    has this ``floor_depth``: the windows the last compose wrote are
-    reset. Without it, the images are fresh arrays.
+    The images' clusters are those of the patch windows, and each patch is
+    z-buffered into the crops of the one cluster that holds its window.
     """
-    canvas = Canvas(shape) if out is None else out
-    labels, depth, inst = canvas.arrays
-    for r0, r1, c0, c1 in canvas.written:
-        labels[r0:r1, c0:c1] = 0
-        depth[r0:r1, c0:c1] = floor_depth
-        inst[r0:r1, c0:c1] = -1
-    # recorded before the patches go in, so that it covers them all
-    canvas.written = tuple((p.r0, p.r1, p.c0, p.c1) for p in patches)
+    windows = {p.object_id: (p.obj_index, (p.r0, p.r1, p.c0, p.c1)) for p in patches}
+    clusters = window_clusters([w for _, w in windows.values()])
+    labels, depth, inst = [], [], []
+    for r0, r1, c0, c1 in clusters:
+        size = (r1 - r0, c1 - c0)
+        labels.append(np.zeros(size, dtype=np.uint8))
+        depth.append(np.full(size, floor_depth))
+        inst.append(np.full(size, -1, dtype=np.int32))
     for p in patches:
-        win = depth[p.r0 : p.r1, p.c0 : p.c1]
+        i = cluster_holding(clusters, (p.r0, p.r1, p.c0, p.c1))
+        r0, _, c0, _ = clusters[i]
+        rows, cols = slice(p.r0 - r0, p.r1 - r0), slice(p.c0 - c0, p.c1 - c0)
+        win = depth[i][rows, cols]
         closer = p.zbuf < win
         win[closer] = p.zbuf[closer]
-        labels[p.r0 : p.r1, p.c0 : p.c1][closer] = p.label
-        inst[p.r0 : p.r1, p.c0 : p.c1][closer] = p.obj_index
-    return labels, depth, inst
+        labels[i][rows, cols][closer] = p.label
+        inst[i][rows, cols][closer] = p.obj_index
+    return (
+        LabelImage(shape, clusters, tuple(labels)),
+        DepthImage(shape, clusters, tuple(depth), floor_depth),
+        InstanceImage(shape, clusters, tuple(inst), windows=windows),
+    )
 
 
 # --- depth noise -------------------------------------------------------------
@@ -544,29 +581,40 @@ def apply_noise(
     uniform is below the dropout probability; an invalid pixel keeps its
     value. ``drawn`` returns this seed's draws made ahead, perhaps on
     another thread (calling it is where the caller waits for them);
-    without it, they are drawn here. The noisy depth is built in place in
-    the draws' noise array, which the result wraps. A model that draws
+    without it, they are drawn here. The draws cover the whole image, so
+    the noisy depth is dense: it is built in place in the draws' noise
+    array, which the one-cluster result wraps, from the crops and the
+    background of ``depth``, with no dense copy of it. A model that draws
     nothing builds no generator and calls no ``drawn``.
     """
-    data = depth.data
     if model.draws_nothing:
-        # exact: sigma * normal is +-0, and (d + bias) + +-0 == d + bias
-        noisy, drop = data + model.bias, None
+        # exact: sigma * normal is +-0, and 0 + (d + bias) == d + bias for
+        # a valid pixel, as d + bias is not -0
+        noisy, drop = np.zeros(depth.shape), None
     else:
-        noisy, drop = drawn() if drawn is not None else draw_noise(model, seed, data.shape)
-        if model.bias != 0.0:
-            # IEEE addition commutes exactly, so the in-place sum is the same
-            # bits as (d + bias) + sigma * normal
-            noisy += data + model.bias
-        else:
-            noisy += data
+        noisy, drop = drawn() if drawn is not None else draw_noise(model, seed, depth.shape)
+    # IEEE addition commutes exactly, so the in-place sums are the same bits
+    # as (d + bias) + sigma * normal; the crops' pixels are summed before
+    # one scalar pass adds the background to every pixel, and put back
+    windows = [(slice(r0, r1), slice(c0, c1)) for r0, r1, c0, c1 in depth.clusters]
+    sums = [noisy[win] + (crop + model.bias) for win, crop in zip(windows, depth.crops)]
+    background = depth.background
+    noisy += background + model.bias
+    for win, total in zip(windows, sums):
+        noisy[win] = total
     if drop is not None:
         np.copyto(noisy, 0.0, where=drop)
-    # the min is not above 0 when a pixel is invalid (or NaN); an invalid
-    # pixel keeps its value, dropped or not
-    if data.size and not data.min() > 0.0:
-        np.copyto(noisy, data, where=~depth.valid_mask())
-    return DepthImage(noisy)
+    # an invalid pixel (not above 0, or NaN) keeps its value, dropped or not
+    for win, crop in zip(windows, depth.crops):
+        if crop.size and not crop.min() > 0.0:
+            np.copyto(noisy[win], crop, where=~(crop > 0.0))
+    covered = sum(crop.size for crop in depth.crops)
+    if not background > 0.0 and covered < noisy.size:
+        outside = np.ones(depth.shape, dtype=bool)
+        for win in windows:
+            outside[win] = False
+        np.copyto(noisy, background, where=outside)
+    return DepthImage.from_array(noisy)
 
 
 # --- image dumps -------------------------------------------------------------
@@ -580,8 +628,9 @@ PALETTE = {
 
 def encode_depth_pgm(depth: DepthImage) -> bytes:
     """16-bit big-endian PGM, millimeters; invalid pixels encode as 0."""
-    mm = np.round(depth.data * 1000.0)
-    mm[~depth.valid_mask()] = 0.0
+    data = depth.dense()
+    mm = np.round(data * 1000.0)
+    mm[~(data > 0.0)] = 0.0
     mm = np.clip(mm, 0, 65535).astype(">u2")
     header = f"P5\n{depth.width} {depth.height}\n65535\n".encode("ascii")
     return header + mm.tobytes()
@@ -592,6 +641,6 @@ def encode_label_ppm(labels: LabelImage) -> bytes:
     lut = np.zeros((3, 3), dtype=np.uint8)
     for code, rgb in PALETTE.items():
         lut[code] = rgb
-    rgb = lut[labels.data]
+    rgb = lut[labels.dense()]
     header = f"P6\n{labels.width} {labels.height}\n255\n".encode("ascii")
     return header + rgb.tobytes()

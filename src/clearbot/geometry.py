@@ -274,8 +274,8 @@ def connected_components(labels: LabelImage, cls: ObjectClass) -> list[MaskCompo
     own, as no component spans two."""
     code = cls.label
     comps = []
-    for r0, r1, c0, c1 in labels.clusters:
-        mask = labels.data[r0:r1, c0:c1] == code
+    for (r0, _, c0, _), crop in zip(labels.clusters, labels.crops):
+        mask = crop == code
         if not mask.any():
             continue
         roots, lengths = _run_components(mask)
@@ -302,7 +302,7 @@ def component_center_3d(
 ) -> Point3:
     """Camera-frame 3-D center: mean pixel at the median valid depth."""
     rows, cols = component.rows, component.cols
-    z = depth.data[rows, cols]
+    z = depth.at(rows, cols, component.bbox)
     z = z[z > 0.0]
     n = len(z)
     if n < 0.5 * component.area:

@@ -29,7 +29,6 @@ import numpy as np
 
 from .arm import DEFAULT_ARM_CONFIG, Arm, ArmConfig, PickOutcome, PickResult
 from .camera import (
-    Canvas,
     DepthImage,
     DepthNoiseModel,
     InstanceImage,
@@ -41,7 +40,6 @@ from .camera import (
     compose_patches,
     draw_noise,
     render_full,
-    window_clusters,
 )
 from .geometry import (
     Frame,
@@ -180,12 +178,11 @@ class MessageBus:
 
 @dataclass(frozen=True)
 class FrameImages:
-    """The dense images of one frame.
+    """The images of one frame, each the crops of the frame's clusters.
 
     ``depth`` is what perception sees (noisy or biased when the frame was
-    altered after the ray cast); ``clean_depth`` is the ray-cast depth.
-    Images built into :class:`FrameBuffers` (the step loop's) are valid
-    only until the next frame is built into the same buffers.
+    altered after the ray cast, and then one dense crop, as the noise is
+    drawn over the whole image); ``clean_depth`` is the ray-cast depth.
     """
 
     labels: LabelImage
@@ -194,24 +191,18 @@ class FrameImages:
     instances: InstanceImage
 
 
-class FrameBuffers:
-    """Dense arrays that one run's frame images are built into.
+class NoiseWorker:
+    """The thread that draws one run's depth noise a frame ahead.
 
-    A :class:`Simulation` builds every capture into one set, so a run holds
-    one frame's dense images however long it is, and each capture writes
-    into pages it has already touched.
-
-    A noisy capture perceives its depth while the run's worker thread draws
-    the next frame's noise, so those draws overlap this frame's perception.
-    The worker draws into arrays of its own, which this thread sees only
+    A noisy capture perceives its depth while the worker draws the next
+    frame's noise, so those draws overlap this frame's perception. The
+    worker draws into arrays of its own, which the run's thread sees only
     through the future's result. It starts at the first draw ahead and
     ends at :meth:`settle`.
     """
 
     def __init__(self, shape: tuple[int, int]) -> None:
         self.shape = shape
-        # compose_patches' labels, depth and instances
-        self.canvas = Canvas(shape)
         self._worker: Optional[ThreadPoolExecutor] = None
         # (frame index, future) of the newest draw submitted to the worker
         self._ahead: Optional[tuple[int, Future]] = None
@@ -256,7 +247,7 @@ def _noise_seed(cfg: ScenarioConfig, frame_index: int) -> np.random.SeedSequence
 class FrameData:
     """One captured RGB-D frame, stored as its inputs.
 
-    The dense images recompose exactly from the per-object patches, the
+    The images recompose exactly from the per-object patches, the
     scenario's seeded noise and ``bias``, the injected depth offset (None
     when no injection applied). ``class_pixels`` and ``depth_digest`` are
     what the log keeps of the perceived view, taken once at capture;
@@ -275,29 +266,22 @@ class FrameData:
     class_pixels: tuple[int, int] = (0, 0)  # (brick, pipe)
     depth_digest: Optional[str] = None
 
-    def images(self, cfg: ScenarioConfig, buffers: Optional[FrameBuffers] = None) -> FrameImages:
-        """Compose the dense images and perceive the depth through the
+    def images(self, cfg: ScenarioConfig, noise: Optional[NoiseWorker] = None) -> FrameImages:
+        """Compose the frame's crops and perceive the depth through the
         scenario's noise and the frame's bias; nothing is kept on the frame.
-        The step loop perceives the view this builds at capture, into its
-        ``buffers``; without them, the images are fresh arrays."""
-        canvas = None if buffers is None else buffers.canvas
-        lab, dep, index = compose_patches(self.shape, self.floor_depth, self.patches, out=canvas)
-        clean = depth = DepthImage(dep)
+        The step loop perceives the view this builds at capture, with the
+        noise its ``noise`` worker drew ahead; without one, the noise is
+        drawn here."""
+        labels, clean, instances = compose_patches(self.shape, self.floor_depth, self.patches)
+        depth = clean
         if not cfg.noise.is_identity:
-            drawn = None if buffers is None else buffers.draws(cfg, self.frame_index)
+            drawn = None if noise is None else noise.draws(cfg, self.frame_index)
             depth = apply_noise(depth, cfg.noise, _noise_seed(cfg, self.frame_index), drawn)
         if self.bias is not None:
             # a bias-only model offsets the valid pixels into a new array
             # and draws nothing, so it reads no seed
             depth = apply_noise(depth, DepthNoiseModel(bias=self.bias), 0)
-        windows = {p.object_id: (p.obj_index, (p.r0, p.r1, p.c0, p.c1)) for p in self.patches}
-        return FrameImages(
-            # every labelled pixel lies in a patch window
-            labels=LabelImage(lab, window_clusters([w for _, w in windows.values()])),
-            depth=depth,
-            clean_depth=clean,
-            instances=InstanceImage(index, windows),
-        )
+        return FrameImages(labels=labels, depth=depth, clean_depth=clean, instances=instances)
 
 
 @dataclass(frozen=True)
@@ -559,7 +543,7 @@ def match_component(comp: MaskComponent, instances: InstanceImage) -> str:
     """Ground-truth object behind a mask component (majority pixel vote)."""
     # no op labels a floor pixel, and compose writes a pixel's label and
     # index together: every vote is the obj_index of the patch that drew it
-    votes = instances.index[comp.rows, comp.cols]
+    votes = instances.at(comp.rows, comp.cols, comp.bbox)
     winner = int(np.bincount(votes).argmax())
     return next(oid for oid, (idx, _) in instances.windows.items() if idx == winner)
 
@@ -597,7 +581,8 @@ def replay_grasp_targets(
     for env in frames:
         fd: FrameData = env.payload
         mask, targets, _ = perceive_frame(fd.images(cfg), cfg, cam_to_arm)
-        out.append((mask.data, GraspTargetsPayload(frame_index=fd.frame_index, targets=targets)))
+        payload = GraspTargetsPayload(frame_index=fd.frame_index, targets=targets)
+        out.append((mask.dense(), payload))
     return out
 
 
@@ -665,8 +650,8 @@ class Simulation:
         self._heading = self.scene.ugv.heading
         # the object whose sighting stopped the vehicle, until its pick step
         self._trigger_id: Optional[str] = None
-        # every capture's images, valid until the next capture
-        self._buffers = FrameBuffers((cfg.intrinsics.height, cfg.intrinsics.width))
+        # draws each noisy capture's noise a frame ahead
+        self._noise = NoiseWorker((cfg.intrinsics.height, cfg.intrinsics.width))
 
     # -- kinematics --
 
@@ -700,14 +685,14 @@ class Simulation:
             patches=rr.patches,
             bias=next((j.bias for j in self.cfg.injections if j.object_id == inject_for), None),
         )
-        images = fd.images(self.cfg, self._buffers)
+        images = fd.images(self.cfg, self._noise)
         depth = images.depth
         # the log keeps these facts of the perceived view, so serializing
         # the frame builds no image and draws no noise
         fd = dataclasses.replace(
             fd,
             class_pixels=images.labels.class_pixels(),
-            depth_digest=None if depth is images.clean_depth else _array_digest(depth.data),
+            depth_digest=None if depth is images.clean_depth else _array_digest(depth.dense()),
         )
         self.bus.publish(Topic.CAMERA_FRAMES, fd.t_capture, fd)
         return fd, images
@@ -737,15 +722,13 @@ class Simulation:
     def _perceive(self, standstill: bool, inject_for: Optional[str]):
         """Capture, segment, compute targets and select on one frame.
 
-        Returns the frame, its dense images (valid until the next capture),
-        the time its targets are published, and the selection (None when
-        nothing is actionable).
+        Returns the frame, its images, the time its targets are published,
+        and the selection (None when nothing is actionable).
         """
         fd, images = self._capture(standstill, inject_for)
         mask, targets, comps = perceive_frame(images, self.cfg, self.cam_to_arm)
         t_mask = fd.t_capture + SEG_LATENCY
-        # hashed before the next capture reuses the canvas, which an
-        # unchanged mask shares; an unchanged mask's counts are the frame's
+        # an unchanged mask's counts are the frame's
         counts = fd.class_pixels if mask is images.labels else mask.class_pixels()
         md = MaskData(fd.frame_index, fd.t_capture, counts, _mask_digest(mask))
         self.bus.publish(Topic.SEGMENTATION_MASKS, t_mask, md)
@@ -769,7 +752,7 @@ class Simulation:
         if self.distance >= self.cfg.path_length():
             self.state = PipelineState.DONE
             # the last capture drew noise ahead for a frame the run never takes
-            self._buffers.settle()
+            self._noise.settle()
             return
         fd, _, t_targets, chosen = self._perceive(standstill=False, inject_for=None)
         if chosen is None:
@@ -892,8 +875,9 @@ class Simulation:
 
         # depth quality over the object's true pixels
         rows, cols = images.instances.pixels_of(matched)
-        used = images.depth.data[rows, cols]
-        clean = images.clean_depth.data[rows, cols]
+        window = images.instances.windows[matched][1]
+        used = images.depth.at(rows, cols, window)
+        clean = images.clean_depth.at(rows, cols, window)
         valid = used > 0.0
         if valid.any():
             depth_err = float(np.median(np.abs(used[valid] - clean[valid])))
@@ -930,7 +914,7 @@ class Simulation:
                 steps += 1
         finally:
             # a run that raised never reached DONE
-            self._buffers.settle()
+            self._noise.settle()
         return RunReport(
             name=self.cfg.name,
             seed=self.cfg.seed,
@@ -982,6 +966,16 @@ def _array_digest(arr: np.ndarray) -> str:
     return h.hexdigest()
 
 
+#: zeros that all-floor rows are hashed from, a chunk at a time
+_ZEROS = memoryview(bytes(2**16))
+
+
+def _hash_zeros(h: Any, n: int) -> None:
+    """Feed ``n`` zero bytes to the hash ``h``."""
+    for start in range(0, n, len(_ZEROS)):
+        h.update(_ZEROS[: n - start])
+
+
 @functools.cache
 def _floor_prefix(shape: tuple[int, int], rows: int) -> Any:
     """sha256 state of ``_array_digest`` of a uint8 image of ``shape``
@@ -989,17 +983,36 @@ def _floor_prefix(shape: tuple[int, int], rows: int) -> Any:
     h = hashlib.sha256()
     h.update(b"uint8")
     h.update(repr(shape).encode())
-    h.update(bytes(rows * shape[1]))
+    _hash_zeros(h, rows * shape[1])
     return h
 
 
 def _mask_digest(mask: LabelImage) -> str:
-    """``_array_digest`` of ``mask.data``. The rows above its first cluster
-    are all floor, so their hash state is taken once per row count and copied."""
-    data = mask.data
-    r0 = mask.clusters[0][0] if mask.clusters else data.shape[0]
-    h = _floor_prefix(data.shape, r0).copy()
-    h.update(memoryview(np.ascontiguousarray(data[r0:])))
+    """``_array_digest`` of ``mask.dense()``, hashed from its crops. The
+    rows above its first cluster are all floor, so their hash state is
+    taken once per row count and copied; the other all-floor rows are
+    hashed from zeros, and each band of rows that clusters span from a
+    band built from their crops."""
+    height, width = mask.shape
+    clusters = mask.clusters
+    row = clusters[0][0] if clusters else height  # the first row not hashed
+    h = _floor_prefix(mask.shape, row).copy()
+    i = 0
+    while i < len(clusters):
+        # clusters are sorted by first row: a band runs on while the next
+        # cluster starts in it
+        top, bottom = clusters[i][0], clusters[i][1]
+        j = i + 1
+        while j < len(clusters) and clusters[j][0] < bottom:
+            bottom = max(bottom, clusters[j][1])
+            j += 1
+        _hash_zeros(h, (top - row) * width)
+        band = np.zeros((bottom - top, width), dtype=np.uint8)
+        for (r0, r1, c0, c1), crop in zip(clusters[i:j], mask.crops[i:j]):
+            band[r0 - top : r1 - top, c0:c1] = crop
+        h.update(memoryview(band))
+        row, i = bottom, j
+    _hash_zeros(h, (height - row) * width)
     return h.hexdigest()
 
 

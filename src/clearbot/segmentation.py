@@ -101,8 +101,8 @@ CorruptionOp = Union[Erode, Holes, CutBand, Relabel]
 IOU_DILATION = 8
 
 
-# Each op edits the mask it is given in place, and only ever clears a
-# labelled pixel or gives it another class.
+# Each op edits the crops of the mask it is given in place, and only ever
+# clears a labelled pixel or gives it another class.
 
 
 def _erode_square(mask: np.ndarray, radius: int) -> np.ndarray:
@@ -123,35 +123,42 @@ def _erode_square(mask: np.ndarray, radius: int) -> np.ndarray:
     return out
 
 
-def _apply_erode(data: np.ndarray, op: Erode, clusters: Sequence[Window]) -> None:
-    for r0, r1, c0, c1 in clusters:
-        crop = data[r0:r1, c0:c1]
+def _apply_erode(mask: LabelImage, op: Erode) -> None:
+    for crop in mask.crops:
         for code in (1, 2):
-            mask = crop == code
-            if mask.any():
-                crop[mask & ~_erode_square(mask, op.radius)] = 0
+            region = crop == code
+            if region.any():
+                crop[region & ~_erode_square(region, op.radius)] = 0
 
 
-def _apply_holes(
-    data: np.ndarray, op: Holes, seed: int, op_index: int, clusters: Sequence[Window]
-) -> None:
-    if op.fraction == 0.0 or not clusters:
+def _apply_holes(mask: LabelImage, op: Holes, seed: int, op_index: int) -> None:
+    if op.fraction == 0.0 or not mask.clusters:
         return
-    width = data.shape[1]
-    parts = []
-    for r0, r1, c0, c1 in clusters:
-        rows, cols = np.nonzero(data[r0:r1, c0:c1])
-        parts.append((rows + r0) * width + (cols + c0))
-    flat = np.concatenate(parts)
-    if len(clusters) > 1:
-        # clusters may share rows, so only the sort gives the raster order
-        flat.sort()
+    pixels = [np.nonzero(crop) for crop in mask.crops]
+    count = sum(len(rows) for rows, _ in pixels)
     rng = np.random.default_rng(np.random.SeedSequence([seed, op_index, op.seed]))
-    drop = rng.random(len(flat)) < op.fraction
-    data.reshape(-1)[flat[drop]] = 0
+    drop = rng.random(count) < op.fraction
+    if len(pixels) > 1:
+        # the draws follow the image's raster order, and clusters may share
+        # rows, so only a sort of the pixels' image offsets gives it
+        offsets = np.concatenate(
+            [
+                (rows + r0) * mask.width + (cols + c0)
+                for (r0, _, c0, _), (rows, cols) in zip(mask.clusters, pixels)
+            ]
+        )
+        drawn, drop = drop, np.empty_like(drop)
+        drop[np.argsort(offsets)] = drawn
+    start = 0
+    for crop, (rows, cols) in zip(mask.crops, pixels):
+        hit = drop[start : start + len(rows)]
+        crop[rows[hit], cols[hit]] = 0
+        start += len(rows)
 
 
-def _apply_cut_band(data: np.ndarray, op: CutBand, rows: np.ndarray, cols: np.ndarray) -> None:
+def _apply_cut_band(
+    mask: LabelImage, op: CutBand, window: Window, rows: np.ndarray, cols: np.ndarray
+) -> None:
     # principal axis from second moments; independent of any enclosing-
     # rectangle machinery used downstream
     x = cols.astype(float)
@@ -164,13 +171,15 @@ def _apply_cut_band(data: np.ndarray, op: CutBand, rows: np.ndarray, cols: np.nd
     theta = 0.5 * math.atan2(2.0 * sxy, sxx - syy)
     proj = x * math.cos(theta) + y * math.sin(theta)
     band = np.abs(proj) <= op.band_px / 2.0
-    data[rows[band], cols[band]] = 0
+    # the target's window lies in one cluster
+    r0, c0, view = mask.holding(window)
+    view[rows[band] - r0, cols[band] - c0] = 0
 
 
-def _apply_relabel(data: np.ndarray, op: Relabel) -> None:
-    r0, r1, c0, c1 = op.region
-    window = data[r0:r1, c0:c1]
-    window[window != 0] = op.new_class
+def _apply_relabel(mask: LabelImage, op: Relabel) -> None:
+    # pixels outside the clusters are floor, which stays floor
+    for _, _, view in mask.views(op.region):
+        view[view != 0] = op.new_class
 
 
 def segment(
@@ -184,16 +193,18 @@ def segment(
     A cut whose target is out of view (not in ``instances.windows``, without
     pixels there, or no ``instances`` given) is skipped and takes no op index,
     so the ``Holes`` ops after it draw the same pixels as if it were not listed.
-    The first op that runs copies the ground truth, and the mask is that
-    copy; when no op runs, the mask is ``gt`` itself.
+    Each window of ``instances`` lies in one cluster of ``gt``, as in a
+    composed frame. The first op that runs copies the ground truth's crops,
+    and the mask is made of those copies; when no op runs, the mask is
+    ``gt`` itself.
     """
     # No op labels a floor pixel, so every labelled pixel stays in the ground
     # truth's clusters, which the mask keeps. Erosion and holes need only
     # the clusters' crops: no two clusters touch, so a ring of floor pixels
     # surrounds each, which is what erosion reads past a crop's edge; holes
     # draw over the clusters' labelled pixels in the image's raster order.
-    # Cuts and relabels only index, on the whole mask, in image coordinates.
-    data = None
+    # Cuts and relabels write into the crops that hold their pixels.
+    mask = None
     op_index = 0
     for op in ops:
         if isinstance(op, CutBand):
@@ -202,20 +213,20 @@ def segment(
             rows, cols = instances.pixels_of(op.target_id)
             if len(rows) == 0:
                 continue
-        if data is None:
-            data = gt.data.copy()
+        if mask is None:
+            mask = LabelImage(gt.shape, gt.clusters, tuple(crop.copy() for crop in gt.crops))
         if isinstance(op, Erode):
-            _apply_erode(data, op, gt.clusters)
+            _apply_erode(mask, op)
         elif isinstance(op, Holes):
-            _apply_holes(data, op, seed, op_index, gt.clusters)
+            _apply_holes(mask, op, seed, op_index)
         elif isinstance(op, CutBand):
-            _apply_cut_band(data, op, rows, cols)
+            _apply_cut_band(mask, op, instances.windows[op.target_id][1], rows, cols)
         elif isinstance(op, Relabel):
-            _apply_relabel(data, op)
+            _apply_relabel(mask, op)
         else:
             raise TypeError(f"unknown corruption op {type(op).__name__}")
         op_index += 1
-    return gt if data is None else LabelImage(data, gt.clusters)
+    return gt if mask is None else mask
 
 
 def mask_iou(component: MaskComponent, gt: LabelImage) -> float:
@@ -223,13 +234,14 @@ def mask_iou(component: MaskComponent, gt: LabelImage) -> float:
 
     The window is the component bounding box grown by ``IOU_DILATION`` pixels,
     clipped to the image; the ground truth counts only its pixels of the
-    component's class inside that window. The union holds the component's
-    own pixels, so it is never empty.
+    component's class inside that window, from every cluster that meets it.
+    The union holds the component's own pixels, so it is never empty.
     """
     r0, r1, c0, c1 = component.bbox
     d = IOU_DILATION
-    window = gt.data[max(0, r0 - d) : r1 + d, max(0, c0 - d) : c1 + d]
     code = component.cls.label
-    near = int(np.count_nonzero(window == code))
-    inter = int(np.count_nonzero(gt.data[component.rows, component.cols] == code))
+    window = (r0 - d, r1 + d, c0 - d, c1 + d)
+    near = sum(int(np.count_nonzero(view == code)) for _, _, view in gt.views(window))
+    gathered = gt.at(component.rows, component.cols, component.bbox)
+    inter = int(np.count_nonzero(gathered == code))
     return inter / (component.area + near - inter)

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ctypes
+import hashlib
+import importlib.util
+import json
 import math
 import os
 from pathlib import Path
@@ -11,9 +14,9 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from clearbot import geometry
+from clearbot import geometry, orchestrator
 from clearbot.arm import PickOutcome
-from clearbot.camera import LabelImage
+from clearbot.camera import ClusterImage, DepthImage, DepthNoiseModel, LabelImage, apply_noise
 from clearbot.geometry import MaskComponent
 from clearbot.orchestrator import (
     SEG_LATENCY,
@@ -37,6 +40,10 @@ from clearbot.segmentation import CutBand, Erode, Holes
 
 
 ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+#: what the recorded outputs of the course, the adaptive course and
+#: noisy_course were, and the libm results the recorded runs took
+DATA = ROOT / "tests" / "data"
 
 
 def child_env(**extra: str) -> dict[str, str]:
@@ -59,6 +66,96 @@ def openblas_core() -> str:
         return corename().decode()
     except (StopIteration, OSError, AttributeError, UnicodeDecodeError):
         return "unknown"
+
+
+def perfbench_workloads():
+    """perfbench's ``workloads`` module, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def log_lines(log: str) -> list[str]:
+    """``seq topic sha256[:16]`` of each line of a message log."""
+    out = []
+    for line in log.splitlines():
+        env = json.loads(line)
+        out.append(f"{env['seq']} {env['topic']} {hashlib.sha256(line.encode()).hexdigest()[:16]}")
+    return out
+
+
+def _changed_keys(want: object, got: object, path: str = "") -> list[str]:
+    """The paths at which two JSON values differ, with both values."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        return [
+            change
+            for key in sorted(want.keys() | got.keys())
+            for change in _changed_keys(
+                want.get(key), got.get(key), f"{path}.{key}" if path else key
+            )
+        ]
+    if isinstance(want, list) and isinstance(got, list) and len(want) == len(got):
+        return [
+            change
+            for i, (a, b) in enumerate(zip(want, got))
+            for change in _changed_keys(a, b, f"{path}[{i}]")
+        ]
+    return [] if want == got else [f"{path}: {want!r} -> {got!r}"]
+
+
+def libm_differences() -> tuple[int, int]:
+    """How many of the recorded ``math.sin``, ``cos`` and ``atan2`` results
+    (``DATA / "libm.txt"``, glibc 2.36's) this process's libm rounds
+    otherwise, and how many there are."""
+    rows = [
+        line.split()
+        for line in (DATA / "libm.txt").read_text().splitlines()
+        if not line.startswith("#")
+    ]
+    differ = sum(
+        getattr(math, name)(*map(float.fromhex, args)).hex() != want
+        for name, *args, want in rows
+    )
+    return differ, len(rows)
+
+
+def explain_recorded_outputs(entry: str, report_text: str, log: str) -> str:
+    """Why a run's outputs may differ from the recorded ``entry``'s, and
+    how they do: the OpenBLAS kernel, the libm results that round otherwise,
+    the report keys that changed, and the first log line that differs, by
+    sequence number, topic and frame, against the files in ``DATA``."""
+    differ, total = libm_differences()
+    parts = [
+        f"{entry}: the digests were recorded under the SkylakeX OpenBLAS kernel "
+        f"and this process runs {openblas_core()}; another kernel can change "
+        "the last digit of a float",
+        f"{differ} of the {total} recorded sin, cos and atan2 results of glibc 2.36 "
+        "round otherwise under this process's libm",
+    ]
+    want = json.loads((DATA / f"{entry}_report.json").read_text())
+    changed = _changed_keys(want, json.loads(report_text))
+    parts.append("report.json: " + ("; ".join(changed) if changed else "no key changed"))
+    want_lines = (DATA / f"{entry}_log_lines.txt").read_text().splitlines()
+    got_lines = log_lines(log)
+    first = next(
+        (i for i, (a, b) in enumerate(zip(want_lines, got_lines)) if a != b),
+        None if len(want_lines) == len(got_lines) else min(len(want_lines), len(got_lines)),
+    )
+    if first is None:
+        parts.append("messages.ndjson: no line changed")
+    else:
+        where = want_lines[first].split()[:2] if first < len(want_lines) else ["-", "-"]
+        frame = "-"
+        if first < len(got_lines):
+            frame = json.loads(log.splitlines()[first])["payload"].get("frame_index", "-")
+        differing = sum(a != b for a, b in zip(want_lines, got_lines))
+        parts.append(
+            f"messages.ndjson: line {first + 1} differs first (seq {where[0]}, topic "
+            f"{where[1]}, frame_index {frame}); {differing} of {len(want_lines)} lines "
+            f"differ, and the run wrote {len(got_lines)}"
+        )
+    return "\n".join(parts)
 
 
 class Recorder:
@@ -230,10 +327,56 @@ def footprint_contains(obj: ObjectSpec, x, y, margin: float = 0.0):
     return dx * dx + dy * dy <= (obj.dims.radius + margin) ** 2
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def dense_compose(shape, floor_depth, patches) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``compose_patches`` as it was before frames were cluster crops: each
+    patch z-buffered, in order, into fresh dense (labels, depth, instances)
+    arrays of the background (0, the floor depth, -1)."""
+    labels = np.zeros(shape, dtype=np.uint8)
+    depth = np.full(shape, floor_depth)
+    inst = np.full(shape, -1, dtype=np.int32)
+    for p in patches:
+        win = depth[p.r0 : p.r1, p.c0 : p.c1]
+        closer = p.zbuf < win
+        win[closer] = p.zbuf[closer]
+        labels[p.r0 : p.r1, p.c0 : p.c1][closer] = p.label
+        inst[p.r0 : p.r1, p.c0 : p.c1][closer] = p.obj_index
+    return labels, depth, inst
+
+
+def dense_view(fd: FrameData, cfg: ScenarioConfig) -> tuple[np.ndarray, ...]:
+    """The frame's (labels, perceived depth, clean depth, instances) as
+    dense arrays: its patches through :func:`dense_compose`, and the depth
+    through the scenario's noise and the frame's bias."""
+    labels, clean, inst = dense_compose(fd.shape, fd.floor_depth, fd.patches)
+    depth = DepthImage.from_array(clean)
+    if not cfg.noise.is_identity:
+        depth = apply_noise(depth, cfg.noise, orchestrator._noise_seed(cfg, fd.frame_index))
+    if fd.bias is not None:
+        depth = apply_noise(depth, DepthNoiseModel(bias=fd.bias), 0)
+    return labels, depth.dense(), clean, inst
+
+
+def assert_image_is(image: ClusterImage, dense: np.ndarray) -> None:
+    """``image`` is the array ``dense``, bit for bit: each crop is its
+    cluster's window of ``dense``, every pixel outside the clusters is the
+    image's background, and ``image.dense()`` gives ``dense`` back."""
+    assert image.shape == dense.shape
+    outside = np.ones(dense.shape, dtype=bool)
+    for (r0, r1, c0, c1), crop in zip(image.clusters, image.crops, strict=True):
+        assert same_bits(crop, dense[r0:r1, c0:c1])
+        outside[r0:r1, c0:c1] = False
+    assert same_bits(dense[outside], np.full(int(outside.sum()), image.background, dense.dtype))
+    assert same_bits(image.dense(), dense)
+
+
 def full_frame_segment(gt, ops, seed, instances):
     """``segment`` as first written: every op on a fresh copy of the whole
     image, with erosion by ``ndimage.binary_erosion`` over the full frame."""
-    data = gt.data.copy()
+    data = gt.dense().copy()
     op_index = 0
     for op in ops:
         if isinstance(op, Erode):

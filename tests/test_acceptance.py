@@ -193,7 +193,7 @@ def test_criterion_05_orientation_estimator():
             u = x * c + y * s
             v = -x * s + y * c
             mask = (np.abs(u) <= 32.0) & (np.abs(v) <= 10.0)  # 64 x 20 px
-            labels = LabelImage((mask * ObjectClass.BRICK.label).astype(np.uint8))
+            labels = LabelImage.from_array((mask * ObjectClass.BRICK.label).astype(np.uint8))
             return connected_components(labels, ObjectClass.BRICK)[0]
 
         def gap(a: float, b: float) -> float:

@@ -112,17 +112,17 @@ def test_projection_roundtrip_random_points():
 
 def test_empty_scene_renders_floor_everywhere():
     labels, depth = render(Scene(objects=(), camera_mount=NADIR_CAM), DEFAULT_INTRINSICS)
-    assert labels.data.shape == (256, 512)
-    assert not labels.data.any()
-    assert np.all(depth.data == 1.2)
+    assert labels.shape == (256, 512)
+    assert not labels.dense().any()
+    assert np.all(depth.dense() == 1.2)
 
 
 def test_brick_under_principal_point():
     scene = Scene(objects=(brick("b", 0.0, 0.0),), camera_mount=NADIR_CAM)
     labels, depth = render(scene, DEFAULT_INTRINSICS)
-    assert labels.data[128, 256] == ObjectClass.BRICK.label
-    assert depth.data[128, 256] == 1.2 - 0.057
-    assert abs(depth.data[128, 256] - 1.143) < 1e-12
+    assert labels.dense()[128, 256] == ObjectClass.BRICK.label
+    assert depth.dense()[128, 256] == 1.2 - 0.057
+    assert abs(depth.dense()[128, 256] - 1.143) < 1e-12
 
 
 def test_brick_mask_pixel_count_matches_pinhole_area():
@@ -131,7 +131,7 @@ def test_brick_mask_pixel_count_matches_pinhole_area():
     labels, _ = render(scene, DEFAULT_INTRINSICS)
     z_top = 1.2 - 0.057
     expected = (0.20 * 256.0 / z_top) * (0.095 * 256.0 / z_top)
-    count = int((labels.data == ObjectClass.BRICK.label).sum())
+    count = int((labels.dense() == ObjectClass.BRICK.label).sum())
     assert expected == pytest.approx(953.1, abs=0.1)
     assert abs(count - expected) <= 0.05 * expected
 
@@ -139,9 +139,9 @@ def test_brick_mask_pixel_count_matches_pinhole_area():
 def test_pipe_renders_with_pipe_label_and_top_depth():
     scene = Scene(objects=(pipe("p", 0.0, 0.0),), camera_mount=NADIR_CAM)
     labels, depth = render(scene, DEFAULT_INTRINSICS)
-    assert labels.data[128, 256] == ObjectClass.PIPE.label
+    assert labels.dense()[128, 256] == ObjectClass.PIPE.label
     # ray down the crown of the cylinder: depth = height - 2r
-    assert depth.data[128, 256] == pytest.approx(1.2 - 0.06, abs=1e-12)
+    assert depth.dense()[128, 256] == pytest.approx(1.2 - 0.06, abs=1e-12)
 
 
 def test_render_rejects_invalid_scene():
@@ -157,8 +157,8 @@ def test_render_is_deterministic():
     )
     la, da = render(scene, DEFAULT_INTRINSICS)
     lb, db = render(scene, DEFAULT_INTRINSICS)
-    assert np.array_equal(la.data, lb.data)
-    assert np.array_equal(da.data, db.data)
+    assert np.array_equal(la.dense(), lb.dense())
+    assert np.array_equal(da.dense(), db.dense())
 
 
 def test_depth_bounds_and_floor_exactness():
@@ -168,10 +168,10 @@ def test_depth_bounds_and_floor_exactness():
     )
     labels, depth = render(scene, DEFAULT_INTRINSICS)
     tallest = max(o.top_height for o in scene.objects)
-    assert np.all(depth.data <= 1.2 + 1e-12)
-    on_obj = labels.data != 0
-    assert np.all(depth.data[on_obj] >= 1.2 - tallest - 1e-12)
-    assert np.all(depth.data[~on_obj] == 1.2)
+    assert np.all(depth.dense() <= 1.2 + 1e-12)
+    on_obj = labels.dense() != 0
+    assert np.all(depth.dense()[on_obj] >= 1.2 - tallest - 1e-12)
+    assert np.all(depth.dense()[~on_obj] == 1.2)
 
 
 def test_labeled_pixels_backproject_into_footprints():
@@ -199,13 +199,13 @@ def test_labeled_pixels_backproject_into_footprints():
         ]
     )
     by_label = {o.cls.label: o for o in scene.objects}
-    rows, cols = np.nonzero(labels.data)
+    rows, cols = np.nonzero(labels.dense())
     assert len(rows) > 200
-    z = depth.data[rows, cols]
+    z = depth.dense()[rows, cols]
     pts_cam = backproject(cols.astype(float), rows.astype(float), z, k)
     pts_world = pts_cam @ rot.T + cam_pos
     for code, obj in by_label.items():
-        sel = labels.data[rows, cols] == code
+        sel = labels.dense()[rows, cols] == code
         inside = footprint_contains(obj, pts_world[sel, 0], pts_world[sel, 1], margin=1e-9)
         assert bool(np.all(inside))
 
@@ -216,7 +216,7 @@ def test_occlusion_keeps_the_nearer_surface():
     low = pipe("p", 0.0, 0.12)
     scene = Scene(objects=(tall, low), camera_mount=NADIR_CAM)
     _, depth = render(scene, DEFAULT_INTRINSICS)
-    assert depth.data.min() == pytest.approx(1.2 - 0.30, abs=1e-12)
+    assert depth.dense().min() == pytest.approx(1.2 - 0.30, abs=1e-12)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -226,41 +226,41 @@ def test_box_cast_ignores_overflow_on_near_parallel_rays():
     k = Intrinsics(fx=60.0, fy=60.0, cx=32.0, cy=24.0, width=64, height=48)
     scene = Scene(objects=(brick("b", 0.0, 0.0, 2.2e-313),), camera_mount=NADIR_CAM)
     labels, depth = render(scene, k)
-    assert (labels.data == 1).any()
-    assert depth.data.min() == pytest.approx(1.2 - 0.057, abs=1e-12)
+    assert (labels.dense() == 1).any()
+    assert depth.dense().min() == pytest.approx(1.2 - 0.057, abs=1e-12)
 
 
 # --- noise ----------------------------------------------------------------------
 
 
 def _flat_depth(value: float = 1.0, shape=(100, 100)) -> DepthImage:
-    return DepthImage(np.full(shape, value))
+    return DepthImage.from_array(np.full(shape, value))
 
 
 def test_identity_noise_is_bitwise_identity():
     d = _flat_depth(1.2)
     out = apply_noise(d, DepthNoiseModel(), seed=3)
-    assert np.array_equal(out.data, d.data)
+    assert np.array_equal(out.dense(), d.dense())
 
 
 def test_constant_bias_is_exact():
     d = _flat_depth(1.0)
     out = apply_noise(d, DepthNoiseModel(bias=0.02), seed=3)
-    assert np.array_equal(out.data, d.data + 0.02)
+    assert np.array_equal(out.dense(), d.dense() + 0.02)
 
 
 def test_bias_skips_invalid_pixels():
     data = np.full((10, 10), 1.0)
     data[0, 0] = 0.0
-    out = apply_noise(DepthImage(data), DepthNoiseModel(bias=0.02), seed=0)
-    assert out.data[0, 0] == 0.0
-    assert np.array_equal(out.data[1:], data[1:] + 0.02)
+    out = apply_noise(DepthImage.from_array(data), DepthNoiseModel(bias=0.02), seed=0)
+    assert out.dense()[0, 0] == 0.0
+    assert np.array_equal(out.dense()[1:], data[1:] + 0.02)
 
 
 def test_gaussian_noise_statistics():
     d = _flat_depth(1.0)
     out = apply_noise(d, DepthNoiseModel(sigma=0.005), seed=11)
-    err = out.data - d.data
+    err = out.dense() - d.dense()
     assert abs(err.mean()) < 0.0005
     assert err.std() == pytest.approx(0.005, rel=0.10)
 
@@ -268,9 +268,9 @@ def test_gaussian_noise_statistics():
 def test_dropout_fraction_and_zeroing():
     d = _flat_depth(1.0)
     out = apply_noise(d, DepthNoiseModel(dropout_prob=0.1), seed=5)
-    dropped = out.data == 0.0
+    dropped = out.dense() == 0.0
     assert 0.05 < dropped.mean() < 0.15
-    assert np.array_equal(out.data[~dropped], d.data[~dropped])
+    assert np.array_equal(out.dense()[~dropped], d.dense()[~dropped])
 
 
 def test_noise_is_seed_deterministic():
@@ -279,17 +279,17 @@ def test_noise_is_seed_deterministic():
     a = apply_noise(d, model, seed=7)
     b = apply_noise(d, model, seed=7)
     c = apply_noise(d, model, seed=8)
-    assert np.array_equal(a.data, b.data)
-    assert not np.array_equal(a.data, c.data)
+    assert np.array_equal(a.dense(), b.dense())
+    assert not np.array_equal(a.dense(), c.dense())
 
 
 def _gather_noise_reference(depth: DepthImage, model: DepthNoiseModel, seed) -> np.ndarray:
     """The noise model written with boolean-mask gathers, as it first was."""
     rng = np.random.default_rng(seed)
-    normals = rng.standard_normal(depth.data.shape)
-    uniforms = rng.random(depth.data.shape)
-    valid = depth.valid_mask()
-    out = depth.data.copy()
+    normals = rng.standard_normal(depth.shape)
+    uniforms = rng.random(depth.shape)
+    valid = depth.dense() > 0.0
+    out = depth.dense().copy()
     out[valid] = out[valid] + model.bias + model.sigma * normals[valid]
     out[valid & (uniforms < model.dropout_prob)] = 0.0
     return out
@@ -314,7 +314,19 @@ def noise_cases(draw):
         bias=zero_or(st.floats(-0.1, 0.1).filter(bool)),
         dropout_prob=zero_or(st.floats(1e-3, 0.9)),
     )
-    return DepthImage(data), model, draw(st.integers(0, 2**63 - 1))
+    clusters, background = None, 0.0
+    if draw(st.booleans()):
+        # the image as the crops of up to three clusters, and a background,
+        # valid or not, everywhere else
+        windows = draw(st.lists(windows_in(shape), min_size=1, max_size=3))
+        clusters = camera.window_clusters(windows)
+        background = draw(st.sampled_from([0.7, 0.0, -0.0, -0.5]))
+        outside = np.ones(shape, dtype=bool)
+        for r0, r1, c0, c1 in clusters:
+            outside[r0:r1, c0:c1] = False
+        data[outside] = background
+    depth = DepthImage.from_array(data, clusters, background=background)
+    return depth, model, draw(st.integers(0, 2**63 - 1))
 
 
 @settings(max_examples=300, deadline=None)
@@ -323,13 +335,13 @@ def test_apply_noise_equals_the_gather_form_bit_for_bit(case):
     depth, model, seed = case
     expected = _gather_noise_reference(depth, model, seed)
     out = apply_noise(depth, model, seed)
-    assert np.array_equal(out.data.view(np.uint64), expected.view(np.uint64))
-    assert out.data is not depth.data
+    assert np.array_equal(out.dense().view(np.uint64), expected.view(np.uint64))
+    assert out.dense() is not depth.dense()
     # the same draws when made ahead on another thread
     with ThreadPoolExecutor(max_workers=1) as worker:
-        ahead = worker.submit(draw_noise, model, seed, depth.data.shape)
+        ahead = worker.submit(draw_noise, model, seed, depth.shape)
         drawn = apply_noise(depth, model, seed, drawn=ahead.result)
-    assert np.array_equal(drawn.data.view(np.uint64), expected.view(np.uint64))
+    assert np.array_equal(drawn.dense().view(np.uint64), expected.view(np.uint64))
 
 
 def test_noise_model_validation():
@@ -344,11 +356,11 @@ def test_noise_model_validation():
 
 def test_image_container_validation():
     with pytest.raises(ValueError):
-        DepthImage(np.zeros(5))
+        DepthImage.from_array(np.zeros(5))
     with pytest.raises(ValueError):
-        LabelImage(np.zeros(5, dtype=np.uint8))
+        LabelImage.from_array(np.zeros(5, dtype=np.uint8))
     with pytest.raises(ValueError):
-        LabelImage(np.full((4, 4), 3, dtype=np.uint8))
+        LabelImage.from_array(np.full((4, 4), 3, dtype=np.uint8))
 
 
 @st.composite
@@ -384,9 +396,9 @@ def test_label_image_class_pixels_and_code_check_match_a_full_scan(case):
         r, c, bad = unknown
         data[r, c] = bad
         with pytest.raises(ValueError, match="unknown class code"):
-            LabelImage(data)
+            LabelImage.from_array(data)
         return
-    labels = LabelImage(data)
+    labels = LabelImage.from_array(data)
     assert labels.clusters == ((0, data.shape[0], 0, data.shape[1]),)
     assert labels.class_pixels() == ((data == 1).sum(), (data == 2).sum())
 
@@ -406,18 +418,19 @@ def test_an_unknown_code_in_any_cluster_raises(case, drawn):
     # a code above 2 in any of them is found, as it is anywhere in an image
     # built without clusters
     data, _ = case
-    windows = [comp.bbox for cls in ObjectClass for comp in components(LabelImage(data), cls)]
+    whole = LabelImage.from_array(data)
+    windows = [comp.bbox for cls in ObjectClass for comp in components(whole, cls)]
     windows += drawn.draw(st.lists(windows_in(data.shape), min_size=0 if windows else 1, max_size=3))
     clusters = camera.window_clusters(windows)
-    labels = LabelImage(data, clusters)
+    labels = LabelImage.from_array(data, clusters)
     assert labels.class_pixels() == ((data == 1).sum(), (data == 2).sum())
     r0, r1, c0, c1 = drawn.draw(st.sampled_from(clusters))
     r, c = drawn.draw(st.integers(r0, r1 - 1)), drawn.draw(st.integers(c0, c1 - 1))
     data[r, c] = drawn.draw(st.integers(3, 255))
     with pytest.raises(ValueError, match="unknown class code"):
-        LabelImage(data, clusters)
+        LabelImage.from_array(data, clusters)
     with pytest.raises(ValueError, match="unknown class code"):
-        LabelImage(data)
+        LabelImage.from_array(data)
 
 
 @st.composite
@@ -460,9 +473,47 @@ def labels_in_windows(draw):
 def test_windowed_class_pixels_equal_a_full_scan(case):
     # the given window is the one cluster, and the counts read it alone
     data, window = case
-    labels = LabelImage(data, (window,))
+    labels = LabelImage.from_array(data, (window,))
     assert labels.clusters == (window,)
     assert labels.class_pixels() == ((data == 1).sum(), (data == 2).sum())
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=label_arrays(), drawn=st.data())
+def test_a_cluster_image_reads_as_its_dense_array(case, drawn):
+    # the clusters of the labels' components and of more windows; the
+    # image's dense form, the crop views in any window (one that reaches
+    # past the image too) and the view of and a gather from any box that
+    # one cluster holds all read ``data``
+    data, _ = case
+    h, w = data.shape
+    whole = LabelImage.from_array(data)
+    windows = [comp.bbox for cls in ObjectClass for comp in components(whole, cls)]
+    windows += drawn.draw(st.lists(windows_in(data.shape), max_size=3))
+    labels = LabelImage.from_array(data, camera.window_clusters(windows))
+    assert np.array_equal(labels.dense(), data)
+    r0, c0 = drawn.draw(st.integers(-3, h)), drawn.draw(st.integers(-3, w))
+    size = st.integers(0, h + 3), st.integers(0, w + 3)
+    window = (r0, r0 + drawn.draw(size[0]), c0, c0 + drawn.draw(size[1]))
+    seen = np.zeros(data.shape, dtype=bool)
+    for r, c, view in labels.views(window):
+        assert np.array_equal(view, data[r : r + view.shape[0], c : c + view.shape[1]])
+        seen[r : r + view.shape[0], c : c + view.shape[1]] = True
+    r1, c1 = max(window[1], 0), max(window[3], 0)
+    inside = data[max(r0, 0) : r1, max(c0, 0) : c1]
+    assert int(data[seen].sum()) == int(inside.sum())
+    if not labels.clusters:
+        return
+    cr0, cr1, cc0, cc1 = drawn.draw(st.sampled_from(labels.clusters))
+    br0, br1, bc0, bc1 = drawn.draw(windows_in((cr1 - cr0, cc1 - cc0)))
+    box = (cr0 + br0, cr0 + br1, cc0 + bc0, cc0 + bc1)
+    r, c, view = labels.holding(box)
+    assert (r, c) == (box[0], box[2])
+    assert np.array_equal(view, data[box[0] : box[1], box[2] : box[3]])
+    pixel = st.tuples(st.integers(box[0], box[1] - 1), st.integers(box[2], box[3] - 1))
+    pixels = drawn.draw(st.lists(pixel, max_size=8))
+    rows, cols = np.array(pixels, dtype=np.intp).reshape(len(pixels), 2).T
+    assert np.array_equal(labels.at(rows, cols, box), data[rows, cols])
 
 
 def test_windows_touching_only_at_a_corner_merge():
@@ -485,34 +536,34 @@ def test_merged_windows_take_in_a_window_their_box_reaches(order):
 
 def test_label_image_without_windows_is_one_cluster_of_the_whole_image():
     data = np.zeros((6, 9), dtype=np.uint8)
-    assert LabelImage(data).clusters == ((0, 6, 0, 9),)
+    assert LabelImage.from_array(data).clusters == ((0, 6, 0, 9),)
     data[1, 2] = 1
     data[4, 7] = 2
-    assert LabelImage(data).clusters == ((0, 6, 0, 9),)
+    assert LabelImage.from_array(data).clusters == ((0, 6, 0, 9),)
     # given clusters are kept as they are, whether they hold a labelled
     # pixel or not
     clusters = camera.window_clusters([(1, 2, 2, 3), (4, 5, 7, 8), (0, 1, 8, 9)])
-    labels = LabelImage(data, clusters)
+    labels = LabelImage.from_array(data, clusters)
     assert labels.clusters == clusters == ((0, 1, 8, 9), (1, 2, 2, 3), (4, 5, 7, 8))
     assert labels.class_pixels() == (1, 1)
-    empty = LabelImage(np.zeros((6, 9), dtype=np.uint8), ())
+    empty = LabelImage.from_array(np.zeros((6, 9), dtype=np.uint8), ())
     assert empty.clusters == () and empty.class_pixels() == (0, 0)
 
 
 def test_depth_pgm_golden_bytes():
-    img = DepthImage(np.array([[0.0, 0.001], [1.5, 2.0]]))
+    img = DepthImage.from_array(np.array([[0.0, 0.001], [1.5, 2.0]]))
     expected = b"P5\n2 2\n65535\n" + struct.pack(">4H", 0, 1, 1500, 2000)
     assert encode_depth_pgm(img) == expected
 
 
 def test_depth_pgm_rounds_and_clips():
-    img = DepthImage(np.array([[0.0004, 0.0006, 70.0]]))
+    img = DepthImage.from_array(np.array([[0.0004, 0.0006, 70.0]]))
     body = encode_depth_pgm(img)[len(b"P5\n3 1\n65535\n"):]
     assert struct.unpack(">3H", body) == (0, 1, 65535)  # nearest mm, clip beyond range
 
 
 def test_label_ppm_golden_bytes():
-    img = LabelImage(np.array([[0, 1], [2, 0]], dtype=np.uint8))
+    img = LabelImage.from_array(np.array([[0, 1], [2, 0]], dtype=np.uint8))
     palette = bytes((30, 30, 30, 200, 60, 40, 40, 90, 200, 30, 30, 30))
     assert encode_label_ppm(img) == b"P6\n2 2\n255\n" + palette
 
@@ -957,7 +1008,7 @@ def test_windowed_pixels_of_equals_full_image_scan(view):
     inst = fd.images(ScenarioConfig(name="view", objects=scene.objects, intrinsics=k)).instances
     for idx, obj in enumerate(scene.objects):
         rows, cols = inst.pixels_of(obj.id)
-        want_rows, want_cols = np.nonzero(inst.index == idx)
+        want_rows, want_cols = np.nonzero(inst.dense() == idx)
         assert rows.dtype == want_rows.dtype and cols.dtype == want_cols.dtype
         assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
     # an id with no patch in the frame has no pixels

@@ -20,13 +20,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clearbot import cli, orchestrator
-from clearbot.camera import DepthNoiseModel, Intrinsics, encode_depth_pgm
-from clearbot.orchestrator import Simulation
+from clearbot.camera import (
+    DepthImage,
+    DepthNoiseModel,
+    Intrinsics,
+    LabelImage,
+    encode_depth_pgm,
+    encode_label_ppm,
+    window_clusters,
+)
+from clearbot.orchestrator import Simulation, Topic
 from clearbot.scene import BrickDims, ObjectClass, ObjectSpec, PipeDims
 from clearbot.schema import DepthBiasInjection, ScenarioConfig, scenario_to_dict
 from clearbot.segmentation import CutBand, Erode, Holes, Relabel
 
-from helpers import child_env
+from helpers import child_env, dense_view, run_recorded
 
 REPORT_KEYS = {"seed", "config_digest", "attempted", "succeeded", "records", "wall_notes"}
 RECORD_KEYS = {
@@ -117,29 +125,44 @@ def test_simulate_accepts_adaptive_order_flag(tmp_path, capsys):
 
 
 def test_simulate_dump_frames_writes_images(tmp_path, capsys):
-    for noise in (DepthNoiseModel(), DepthNoiseModel(sigma=0.002)):
-        cfg = one_brick_config(noise=noise)
+    # A short lane with a brick and a pipe whose windows touch, so they make
+    # one cluster, and a bias on the brick's standstill frame. The dump is
+    # the only output built from crops to dense arrays: each dumped frame is
+    # the dense reference compose of the frame's patches, with its noise
+    # and bias.
+    pipe = ObjectSpec("p", ObjectClass.PIPE, PipeDims(0.03, 0.40), 1.2, 0.09, 0.0)
+    for noise in (DepthNoiseModel(), DepthNoiseModel(sigma=0.002, dropout_prob=0.01)):
+        cfg = one_brick_config(
+            objects=(
+                ObjectSpec("b", ObjectClass.BRICK, BrickDims(0.20, 0.095, 0.057), 1.2, 0.0, 0.0),
+                pipe,
+            ),
+            noise=noise,
+            injections=(DepthBiasInjection("b", 0.02),),
+            ugv_end=(1.8, 0.0),
+        )
         scenario = write_scenario(tmp_path, cfg)
         out = tmp_path / ("clean" if noise.is_identity else "noisy")
         code = cli.main(
             ["simulate", "--scenario", scenario, "--out", str(out), "--dump-frames"]
         )
-        assert code == 0
-        labels = sorted((out / "frames").glob("*_labels.ppm"))
-        depths = sorted((out / "frames").glob("*_depth.pgm"))
-        assert labels and len(labels) == len(depths)
-        n_frames = sum(
-            json.loads(l)["topic"] == "CameraFrames"
-            for l in (out / "messages.ndjson").read_text().splitlines()
-        )
-        assert len(labels) == n_frames
-        assert labels[0].read_bytes().startswith(b"P6\n512 256\n255\n")
-        assert depths[0].read_bytes().startswith(b"P5\n512 256\n65535\n")
-        # frame 0's dumped depth is the depth the run perceived, noise and all
-        _, perceived = Simulation(cfg)._capture(standstill=False, inject_for=None)
-        dumped = depths[0].read_bytes()
-        assert dumped == encode_depth_pgm(perceived.depth)
-        assert (dumped == encode_depth_pgm(perceived.clean_depth)) == noise.is_identity
+        report, _, recorder = run_recorded(cfg)
+        assert code == (1 if report.succeeded < report.attempted else 0)
+        frames = [env.payload for env in recorder.history(Topic.CAMERA_FRAMES)]
+        assert len(list((out / "frames").iterdir())) == 2 * len(frames)
+        for fd in frames:
+            labels, depth, _, _ = dense_view(fd, cfg)
+            stem = out / "frames" / f"frame_{fd.frame_index:05d}"
+            dumped = Path(f"{stem}_labels.ppm").read_bytes()
+            assert dumped.startswith(b"P6\n512 256\n255\n")
+            assert dumped == encode_label_ppm(LabelImage.from_array(labels))
+            dumped = Path(f"{stem}_depth.pgm").read_bytes()
+            assert dumped.startswith(b"P5\n512 256\n65535\n")
+            assert dumped == encode_depth_pgm(DepthImage.from_array(depth))
+        # the lane shows the two objects in one cluster, and the biased frame
+        windows = [[(p.r0, p.r1, p.c0, p.c1) for p in fd.patches] for fd in frames]
+        assert any(len(w) == 2 and len(window_clusters(w)) == 1 for w in windows)
+        assert any(fd.bias is not None for fd in frames)
 
 
 def test_simulate_rejects_tall_camera(tmp_path, capsys):

@@ -315,7 +315,7 @@ def flood_fill_components(mask: np.ndarray) -> list[list[tuple[int, int]]]:
 
 
 def labels_of(mask: np.ndarray, code: int = 1) -> LabelImage:
-    return LabelImage(mask.astype(np.uint8) * code)
+    return LabelImage.from_array(mask.astype(np.uint8) * code)
 
 
 def test_components_empty_image():
@@ -410,7 +410,7 @@ def square_component(r0: int, c0: int, side: int, shape=(128, 160)) -> MaskCompo
 
 def test_center_of_uniform_depth_square():
     comp = square_component(50, 70, 21)
-    depth = DepthImage(np.full((128, 160), 1.143))
+    depth = DepthImage.from_array(np.full((128, 160), 1.143))
     center = component_center_3d(comp, depth, DEFAULT_INTRINSICS)
     expected = backproject(80.0, 60.0, 1.143, DEFAULT_INTRINSICS)
     assert center.frame == Frame.CAMERA
@@ -419,8 +419,8 @@ def test_center_of_uniform_depth_square():
 
 def test_center_shifts_with_depth_bias():
     comp = square_component(50, 70, 21)
-    clean = DepthImage(np.full((128, 160), 1.143))
-    biased = DepthImage(clean.data + 0.02)
+    clean = DepthImage.from_array(np.full((128, 160), 1.143))
+    biased = DepthImage.from_array(clean.dense() + 0.02)
     a = component_center_3d(comp, clean, DEFAULT_INTRINSICS)
     b = component_center_3d(comp, biased, DEFAULT_INTRINSICS)
     assert b.z - a.z == pytest.approx(0.02, abs=1e-12)
@@ -434,7 +434,7 @@ def test_center_uses_median_depth():
     comp = square_component(50, 70, 21)
     data = np.full((128, 160), 1.143)
     data[50:55, 70:91] = 3.0  # a minority of badly wrong pixels
-    center = component_center_3d(comp, DepthImage(data), DEFAULT_INTRINSICS)
+    center = component_center_3d(comp, DepthImage.from_array(data), DEFAULT_INTRINSICS)
     assert center.z == pytest.approx(1.143, abs=1e-12)
 
 
@@ -444,9 +444,9 @@ def test_center_requires_half_valid_depth():
     rows, cols = comp.rows, comp.cols
     data[rows[:221], cols[:221]] = 0.0  # 220 valid < 50%
     with pytest.raises(InsufficientDepth):
-        component_center_3d(comp, DepthImage(data), DEFAULT_INTRINSICS)
+        component_center_3d(comp, DepthImage.from_array(data), DEFAULT_INTRINSICS)
     data[rows[220], cols[220]] = 1.143  # back to exactly half valid
-    center = component_center_3d(comp, DepthImage(data), DEFAULT_INTRINSICS)
+    center = component_center_3d(comp, DepthImage.from_array(data), DEFAULT_INTRINSICS)
     assert center.z == pytest.approx(1.143, abs=1e-12)
 
 
@@ -456,7 +456,8 @@ def test_center_stays_on_symmetry_axis():
     mask[58:63, 70:91] = True
     mask[50:71, 78:83] = True
     comp = components(labels_of(mask), ObjectClass.BRICK)[0]
-    center = component_center_3d(comp, DepthImage(np.full((128, 160), 1.0)), DEFAULT_INTRINSICS)
+    depth = DepthImage.from_array(np.full((128, 160), 1.0))
+    center = component_center_3d(comp, depth, DEFAULT_INTRINSICS)
     u = center.x * DEFAULT_INTRINSICS.fx / center.z + DEFAULT_INTRINSICS.cx
     v = center.y * DEFAULT_INTRINSICS.fy / center.z + DEFAULT_INTRINSICS.cy
     assert abs(u - 80.0) <= 0.5
@@ -487,9 +488,9 @@ def test_center_median_equals_np_median_bit_for_bit(depths):
     valid = z[z > 0.0]
     if len(valid) < 0.5 * len(z):
         with pytest.raises(InsufficientDepth):
-            component_center_3d(comp, DepthImage(z[None, :]), DEFAULT_INTRINSICS)
+            component_center_3d(comp, DepthImage.from_array(z[None, :]), DEFAULT_INTRINSICS)
         return
-    center = component_center_3d(comp, DepthImage(z[None, :]), DEFAULT_INTRINSICS)
+    center = component_center_3d(comp, DepthImage.from_array(z[None, :]), DEFAULT_INTRINSICS)
     assert float_bits(center.z) == float_bits(np.median(valid))
 
 
@@ -543,9 +544,9 @@ def test_center_equals_backproject_of_mean_pixel_and_median_depth(case, k):
     valid = z[z > 0.0]
     if len(valid) < 0.5 * comp.area:
         with pytest.raises(InsufficientDepth):
-            component_center_3d(comp, DepthImage(data), k)
+            component_center_3d(comp, DepthImage.from_array(data), k)
         return
-    got = component_center_3d(comp, DepthImage(data), k)
+    got = component_center_3d(comp, DepthImage.from_array(data), k)
     want = backproject(comp.cols.mean(), comp.rows.mean(), np.median(valid), k)
     assert got.frame is Frame.CAMERA
     assert [float_bits(c) for c in (got.x, got.y, got.z)] == [float_bits(c) for c in want]
@@ -647,7 +648,7 @@ def test_orientation_range_is_half_open():
 
 def reference_components(labels: LabelImage, cls: ObjectClass, min_area: int) -> list:
     """The full-image labelling with one ``lab == i`` scan per component."""
-    lab, n = ndimage.label(labels.data == cls.label, structure=np.ones((3, 3), bool))
+    lab, n = ndimage.label(labels.dense() == cls.label, structure=np.ones((3, 3), bool))
     comps = []
     for i in range(1, n + 1):
         rows, cols = np.nonzero(lab == i)
@@ -762,7 +763,7 @@ def blob_label_images(draw) -> np.ndarray:
     order=st.randoms(use_true_random=False),
 )
 def test_kernels_match_the_all_pixel_reference(data, min_area, order):
-    labels = LabelImage(data)
+    labels = LabelImage.from_array(data)
     for cls in (ObjectClass.BRICK, ObjectClass.PIPE):
         got = components(labels, cls, min_area)
         want = reference_components(labels, cls, min_area)
@@ -799,7 +800,7 @@ def labels_in_window_clusters(draw) -> tuple[np.ndarray, list[tuple[int, int, in
 @example(case=(np.eye(4, 4, 3, dtype=np.uint8), [(0, 1, 3, 4), (0, 2, 0, 2), (2, 4, 2, 4)]))
 def test_components_on_window_clusters_match_the_all_pixel_reference(case):
     data, windows = case
-    labels = LabelImage(data, window_clusters(windows))
+    labels = LabelImage.from_array(data, window_clusters(windows))
     for cls in (ObjectClass.BRICK, ObjectClass.PIPE):
         got = components(labels, cls)
         want = reference_components(labels, cls, min_area=1)
@@ -922,7 +923,7 @@ def test_components_hold_raster_ordered_pixels_and_derive_their_extents(mask, dr
     h, w = mask.shape
     data = np.zeros((h + dr + 1, w + dc + 1), np.uint8)
     data[dr : dr + h, dc : dc + w] = mask
-    labels = LabelImage(data, window_clusters([(dr, dr + h, dc, dc + w)]))
+    labels = LabelImage.from_array(data, window_clusters([(dr, dr + h, dc, dc + w)]))
     for comp in components(labels, ObjectClass.BRICK):
         rows, cols = comp.rows, comp.cols
         raster = rows * data.shape[1] + cols

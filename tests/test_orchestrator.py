@@ -7,7 +7,6 @@ import copy
 import dataclasses
 import gc
 import hashlib
-import importlib.util
 import json
 import math
 import os
@@ -20,7 +19,6 @@ import time
 import tracemalloc
 import types
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,14 +36,15 @@ from clearbot.arm import (
 )
 from clearbot.camera import (
     MAX_FIELD_OF_VIEW_DEG,
+    DepthImage,
     DepthNoiseModel,
     InstanceImage,
     Intrinsics,
     LabelImage,
     ObjectPatch,
     apply_noise,
-    compose_patches,
     render_full,
+    window_clusters,
 )
 from clearbot.geometry import Frame, Point3, ReachEnvelope, connected_components
 from clearbot.orchestrator import (
@@ -59,6 +58,7 @@ from clearbot.orchestrator import (
     ControlStopPayload,
     FailureModule,
     FrameData,
+    FrameImages,
     GraspTargetsPayload,
     MaskData,
     MessageBus,
@@ -73,6 +73,7 @@ from clearbot.orchestrator import (
     attribute_failure,
     build_benchmark_config,
     config_digest,
+    match_component,
     messages_to_ndjson,
     replay_grasp_targets,
     report_to_json,
@@ -97,16 +98,25 @@ from clearbot.schema import (
     parse_scenario,
     scenario_to_dict,
 )
-from clearbot.segmentation import CutBand, Erode, Holes, Relabel
+from clearbot.segmentation import IOU_DILATION, CutBand, Erode, Holes, Relabel, mask_iou
 
 from helpers import (
+    DATA,
+    PERFBENCH,
     Recorder,
+    assert_image_is,
+    dense_compose,
+    dense_view,
+    explain_recorded_outputs,
     full_frame_segment,
+    libm_differences,
     openblas_core,
     oracle_line,
     payload_to_dict,
+    perfbench_workloads,
     report_to_dict,
     run_recorded,
+    same_bits,
 )
 
 BRICK = BrickDims(0.20, 0.095, 0.057)
@@ -783,10 +793,6 @@ def captures(draw):
     return cfg, inject_for
 
 
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 @settings(deadline=None, max_examples=60)
 @given(capture=captures())
 def test_frame_images_recompose_bit_for_bit(capture):
@@ -796,22 +802,22 @@ def test_frame_images_recompose_bit_for_bit(capture):
     sim = Simulation(cfg)
     fd, captured = sim._capture(standstill=False, inject_for=inject_for)
     rr = render_full(sim.scene, cfg.intrinsics)
-    labels, depth, index = compose_patches(fd.shape, rr.floor_depth, rr.patches)
+    labels, depth, index = dense_compose(fd.shape, rr.floor_depth, rr.patches)
     view = fd.images(cfg)
     for images in (view, captured):
-        assert _same_bits(images.labels.data, labels)
-        assert _same_bits(images.clean_depth.data, depth)
-        assert _same_bits(images.instances.index, index)
+        assert_image_is(images.labels, labels)
+        assert_image_is(images.clean_depth, depth)
+        assert_image_is(images.instances, index)
         assert images.instances.windows == {
             cfg.objects[p.obj_index].id: (p.obj_index, (p.r0, p.r1, p.c0, p.c1))
             for p in rr.patches
         }
-    assert _same_bits(view.depth.data, captured.depth.data)
+    assert same_bits(view.depth.dense(), captured.depth.dense())
     # what the log keeps of the frame is what the rebuilt view gives
     assert fd.class_pixels == (int((labels == 1).sum()), int((labels == 2).sum()))
     altered = not cfg.noise.is_identity or inject_for is not None
     assert (view.depth is not view.clean_depth) == altered
-    want = orchestrator._array_digest(view.depth.data) if altered else None
+    want = orchestrator._array_digest(view.depth.dense()) if altered else None
     assert fd.depth_digest == want
 
 
@@ -826,7 +832,7 @@ def test_depth_bias_injection_is_apply_noise_with_that_bias(capture, data):
     assume(cfg.injections)
     oid = cfg.injections[0].object_id
     _, plain = Simulation(cfg)._capture(standstill=True, inject_for=None)
-    depth = plain.depth.data
+    depth = plain.depth.dense()
     cancelling = -depth[(depth > 0.0) & (depth < cfg.camera_mount.height)]
     biases = floats(-1.0, 1.0)
     if cancelling.size:
@@ -834,7 +840,7 @@ def test_depth_bias_injection_is_apply_noise_with_that_bias(capture, data):
     bias = data.draw(biases)
     sim = Simulation(dataclasses.replace(cfg, injections=(DepthBiasInjection(oid, bias),)))
     _, injected = sim._capture(standstill=True, inject_for=oid)
-    assert _same_bits(injected.depth.data, np.where(depth > 0.0, depth + bias, depth))
+    assert same_bits(injected.depth.dense(), np.where(depth > 0.0, depth + bias, depth))
 
 
 NOISY = DepthNoiseModel(sigma=0.002, dropout_prob=0.01)
@@ -1027,7 +1033,7 @@ def test_bias_only_noise_builds_no_generator(monkeypatch):
     clean = dataclasses.replace(cfg, noise=DepthNoiseModel())
     for fd in frames:
         want = apply_noise(fd.images(clean).depth, bias_only, seed=0)
-        assert fd.depth_digest == orchestrator._array_digest(want.data)
+        assert fd.depth_digest == orchestrator._array_digest(want.dense())
     assert report.attempted == 1 and made == []
 
 
@@ -1100,7 +1106,7 @@ def test_a_finished_run_leaves_no_draw_in_flight(monkeypatch):
     assert report.attempted == 1
     with lock:
         assert drawn["started"] == drawn["finished"] > 0
-    assert sim._buffers._ahead is None
+    assert sim._noise._ahead is None
     assert sys.getswitchinterval() == interval
 
 
@@ -1121,13 +1127,13 @@ def test_a_picking_frames_depth_outlives_the_next_draw(monkeypatch):
     diagnose = sim._diagnose
 
     def checked_diagnose(rec, comp, matched, images, *rest):
-        ahead = sim._buffers._ahead
+        ahead = sim._noise._ahead
         assert ahead is not None
         ahead[1].result(timeout=10)
         fd = recorder.history(Topic.CAMERA_FRAMES)[-1].payload
         assert fd.standstill and ahead[0] == fd.frame_index + 1
-        assert orchestrator._array_digest(images.depth.data) == fd.depth_digest
-        assert _same_bits(images.depth.data, fd.images(sim.cfg).depth.data)
+        assert orchestrator._array_digest(images.depth.dense()) == fd.depth_digest
+        assert same_bits(images.depth.dense(), fd.images(sim.cfg).depth.dense())
         checked.append(fd.frame_index)
         return diagnose(rec, comp, matched, images, *rest)
 
@@ -1208,10 +1214,51 @@ def test_simulations_in_threads_each_draw_on_their_own_worker_and_keep_their_byt
 # --- memory follows the patches ----------------------------------------------------
 
 
+def _perceive_peak(width: int, height: int, seg_ops) -> int:
+    """Peak traced bytes of building a simulation and perceiving its first,
+    clean frame: a brick and a pipe under the course's camera and focal
+    length, in an image of ``width`` x ``height``."""
+    k = Intrinsics(fx=180.0, fy=180.0, cx=width / 2, cy=height / 2, width=width, height=height)
+    pipe = ObjectSpec("p", ObjectClass.PIPE, PipeDims(0.03, 0.40), 1.35, 0.0, 1.2)
+    cfg = tiny_scenario(
+        [brick("b", 1.05, 0.0, 0.3), pipe],
+        intrinsics=k,
+        camera_mount=CameraMount(1.05, 0.0, 1.4),
+        seg_ops=seg_ops,
+    )
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _, images, _, chosen = Simulation(cfg)._perceive(standstill=False, inject_for=None)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # both objects are in view, apart, and one is picked
+    assert len(images.labels.clusters) == 2 and chosen is not None
+    return peak
+
+
+@pytest.mark.parametrize(
+    "seg_ops",
+    [(), (Erode(1), Holes(0.1), CutBand("b", 3), Relabel((0, 4096, 0, 4096), 2))],
+    ids=["no ops", "every op"],
+)
+def test_perceiving_a_clean_frame_takes_no_memory_that_grows_with_the_image(seg_ops):
+    # the course's 512 x 256 image and one of 4x its area: the frame is
+    # composed into its clusters' crops, the mask copies only those, and its
+    # digest hashes the floor rows from a fixed chunk of zeros. A dense
+    # label image alone is 128 KiB at the course's size; the peak grows only
+    # by the camera's per-row and per-column ray offsets and the width of
+    # the mask digest's row bands.
+    small = _perceive_peak(512, 256, seg_ops)
+    large = _perceive_peak(1024, 512, seg_ops)
+    assert large - small < 16 * 1024
+
+
 @pytest.mark.parametrize("noise", [DepthNoiseModel(), NOISY], ids=["clean", "noisy"])
 def test_step_loop_views_equal_fresh_views_frame_by_frame(noise):
-    # every capture is built into the buffers of the one before it, whose
-    # patches moved or left the view; nothing of that frame may show
+    # every capture follows one whose patches moved or left the view;
+    # nothing of that frame may show, and no crop is shared with another view
     pipe = ObjectSpec("p", ObjectClass.PIPE, PipeDims(0.03, 0.40), 1.7, -0.1, 1.2)
     cfg = tiny_scenario(
         [brick("b", 1.2, 0.05, 0.3), pipe],
@@ -1227,14 +1274,14 @@ def test_step_loop_views_equal_fresh_views_frame_by_frame(noise):
     def checked_capture(standstill, inject_for):
         fd, view = capture(standstill, inject_for)
         fresh = fd.images(cfg)
-        for a, b in (
-            (view.labels.data, fresh.labels.data),
-            (view.depth.data, fresh.depth.data),
-            (view.clean_depth.data, fresh.clean_depth.data),
-            (view.instances.index, fresh.instances.index),
+        for a, b, dense in zip(
+            (view.labels, view.depth, view.clean_depth, view.instances),
+            (fresh.labels, fresh.depth, fresh.clean_depth, fresh.instances),
+            dense_view(fd, cfg),
         ):
-            assert a is not b and _same_bits(a, b)
-        assert view.labels.clusters == fresh.labels.clusters
+            assert a.clusters == b.clusters
+            assert not any(np.shares_memory(x, y) for x in a.crops for y in b.crops)
+            assert_image_is(a, dense)
         frames.append(fd)
         return fd, view
 
@@ -1253,9 +1300,9 @@ def test_step_loop_views_equal_fresh_views_frame_by_frame(noise):
 
 
 def test_every_changed_mask_is_an_array_of_its_own(monkeypatch):
-    # erosion runs on every frame with a label in view, so each such mask is
-    # a copy of the ground truth: it outlives the next capture, and shares
-    # no memory with another mask or with the canvas it was segmented from
+    # erosion runs on every frame with a label in view, so each such mask's
+    # crops are copies of the ground truth's: they share no memory with
+    # another mask's or with the crops they were segmented from
     cfg = dataclasses.replace(_noisy_lane(), seg_ops=(Erode(1),))
     perceive = orchestrator.perceive_frame
     masks = []
@@ -1263,16 +1310,19 @@ def test_every_changed_mask_is_an_array_of_its_own(monkeypatch):
     def keeping_perceive(images, cfg_, cam_to_arm):
         mask, targets, comps = perceive(images, cfg_, cam_to_arm)
         if images.labels.clusters:
-            assert not np.shares_memory(mask.data, images.labels.data)
-            masks.append(mask.data)
+            assert not any(
+                np.shares_memory(a, b) for a in mask.crops for b in images.labels.crops
+            )
+            masks.append(mask.crops)
         return mask, targets, comps
 
     monkeypatch.setattr(orchestrator, "perceive_frame", keeping_perceive)
     report, _ = run_scenario(cfg)
     assert report.attempted == 1
     assert len(masks) > 1
-    for i, a in enumerate(masks):
-        assert not any(np.shares_memory(a, b) for b in masks[i + 1 :])
+    crops = [crop for mask in masks for crop in mask]
+    for i, a in enumerate(crops):
+        assert not any(np.shares_memory(a, b) for b in crops[i + 1 :])
 
 
 @st.composite
@@ -1292,7 +1342,9 @@ def short_runs(draw):
         x, y, yaw = draw(floats(0.8, 1.6)), draw(floats(-0.05, 0.05)), draw(floats(-3.2, 3.2))
         objects += (ObjectSpec("r", ObjectClass.BRICK, BRICK, x, y, yaw),)
         cfg = dataclasses.replace(cfg, intrinsics=Intrinsics(64.0, 64.0, 64.0, 32.0, 128, 64))
-    ops = [Erode(1), Holes(0.1, seed=draw(st.integers(0, 9))), Relabel((0, 8, 0, 8), 2)]
+    # a relabel of the top-left corner, or of every cluster in view
+    region = draw(st.sampled_from([(0, 8, 0, 8), (0, 4096, 0, 4096)]))
+    ops = [Erode(1), Holes(0.1, seed=draw(st.integers(0, 9))), Relabel(region, 2)]
     if objects:
         ops.append(CutBand(draw(st.sampled_from(objects)).id, 3))
     cfg = dataclasses.replace(
@@ -1344,6 +1396,28 @@ def _floor_graze() -> ScenarioConfig:
     )
 
 
+def _side_by_side(relabel: bool = False) -> ScenarioConfig:
+    """Two bricks a few pixels apart across the view: their clusters share
+    rows, under holes, whose draws follow the image's raster order, and
+    maybe a relabel of every cluster. Without it, each brick's mask lies
+    within the mask-IoU window of the other."""
+    relabelled = (Relabel((0, 4096, 0, 4096), 2),) if relabel else ()
+    return tiny_scenario(
+        [brick("b", 1.2, 0.0), brick("c", 1.5, 0.0)],
+        intrinsics=Intrinsics(fx=64.0, fy=64.0, cx=64.0, cy=32.0, width=128, height=64),
+        ugv_end=(2.0, 0.0),
+        frame_period=0.2,
+        seg_ops=(Holes(0.3, seed=1),) + relabelled,
+    )
+
+
+def _clusters_share_rows(fd) -> bool:
+    clusters = window_clusters([(p.r0, p.r1, p.c0, p.c1) for p in fd.patches])
+    return any(
+        a[0] < b[1] and b[0] < a[1] for i, a in enumerate(clusters) for b in clusters[i + 1 :]
+    )
+
+
 def _pipe_behind_a_brick() -> ScenarioConfig:
     """In frames 0 and 1 the brick's top hides both of the thin pipe's hits:
     its patch is in view but draws no pixel."""
@@ -1366,11 +1440,11 @@ def _assert_clusters_hold_the_labels(labels: LabelImage) -> None:
     for i, a in enumerate(clusters):
         for b in clusters[i + 1 :]:
             assert not (a[0] <= b[1] and b[0] <= a[1] and a[2] <= b[3] and b[2] <= a[3])
-    inside = np.zeros(labels.data.shape, dtype=bool)
+    inside = np.zeros(labels.shape, dtype=bool)
     for r0, r1, c0, c1 in clusters:
         inside[r0:r1, c0:c1] = True
-    assert not labels.data[~inside].any()
-    assert labels.class_pixels() == ((labels.data == 1).sum(), (labels.data == 2).sum())
+    assert not labels.dense()[~inside].any()
+    assert labels.class_pixels() == ((labels.dense() == 1).sum(), (labels.dense() == 2).sum())
 
 
 @settings(deadline=None, max_examples=60)
@@ -1414,80 +1488,112 @@ def test_state_transitions_stay_legal(cfg):
 @example(cfg=_lane_of_two())
 @example(cfg=_floor_graze())
 @example(cfg=_pipe_behind_a_brick())
+@example(cfg=_side_by_side())
+@example(cfg=_side_by_side(relabel=True))
 @given(cfg=short_runs())
 def test_step_loop_equals_fresh_views_on_generated_runs(cfg):
-    # Every capture is composed into the canvas of the one before, and its
-    # mask is that canvas's labels or a copy; each view, its clusters and
-    # its mask must equal ones built from scratch.
+    # Every capture composes the crops of its clusters, and its mask is its
+    # labels or a copy of their crops. Each view, crop by crop and noise
+    # included, equals the dense reference frame, and perceiving it equals
+    # perceiving that frame as one-cluster images, which reads no cluster.
     sim = Simulation(cfg)
     recorder = Recorder(sim.bus)
     capture = sim._capture
     perceive = orchestrator.perceive_frame
-    frames, fresh_views, fresh_masks, unchanged = [], [], [], []
+    frames, dense_views, fresh_masks, unchanged = [], [], [], []
 
     def checked_capture(standstill, inject_for):
         fd, view = capture(standstill, inject_for)
         fresh = fd.images(cfg)
-        for a, b in (
-            (view.labels.data, fresh.labels.data),
-            (view.depth.data, fresh.depth.data),
-            (view.clean_depth.data, fresh.clean_depth.data),
-            (view.instances.index, fresh.instances.index),
+        dense = dense_view(fd, cfg)
+        for a, b, want in zip(
+            (view.labels, view.depth, view.clean_depth, view.instances),
+            (fresh.labels, fresh.depth, fresh.clean_depth, fresh.instances),
+            dense,
         ):
-            assert _same_bits(a, b)
-        assert view.labels.clusters == fresh.labels.clusters
-        _assert_clusters_hold_the_labels(fresh.labels)
+            assert a.clusters == b.clusters
+            assert_image_is(a, want)
+            assert_image_is(b, want)
+        # the clean images' clusters are those of the patch windows; a noisy
+        # or biased depth is one dense crop
+        clusters = window_clusters([(p.r0, p.r1, p.c0, p.c1) for p in fd.patches])
+        assert view.labels.clusters == view.clean_depth.clusters == clusters
+        assert view.instances.clusters == clusters
+        _assert_clusters_hold_the_labels(view.labels)
         # every patch has a hit nearer than the floor (an occluded one may
         # still draw nothing), and perceiving may skip a view without
         # clusters, since such a view has no labelled pixel
         assert all((p.zbuf < fd.floor_depth).any() for p in fd.patches)
-        # the canvas serves one floor depth: the camera's height
-        assert fd.floor_depth == cfg.camera_mount.height
-        assert fresh.labels.clusters or not fresh.labels.data.any()
-        assert view.instances.windows == fresh.instances.windows
-        # the depth the log hashed at capture is the fresh view's, whether
-        # its noise was drawn ahead on the worker or on the spot
+        # the background of a clean depth is the floor: the camera's height
+        assert fd.floor_depth == view.clean_depth.background == cfg.camera_mount.height
+        assert view.labels.clusters or not dense[0].any()
+        windows = {p.object_id: (p.obj_index, (p.r0, p.r1, p.c0, p.c1)) for p in fd.patches}
+        assert view.instances.windows == fresh.instances.windows == windows
+        # the depth the log hashed at capture is the dense reference's,
+        # whether its noise was drawn ahead on the worker or on the spot
         altered = not cfg.noise.is_identity or fd.bias is not None
-        assert fd.depth_digest == (orchestrator._array_digest(fresh.depth.data) if altered else None)
+        assert fd.depth_digest == (orchestrator._array_digest(dense[1]) if altered else None)
         # each patch names the object of its index in the scene it was cast from
         assert all(p.object_id == sim.scene.objects[p.obj_index].id for p in fd.patches)
         frames.append(fd)
-        fresh_views.append(fresh)
+        labels, depth, clean, index = dense
+        dense_views.append(
+            FrameImages(
+                labels=LabelImage.from_array(labels),
+                depth=DepthImage.from_array(depth),
+                clean_depth=DepthImage.from_array(clean),
+                instances=InstanceImage.from_array(index, windows=windows),
+            )
+        )
         return fd, view
 
     def checked_perceive(images, cfg_, cam_to_arm):
         mask, targets, comps = perceive(images, cfg_, cam_to_arm)
-        # perceiving leaves the ground truth as it was; checked before the
-        # fresh view is perceived, which would change it the same way
-        assert _same_bits(images.labels.data, fresh_views[-1].labels.data)
+        dense = dense_views[-1]
+        # perceiving leaves the ground truth as it was
+        assert_image_is(images.labels, dense.labels.dense())
         # the mask equals the whole-image reference, which does not read
         # the clusters
-        fresh = fresh_views[-1]
-        reference = full_frame_segment(fresh.labels, cfg_.seg_ops, cfg_.seed, fresh.instances)
-        assert mask.data.tobytes() == reference.tobytes()
+        reference = full_frame_segment(dense.labels, cfg_.seg_ops, cfg_.seed, dense.instances)
+        assert_image_is(mask, reference)
         # no op labels a floor pixel, so every mask pixel names the object
         # that drew it, and match_component always finds one
-        assert (images.instances.index[mask.data != 0] >= 0).all()
+        assert (dense.instances.dense()[reference != 0] >= 0).all()
         if images.labels.clusters:
             unchanged.append(mask is images.labels)
-        want, want_targets, _ = perceive(fresh_views[-1], cfg_, cam_to_arm)
-        assert _same_bits(mask.data, want.data)
+        want, want_targets, want_comps = perceive(dense, cfg_, cam_to_arm)
+        assert same_bits(want.dense(), reference)
         # the mask keeps the frame's clusters of patch windows, which still
         # hold its labels, so its digest may start at its first cluster; and
         # labelling each cluster finds what labelling the whole image finds
         assert mask.clusters == images.labels.clusters
         _assert_clusters_hold_the_labels(mask)
-        assert orchestrator._mask_digest(mask) == orchestrator._array_digest(mask.data)
+        assert orchestrator._mask_digest(mask) == orchestrator._array_digest(reference)
         for cls in ObjectClass:
             got = connected_components(mask, cls)
-            whole = connected_components(LabelImage(mask.data), cls)
+            whole = connected_components(want, cls)
             assert [c.bbox for c in got] == [c.bbox for c in whole]
             assert [(c.area, c.seed_pixel) for c in got] == [(c.area, c.seed_pixel) for c in whole]
             for a, b in zip(got, whole):
-                assert _same_bits(a.rows, b.rows) and _same_bits(a.cols, b.cols)
+                assert same_bits(a.rows, b.rows) and same_bits(a.cols, b.cols)
+        # centers and orientations gathered from the crops, and what an
+        # attempt measures, are those of the dense images
         assert targets == want_targets
+        for comp, ref in zip(comps, want_comps, strict=True):
+            assert mask_iou(comp, images.labels) == mask_iou(ref, dense.labels)
+            assert match_component(comp, images.instances) == match_component(ref, dense.instances)
+        for oid, (_, window) in images.instances.windows.items():
+            rows, cols = images.instances.pixels_of(oid)
+            want_rows, want_cols = dense.instances.pixels_of(oid)
+            assert same_bits(rows, want_rows) and same_bits(cols, want_cols)
+            for got_depth, want_depth in (
+                (images.depth, dense.depth),
+                (images.clean_depth, dense.clean_depth),
+            ):
+                got_z = got_depth.at(rows, cols, window)
+                assert same_bits(got_z, want_depth.dense()[rows, cols])
         fd = frames[-1]
-        digest = orchestrator._array_digest(want.data)
+        digest = orchestrator._array_digest(reference)
         fresh_masks.append(MaskData(fd.frame_index, fd.t_capture, want.class_pixels(), digest))
         return mask, targets, comps
 
@@ -1506,6 +1612,7 @@ def test_step_loop_equals_fresh_views_on_generated_runs(cfg):
     event(f"patches move: {any(a.patches and b.patches for a, b in pairs)}")
     event(f"patches overlap: {any(map(_windows_overlap, frames))}")
     event(f"patches vanish: {any(a.patches and not b.patches for a, b in pairs)}")
+    event(f"clusters share rows: {any(map(_clusters_share_rows, frames))}")
     # on frames with patches in view
     event(f"a mask no op changed: {any(unchanged)}")
     event(f"a mask an op changed: {not all(unchanged)}")
@@ -1515,7 +1622,7 @@ def test_step_loop_equals_fresh_views_on_generated_runs(cfg):
     published = [env.payload for env in recorder.history(Topic.GRASP_TARGETS)]
     assert [payload for _, payload in replayed] == published
     assert len(replayed) == len(logged) == len(frames)
-    # each mask was hashed at publish, before later captures reused the canvas
+    # each mask was hashed at publish from its crops
     assert [env.payload for env in logged] == fresh_masks
     for (mask, _), env in zip(replayed, logged):
         assert orchestrator._array_digest(mask) == env.payload.digest
@@ -1607,6 +1714,23 @@ def test_culling_off_gives_the_same_frame_digests(cfg):
         assert frame_digests() == culled
 
 
+def test_the_side_by_side_lane_has_clusters_that_share_rows():
+    # the explicit example of the generated-run property shows them, and
+    # a mask-IoU window that meets a cluster other than its component's
+    cfg = _side_by_side()
+    frames = [env.payload for env in run_recorded(cfg)[2].history(Topic.CAMERA_FRAMES)]
+    assert sum(map(_clusters_share_rows, frames)) > 1
+    reaching = 0
+    for fd in frames:
+        labels = fd.images(cfg).labels
+        for comp in connected_components(labels, ObjectClass.BRICK):
+            r0, r1, c0, c1 = comp.bbox
+            d = IOU_DILATION
+            window = (r0 - d, r1 + d, c0 - d, c1 + d)
+            reaching += len(list(labels.views(window))) > 1
+    assert reaching > 1
+
+
 def test_the_lane_of_two_moves_overlaps_and_vanishes():
     # the explicit example of the generated-run property shows all three
     frames = [env.payload for env in run_recorded(_lane_of_two())[2].history(Topic.CAMERA_FRAMES)]
@@ -1614,46 +1738,6 @@ def test_the_lane_of_two_moves_overlaps_and_vanishes():
     assert any(a.patches and b.patches and a.patches[0].c0 != b.patches[0].c0 for a, b in pairs)
     assert any(map(_windows_overlap, frames))
     assert any(a.patches and not b.patches for a, b in pairs)
-
-
-def test_step_loop_compose_resets_only_the_last_frames_windows(monkeypatch):
-    # After the first capture, each compose resets the windows of the frame
-    # before it and nothing else: a marker outside them survives the compose.
-    real = orchestrator.compose_patches
-    calls = []
-
-    def checked(shape, floor_depth, patches, out=None):
-        if out is None:
-            return real(shape, floor_depth, patches)
-        labels, depth, inst = out.arrays
-        if calls:
-            before = calls[-1]
-            assert out.written == tuple((p.r0, p.r1, p.c0, p.c1) for p in before)
-            stale = np.zeros(shape, dtype=bool)
-            for p in tuple(before) + tuple(patches):
-                stale[p.r0 : p.r1, p.c0 : p.c1] = True
-            # the last pixel that no compose of these two frames touches
-            marker = np.unravel_index(np.flatnonzero(~stale)[-1], shape)
-            labels[marker], depth[marker], inst[marker] = 7, -5.0, 99
-        else:
-            # a new canvas counts as written everywhere
-            assert out.written == ((0, shape[0], 0, shape[1]),)
-            marker = None
-        result = real(shape, floor_depth, patches, out=out)
-        if marker is not None:
-            assert (labels[marker], depth[marker], inst[marker]) == (7, -5.0, 99)
-            labels[marker], depth[marker], inst[marker] = 0, floor_depth, -1
-        calls.append(patches)
-        return result
-
-    monkeypatch.setattr(orchestrator, "compose_patches", checked)
-    # out of the arm's reach, so both objects stay in view while they pass
-    unreachable = dataclasses.replace(DEFAULT_ARM_CONFIG, envelope=ReachEnvelope(z_min=0.0))
-    pipe = ObjectSpec("p", ObjectClass.PIPE, PipeDims(0.03, 0.40), 1.5, -0.1, 1.2)
-    cfg = tiny_scenario([brick("b", 1.2, 0.05, 0.3), pipe], noise=NOISY, arm=unreachable)
-    _, _, recorder = run_recorded(cfg)
-    assert len(calls) == len(recorder.history(Topic.CAMERA_FRAMES))
-    assert sum(1 for patches in calls if patches) > 10
 
 
 def _reachable(root: object):
@@ -1781,7 +1865,6 @@ def test_status_lines_time_the_pick_by_its_phases(request, run):
             assert end == start
 
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 RECORDED = PERFBENCH / "recorded.json"
 
 
@@ -1789,13 +1872,8 @@ RECORDED = PERFBENCH / "recorded.json"
 def noisy_run() -> tuple[RunReport, Simulation, Recorder]:
     """The benchmark's noisy_course at its recorded seed: depth noise with
     dropout, and eroded, holed masks; a recorder keeps every message."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", PERFBENCH / "workloads.py"
-    )
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
     seed = json.loads(RECORDED.read_text())["default_seed"]
-    return run_recorded(parse_scenario(workloads.noisy_course(seed)))
+    return run_recorded(parse_scenario(perfbench_workloads().noisy_course(seed)))
 
 
 @pytest.mark.parametrize(
@@ -1812,18 +1890,61 @@ def test_course_outputs_match_the_recorded_digests(request, run, entry):
     report, sim = request.getfixturevalue(run)[:2]
     recorded = json.loads(RECORDED.read_text())["digests"][entry]
     log = messages_to_ndjson(sim.bus)
-    # the bytes depend on the OpenBLAS kernel (ROADMAP, Baseline)
-    why = (
-        f"{entry}: the digests were recorded under the SkylakeX OpenBLAS kernel "
-        f"and this process runs {openblas_core()}; another kernel can change "
-        "the last digit of a float"
-    )
+    # the bytes depend on the OpenBLAS kernel and the libm (ROADMAP,
+    # Baseline); a failure says which this process runs, and what changed
+    # against the outputs kept in tests/data
+    why = explain_recorded_outputs(entry, report_to_json(report), log)
     assert report.log_digest == recorded["log_digest"], why
     assert hashlib.sha256(log.encode()).hexdigest() == recorded["log_digest"], why
     assert (
         hashlib.sha256(report_to_json(report).encode()).hexdigest()
         == recorded["report_sha256"]
     ), why
+
+
+def test_the_recorded_outputs_name_no_change_on_the_course(benchmark_run):
+    report, sim = benchmark_run[:2]
+    why = explain_recorded_outputs("course", report_to_json(report), messages_to_ndjson(sim.bus))
+    assert "report.json: no key changed" in why
+    assert "messages.ndjson: no line changed" in why
+    assert "runs " + openblas_core() in why
+
+
+def test_a_recorded_digest_failure_names_what_changed(benchmark_run):
+    # one report value and one log line of the course, changed
+    report, sim = benchmark_run[:2]
+    record = json.loads(report_to_json(report))
+    record["records"][2]["center_error_m"] += 1e-9
+    lines = messages_to_ndjson(sim.bus).splitlines(keepends=True)
+    k = next(i for i, line in enumerate(lines) if '"topic":"GraspTargets"' in line and i > 40)
+    env = json.loads(lines[k])
+    lines[k] = lines[k].replace('"kind":"targets"', '"kind":"target"')
+    why = explain_recorded_outputs("course", json.dumps(record), "".join(lines))
+    old = json.loads(report_to_json(report))["records"][2]["center_error_m"]
+    assert f"records[2].center_error_m: {old!r} -> {old + 1e-9!r}" in why
+    assert "report.json: records[2].center_error_m" in why
+    assert (
+        f"line {k + 1} differs first (seq {env['seq']}, topic GraspTargets, "
+        f"frame_index {env['payload']['frame_index']}); 1 of {len(lines)} lines differ"
+    ) in why
+    # a log cut short differs first where it ends
+    why = explain_recorded_outputs("course", report_to_json(report), "".join(lines[:k]))
+    assert f"line {k + 1} differs first" in why and f"the run wrote {k}" in why
+
+
+def test_the_libm_table_counts_the_results_this_libm_rounds_otherwise(monkeypatch):
+    differ, total = libm_differences()
+    assert 0 <= differ <= total and total > 1000
+    rows = [line for line in (DATA / "libm.txt").read_text().splitlines() if line[0] != "#"]
+    assert len(set(rows)) == total
+    # the long_course yaw whose sine glibc 2.36 rounds away from the
+    # correctly rounded result (ROADMAP, Baseline)
+    hard = float.fromhex("0x1.95b4c31e4d25fp-3")
+    assert f"sin {hard.hex()} 0x1.930eca7e88c42p-3" in rows
+    # a libm that gets that one sine wrong counts it, unless this one did
+    sin = math.sin
+    monkeypatch.setattr(math, "sin", lambda x: 2.0 * sin(x) if x == hard else sin(x))
+    assert libm_differences() == (differ + (sin(hard).hex() == "0x1.930eca7e88c42p-3"), total)
 
 
 def test_publish_names_an_unknown_payload_type():
@@ -1864,7 +1985,7 @@ def test_empty_frames_skip_segmentation_and_targets(monkeypatch):
         # what the full path would have published for this frame
         images = fd.images(sim.cfg)
         full = orchestrator.segment(images.labels, ops, seed=0, instances=images.instances)
-        assert mask.payload.digest == orchestrator._array_digest(full.data)
+        assert mask.payload.digest == orchestrator._array_digest(full.dense())
         assert mask.t == fd.t_capture + SEG_LATENCY
         assert tgt.payload.targets == ()
 
@@ -1893,7 +2014,8 @@ def test_an_unchanged_mask_takes_its_frames_pixel_counts(monkeypatch):
 @pytest.mark.parametrize("shape", [(1, 1), (64, 128), (256, 512)])
 def test_floor_digest_is_the_digest_of_an_all_floor_mask(shape):
     floor = np.zeros(shape, np.uint8)
-    assert orchestrator._mask_digest(LabelImage(floor)) == orchestrator._array_digest(floor)
+    labels = LabelImage.from_array(floor)
+    assert orchestrator._mask_digest(labels) == orchestrator._array_digest(floor)
     # the floor rows' hash state is taken once per shape and row count
     prefix = orchestrator._floor_prefix(shape, shape[0])
     assert orchestrator._floor_prefix(shape, shape[0]) is prefix
@@ -1923,7 +2045,7 @@ def test_mask_digest_equals_the_digest_of_the_dense_mask(data):
     # the rows above the mask's first cluster come from the cached floor
     # prefix: none for the whole image, all of them for no cluster
     clusters = camera.window_clusters([(r, r + 1, c, c + 1) for r, c in zip(*np.nonzero(data))])
-    for labels in (LabelImage(data), LabelImage(data, clusters)):
+    for labels in (LabelImage.from_array(data), LabelImage.from_array(data, clusters)):
         assert orchestrator._mask_digest(labels) == orchestrator._array_digest(data)
 
 

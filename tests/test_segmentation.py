@@ -32,13 +32,13 @@ from helpers import component_from_pixels, full_frame_segment
 def rect_labels(r0=10, r1=30, c0=5, c1=45, code=1, shape=(64, 64)) -> LabelImage:
     data = np.zeros(shape, dtype=np.uint8)
     data[r0:r1, c0:c1] = code
-    return LabelImage(data)
+    return LabelImage.from_array(data)
 
 
 def rect_instances(r0=10, r1=30, c0=5, c1=45, oid="t1", shape=(64, 64)) -> InstanceImage:
     idx = np.full(shape, -1, dtype=np.int32)
     idx[r0:r1, c0:c1] = 0
-    return InstanceImage(idx, {oid: (0, (r0, r1, c0, c1))})
+    return InstanceImage.from_array(idx, windows={oid: (0, (r0, r1, c0, c1))})
 
 
 def two_rects(a, b, shape=(64, 64), codes=(1, 1)) -> tuple[LabelImage, InstanceImage]:
@@ -50,8 +50,8 @@ def two_rects(a, b, shape=(64, 64), codes=(1, 1)) -> tuple[LabelImage, InstanceI
     for i, (r0, r1, c0, c1) in enumerate((a, b)):
         data[r0:r1, c0:c1] = codes[i]
         idx[r0:r1, c0:c1] = i
-    instances = InstanceImage(idx, {"o0": (0, a), "o1": (1, b)})
-    return LabelImage(data, window_clusters([a, b])), instances
+    instances = InstanceImage.from_array(idx, windows={"o0": (0, a), "o1": (1, b)})
+    return LabelImage.from_array(data, window_clusters([a, b])), instances
 
 
 def erode_oracle(mask: np.ndarray, radius: int) -> np.ndarray:
@@ -67,7 +67,7 @@ def erode_oracle(mask: np.ndarray, radius: int) -> np.ndarray:
 
 def component_count(labels: LabelImage, code: int) -> int:
     """Test-local component counter (BFS), avoiding the library labeling."""
-    mask = labels.data == code
+    mask = labels.dense() == code
     h, w = mask.shape
     seen = np.zeros_like(mask, dtype=bool)
     count = 0
@@ -101,10 +101,10 @@ def test_no_ops_is_identity():
 
 def test_segment_leaves_input_untouched():
     gt = rect_labels()
-    before = gt.data.copy()
+    before = gt.dense().copy()
     res = segment(gt, [Erode(2), Holes(0.3, seed=1)])
-    assert np.array_equal(gt.data, before)
-    assert not np.shares_memory(res.data, gt.data)
+    assert np.array_equal(gt.dense(), before)
+    assert not np.shares_memory(res.dense(), gt.dense())
 
 
 def test_unknown_op_type_rejected():
@@ -118,8 +118,8 @@ def test_unknown_op_type_rejected():
 def test_erode_solid_rectangle_against_oracle():
     gt = rect_labels()  # 20 x 40 solid block
     res = segment(gt, [Erode(2)])
-    got = res.data == 1
-    want = erode_oracle(gt.data == 1, 2)
+    got = res.dense() == 1
+    want = erode_oracle(gt.dense() == 1, 2)
     assert np.array_equal(got, want)
     area = int(got.sum())
     assert area == (20 - 4) * (40 - 4) == 576
@@ -130,14 +130,14 @@ def test_erode_random_masks_against_oracle():
     rng = np.random.default_rng(40)
     for radius in (1, 2, 3):
         data = (rng.random((48, 48)) < 0.6).astype(np.uint8)
-        res = segment(LabelImage(data), [Erode(radius)])
-        assert np.array_equal(res.data == 1, erode_oracle(data == 1, radius))
+        res = segment(LabelImage.from_array(data), [Erode(radius)])
+        assert np.array_equal(res.dense() == 1, erode_oracle(data == 1, radius))
 
 
 def test_erode_never_adds_pixels():
     rng = np.random.default_rng(41)
     data = (rng.random((40, 40)) < 0.5).astype(np.uint8) * 2
-    out = segment(LabelImage(data), [Erode(1)]).data
+    out = segment(LabelImage.from_array(data), [Erode(1)]).dense()
     assert not np.any(out[data == 0])
 
 
@@ -145,7 +145,7 @@ def test_erode_treats_classes_independently():
     data = np.zeros((32, 32), dtype=np.uint8)
     data[4:14, 4:14] = 1
     data[4:14, 14:24] = 2  # touching regions of different classes
-    out = segment(LabelImage(data), [Erode(1)]).data
+    out = segment(LabelImage.from_array(data), [Erode(1)]).dense()
     want1 = erode_oracle(data == 1, 1)
     want2 = erode_oracle(data == 2, 1)
     assert np.array_equal(out == 1, want1)
@@ -185,15 +185,15 @@ def test_erode_square_equals_binary_erosion_at_every_radius(mask):
 def test_holes_zero_fraction_is_identity():
     gt = rect_labels()
     res = segment(gt, [Holes(0.0)])
-    assert np.array_equal(res.data, gt.data)
+    assert np.array_equal(res.dense(), gt.dense())
 
 
 def test_holes_is_seed_deterministic():
     gt = rect_labels()
-    a = segment(gt, [Holes(0.3, seed=5)], seed=9).data
-    b = segment(gt, [Holes(0.3, seed=5)], seed=9).data
-    c = segment(gt, [Holes(0.3, seed=6)], seed=9).data
-    d = segment(gt, [Holes(0.3, seed=5)], seed=10).data
+    a = segment(gt, [Holes(0.3, seed=5)], seed=9).dense()
+    b = segment(gt, [Holes(0.3, seed=5)], seed=9).dense()
+    c = segment(gt, [Holes(0.3, seed=6)], seed=9).dense()
+    d = segment(gt, [Holes(0.3, seed=5)], seed=10).dense()
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
@@ -201,16 +201,16 @@ def test_holes_is_seed_deterministic():
 
 def test_holes_fraction_statistics():
     gt = rect_labels(0, 50, 0, 50)  # 2500 labeled pixels
-    out = segment(gt, [Holes(0.3, seed=2)], seed=1).data
-    removed = int((gt.data == 1).sum() - (out == 1).sum())
+    out = segment(gt, [Holes(0.3, seed=2)], seed=1).dense()
+    removed = int((gt.dense() == 1).sum() - (out == 1).sum())
     assert 0.25 * 2500 < removed < 0.35 * 2500
 
 
 def test_holes_never_adds_pixels():
     gt = rect_labels()
-    out = segment(gt, [Holes(0.5, seed=3)]).data
-    assert not np.any(out[gt.data == 0])
-    assert np.all(gt.data[out == 1] == 1)
+    out = segment(gt, [Holes(0.5, seed=3)]).dense()
+    assert not np.any(out[gt.dense() == 0])
+    assert np.all(gt.dense()[out == 1] == 1)
 
 
 def test_holes_fraction_validation():
@@ -239,8 +239,8 @@ def test_cut_band_only_removes_target_pixels():
     idx[20:32, 5:55] = 0
     idx[40:50, 10:20] = 1
     windows = {"t1": (0, (20, 32, 5, 55)), "other": (1, (40, 50, 10, 20))}
-    inst = InstanceImage(idx, windows)
-    out = segment(LabelImage(data), [CutBand("t1", 3)], instances=inst).data
+    inst = InstanceImage.from_array(idx, windows=windows)
+    out = segment(LabelImage.from_array(data), [CutBand("t1", 3)], instances=inst).dense()
     removed = (data != 0) & (out == 0)
     assert removed.any()
     assert np.all(idx[removed] == 0)  # every removed pixel belonged to t1
@@ -250,25 +250,25 @@ def test_cut_band_only_removes_target_pixels():
 def test_cut_band_width_scales_removed_area():
     gt = rect_labels(20, 32, 5, 55)
     inst = rect_instances(20, 32, 5, 55)
-    narrow = segment(gt, [CutBand("t1", 2)], instances=inst).data
-    wide = segment(gt, [CutBand("t1", 6)], instances=inst).data
+    narrow = segment(gt, [CutBand("t1", 2)], instances=inst).dense()
+    wide = segment(gt, [CutBand("t1", 6)], instances=inst).dense()
     assert (narrow == 1).sum() > (wide == 1).sum()
 
 
 def test_cut_band_unknown_target():
     gt = rect_labels()
     out = segment(gt, [CutBand("ghost", 3)], instances=rect_instances())
-    assert np.array_equal(out.data, gt.data)
+    assert np.array_equal(out.dense(), gt.dense())
     out = segment(gt, [CutBand("t1", 3)], instances=None)
-    assert np.array_equal(out.data, gt.data)
+    assert np.array_equal(out.dense(), gt.dense())
 
 
 def test_cut_band_target_without_pixels():
     idx = np.full((64, 64), -1, dtype=np.int32)
     # t1 has a patch, but every pixel of it is hidden
-    inst = InstanceImage(idx, {"t1": (0, (0, 64, 0, 64))})
+    inst = InstanceImage.from_array(idx, windows={"t1": (0, (0, 64, 0, 64))})
     out = segment(rect_labels(), [CutBand("t1", 3)], instances=inst)
-    assert np.array_equal(out.data, rect_labels().data)
+    assert np.array_equal(out.dense(), rect_labels().dense())
 
 
 def test_cut_band_validation():
@@ -289,7 +289,9 @@ def test_the_widest_cut_band_removes_its_whole_target():
     for band_px, left in ((MAX_BAND_PX, 0), (MAX_BAND_PX // 2, 1)):
         data = np.zeros((1, n), dtype=np.uint8)
         data[rows, cols] = 1
-        _apply_cut_band(data, CutBand("t1", band_px), rows, cols)
+        # the one-cluster image's crop is ``data`` itself
+        mask = LabelImage.from_array(data)
+        _apply_cut_band(mask, CutBand("t1", band_px), (0, 1, 0, n), rows, cols)
         assert int(data.sum()) == left
 
 
@@ -298,16 +300,16 @@ def test_the_widest_cut_band_removes_its_whole_target():
 
 def test_relabel_flips_classes_in_window():
     gt = rect_labels(10, 30, 5, 45, code=1)
-    out = segment(gt, [Relabel((10, 20, 5, 25), 2)]).data
+    out = segment(gt, [Relabel((10, 20, 5, 25), 2)]).dense()
     assert np.all(out[10:20, 5:25] == 2)
     assert np.all(out[20:30, 5:45] == 1)
 
 
 def test_relabel_leaves_floor_pixels_alone():
     gt = rect_labels(10, 30, 5, 45)
-    out = segment(gt, [Relabel((0, 64, 0, 64), 2)]).data
-    assert np.all(out[gt.data == 0] == 0)
-    assert np.all(out[gt.data == 1] == 2)
+    out = segment(gt, [Relabel((0, 64, 0, 64), 2)]).dense()
+    assert np.all(out[gt.dense() == 0] == 0)
+    assert np.all(out[gt.dense() == 1] == 2)
 
 
 def test_relabel_validation():
@@ -323,8 +325,8 @@ def test_relabel_validation():
 def test_ops_apply_in_order():
     # erode-then-holes differs from holes-then-erode almost surely
     gt = rect_labels()
-    a = segment(gt, [Erode(2), Holes(0.3, seed=1)]).data
-    b = segment(gt, [Holes(0.3, seed=1), Erode(2)]).data
+    a = segment(gt, [Erode(2), Holes(0.3, seed=1)]).dense()
+    b = segment(gt, [Holes(0.3, seed=1), Erode(2)]).dense()
     assert not np.array_equal(a, b)
 
 
@@ -332,8 +334,8 @@ def test_corruption_is_monotone_nonincreasing():
     gt = rect_labels()
     chained = segment(
         gt, [Erode(1), Holes(0.2, seed=4), Relabel((0, 64, 0, 64), 1)]
-    ).data
-    assert not np.any(chained[gt.data == 0])
+    ).dense()
+    assert not np.any(chained[gt.dense() == 0])
 
 
 # --- cuts out of view -------------------------------------------------------------------
@@ -349,7 +351,7 @@ def ops_in_view(ops, instances):
             if instances is None or op.target_id not in instances.windows:
                 continue
             index, _ = instances.windows[op.target_id]
-            if not (instances.index == index).any():
+            if not (instances.dense() == index).any():
                 continue
         kept.append(op)
     return kept
@@ -374,7 +376,7 @@ def frames_with_ops(draw):
             windows[f"o{i}"] = (i, (rows.min(), rows.max() + 1, cols.min(), cols.max() + 1))
         elif draw(st.booleans()):
             windows[f"o{i}"] = (i, (0, h, 0, w))
-    instances = InstanceImage(index, windows)
+    instances = InstanceImage.from_array(index, windows=windows)
     if draw(st.booleans()):
         instances = None
 
@@ -393,7 +395,7 @@ def frames_with_ops(draw):
         ),
     )
     ops = draw(st.lists(op, max_size=6))
-    return LabelImage(labels), instances, ops, draw(st.integers(0, 2**32))
+    return LabelImage.from_array(labels), instances, ops, draw(st.integers(0, 2**32))
 
 
 @settings(deadline=None, max_examples=300)
@@ -403,7 +405,9 @@ def frames_with_ops(draw):
 @example(
     (
         rect_labels(),
-        InstanceImage(np.full((64, 64), -1, dtype=np.int32), {"t1": (0, (0, 64, 0, 64))}),
+        InstanceImage.from_array(
+            np.full((64, 64), -1, dtype=np.int32), windows={"t1": (0, (0, 64, 0, 64))}
+        ),
         [Erode(1), CutBand("t1", 3), Holes(0.5, seed=1)],
         4,
     )
@@ -413,7 +417,7 @@ def test_segment_skips_cuts_out_of_view_like_the_filter_it_replaced(case):
     got = segment(labels, ops, seed=seed, instances=instances)
     kept = ops_in_view(ops, instances)
     want = segment(labels, kept, seed=seed, instances=instances)
-    assert got.data.tobytes() == want.data.tobytes()
+    assert got.dense().tobytes() == want.dense().tobytes()
 
 
 # --- the clusters ---------------------------------------------------------------------
@@ -441,7 +445,7 @@ def boxed_frames(draw):
         labels[r0:r1, c0:c1][keep] = draw(st.integers(1, 2))
         index[r0:r1, c0:c1][keep] = i
         windows[f"o{i}"] = (i, (r0, r1, c0, c1))
-    instances = InstanceImage(index, windows)
+    instances = InstanceImage.from_array(index, windows=windows)
     if draw(st.booleans()):
         instances = None
 
@@ -461,7 +465,7 @@ def boxed_frames(draw):
     )
     ops = draw(st.lists(op, max_size=5))
     clusters = window_clusters([w for _, w in windows.values()])
-    return LabelImage(labels, clusters), instances, ops, draw(st.integers(0, 2**32))
+    return LabelImage.from_array(labels, clusters), instances, ops, draw(st.integers(0, 2**32))
 
 
 @st.composite
@@ -513,7 +517,7 @@ def adjacent_rects(draw):
 def test_segment_on_the_clusters_equals_the_full_frame(case):
     labels, instances, ops, seed = case
     got = segment(labels, ops, seed=seed, instances=instances)
-    assert got.data.tobytes() == full_frame_segment(labels, ops, seed, instances).tobytes()
+    assert got.dense().tobytes() == full_frame_segment(labels, ops, seed, instances).tobytes()
 
 
 @settings(deadline=None, max_examples=500)
@@ -521,7 +525,7 @@ def test_segment_on_the_clusters_equals_the_full_frame(case):
 def test_segment_on_adjacent_clusters_equals_the_full_frame(case):
     labels, instances, ops, seed = case
     got = segment(labels, ops, seed=seed, instances=instances)
-    assert got.data.tobytes() == full_frame_segment(labels, ops, seed, instances).tobytes()
+    assert got.dense().tobytes() == full_frame_segment(labels, ops, seed, instances).tobytes()
 
 
 # --- iou ------------------------------------------------------------------------------
@@ -534,7 +538,7 @@ def main_component(img: LabelImage) -> MaskComponent:
 def dense_iou(comp: MaskComponent, gt: LabelImage) -> float:
     """The IoU as first written: the component drawn into an image of its
     own, and both images restricted to its class in the window."""
-    canvas = np.zeros_like(gt.data)
+    canvas = np.zeros_like(gt.dense())
     canvas[comp.rows, comp.cols] = comp.cls.label
     r0, r1, c0, c1 = comp.bbox
     r0 = max(0, r0 - IOU_DILATION)
@@ -542,7 +546,7 @@ def dense_iou(comp: MaskComponent, gt: LabelImage) -> float:
     r1 = min(gt.height, r1 + IOU_DILATION)
     c1 = min(gt.width, c1 + IOU_DILATION)
     a = canvas[r0:r1, c0:c1] == comp.cls.label
-    b = gt.data[r0:r1, c0:c1] == comp.cls.label
+    b = gt.dense()[r0:r1, c0:c1] == comp.cls.label
     return int(np.logical_and(a, b).sum()) / int(np.logical_or(a, b).sum())
 
 
@@ -565,14 +569,14 @@ def test_iou_disjoint_masks():
 def test_iou_over_no_truth_is_zero():
     # the union holds the component's own pixels, so it is never empty
     comp = component_from_pixels(ObjectClass.BRICK, np.array([[5, 5], [5, 6]]))
-    assert mask_iou(comp, LabelImage(np.zeros((64, 64), dtype=np.uint8))) == 0.0
+    assert mask_iou(comp, LabelImage.from_array(np.zeros((64, 64), dtype=np.uint8))) == 0.0
 
 
 def test_iou_window_ignores_distant_pixels():
     gt = rect_labels(10, 20, 10, 30)
-    noisy = gt.data.copy()
+    noisy = gt.dense().copy()
     noisy[50:60, 50:60] = 1  # well beyond the 8 px dilation window
-    assert mask_iou(main_component(gt), LabelImage(noisy)) == 1.0
+    assert mask_iou(main_component(gt), LabelImage.from_array(noisy)) == 1.0
 
 
 def test_iou_equals_one_only_when_windows_coincide():
@@ -599,7 +603,7 @@ def components_over_truth(draw):
     comp = component_from_pixels(
         draw(st.sampled_from(list(ObjectClass))), np.stack([rows + r0, cols + c0], axis=1)
     )
-    return comp, LabelImage(gt.astype(np.uint8))
+    return comp, LabelImage.from_array(gt.astype(np.uint8))
 
 
 def _ringed_pixel() -> tuple[MaskComponent, LabelImage]:
@@ -610,7 +614,7 @@ def _ringed_pixel() -> tuple[MaskComponent, LabelImage]:
     gt[[1, -2], 1:-1] = gt[1:-1, [1, -2]] = 1
     gt[2, d + 2] = gt[-3, d + 2] = gt[d + 2, 2] = gt[d + 2, -3] = 1
     gt[d + 2, d + 2] = 1
-    return component_from_pixels(ObjectClass.BRICK, [[d + 2, d + 2]]), LabelImage(gt)
+    return component_from_pixels(ObjectClass.BRICK, [[d + 2, d + 2]]), LabelImage.from_array(gt)
 
 
 @settings(deadline=None, max_examples=300)
