@@ -1,7 +1,8 @@
 """Drive past one brick, stop, and pick it -- then repeat with a rigged
 depth fault to show how the failure is attributed."""
 
-from clearbot.orchestrator import MessageEnvelope, Simulation, Topic
+from clearbot.log import MessageEnvelope, Topic
+from clearbot.orchestrator import Simulation
 from clearbot.scene import BrickDims, ObjectClass, ObjectSpec
 from clearbot.schema import DepthBiasInjection, ScenarioConfig
 

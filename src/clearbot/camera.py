@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar, Iterator, Mapping, Optional, Sequence
+from typing import Any, ClassVar, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -573,26 +573,25 @@ def apply_noise(
     depth: DepthImage,
     model: DepthNoiseModel,
     seed: int | np.random.SeedSequence,
-    drawn: Optional[Callable[[], NoiseDraws]] = None,
+    draws: Optional[NoiseDraws] = None,
 ) -> DepthImage:
     """Corrupt valid pixels only, with the draws of :func:`draw_noise`.
 
     A valid pixel becomes ``(d + bias) + sigma * normal``, or 0 when its
     uniform is below the dropout probability; an invalid pixel keeps its
-    value. ``drawn`` returns this seed's draws made ahead, perhaps on
-    another thread (calling it is where the caller waits for them);
-    without it, they are drawn here. The draws cover the whole image, so
-    the noisy depth is dense: it is built in place in the draws' noise
-    array, which the one-cluster result wraps, from the crops and the
+    value. ``draws`` are this seed's draws made ahead, perhaps on another
+    thread; without them, they are drawn here. The draws cover the whole
+    image, so the noisy depth is dense: it is built in place in the draws'
+    noise array, which the one-cluster result wraps, from the crops and the
     background of ``depth``, with no dense copy of it. A model that draws
-    nothing builds no generator and calls no ``drawn``.
+    nothing builds no generator and reads no ``draws``.
     """
     if model.draws_nothing:
         # exact: sigma * normal is +-0, and 0 + (d + bias) == d + bias for
         # a valid pixel, as d + bias is not -0
         noisy, drop = np.zeros(depth.shape), None
     else:
-        noisy, drop = drawn() if drawn is not None else draw_noise(model, seed, depth.shape)
+        noisy, drop = draws if draws is not None else draw_noise(model, seed, depth.shape)
     # IEEE addition commutes exactly, so the in-place sums are the same bits
     # as (d + bias) + sigma * normal; the crops' pixels are summed before
     # one scalar pass adds the background to every pixel, and put back

@@ -32,17 +32,15 @@ from .geometry import (
     estimate_rigid_transform,
     registration_rms,
 )
-from .orchestrator import (
+from .log import (
     FrameData,
     MessageEnvelope,
     RunReport,
-    Simulation,
     Topic,
-    build_benchmark_config,
-    check_benchmark_report,
     messages_to_ndjson,
     report_to_json,
 )
+from .orchestrator import Simulation, build_benchmark_config, check_benchmark_report, frame_images
 from .schema import InvalidConfig, JsonObject, ScenarioConfig, parse_scenario
 
 EXIT_OK = 0
@@ -95,7 +93,7 @@ def _run_and_write(
         if dump_frames:
             frames_dir = out_dir / "frames"
             for fd in frames:
-                images = fd.images(sim.cfg)
+                images = frame_images(fd, sim.cfg)
                 stem = f"frame_{fd.frame_index:05d}"
                 (frames_dir / f"{stem}_labels.ppm").write_bytes(encode_label_ppm(images.labels))
                 (frames_dir / f"{stem}_depth.pgm").write_bytes(encode_depth_pgm(images.depth))

@@ -12,12 +12,8 @@ from pathlib import Path
 import pytest
 
 from clearbot import cli
-from clearbot.orchestrator import (
-    RunReport,
-    Simulation,
-    build_benchmark_config,
-    run_scenario,
-)
+from clearbot.log import RunReport
+from clearbot.orchestrator import Simulation, build_benchmark_config, run_scenario
 from helpers import Recorder, openblas_core, run_recorded
 
 

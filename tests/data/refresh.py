@@ -16,13 +16,17 @@ makes on those runs and on long_course, with this libm's results, as
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
+import pkgutil
 
-from clearbot import arm, camera, geometry, orchestrator, scene, schema, segmentation
-from clearbot.orchestrator import build_benchmark_config, messages_to_ndjson, report_to_json
+import clearbot
+from clearbot import orchestrator
+from clearbot.log import messages_to_ndjson, report_to_json
+from clearbot.orchestrator import build_benchmark_config
 from clearbot.schema import parse_scenario
-from helpers import DATA, PERFBENCH, log_lines, perfbench_workloads
+from helpers import DATA, PERFBENCH, log_lines, perfbench_module
 
 
 class _RecordingMath:
@@ -50,10 +54,13 @@ class _RecordingMath:
 
 def main() -> None:
     recording = _RecordingMath()
-    for module in (arm, camera, geometry, orchestrator, scene, schema, segmentation):
-        module.math = recording
+    # every module of the package, but __main__, whose import runs the CLI
+    names = [info.name for info in pkgutil.iter_modules(clearbot.__path__)]
+    for module in [importlib.import_module(f"clearbot.{n}") for n in names if n != "__main__"]:
+        if getattr(module, "math", None) is math:
+            module.math = recording
     seed = json.loads((PERFBENCH / "recorded.json").read_text())["default_seed"]
-    workloads = perfbench_workloads()
+    workloads = perfbench_module("workloads")
     runs = {
         "course": build_benchmark_config(),
         "adaptive_course": build_benchmark_config(adaptive_order=True),

@@ -18,7 +18,7 @@ from clearbot import geometry, orchestrator
 from clearbot.arm import PickOutcome
 from clearbot.camera import ClusterImage, DepthImage, DepthNoiseModel, LabelImage, apply_noise
 from clearbot.geometry import MaskComponent
-from clearbot.orchestrator import (
+from clearbot.log import (
     SEG_LATENCY,
     ArmCommandPayload,
     ArmStatusPayload,
@@ -29,11 +29,11 @@ from clearbot.orchestrator import (
     MessageBus,
     MessageEnvelope,
     RunReport,
-    Simulation,
     Topic,
     _WALL_NOTES,
     frame_digest,
 )
+from clearbot.orchestrator import Simulation
 from clearbot.scene import BrickDims, ObjectClass, ObjectSpec, _axis
 from clearbot.schema import ScenarioConfig, canonical_json
 from clearbot.segmentation import CutBand, Erode, Holes
@@ -68,12 +68,13 @@ def openblas_core() -> str:
         return "unknown"
 
 
-def perfbench_workloads():
-    """perfbench's ``workloads`` module, loaded from its file."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads
+def perfbench_module(name: str):
+    """perfbench's module ``name`` (``workloads``, ``tracing``), loaded from
+    its file."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def log_lines(log: str) -> list[str]:

@@ -29,15 +29,12 @@ from clearbot.geometry import (
     rotation_about_z,
     transform_to_arm,
 )
+from clearbot.log import Topic, _array_digest, messages_to_ndjson, report_to_json
 from clearbot.orchestrator import (
     PipelineState,
     Simulation,
-    Topic,
-    _array_digest,
     build_benchmark_config,
-    messages_to_ndjson,
     replay_grasp_targets,
-    report_to_json,
     run_scenario,
 )
 from clearbot.scene import (

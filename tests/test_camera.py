@@ -31,7 +31,8 @@ from clearbot.camera import (
     render,
     render_full,
 )
-from clearbot.orchestrator import FrameData
+from clearbot.log import FrameData
+from clearbot.orchestrator import frame_images
 from clearbot.scene import (
     BrickDims,
     CameraMount,
@@ -340,7 +341,7 @@ def test_apply_noise_equals_the_gather_form_bit_for_bit(case):
     # the same draws when made ahead on another thread
     with ThreadPoolExecutor(max_workers=1) as worker:
         ahead = worker.submit(draw_noise, model, seed, depth.shape)
-        drawn = apply_noise(depth, model, seed, drawn=ahead.result)
+        drawn = apply_noise(depth, model, seed, draws=ahead.result())
     assert np.array_equal(drawn.dense().view(np.uint64), expected.view(np.uint64))
 
 
@@ -1005,7 +1006,8 @@ def test_windowed_pixels_of_equals_full_image_scan(view):
     scene, k, _ = view
     rr = render_full(scene, k)
     fd = FrameData(0, 0.0, scene.ugv, False, (k.height, k.width), rr.floor_depth, rr.patches)
-    inst = fd.images(ScenarioConfig(name="view", objects=scene.objects, intrinsics=k)).instances
+    cfg = ScenarioConfig(name="view", objects=scene.objects, intrinsics=k)
+    inst = frame_images(fd, cfg).instances
     for idx, obj in enumerate(scene.objects):
         rows, cols = inst.pixels_of(obj.id)
         want_rows, want_cols = np.nonzero(inst.dense() == idx)

@@ -29,7 +29,8 @@ from clearbot.camera import (
     encode_label_ppm,
     window_clusters,
 )
-from clearbot.orchestrator import Simulation, Topic
+from clearbot.log import Topic
+from clearbot.orchestrator import Simulation
 from clearbot.scene import BrickDims, ObjectClass, ObjectSpec, PipeDims
 from clearbot.schema import DepthBiasInjection, ScenarioConfig, scenario_to_dict
 from clearbot.segmentation import CutBand, Erode, Holes, Relabel

@@ -1,7 +1,7 @@
 """The package is its modules: importing one loads only the layers below it
 (scene, camera, geometry, then segmentation and arm side by side, then the
-scenario schema, the orchestrator and the command line), and the package
-root loads none."""
+message log and the scenario schema side by side, then the orchestrator and
+the command line), and the package root loads none."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from helpers import child_env
 
 _BELOW_SEGMENTATION = {"scene", "camera", "geometry"}
 _BELOW_SCHEMA = _BELOW_SEGMENTATION | {"segmentation", "arm"}
-_ALL = _BELOW_SCHEMA | {"schema", "orchestrator"}
+_ALL = _BELOW_SCHEMA | {"log", "schema", "orchestrator"}
 
 LOADED = {
     "clearbot": set(),
@@ -23,6 +23,7 @@ LOADED = {
     "clearbot.geometry": _BELOW_SEGMENTATION,
     "clearbot.segmentation": _BELOW_SEGMENTATION | {"segmentation"},
     "clearbot.arm": _BELOW_SEGMENTATION | {"arm"},
+    "clearbot.log": _BELOW_SEGMENTATION | {"arm", "log"},
     "clearbot.schema": _BELOW_SCHEMA | {"schema"},
     "clearbot.orchestrator": _ALL,
     "clearbot.cli": _ALL | {"cli"},

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from clearbot import camera, orchestrator, segmentation
+from clearbot import camera, cli, orchestrator, segmentation
 from clearbot.arm import (
     DEFAULT_ARM_CONFIG,
     DEFAULT_PHASE_DURATIONS,
@@ -47,36 +47,43 @@ from clearbot.camera import (
     window_clusters,
 )
 from clearbot.geometry import Frame, Point3, ReachEnvelope, connected_components
-from clearbot.orchestrator import (
-    DISPATCH_LATENCY,
-    GEOMETRY_LATENCY,
+from clearbot.log import (
     SEG_LATENCY,
     ArmCommandPayload,
     ArmStatusPayload,
-    AttemptDiagnostics,
     AttemptRecord,
     ControlStopPayload,
-    FailureModule,
     FrameData,
-    FrameImages,
     GraspTargetsPayload,
     MaskData,
     MessageBus,
-    PipelineState,
     RunReport,
     SequenceRegression,
-    SimClock,
-    Simulation,
     TargetRecord,
     Topic,
+    _array_digest,
+    _floor_prefix,
+    _mask_digest,
+    frame_digest,
+    messages_to_ndjson,
+    report_to_json,
+)
+from clearbot.orchestrator import (
+    DISPATCH_LATENCY,
+    GEOMETRY_LATENCY,
+    AttemptDiagnostics,
+    FailureModule,
+    FrameImages,
+    PipelineState,
+    SimClock,
+    Simulation,
     UnattributableFailure,
     attribute_failure,
     build_benchmark_config,
     config_digest,
+    frame_images,
     match_component,
-    messages_to_ndjson,
     replay_grasp_targets,
-    report_to_json,
     run_scenario,
     validate_config,
 )
@@ -113,7 +120,7 @@ from helpers import (
     openblas_core,
     oracle_line,
     payload_to_dict,
-    perfbench_workloads,
+    perfbench_module,
     report_to_dict,
     run_recorded,
     same_bits,
@@ -745,7 +752,7 @@ def test_grasp_targets_replay_exactly_from_the_log(benchmark_run):
     logged = recorder.history(Topic.SEGMENTATION_MASKS)
     assert len(logged) == len(replayed)
     for (mask, _), env in zip(replayed, logged):
-        assert orchestrator._array_digest(mask) == env.payload.digest
+        assert _array_digest(mask) == env.payload.digest
 
 
 # --- one dense view per frame ------------------------------------------------------
@@ -803,7 +810,7 @@ def test_frame_images_recompose_bit_for_bit(capture):
     fd, captured = sim._capture(standstill=False, inject_for=inject_for)
     rr = render_full(sim.scene, cfg.intrinsics)
     labels, depth, index = dense_compose(fd.shape, rr.floor_depth, rr.patches)
-    view = fd.images(cfg)
+    view = frame_images(fd, cfg)
     for images in (view, captured):
         assert_image_is(images.labels, labels)
         assert_image_is(images.clean_depth, depth)
@@ -817,7 +824,7 @@ def test_frame_images_recompose_bit_for_bit(capture):
     assert fd.class_pixels == (int((labels == 1).sum()), int((labels == 2).sum()))
     altered = not cfg.noise.is_identity or inject_for is not None
     assert (view.depth is not view.clean_depth) == altered
-    want = orchestrator._array_digest(view.depth.dense()) if altered else None
+    want = _array_digest(view.depth.dense()) if altered else None
     assert fd.depth_digest == want
 
 
@@ -935,6 +942,30 @@ def test_segment_searches_only_cut_targets_in_view(monkeypatch):
     assert searched == want
 
 
+def test_a_frames_render_windows_do_not_grow_with_the_course(monkeypatch):
+    # render_full windows only the objects near the camera: the most it
+    # windows in one frame is the same on a course of 10 objects and of 40
+    windows: list[int] = []
+    real_window, real_render = camera._pixel_window, orchestrator.render_full
+
+    def counting_window(*args):
+        windows[-1] += 1
+        return real_window(*args)
+
+    def counting_render(*args):
+        windows.append(0)
+        return real_render(*args)
+
+    monkeypatch.setattr(camera, "_pixel_window", counting_window)
+    monkeypatch.setattr(orchestrator, "render_full", counting_render)
+    most = {}
+    for tiles in (1, 4):
+        windows.clear()
+        run_scenario(parse_scenario(perfbench_module("workloads").long_course(0, tiles=tiles)))
+        most[tiles] = max(windows)
+    assert most[1] == most[4] > 0
+
+
 def test_segment_erodes_the_clusters_not_the_box(monkeypatch):
     # two bricks far apart across the lane: erosion reads each one's cluster,
     # not the span of both
@@ -944,9 +975,11 @@ def test_segment_erodes_the_clusters_not_the_box(monkeypatch):
     real_segment, real_erosion = orchestrator.segment, segmentation._erode_square
 
     def counting_segment(gt, *args, **kwargs):
-        clusters.append([(r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in gt.clusters])
-        r0, r1, c0, c1 = camera.span(gt.clusters)
-        spans.append((r1 - r0) * (c1 - c0))
+        # a frame with no object in view has no cluster to erode
+        if gt.clusters:
+            clusters.append([(r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in gt.clusters])
+            r0, r1, c0, c1 = camera.span(gt.clusters)
+            spans.append((r1 - r0) * (c1 - c0))
         return real_segment(gt, *args, **kwargs)
 
     def counting_erosion(mask, radius):
@@ -1032,8 +1065,8 @@ def test_bias_only_noise_builds_no_generator(monkeypatch):
     frames = [env.payload for env in recorder.history(Topic.CAMERA_FRAMES)]
     clean = dataclasses.replace(cfg, noise=DepthNoiseModel())
     for fd in frames:
-        want = apply_noise(fd.images(clean).depth, bias_only, seed=0)
-        assert fd.depth_digest == orchestrator._array_digest(want.dense())
+        want = apply_noise(frame_images(fd, clean).depth, bias_only, seed=0)
+        assert fd.depth_digest == _array_digest(want.dense())
     assert report.attempted == 1 and made == []
 
 
@@ -1132,8 +1165,8 @@ def test_a_picking_frames_depth_outlives_the_next_draw(monkeypatch):
         ahead[1].result(timeout=10)
         fd = recorder.history(Topic.CAMERA_FRAMES)[-1].payload
         assert fd.standstill and ahead[0] == fd.frame_index + 1
-        assert orchestrator._array_digest(images.depth.dense()) == fd.depth_digest
-        assert same_bits(images.depth.dense(), fd.images(sim.cfg).depth.dense())
+        assert _array_digest(images.depth.dense()) == fd.depth_digest
+        assert same_bits(images.depth.dense(), frame_images(fd, sim.cfg).depth.dense())
         checked.append(fd.frame_index)
         return diagnose(rec, comp, matched, images, *rest)
 
@@ -1273,7 +1306,7 @@ def test_step_loop_views_equal_fresh_views_frame_by_frame(noise):
 
     def checked_capture(standstill, inject_for):
         fd, view = capture(standstill, inject_for)
-        fresh = fd.images(cfg)
+        fresh = frame_images(fd, cfg)
         for a, b, dense in zip(
             (view.labels, view.depth, view.clean_depth, view.instances),
             (fresh.labels, fresh.depth, fresh.clean_depth, fresh.instances),
@@ -1296,7 +1329,7 @@ def test_step_loop_views_equal_fresh_views_frame_by_frame(noise):
     replayed = replay_grasp_targets(recorder.history(Topic.CAMERA_FRAMES), cfg)
     logged = recorder.history(Topic.SEGMENTATION_MASKS)
     for (mask, _), env in zip(replayed, logged):
-        assert orchestrator._array_digest(mask) == env.payload.digest
+        assert _array_digest(mask) == env.payload.digest
 
 
 def test_every_changed_mask_is_an_array_of_its_own(monkeypatch):
@@ -1504,7 +1537,7 @@ def test_step_loop_equals_fresh_views_on_generated_runs(cfg):
 
     def checked_capture(standstill, inject_for):
         fd, view = capture(standstill, inject_for)
-        fresh = fd.images(cfg)
+        fresh = frame_images(fd, cfg)
         dense = dense_view(fd, cfg)
         for a, b, want in zip(
             (view.labels, view.depth, view.clean_depth, view.instances),
@@ -1532,7 +1565,7 @@ def test_step_loop_equals_fresh_views_on_generated_runs(cfg):
         # the depth the log hashed at capture is the dense reference's,
         # whether its noise was drawn ahead on the worker or on the spot
         altered = not cfg.noise.is_identity or fd.bias is not None
-        assert fd.depth_digest == (orchestrator._array_digest(dense[1]) if altered else None)
+        assert fd.depth_digest == (_array_digest(dense[1]) if altered else None)
         # each patch names the object of its index in the scene it was cast from
         assert all(p.object_id == sim.scene.objects[p.obj_index].id for p in fd.patches)
         frames.append(fd)
@@ -1568,7 +1601,7 @@ def test_step_loop_equals_fresh_views_on_generated_runs(cfg):
         # labelling each cluster finds what labelling the whole image finds
         assert mask.clusters == images.labels.clusters
         _assert_clusters_hold_the_labels(mask)
-        assert orchestrator._mask_digest(mask) == orchestrator._array_digest(reference)
+        assert _mask_digest(mask) == _array_digest(reference)
         for cls in ObjectClass:
             got = connected_components(mask, cls)
             whole = connected_components(want, cls)
@@ -1593,7 +1626,7 @@ def test_step_loop_equals_fresh_views_on_generated_runs(cfg):
                 got_z = got_depth.at(rows, cols, window)
                 assert same_bits(got_z, want_depth.dense()[rows, cols])
         fd = frames[-1]
-        digest = orchestrator._array_digest(reference)
+        digest = _array_digest(reference)
         fresh_masks.append(MaskData(fd.frame_index, fd.t_capture, want.class_pixels(), digest))
         return mask, targets, comps
 
@@ -1625,7 +1658,7 @@ def test_step_loop_equals_fresh_views_on_generated_runs(cfg):
     # each mask was hashed at publish from its crops
     assert [env.payload for env in logged] == fresh_masks
     for (mask, _), env in zip(replayed, logged):
-        assert orchestrator._array_digest(mask) == env.payload.digest
+        assert _array_digest(mask) == env.payload.digest
 
 
 @settings(deadline=None, max_examples=60)
@@ -1706,7 +1739,7 @@ def test_culling_off_gives_the_same_frame_digests(cfg):
     # infinite radius it culls nothing and every object gets its window
     def frame_digests() -> list[str]:
         frames = run_recorded(cfg)[2].history(Topic.CAMERA_FRAMES)
-        return [orchestrator.frame_digest(env.payload) for env in frames]
+        return [frame_digest(env.payload) for env in frames]
 
     culled = frame_digests()
     with pytest.MonkeyPatch.context() as mp:
@@ -1722,7 +1755,7 @@ def test_the_side_by_side_lane_has_clusters_that_share_rows():
     assert sum(map(_clusters_share_rows, frames)) > 1
     reaching = 0
     for fd in frames:
-        labels = fd.images(cfg).labels
+        labels = frame_images(fd, cfg).labels
         for comp in connected_components(labels, ObjectClass.BRICK):
             r0, r1, c0, c1 = comp.bbox
             d = IOU_DILATION
@@ -1873,7 +1906,7 @@ def noisy_run() -> tuple[RunReport, Simulation, Recorder]:
     """The benchmark's noisy_course at its recorded seed: depth noise with
     dropout, and eroded, holed masks; a recorder keeps every message."""
     seed = json.loads(RECORDED.read_text())["default_seed"]
-    return run_recorded(parse_scenario(perfbench_workloads().noisy_course(seed)))
+    return run_recorded(parse_scenario(perfbench_module("workloads").noisy_course(seed)))
 
 
 @pytest.mark.parametrize(
@@ -1932,6 +1965,48 @@ def test_a_recorded_digest_failure_names_what_changed(benchmark_run):
     assert f"line {k + 1} differs first" in why and f"the run wrote {k}" in why
 
 
+@pytest.mark.parametrize("entry", ["course", "adaptive_course", "noisy_course"])
+def test_the_kept_reports_are_the_recorded_ones(entry):
+    # an output change that refreshes perfbench/recorded.json refreshes the
+    # files that explain a digest failure too (tests/data/refresh.py)
+    recorded = json.loads(RECORDED.read_text())["digests"][entry]
+    kept = (DATA / f"{entry}_report.json").read_bytes()
+    assert hashlib.sha256(kept).hexdigest() == recorded["report_sha256"]
+
+
+def test_perfbench_tracing_counts_every_layer_call():
+    # perfbench traces a layer by rebinding its function where the
+    # orchestrator and the CLI look it up: a name called from elsewhere
+    # would count no call and raise no error
+    tracing = perfbench_module("tracing")
+    cfg = tiny_scenario(
+        [brick("b", 1.2, 0.05, 0.3)],
+        noise=NOISY,
+        seg_ops=(CutBand("b", 4),),
+        injections=(DepthBiasInjection("b", 0.02),),
+    )
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        sim = Simulation(cli.parse_scenario(scenario_to_dict(cfg)))
+        tracer.attach(sim)
+        report = sim.run()
+        orchestrator.report_to_json(report)
+        log = orchestrator.messages_to_ndjson(sim.bus)
+    finally:
+        tracer.uninstall()
+    assert report.attempted == 1
+    calls = {name: tracer.counts[f"{name}.calls"] for name in tracing.TRACED_CALLS}
+    assert min(calls.values()) >= 1, calls
+    topics = [json.loads(line)["topic"] for line in log.splitlines()]
+    frames = topics.count(Topic.CAMERA_FRAMES.value)
+    per_frame = ("camera.render_full", "camera.compose_patches", "segmentation.segment")
+    for name in per_frame + ("orchestrator.compute_targets",):
+        assert calls[name] == frames, name
+    # the biased standstill frame offsets its noisy depth once more
+    assert calls["camera.apply_noise"] == frames + 1
+
+
 def test_the_libm_table_counts_the_results_this_libm_rounds_otherwise(monkeypatch):
     differ, total = libm_differences()
     assert 0 <= differ <= total and total > 1000
@@ -1959,33 +2034,22 @@ def test_publish_names_an_unknown_payload_type():
     assert messages_to_ndjson(bus) == "" and recorder.log() == ()
 
 
-def test_empty_frames_skip_segmentation_and_targets(monkeypatch):
-    calls = {"segment": 0, "compute_targets": 0}
-    for name in calls:
-        real = getattr(orchestrator, name)
-
-        def counting(*args, _real=real, _name=name, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(orchestrator, name, counting)
+def test_an_empty_frame_publishes_an_all_floor_mask_and_no_targets():
     ops = (Erode(1), Holes(0.1), CutBand("b", 4), Relabel((0, 8, 0, 8), 2))
     # the brick is in view from the first frame and out of it by the end
-    _, sim, recorder = run_recorded(tiny_scenario([brick("b", 1.2, 0.05, 0.3)], seg_ops=ops))
+    _, _, recorder = run_recorded(tiny_scenario([brick("b", 1.2, 0.05, 0.3)], seg_ops=ops))
     frames = [env.payload for env in recorder.history(Topic.CAMERA_FRAMES)]
-    seen = sum(1 for fd in frames if fd.class_pixels != (0, 0))
-    assert 0 < seen < len(frames)
-    assert calls == {"segment": seen, "compute_targets": seen}
+    empty = sum(1 for fd in frames if not fd.patches)
+    assert 0 < empty < len(frames)
 
     masks = recorder.history(Topic.SEGMENTATION_MASKS)
     targets = recorder.history(Topic.GRASP_TARGETS)
     for fd, mask, tgt in zip(frames, masks, targets):
-        if fd.class_pixels != (0, 0):
+        if fd.patches:
             continue
-        # what the full path would have published for this frame
-        images = fd.images(sim.cfg)
-        full = orchestrator.segment(images.labels, ops, seed=0, instances=images.instances)
-        assert mask.payload.digest == orchestrator._array_digest(full.dense())
+        # every op maps an all-floor frame to itself, and it has no component
+        assert mask.payload.digest == _array_digest(np.zeros(fd.shape, dtype=np.uint8))
+        assert mask.payload.class_pixels == fd.class_pixels == (0, 0)
         assert mask.t == fd.t_capture + SEG_LATENCY
         assert tgt.payload.targets == ()
 
@@ -2015,10 +2079,10 @@ def test_an_unchanged_mask_takes_its_frames_pixel_counts(monkeypatch):
 def test_floor_digest_is_the_digest_of_an_all_floor_mask(shape):
     floor = np.zeros(shape, np.uint8)
     labels = LabelImage.from_array(floor)
-    assert orchestrator._mask_digest(labels) == orchestrator._array_digest(floor)
+    assert _mask_digest(labels) == _array_digest(floor)
     # the floor rows' hash state is taken once per shape and row count
-    prefix = orchestrator._floor_prefix(shape, shape[0])
-    assert orchestrator._floor_prefix(shape, shape[0]) is prefix
+    prefix = _floor_prefix(shape, shape[0])
+    assert _floor_prefix(shape, shape[0]) is prefix
 
 
 def _labelled(shape, pixels) -> np.ndarray:
@@ -2046,7 +2110,7 @@ def test_mask_digest_equals_the_digest_of_the_dense_mask(data):
     # prefix: none for the whole image, all of them for no cluster
     clusters = camera.window_clusters([(r, r + 1, c, c + 1) for r, c in zip(*np.nonzero(data))])
     for labels in (LabelImage.from_array(data), LabelImage.from_array(data, clusters)):
-        assert orchestrator._mask_digest(labels) == orchestrator._array_digest(data)
+        assert _mask_digest(labels) == _array_digest(data)
 
 
 def floats(lo: float, hi: float, **kwargs):
